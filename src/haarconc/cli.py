@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--replicates", type=int, default=None,
                        help="override the config replicate count")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads; never affects results")
+                       help="accepted for compatibility (>= 1); all work runs on one "
+                            "thread, so it changes neither speed nor results")
 
     p = sub.add_parser("mixing-curve", help="total-variation / moment decay curves")
     p.add_argument("--group", choices=("sn", "un"), default="sn",

@@ -61,8 +61,8 @@ class Permutation:
 class UnitaryMatrix:
     """An n x n complex matrix expected to be unitary.
 
-    Samplers construct with ``check=True`` and guarantee
-    ``max|U* U - I| <= 1e-12``.  Products built with :func:`compose` are not
+    Samplers check ``max|U* U - I| <= 1e-12`` when they build the entries
+    (:func:`require_unitary`).  Products built with :func:`compose` are not
     re-checked; call :meth:`unitarity_defect` on demand.
     """
 
@@ -74,17 +74,32 @@ class UnitaryMatrix:
             raise ValueError("entries must form a square matrix")
         self.entries = arr
         if check:
-            defect = self.unitarity_defect()
-            if defect > tol:
-                raise ValueError(f"matrix is not unitary: defect {defect:.3e} exceeds {tol:.1e}")
+            require_unitary(arr, tol)
 
     @property
     def n(self) -> int:
         return int(self.entries.shape[0])
 
     def unitarity_defect(self) -> float:
-        gram = self.entries.conj().T @ self.entries
-        return float(np.max(np.abs(gram - np.eye(self.n))))
+        return float(unitarity_defects(self.entries))
+
+
+def unitarity_defects(u: np.ndarray) -> np.ndarray:
+    """max|U* U - I| of every matrix in a (..., n, n) stack."""
+    gram = np.conj(np.swapaxes(u, -1, -2)) @ u
+    return np.max(np.abs(gram - np.eye(u.shape[-1])), axis=(-2, -1))
+
+
+def require_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> None:
+    """Raise ValueError unless every matrix of the stack has unitarity defect
+    at most ``tol``; a NaN defect fails."""
+    defects = np.reshape(unitarity_defects(u), -1)
+    bad = np.flatnonzero(~(defects <= tol))
+    if bad.size:
+        where = f" (slice {bad[0]})" if u.ndim > 2 else ""
+        raise ValueError(
+            f"matrix is not unitary{where}: defect {defects[bad[0]]:.3e} exceeds {tol:.1e}"
+        )
 
 
 class ReflectionStep:
@@ -113,9 +128,7 @@ class ReflectionStep:
         return int(self.u.size)
 
     def matrix(self) -> UnitaryMatrix:
-        delta = 1.0 - np.exp(1j * self.phi)
-        y = np.eye(self.n, dtype=np.complex128) - delta * np.outer(self.u, self.u.conj())
-        return UnitaryMatrix(y, check=True)
+        return UnitaryMatrix(reflection_matrices(self.u, np.float64(self.phi)))
 
 
 @dataclass(frozen=True)
@@ -187,20 +200,44 @@ def invert(g: GroupElement) -> GroupElement:
     raise TypeError(f"not a group element: {type(g).__name__}")
 
 
-def sample_haar_unitary(n: int, rng: np.random.Generator) -> UnitaryMatrix:
-    """Haar sample from U(n).
+def complex_ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
+    """An n x n matrix of i.i.d. standard complex Gaussians; the real parts
+    are drawn before the imaginary parts."""
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
 
-    QR factorization of an i.i.d. complex Gaussian matrix, with the R diagonal
-    phase divided out so the column phases are uniform rather than pinned by
-    the factorization's sign convention.
+
+def haar_unitaries(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a (..., n, n) stack of complex Gaussian matrices.
+
+    One stacked QR factorization, with the R diagonal phase divided out so
+    the column phases are uniform rather than pinned by the factorization's
+    sign convention (Mezzadri, Notices AMS 54, 2007).  Raises ValueError if
+    any result misses unitarity by more than UNITARITY_TOL.  Stacked LAPACK
+    calls factor each matrix exactly as a call on that matrix alone would.
     """
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[..., None, :]
+    require_unitary(q)
+    return q
+
+
+def sample_haar_unitary(n: int, rng: np.random.Generator) -> UnitaryMatrix:
+    """Haar sample from U(n): :func:`haar_unitaries` of one
+    :func:`complex_ginibre` draw."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return UnitaryMatrix(q, check=True)
+    return UnitaryMatrix(haar_unitaries(complex_ginibre(n, rng)))
+
+
+def reflection_matrices(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Y = I - (1 - e^{i phi}) u u* for each unit vector u (last axis) and
+    angle phi; raises ValueError if any Y misses unitarity."""
+    delta = 1.0 - np.exp(1j * phi)
+    outer = u[..., :, None] * np.conj(u)[..., None, :]
+    y = np.eye(u.shape[-1], dtype=np.complex128) - delta[..., None, None] * outer
+    require_unitary(y)
+    return y
 
 
 def _sample_reflection_batch(

@@ -30,15 +30,48 @@ class HermitianMatrix:
         arr = np.array(entries, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("entries must form a square matrix")
-        defect = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-        scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
-        if defect > tol * scale:
-            raise ValueError(f"matrix is not hermitian: defect {defect:.3e} exceeds tolerance")
-        self.entries = (arr + arr.conj().T) / 2.0
+        self.entries = hermitian_parts(arr, tol)
 
     @property
     def n(self) -> int:
         return int(self.entries.shape[0])
+
+
+def hermitian_parts(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """(A + A*) / 2 for every matrix A of a (..., n, n) stack.
+
+    Raises ValueError if any A has hermiticity defect max|A - A*| above
+    ``tol * max(1, max|A|)``, or a NaN defect.
+    """
+    ah = np.conj(np.swapaxes(a, -1, -2))
+    defects = np.reshape(np.max(np.abs(a - ah), axis=(-2, -1), initial=0.0), -1)
+    scales = np.reshape(np.max(np.abs(a), axis=(-2, -1), initial=1.0), -1)
+    bad = np.flatnonzero(~(defects <= tol * scales))
+    if bad.size:
+        where = f" (slice {bad[0]})" if a.ndim > 2 else ""
+        raise ValueError(
+            f"matrix is not hermitian{where}: defect {defects[bad[0]]:.3e} exceeds tolerance"
+        )
+    return (a + ah) / 2.0
+
+
+def conjugate_stack(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """U M U*, hermitised, for every U of a (..., n, n) stack of unitaries.
+
+    ``m`` is an (..., n, n) stack of hermitian matrices, or a 1-D array of
+    diagonal entries, applied as the column scaling U * m.
+    """
+    um = u * m if m.ndim == 1 else u @ m
+    return hermitian_parts(um @ np.conj(np.swapaxes(u, -1, -2)))
+
+
+def _hermitian_entries(m) -> np.ndarray:
+    if isinstance(m, HermitianMatrix):
+        return m.entries
+    arr = np.asarray(m, dtype=np.complex128)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError("entries must form a square matrix")
+    return hermitian_parts(arr)
 
 
 def _as_hermitian(m) -> HermitianMatrix:
@@ -88,30 +121,44 @@ def ecdf_value(cdf: SpectralCDF, x: float) -> float:
     return cdf.value(float(x))
 
 
-def sup_cdf_distance(cdf1: SpectralCDF, cdf2: SpectralCDF) -> float:
+def cdf_counts(eigs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """#{lambda <= x} for each spectrum, one per row of ``eigs``, at each
+    point of the last axis of ``x``; the leading axes broadcast."""
+    return np.count_nonzero(eigs[..., :, None] <= x[..., None, :], axis=-2)
+
+
+def sup_cdf_distance(cdf1, cdf2):
     """Exact sup-norm distance between two empirical spectral CDFs.
 
     Both step functions are constant between jump points, so the supremum is
     attained at one of the merged eigenvalues; integer jump counts keep the
-    scan exact up to a single final division.
+    scan exact up to a single final division.  The arguments may also be
+    (..., n) arrays of eigenvalues, one spectrum per row; the result is then
+    an array of distances.
     """
-    if cdf1.n != cdf2.n:
+    e1 = cdf1.eigenvalues if isinstance(cdf1, SpectralCDF) else np.sort(cdf1, axis=-1)
+    e2 = cdf2.eigenvalues if isinstance(cdf2, SpectralCDF) else np.sort(cdf2, axis=-1)
+    if e1.shape != e2.shape:
         raise ValueError("CDFs must have the same number of eigenvalues")
-    grid = np.concatenate([cdf1.eigenvalues, cdf2.eigenvalues])
-    c1 = np.searchsorted(cdf1.eigenvalues, grid, side="right")
-    c2 = np.searchsorted(cdf2.eigenvalues, grid, side="right")
-    return float(np.max(np.abs(c1 - c2))) / cdf1.n
+    grid = np.concatenate([e1, e2], axis=-1)
+    gaps = np.max(np.abs(cdf_counts(e1, grid) - cdf_counts(e2, grid)), axis=-1) / e1.shape[-1]
+    return float(gaps) if gaps.ndim == 0 else gaps
 
 
-def rank_distance(m, n, tol: float = 1e-8) -> int:
-    """Numerical rank of M - N: singular values above tol * max(sigma_max, 1)."""
-    a = _as_hermitian(m).entries
-    b = _as_hermitian(n).entries
+def rank_distance(m, n, tol: float = 1e-8):
+    """Numerical rank of M - N: singular values above tol * max(sigma_max, 1).
+
+    M and N may also be (..., n, n) stacks of hermitian matrices; the result
+    is then an array of ranks from one stacked SVD.
+    """
+    a = _hermitian_entries(m)
+    b = _hermitian_entries(n)
     if a.shape != b.shape:
         raise ValueError("shape mismatch")
     sing = np.linalg.svd(a - b, compute_uv=False)
-    threshold = tol * max(float(sing[0]) if sing.size else 0.0, 1.0)
-    return int(np.sum(sing > threshold))
+    threshold = tol * np.maximum(np.max(sing, axis=-1, keepdims=True, initial=0.0), 1.0)
+    ranks = np.count_nonzero(sing > threshold, axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def conjugate(u, m) -> HermitianMatrix:

@@ -22,6 +22,15 @@ from haarconc.experiments import (
     run_matrix_experiment,
     run_reflection_step_experiment,
     run_scaling_study,
+    sample_spectral_cdfs,
+)
+from haarconc.groups import sample_haar_unitary, sample_reflection_step
+from haarconc.hermitian import (
+    HermitianMatrix,
+    conjugate,
+    eigenvalues,
+    rank_distance,
+    sup_cdf_distance,
 )
 
 REPORT_KEYS = {"config_echo", "estimates", "bounds", "verdicts", "environment"}
@@ -267,6 +276,98 @@ class TestReflectionStepExperiment:
         assert "step_rank_le_3" in names
         assert "step_cdf_gap_le_3_over_n" in names
         assert report.environment["runtime_seconds"] > 0
+
+
+def oracle_cdfs(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The per-replicate loop of the matrix runner, one matrix at a time."""
+    n = cfg.n
+    xs = np.asarray(cfg.x_grid)
+    diag_m = np.diag(resolve_spectrum(cfg.spectrum_M, n)).astype(complex)
+    diag_n = np.diag(resolve_spectrum(cfg.spectrum_N, n)).astype(complex)
+    f_def, f_red = [], []
+    for r in range(cfg.replicates):
+        rng = child_rng(cfg.seed, "matrix", r)
+        u = sample_haar_unitary(n, rng)
+        v = sample_haar_unitary(n, rng)
+        x = sample_haar_unitary(n, rng)
+        h = HermitianMatrix(conjugate(u, diag_m).entries + conjugate(v, diag_n).entries)
+        h_red = HermitianMatrix(conjugate(x, diag_m).entries + diag_n)
+        f_def.append(eigenvalues(h).value(xs))
+        f_red.append(eigenvalues(h_red).value(xs))
+    return np.array(f_def), np.array(f_red)
+
+
+def oracle_steps(cfg: ExperimentConfig) -> tuple[list, list]:
+    """Rank and CDF gap of every reflection step, one matrix at a time."""
+    n = cfg.n
+    diag_m = np.diag(resolve_spectrum(cfg.spectrum_M, n)).astype(complex)
+    diag_n = np.diag(resolve_spectrum(cfg.spectrum_N, n)).astype(complex)
+    ranks, gaps = [], []
+    for r in range(cfg.replicates):
+        rng = child_rng(cfg.seed, "step-check", r)
+        x = sample_haar_unitary(n, rng)
+        y = sample_reflection_step(n, rng).matrix()
+        w = conjugate(x, diag_m)
+        h = HermitianMatrix(w.entries + diag_n)
+        h_prime = HermitianMatrix(conjugate(y, w).entries + diag_n)
+        ranks.append(rank_distance(h, h_prime))
+        gaps.append(sup_cdf_distance(eigenvalues(h), eigenvalues(h_prime)))
+    return ranks, gaps
+
+
+def boundary_counts(n: int) -> list[int]:
+    """One replicate, and one short of and one past a chunk."""
+    chunk = experiments.chunk_size(n)
+    return sorted({1, chunk - 1, chunk + 1} - {0})
+
+
+class TestChunkedEngine:
+    # Replicate r's draws do not depend on the replicate count, so the
+    # oracle run for the largest count serves every smaller one as a prefix.
+
+    def test_chunk_sizes_follow_the_byte_budget(self):
+        assert [experiments.chunk_size(n) for n in (8, 16, 32, 64, 128)] == [85, 21, 5, 1, 1]
+
+    @pytest.mark.parametrize("n", [2, 7, 16, 64])
+    def test_cdf_values_equal_per_replicate_loop(self, n):
+        counts = boundary_counts(n)
+        common = {"n": n, "seed": n, "spectrum_N": "uniform_grid",
+                  "x_grid": [-0.5, 0.0, 0.25, 0.5]}
+        want_def, want_red = oracle_cdfs(matrix_config(replicates=counts[-1], **common))
+        for reps in counts:
+            f_def, f_red = sample_spectral_cdfs(matrix_config(replicates=reps, **common))
+            assert np.array_equal(f_def, want_def[:reps])
+            assert np.array_equal(f_red, want_red[:reps])
+
+    @pytest.mark.parametrize("n", [2, 7, 16, 64])
+    def test_step_extremes_equal_per_replicate_loop(self, n):
+        counts = boundary_counts(n)
+        common = {"n": n, "seed": n, "spectrum_N": "uniform_grid", "step_check": True}
+        ranks, gaps = oracle_steps(matrix_config(replicates=counts[-1], **common))
+        for reps in counts:
+            report = run_reflection_step_experiment(matrix_config(replicates=reps, **common))
+            assert report.estimates["max_rank"] == max(ranks[:reps])
+            assert report.estimates["max_cdf_gap"] == max(gaps[:reps])
+
+    def test_violation_names_the_global_replicate(self, monkeypatch):
+        n = 7
+        chunk = experiments.chunk_size(n)
+        target = chunk + 2
+        real = experiments.rank_distance
+        seen = [0]
+
+        def rank_with_violation(a, b):
+            ranks = np.array(real(a, b))
+            local = target - seen[0]
+            if 0 <= local < ranks.size:
+                ranks[local] = experiments.STEP_RANK_LIMIT + 1
+            seen[0] += ranks.size
+            return ranks
+
+        monkeypatch.setattr(experiments, "rank_distance", rank_with_violation)
+        cfg = matrix_config(n=n, replicates=2 * chunk + 5, step_check=True)
+        with pytest.raises(GuaranteeViolation, match=f"at replicate {target} "):
+            run_reflection_step_experiment(cfg)
 
 
 class TestFiniteGroupExperiment:

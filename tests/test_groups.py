@@ -13,8 +13,11 @@ from haarconc.groups import (
     ReflectionStep,
     StepDistribution,
     UnitaryMatrix,
+    complex_ginibre,
     compose,
+    haar_unitaries,
     invert,
+    require_unitary,
     sample_haar_permutation,
     sample_haar_unitary,
     sample_reflection_step,
@@ -163,6 +166,27 @@ class TestHaarUnitary:
         a = sample_haar_unitary(5, np.random.default_rng(99))
         b = sample_haar_unitary(5, np.random.default_rng(99))
         assert np.array_equal(a.entries, b.entries)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    def test_single_sample_equals_stacked_slice(self, n):
+        rng = np.random.default_rng(n)
+        singles = [sample_haar_unitary(n, rng).entries for _ in range(3)]
+        rng = np.random.default_rng(n)
+        stacked = haar_unitaries(np.stack([complex_ginibre(n, rng) for _ in range(3)]))
+        for i in range(3):
+            assert np.array_equal(stacked[i], singles[i])
+
+    def test_stack_with_one_non_unitary_slice_raises(self):
+        rng = np.random.default_rng(6)
+        z = np.stack([complex_ginibre(4, rng) for _ in range(3)])
+        z[1] = 0.0  # R has a zero diagonal, so the phase fix is undefined
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="slice 1"):
+            haar_unitaries(z)
+        stack = np.stack([np.eye(3, dtype=complex)] * 3)
+        stack[2, 0, 0] = 1.0 + 1e-9
+        with pytest.raises(ValueError, match="slice 2"):
+            require_unitary(stack)
+        require_unitary(stack[:2])
 
 
 def angle_moment_oracle(n: int, power: int = 2) -> float:

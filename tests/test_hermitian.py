@@ -16,6 +16,7 @@ from haarconc.hermitian import (
     ecdf_value,
     eigensystem,
     eigenvalues,
+    hermitian_parts,
     rank_distance,
     sup_cdf_distance,
 )
@@ -50,6 +51,17 @@ class TestHermitianMatrix:
         rng = np.random.default_rng(0)
         m = random_hermitian(6, rng)
         assert np.array_equal(m.entries, m.entries.conj().T)
+
+    def test_stack_with_one_non_hermitian_slice_raises(self):
+        rng = np.random.default_rng(3)
+        stack = np.stack([random_hermitian(4, rng).entries for _ in range(3)])
+        assert np.array_equal(hermitian_parts(stack), stack)
+        stack[1, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="slice 1"):
+            hermitian_parts(stack)
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="slice 1"):
+            hermitian_parts(stack)
 
 
 class TestEigenvalues:
@@ -194,6 +206,25 @@ class TestRankDistance:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             rank_distance(np.zeros((2, 2), dtype=complex), np.zeros((3, 3), dtype=complex))
+
+
+class TestStackedDistances:
+    def test_stack_results_equal_per_matrix_results(self):
+        rng = np.random.default_rng(12)
+        n = 6
+        pairs = []
+        for r in range(8):
+            m = random_hermitian(n, rng)
+            u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            pairs.append((m, HermitianMatrix(m.entries + (r % 3) * np.outer(u, u.conj()))))
+        a = np.stack([m.entries for m, _ in pairs])
+        b = np.stack([p.entries for _, p in pairs])
+        ranks = rank_distance(a, b)
+        gaps = sup_cdf_distance(np.linalg.eigvalsh(a), np.linalg.eigvalsh(b))
+        for i, (m, p) in enumerate(pairs):
+            assert ranks[i] == rank_distance(m, p)
+            assert gaps[i] == sup_cdf_distance(eigenvalues(m), eigenvalues(p))
+        assert set(ranks.tolist()) == {0, 1}
 
 
 class TestConjugate:
