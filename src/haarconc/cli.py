@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 from .bounds import BoundInputs, concentration_constant, tail_bound
@@ -95,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_mixing_curve(args) -> int:
+    start = time.perf_counter()
     n = args.n
     if args.group == "sn":
         k_max = args.k_max if args.k_max is not None else 25 * n
@@ -115,7 +117,7 @@ def _run_mixing_curve(args) -> int:
                 "rows": [[k, float(v)] for k, v in enumerate(curve.values)],
             }
         }
-        environment = {"seed": args.seed, "replicates": 0, "runtime_seconds": 0.0}
+        environment = {"seed": args.seed, "replicates": 0}
     else:
         k_max = args.k_max if args.k_max is not None else 4 * n
         rng = child_rng(args.seed, "unitary-mixing", 0)
@@ -151,8 +153,8 @@ def _run_mixing_curve(args) -> int:
                          for k, (m, s) in enumerate(zip(diag.moments, diag.stderrs))],
             }
         }
-        environment = {"seed": args.seed, "replicates": args.replicates,
-                       "runtime_seconds": 0.0}
+        environment = {"seed": args.seed, "replicates": args.replicates}
+    environment["runtime_seconds"] = time.perf_counter() - start
     report = ExperimentReport(config_echo, estimates, bounds, verdicts, environment, curves)
     write_report(report, args.out)
     print(f"report written to {args.out}")

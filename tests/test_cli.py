@@ -217,6 +217,7 @@ class TestMixingCurveCommand:
         lines = (out_dir / "mixing_curve.csv").read_text().splitlines()
         assert lines[0] == "k,value,stderr"
         assert len(lines) == 34
+        assert payload["environment"]["runtime_seconds"] > 0
 
     def test_unitary_without_fit_window(self, tmp_path, capsys):
         out_dir = tmp_path / "un_small"

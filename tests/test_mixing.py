@@ -1,7 +1,6 @@
 """Tests for total-variation curves, decay fitting, the reflection-walk
 envelope, and the trace-moment mixing diagnostic on U(n)."""
 
-import csv
 import math
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haarconc.groups import StepDistribution
+from haarconc.groups import StepDistribution, _sample_reflection_batch
 from haarconc.kernel import FiniteGroupTable, build_exact_kernel
 from haarconc.mixing import (
     DecayFit,
@@ -20,12 +19,43 @@ from haarconc.mixing import (
     reflection_walk_envelope,
     reflection_walk_tv_bound,
     unitary_mixing_diagnostic,
-    write_curve_csv,
 )
 
 
 def lazy(n: int) -> StepDistribution:
     return StepDistribution.lazy_transposition(n)
+
+
+def walk_moments(n: int, k_max: int, reps: int, rng: np.random.Generator, update):
+    """m(k) and its standard errors from all walks stepped together, one
+    step at a time, by update(w, u, phi)."""
+    w = np.broadcast_to(np.eye(n, dtype=np.complex128), (reps, n, n)).copy()
+    sq = np.empty((k_max + 1, reps))
+    sq[0] = n * n
+    for k in range(1, k_max + 1):
+        u, phi = _sample_reflection_batch(n, reps, rng)
+        update(w, u, phi)
+        sq[k] = np.abs(np.trace(w, axis1=1, axis2=2)) ** 2
+    moments = np.array([float(np.mean(row)) for row in sq])
+    stderrs = np.array([float(np.std(row, ddof=1) / np.sqrt(reps)) for row in sq])
+    return moments, stderrs
+
+
+def matmul_update(w, u, phi):
+    """The arithmetic of the blocked walk, on the full stack."""
+    cu = (1.0 - np.exp(1j * phi))[:, None] * u
+    w -= cu[:, :, None] * (u.conj()[:, None, :] @ w)
+
+
+def einsum_update(w, u, phi):
+    """The walk as first written: an einsum for u* W and a fresh outer product."""
+    uw = np.einsum("ri,rij->rj", u.conj(), w)
+    w -= (1.0 - np.exp(1j * phi))[:, None, None] * u[:, :, None] * uw[:, None, :]
+
+
+def exact_trace_moment(n: int, k: np.ndarray) -> np.ndarray:
+    """E|Tr W_k|^2 = 1 + (n^2 - 1) ((n - 1)/(n + 1))^(2k) for the reflection walk."""
+    return 1.0 + (n * n - 1.0) * ((n - 1.0) / (n + 1.0)) ** (2 * k)
 
 
 class TestTVCurve:
@@ -234,19 +264,32 @@ class TestUnitaryMixingDiagnostic:
         assert np.array_equal(d1.moments, d2.moments)
         assert np.array_equal(d1.stderrs, d2.stderrs)
 
+    def test_matches_exact_moment_curve(self):
+        n, k_max = 8, 40
+        d = unitary_mixing_diagnostic(n, k_max, 3000, np.random.default_rng(0))
+        exact = exact_trace_moment(n, np.arange(k_max + 1))
+        assert d.moments[0] == exact[0]
+        assert np.all(np.abs(d.moments[1:] - exact[1:]) <= 5.0 * d.stderrs[1:])
 
-class TestWriteCurveCsv:
-    def test_without_stderr(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        write_curve_csv(path, [0, 1, 2], [1.0, 0.5, 0.25])
-        rows = list(csv.reader(path.open()))
-        assert rows[0] == ["k", "value"]
-        assert rows[1] == ["0", "1.0"]
-        assert len(rows) == 4
+    def test_agrees_with_einsum_walk(self):
+        d = unitary_mixing_diagnostic(8, 40, 3000, np.random.default_rng(0))
+        moments, stderrs = walk_moments(8, 40, 3000, np.random.default_rng(0), einsum_update)
+        np.testing.assert_allclose(d.moments, moments, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(d.stderrs, stderrs, rtol=1e-12, atol=0.0)
 
-    def test_with_stderr_column(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        write_curve_csv(path, [0, 1], [2.0, 1.0], stderrs=[0.0, 0.1], value_name="moment")
-        rows = list(csv.reader(path.open()))
-        assert rows[0] == ["k", "moment", "stderr"]
-        assert rows[2] == ["1", "1.0", "0.1"]
+    # (5, 11, 1001): a partial block of 3 steps and a partial chunk of 346
+    # walks after 655; (32, 9, 1000): a block of one step and 62 chunks of
+    # 16 walks plus one of 8.
+    @pytest.mark.parametrize("n,k_max,reps", [(5, 11, 1001), (32, 9, 1000)])
+    def test_blocked_walk_equals_reference_walk(self, n, k_max, reps):
+        rng = np.random.default_rng(2024)
+        d = unitary_mixing_diagnostic(n, k_max, reps, rng)
+        ref_rng = np.random.default_rng(2024)
+        moments, stderrs = walk_moments(n, k_max, reps, ref_rng, matmul_update)
+        assert np.array_equal(d.moments, moments)
+        assert np.array_equal(d.stderrs, stderrs)
+        stream = np.random.default_rng(2024)
+        for _ in range(k_max):
+            _sample_reflection_batch(n, reps, stream)
+        assert rng.bit_generator.state == stream.bit_generator.state
+        assert ref_rng.bit_generator.state == stream.bit_generator.state
