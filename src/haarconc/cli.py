@@ -23,6 +23,7 @@ from .experiments import (
     ExperimentReport,
     GuaranteeViolation,
     child_rng,
+    report_environment,
     run_experiment,
 )
 from .groups import StepDistribution
@@ -117,7 +118,7 @@ def _run_mixing_curve(args) -> int:
                 "rows": [[k, float(v)] for k, v in enumerate(curve.values)],
             }
         }
-        environment = {"seed": args.seed, "replicates": 0}
+        replicates = 0
     else:
         k_max = args.k_max if args.k_max is not None else 4 * n
         rng = child_rng(args.seed, "unitary-mixing", 0)
@@ -153,8 +154,8 @@ def _run_mixing_curve(args) -> int:
                          for k, (m, s) in enumerate(zip(diag.moments, diag.stderrs))],
             }
         }
-        environment = {"seed": args.seed, "replicates": args.replicates}
-    environment["runtime_seconds"] = time.perf_counter() - start
+        replicates = args.replicates
+    environment = report_environment(args.seed, replicates, time.perf_counter() - start)
     report = ExperimentReport(config_echo, estimates, bounds, verdicts, environment, curves)
     write_report(report, args.out)
     print(f"report written to {args.out}")
@@ -162,6 +163,7 @@ def _run_mixing_curve(args) -> int:
 
 
 def _run_bound_calc(args) -> int:
+    start = time.perf_counter()
     inputs = BoundInputs(args.A, args.B, args.a, args.b)
     result = concentration_constant(inputs)
     print(f"C = {result.constant:.10g}")
@@ -183,7 +185,7 @@ def _run_bound_calc(args) -> int:
                     "crossover_step": result.crossover_step,
                     "tail_bounds": tails},
             verdicts=[],
-            environment={"seed": 0, "replicates": 0, "runtime_seconds": 0.0},
+            environment=report_environment(0, 0, time.perf_counter() - start),
         )
         write_report(report, args.out)
     return 0
@@ -204,7 +206,7 @@ def _run_experiment_command(args) -> int:
         cfg = ExperimentConfig.from_dict({**cfg.to_dict(), **overrides})
     if args.threads < 1:
         raise ValueError("--threads must be at least 1")
-    report = run_experiment(cfg, threads=args.threads)
+    report = run_experiment(cfg)
     write_report(report, args.out)
     failed = [v["name"] for v in report.verdicts if v["status"] == "fail"]
     print(f"report written to {args.out}")

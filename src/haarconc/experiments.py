@@ -5,11 +5,9 @@ replicate index), so results are bit-identical for a fixed config.  The U(n)
 runners draw each replicate's Gaussians from its own generator, then process
 a chunk of replicates with stacked LAPACK calls (QR, eigvalsh, SVD), which
 give the same bits as one call per matrix.  All work runs on the calling
-thread: the ``threads`` argument of the runners is accepted for
-compatibility and changes neither speed nor results.  Checks come in two
-kinds: exact guarantees are hard assertions (violation raises
-GuaranteeViolation), statistical comparisons are verdicts under a
-4-standard-error policy and never raise.
+thread.  Checks come in two kinds: exact guarantees are hard assertions
+(violation raises GuaranteeViolation), statistical comparisons are verdicts
+under a 4-standard-error policy and never raise.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from .groups import (
     reflection_matrices,
 )
 from .hermitian import cdf_counts, conjugate_stack, rank_distance, sup_cdf_distance
-from .kernel import build_exact_kernel, check_identities, step_seminorm
+from .kernel import MAX_DEGREE, check_identities, step_seminorm, walk_operator
 from .mixing import exact_tv_curve, exact_walk_law, fit_decay
 
 TAIL_MIN_REPLICATES = 500
@@ -201,7 +199,7 @@ class ExperimentConfig:
         else:
             if "n" not in data:
                 raise ValueError(f"missing required config key 'n' for kind '{kind}'")
-            cap = {"matrix": None, "finite-group": 7, "identity-suite": 5}[kind]
+            cap = None if kind == "matrix" else MAX_DEGREE
             fields["n"] = _require_int(data, "n", 2, cap)
 
         if kind in ("matrix", "scaling"):
@@ -270,13 +268,18 @@ class ExperimentReport:
         return any(v["status"] == "fail" for v in self.verdicts)
 
 
-def _environment(cfg: ExperimentConfig) -> dict:
+def report_environment(seed: int, replicates: int, runtime_seconds: float = 0.0) -> dict:
+    """The ``environment`` block of every report."""
     return {
         "package": f"haarconc {__version__}",
-        "seed": cfg.seed,
-        "replicates": cfg.replicates,
-        "runtime_seconds": 0.0,
+        "seed": seed,
+        "replicates": replicates,
+        "runtime_seconds": runtime_seconds,
     }
+
+
+def _environment(cfg: ExperimentConfig) -> dict:
+    return report_environment(cfg.seed, cfg.replicates)
 
 
 def _verdict(name, status, observed, threshold, policy, stderr=None) -> dict:
@@ -359,7 +362,7 @@ def sample_spectral_cdfs(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]
     return f_def, f_red
 
 
-def run_matrix_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+def run_matrix_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Sample H = U M U* + V N V* (and the reduced form X M X* + N), estimate
     the spectral CDF mean/variance/tails on the x grid, and compare against
     the kappa-scaled bounds."""
@@ -445,7 +448,7 @@ def run_matrix_experiment(cfg: ExperimentConfig, threads: int = 1) -> Experiment
     return ExperimentReport(cfg.to_dict(), estimates, bounds, verdicts, _environment(cfg), curves)
 
 
-def run_reflection_step_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+def run_reflection_step_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Hard structural checks on one reflection step: for H = X M X* + N and
     H' after the step X -> YX, rank(H - H') <= 3 and the spectral CDFs are
     within 3/n everywhere."""
@@ -503,15 +506,15 @@ def run_reflection_step_experiment(cfg: ExperimentConfig, threads: int = 1) -> E
     return ExperimentReport(cfg.to_dict(), estimates, bounds, verdicts, _environment(cfg))
 
 
-def run_finite_group_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+def run_finite_group_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Exact certification on S_n: certified TV envelope, exact norms and
     variance per test function, hard Var <= C/2 and tail checks."""
     if cfg.kind != "finite-group":
         raise ValueError("run_finite_group_experiment requires kind 'finite-group'")
     n = cfg.n
     step = StepDistribution.lazy_transposition(n)
-    kern = build_exact_kernel(n, step)
-    size = kern.size
+    op = walk_operator(n, step)
+    size = op.size
     curve = exact_tv_curve(n, step, cfg.k_max)
     fit = fit_decay(curve)
 
@@ -521,7 +524,7 @@ def run_finite_group_experiment(cfg: ExperimentConfig, threads: int = 1) -> Expe
     law = law / law.sum()
     samples = child_rng(cfg.seed, "finite-tail", 0).choice(size, size=cfg.replicates, p=law)
 
-    counts = kern.table.fixed_point_counts().astype(float) / n
+    counts = op.table.fixed_point_counts().astype(float) / n
     default_f = counts - counts.mean()
     functions = [("default", default_f)]
     for i in range(FINITE_GROUP_TEST_FUNCTIONS):
@@ -535,7 +538,7 @@ def run_finite_group_experiment(cfg: ExperimentConfig, threads: int = 1) -> Expe
     default_tail = []
     for label, f in functions:
         sup_norm = float(np.max(np.abs(f)))
-        step_norm = step_seminorm(kern, f)
+        step_norm = step_seminorm(op, f)
         variance = float(np.var(f))
         result = concentration_constant(BoundInputs(sup_norm, step_norm, fit.a, fit.b))
         if variance > result.variance_bound * (1.0 + FLOAT_SLACK):
@@ -610,17 +613,17 @@ def run_finite_group_experiment(cfg: ExperimentConfig, threads: int = 1) -> Expe
     return ExperimentReport(cfg.to_dict(), estimates, bounds, verdicts, _environment(cfg), curves)
 
 
-def run_identity_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """Exact pair identities on S_n (n <= 5) for random centered functions."""
+def run_identity_suite(cfg: ExperimentConfig) -> ExperimentReport:
+    """Exact pair identities on S_n (n <= MAX_DEGREE) for random centered functions."""
     if cfg.kind != "identity-suite":
         raise ValueError("run_identity_suite requires kind 'identity-suite'")
     n = cfg.n
-    kern = build_exact_kernel(n, StepDistribution.lazy_transposition(n))
+    op = walk_operator(n, StepDistribution.lazy_transposition(n))
     rows = []
     for i in range(cfg.replicates):
-        f = child_rng(cfg.seed, "identity-f", i).standard_normal(kern.size)
+        f = child_rng(cfg.seed, "identity-f", i).standard_normal(op.size)
         f -= f.mean()
-        report = check_identities(kern, f, eps=1e-12)
+        report = check_identities(op, f, eps=1e-12)
         rows.append([i, report.conditional_mean_residual, report.variance_residual])
     max_cond = max(r[1] for r in rows)
     max_var = max(r[2] for r in rows)
@@ -646,7 +649,7 @@ def run_identity_suite(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRep
     return ExperimentReport(cfg.to_dict(), estimates, bounds, verdicts, _environment(cfg), curves)
 
 
-def run_scaling_study(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+def run_scaling_study(cfg: ExperimentConfig) -> ExperimentReport:
     """Matrix experiments across an n grid; checks that n * Var / log n stays
     below the configured kappa and re-tests tails with the measured kappa."""
     if cfg.kind != "scaling":
@@ -667,7 +670,7 @@ def run_scaling_study(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRepo
                 "t_grid": ts,
             }
         )
-        sub_reports.append((n, run_matrix_experiment(sub, threads=threads)))
+        sub_reports.append((n, run_matrix_experiment(sub)))
 
     kappa_measured = 0.0
     for n, rep in sub_reports:
@@ -752,15 +755,15 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Dispatch on cfg.kind; for matrix configs with step_check, merge the
     reflection-step hard checks into the main report."""
     import time
 
     start = time.perf_counter()
-    report = _RUNNERS[cfg.kind](cfg, threads=threads)
+    report = _RUNNERS[cfg.kind](cfg)
     if cfg.kind == "matrix" and cfg.step_check:
-        step_report = run_reflection_step_experiment(cfg, threads=threads)
+        step_report = run_reflection_step_experiment(cfg)
         report.estimates["step_check"] = step_report.estimates
         report.bounds["step_check"] = step_report.bounds
         report.verdicts.extend(step_report.verdicts)

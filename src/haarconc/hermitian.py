@@ -110,17 +110,6 @@ def eigenvalues(m) -> SpectralCDF:
     return SpectralCDF(np.linalg.eigvalsh(_as_hermitian(m).entries))
 
 
-def eigensystem(m) -> tuple[SpectralCDF, np.ndarray]:
-    """Eigenvalues plus the unitary eigenvector matrix (columns)."""
-    h = _as_hermitian(m)
-    vals, vecs = np.linalg.eigh(h.entries)
-    return SpectralCDF(vals), vecs
-
-
-def ecdf_value(cdf: SpectralCDF, x: float) -> float:
-    return cdf.value(float(x))
-
-
 def cdf_counts(eigs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """#{lambda <= x} for each spectrum, one per row of ``eigs``, at each
     point of the last axis of ``x``; the leading axes broadcast."""

@@ -1,11 +1,14 @@
-"""Exact transition kernel of a finite-group random walk and its pair identities.
+"""The exact walk operator of a finite-group random walk and its pair identities.
 
 For a step law Y on a finite group G the walk moves x -> Yx, so the kernel is
-P(x, z) = P{Y = z x^-1}.  With a symmetric, class-constant step this matrix is
-exactly symmetric (the uniform measure makes (X, YX) an exchangeable pair).
+P(x, z) = P{Y = z x^-1}, and (P f)(x) = sum_y q(y) f(yx).  The walk operator
+stores that sum as one left-action index map per support element y with its
+mass q(y), never as a |G| x |G| matrix.  With a symmetric step made of
+involutions, P is exactly symmetric (the uniform measure makes (X, YX) an
+exchangeable pair), so the same gather also advances the walk law.
 The pair function F(x, y) = sum_k (P^k f(x) - P^k f(y)) telescopes through the
-potential h = sum_k P^k f, which this module computes both by certified series
-truncation and by a dense linear solve.
+potential h = sum_k P^k f, which this module computes by certified series
+truncation.
 """
 
 from __future__ import annotations
@@ -17,100 +20,90 @@ import numpy as np
 
 from .groups import Permutation, StepDistribution
 
-MAX_KERNEL_DEGREE = 7  # dense |G| x |G| kernel, 5040^2 at the cap
-MAX_TABLE_DEGREE = 9
+# One cap for the table, the walk operator and the S_n configs: at n = 8 the
+# table is 40320 elements and the operator's maps take 4.7 MB.
+MAX_DEGREE = 8
 
 CENTERING_TOL = 1e-12
-
-
-def lehmer_rank(mapping) -> int:
-    """Lexicographic rank of a permutation via its Lehmer code."""
-    m = list(mapping)
-    n = len(m)
-    rank = 0
-    fact = 1
-    for i in range(n - 2, -1, -1):
-        fact *= n - 1 - i
-        smaller = sum(1 for v in m[i + 1 :] if v < m[i])
-        rank += smaller * fact
-    return rank
-
-
-def lehmer_unrank(rank: int, n: int) -> tuple[int, ...]:
-    """Inverse of lehmer_rank: the permutation tuple at a lexicographic rank."""
-    avail = list(range(n))
-    out = []
-    fact = 1
-    for i in range(2, n):
-        fact *= i
-    for i in range(n - 1, 0, -1):
-        idx, rank = divmod(rank, fact)
-        out.append(avail.pop(idx))
-        fact //= i
-    out.append(avail.pop())
-    return tuple(out)
 
 
 class FiniteGroupTable:
     """Canonical enumeration of S_n in Lehmer (lexicographic) order.
 
-    itertools.permutations yields tuples in lexicographic order, so list index
-    and Lehmer rank coincide; a dict gives O(1) rank lookups.
+    itertools.permutations yields tuples in lexicographic order, so row index
+    and Lehmer rank coincide; ranks are computed from the images directly.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be at least 1")
-        if n > MAX_TABLE_DEGREE:
-            raise ValueError(f"group table limited to degree {MAX_TABLE_DEGREE}")
+        if n > MAX_DEGREE:
+            raise ValueError(f"group table limited to degree {MAX_DEGREE}")
         self.n = n
-        self.elements: list[tuple[int, ...]] = list(itertools.permutations(range(n)))
-        self._index = {p: i for i, p in enumerate(self.elements)}
-        self.mappings = np.array(self.elements, dtype=np.int64)
+        self.mappings = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return int(self.mappings.shape[0])
 
     @property
     def identity_index(self) -> int:
         return 0
 
+    def _ranks(self, images: np.ndarray) -> np.ndarray:
+        """Lehmer rank of each row of an (m, n) array of permutation images."""
+        cols = np.ascontiguousarray(images.T)
+        ranks = np.zeros(images.shape[0], dtype=np.int64)
+        for i in range(self.n - 1):
+            smaller = np.count_nonzero(cols[i + 1 :] < cols[i], axis=0)
+            ranks = ranks * (self.n - i) + smaller
+        return ranks
+
     def rank(self, perm) -> int:
         key = perm.mapping if isinstance(perm, Permutation) else tuple(perm)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise ValueError(f"not an element of S_{self.n}: {key!r}") from None
+        if len(key) != self.n or sorted(key) != list(range(self.n)):
+            raise ValueError(f"not an element of S_{self.n}: {key!r}")
+        return int(self._ranks(np.array([key]))[0])
 
     def unrank(self, rank: int) -> Permutation:
-        return Permutation(self.elements[rank])
+        return Permutation(tuple(int(v) for v in self.mappings[rank]))
 
     def left_action(self, perm: Permutation) -> np.ndarray:
         """Index map L with L[rank(g)] = rank(perm o g) for every g."""
         if perm.n != self.n:
             raise ValueError("degree mismatch")
-        composed = np.asarray(perm.mapping, dtype=np.int64)[self.mappings]
-        return np.fromiter(
-            (self._index[tuple(row)] for row in composed), dtype=np.int64, count=self.size
-        )
+        return self._ranks(np.asarray(perm.mapping)[self.mappings]).astype(np.int32)
 
     def fixed_point_counts(self) -> np.ndarray:
         """Number of fixed points of each element, in table order."""
         return np.sum(self.mappings == np.arange(self.n), axis=1)
 
 
-@dataclass
-class ExactKernel:
-    """Dense transition matrix of the step walk together with its enumeration."""
+@dataclass(frozen=True)
+class WalkOperator:
+    """The walk as index maps: ``actions[j]`` is the left action of the j-th
+    support element of the step, ``masses[j]`` its probability."""
 
     table: FiniteGroupTable
     step: StepDistribution
-    matrix: np.ndarray
+    actions: np.ndarray
+    masses: np.ndarray
 
     @property
     def size(self) -> int:
         return self.table.size
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """sum_y q(y) f[L_y]: P f, and also the walk law one step on, since
+        every map is an involution and P is therefore symmetric."""
+        out = self.masses[0] * f[self.actions[0]]
+        for mass, action in zip(self.masses[1:], self.actions[1:]):
+            out += mass * f[action]
+        return out
+
+    def differences(self, f: np.ndarray) -> np.ndarray:
+        """f - f o L_y for every support element y, one row each."""
+        return f - f[self.actions]
 
 
 @dataclass(frozen=True)
@@ -122,47 +115,51 @@ class IdentityReport:
     truncation_eps: float
 
 
-def build_exact_kernel(n: int, step: StepDistribution) -> ExactKernel:
-    """Assemble the |G| x |G| kernel P(x, z) = P{Y = z x^-1} for S_n, n <= 7."""
+def walk_operator(n: int, step: StepDistribution) -> WalkOperator:
+    """The walk operator of a finite step law on S_n, n <= MAX_DEGREE.
+
+    Checks that the masses sum to 1 within 1e-14 and that every map is an
+    involution.
+    """
     if not step.is_finite:
-        raise ValueError("exact kernel requires a finite step kind")
+        raise ValueError("exact walk operator requires a finite step kind")
     if step.n != n:
         raise ValueError("step degree does not match n")
-    if n > MAX_KERNEL_DEGREE:
-        raise ValueError(f"exact kernel limited to degree {MAX_KERNEL_DEGREE}")
+    if n > MAX_DEGREE:
+        raise ValueError(f"exact walk operator limited to degree {MAX_DEGREE}")
     table = FiniteGroupTable(n)
-    size = table.size
-    matrix = np.zeros((size, size))
-    cols = np.arange(size)
-    for y, mass in step.support():
-        # Distinct support elements y send x to distinct z = y o x, so plain
-        # assignment fills each entry exactly once with an exact q(y) float.
-        matrix[cols, table.left_action(y)] = float(mass)
-    row_defect = float(np.max(np.abs(matrix.sum(axis=1) - 1.0)))
-    if row_defect > 1e-14:
-        raise AssertionError(f"kernel rows sum to 1 within 1e-14 (defect {row_defect:.3e})")
-    return ExactKernel(table, step, matrix)
+    support = list(step.support())
+    actions = np.stack([table.left_action(y) for y, _ in support])
+    masses = np.array([float(mass) for _, mass in support])
+    mass_defect = abs(float(np.sum(masses)) - 1.0)
+    if mass_defect > 1e-14:
+        raise AssertionError(f"step masses sum to 1 within 1e-14 (defect {mass_defect:.3e})")
+    cols = np.arange(table.size)
+    for (y, _), action in zip(support, actions):
+        if not np.array_equal(action[action], cols):
+            raise AssertionError(f"step element {y.mapping} is not an involution")
+    return WalkOperator(table, step, actions, masses)
 
 
-def apply_kernel_power(kernel: ExactKernel, f, k: int) -> np.ndarray:
-    """P^k f by repeated matrix-vector products."""
+def _check_vector(op: WalkOperator, f) -> np.ndarray:
+    f = np.asarray(f, dtype=float)
+    if f.shape != (op.size,):
+        raise ValueError("f must be a vector over the group, in table order")
+    return f
+
+
+def apply_kernel_power(op: WalkOperator, f, k: int) -> np.ndarray:
+    """P^k f by repeated application of the walk operator."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    g = np.asarray(f, dtype=float).copy()
-    if g.shape != (kernel.size,):
-        raise ValueError("f must be a vector over the group, in table order")
+    g = _check_vector(op, f).copy()
     for _ in range(k):
-        g = kernel.matrix @ g
+        g = op.apply(g)
     return g
 
 
-def _check_centered(f: np.ndarray) -> None:
-    if abs(float(np.mean(f))) > CENTERING_TOL:
-        raise ValueError("f must be centered: |mean f| <= 1e-12")
-
-
 def pair_potential(
-    kernel: ExactKernel, f, eps: float = 1e-12, max_iter: int = 1_000_000
+    op: WalkOperator, f, eps: float = 1e-12, max_iter: int = 1_000_000
 ) -> np.ndarray:
     """h = sum_{k>=0} P^k f, truncated at the first K with max|P^K f| < eps/2.
 
@@ -170,10 +167,9 @@ def pair_potential(
     eps/2, so the truncation error in any pair difference h(x) - h(y) is
     O(eps) for a walk with a spectral gap.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (kernel.size,):
-        raise ValueError("f must be a vector over the group, in table order")
-    _check_centered(f)
+    f = _check_vector(op, f)
+    if abs(float(np.mean(f))) > CENTERING_TOL:
+        raise ValueError("f must be centered: |mean f| <= 1e-12")
     if eps <= 0:
         raise ValueError("eps must be positive")
     h = np.zeros_like(f)
@@ -182,67 +178,46 @@ def pair_potential(
         if float(np.max(np.abs(g))) < eps / 2.0:
             return h
         h += g
-        g = kernel.matrix @ g
+        g = op.apply(g)
     raise RuntimeError(
         f"pair potential series did not meet the truncation criterion within {max_iter} iterations"
     )
 
 
-def solve_potential(kernel: ExactKernel, f) -> np.ndarray:
-    """The same potential by a dense solve of (I - P) h = f on mean-zero functions.
-
-    The rank-one correction (I - P + J/|G|) is invertible and agrees with
-    I - P on the mean-zero subspace, so the solution is the centered h.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (kernel.size,):
-        raise ValueError("f must be a vector over the group, in table order")
-    _check_centered(f)
-    size = kernel.size
-    a = np.eye(size) - kernel.matrix + np.full((size, size), 1.0 / size)
-    return np.linalg.solve(a, f)
-
-
-def _element_index(kernel: ExactKernel, x) -> int:
+def _element_index(op: WalkOperator, x) -> int:
     if isinstance(x, (int, np.integer)):
         idx = int(x)
-        if not 0 <= idx < kernel.size:
+        if not 0 <= idx < op.size:
             raise ValueError("element index out of range")
         return idx
-    return kernel.table.rank(x)
+    return op.table.rank(x)
 
 
-def pair_function(kernel: ExactKernel, f, x, y, eps: float = 1e-12) -> float:
+def pair_function(op: WalkOperator, f, x, y, eps: float = 1e-12) -> float:
     """F(x, y) = sum_k (P^k f(x) - P^k f(y)); antisymmetric by construction.
 
     x and y may be Permutations or table indices.
     """
-    h = pair_potential(kernel, f, eps=eps)
-    return float(h[_element_index(kernel, x)] - h[_element_index(kernel, y)])
+    h = pair_potential(op, f, eps=eps)
+    return float(h[_element_index(op, x)] - h[_element_index(op, y)])
 
 
-def check_identities(kernel: ExactKernel, f, eps: float = 1e-12) -> IdentityReport:
+def check_identities(op: WalkOperator, f, eps: float = 1e-12) -> IdentityReport:
     """Residuals of the conditional-mean and variance identities.
 
     (i)  E_Y F(x, Yx) = f(x) for every x, i.e. h - Ph = f.
-    (ii) Var f = (1/2) E[(f(X) - f(YX)) F(X, YX)] with X uniform.
+    (ii) Var f = (1/2) sum_y q(y) E[(f(X) - f(yX)) (h(X) - h(yX))] with X uniform.
     """
     f = np.asarray(f, dtype=float)
-    h = pair_potential(kernel, f, eps=eps)
-    p = kernel.matrix
-    res_cond = float(np.max(np.abs(h - p @ h - f)))
+    h = pair_potential(op, f, eps=eps)
+    res_cond = float(np.max(np.abs(h - op.apply(h) - f)))
     var_exact = float(np.mean(f * f) - np.mean(f) ** 2)
-    df = f[:, None] - f[None, :]
-    dh = h[:, None] - h[None, :]
-    var_pair = 0.5 * float(np.sum(p * df * dh)) / kernel.size
+    flow = op.differences(f) * op.differences(h)
+    var_pair = 0.5 * float(np.mean(op.masses @ flow))
     return IdentityReport(res_cond, abs(var_exact - var_pair), eps)
 
 
-def step_seminorm(kernel: ExactKernel, f) -> float:
-    """sup_x sqrt(E (f(x) - f(Yx))^2), computed exactly from the kernel."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (kernel.size,):
-        raise ValueError("f must be a vector over the group, in table order")
-    p = kernel.matrix
-    second = f * f - 2.0 * f * (p @ f) + p @ (f * f)
-    return float(np.sqrt(np.max(np.maximum(second, 0.0))))
+def step_seminorm(op: WalkOperator, f) -> float:
+    """sup_x sqrt(E (f(x) - f(Yx))^2), computed exactly from the walk operator."""
+    d = op.differences(_check_vector(op, f))
+    return float(np.sqrt(np.max(op.masses @ (d * d))))

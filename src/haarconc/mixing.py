@@ -1,6 +1,7 @@
 """Total-variation decay of the walk and certified exponential envelopes.
 
-The exact S_n curve d_TV(k) comes from k-fold convolution of the step law.
+The exact S_n curve d_TV(k) comes from k steps of the walk operator applied
+to the point mass at the identity.
 fit_decay turns a computed curve into a certified envelope a * e^(-b k):
 the rate is a least-squares fit on the log curve, after which the prefactor
 is inflated until the envelope dominates every computed point above the
@@ -17,12 +18,12 @@ walks plus _BLOCK_STEPS steps of parameters (reps * (n + 1) * 16 B each).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .groups import StepDistribution, _sample_reflection_batch
-from .kernel import MAX_KERNEL_DEGREE, FiniteGroupTable
+from .kernel import WalkOperator, apply_kernel_power, walk_operator
 
 # Steps whose reflection parameters are drawn before the walks take them.
 _BLOCK_STEPS = 8
@@ -74,53 +75,31 @@ class MixingDiagnostic:
     note: str
 
 
-def _law_iterator(table: FiniteGroupTable, step: StepDistribution, k_max: int) -> Iterator[np.ndarray]:
-    """Laws of Y_1 ... Y_k for k = 0 .. k_max, by scatter convolution."""
-    size = table.size
-    support = [(table.left_action(y), float(mass)) for y, mass in step.support()]
-    law = np.zeros(size)
-    law[table.identity_index] = 1.0
-    yield law
-    for _ in range(k_max):
-        nxt = np.zeros(size)
-        for action, mass in support:
-            nxt[action] += mass * law
-        law = nxt
-        yield law
-
-
-def _check_exact_inputs(n: int, step: StepDistribution) -> None:
-    if not step.is_finite:
-        raise ValueError("exact computation requires a finite step kind")
-    if step.n != n:
-        raise ValueError("step degree does not match n")
-    if n > MAX_KERNEL_DEGREE:
-        raise ValueError(f"exact computation limited to degree {MAX_KERNEL_DEGREE}")
+def _point_mass(op: WalkOperator) -> np.ndarray:
+    law = np.zeros(op.size)
+    law[op.table.identity_index] = 1.0
+    return law
 
 
 def exact_walk_law(n: int, step: StepDistribution, k: int) -> np.ndarray:
     """Exact law of the k-step walk product as a vector in table order."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    _check_exact_inputs(n, step)
-    table = FiniteGroupTable(n)
-    law = None
-    for law in _law_iterator(table, step, k):
-        pass
-    return law
+    op = walk_operator(n, step)
+    return apply_kernel_power(op, _point_mass(op), k)
 
 
 def exact_tv_curve(n: int, step: StepDistribution, k_max: int) -> TVCurve:
     """d_TV(k) for k = 0 .. k_max, exact up to float summation."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    _check_exact_inputs(n, step)
-    table = FiniteGroupTable(n)
-    uniform = 1.0 / table.size
-    values = [
-        0.5 * float(np.sum(np.abs(law - uniform)))
-        for law in _law_iterator(table, step, k_max)
-    ]
+    op = walk_operator(n, step)
+    uniform = 1.0 / op.size
+    law = _point_mass(op)
+    values = [0.5 * float(np.sum(np.abs(law - uniform)))]
+    for _ in range(k_max):
+        law = op.apply(law)
+        values.append(0.5 * float(np.sum(np.abs(law - uniform))))
     return TVCurve(np.array(values))
 
 

@@ -34,10 +34,11 @@ from haarconc.hermitian import (
     rank_distance,
     sup_cdf_distance,
 )
-from haarconc.kernel import build_exact_kernel
+from haarconc.kernel import walk_operator
 from haarconc.mixing import TVCurve, exact_tv_curve, fit_decay
 
 from test_bounds import parameter_grid, partial_sum_oracle
+from test_kernel import dense_kernel, operator_matrix
 
 
 @contextlib.contextmanager
@@ -64,7 +65,7 @@ def scaling_run():
         }
     )
     start = time.perf_counter()
-    report = run_scaling_study(cfg, threads=4)
+    report = run_scaling_study(cfg)
     elapsed = time.perf_counter() - start
     return report, elapsed
 
@@ -202,8 +203,9 @@ def test_criterion_8_sampler_validity(capsys):
                 assert float(np.max(np.abs(got - want))) <= 1e-10
 
         for n in (3, 4, 5):
-            kern = build_exact_kernel(n, StepDistribution.lazy_transposition(n))
-            assert np.array_equal(kern.matrix, kern.matrix.T)
+            p = operator_matrix(walk_operator(n, StepDistribution.lazy_transposition(n)))
+            assert np.array_equal(p, p.T)
+            assert np.array_equal(p, dense_kernel(n))
 
 
 def test_criterion_9_deterministic_reports(capsys, tmp_path):

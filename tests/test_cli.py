@@ -112,6 +112,14 @@ class TestBoundCalc:
         assert payload["bounds"]["constant"] == pytest.approx(2.968271067989217)
         assert payload["bounds"]["variance_bound"] == pytest.approx(1.4841355339946085)
 
+    def test_report_environment(self, tmp_path, capsys):
+        out_dir = tmp_path / "bc"
+        assert main(["bound-calc", "--A", "1", "--B", "1", "--a", "1", "--b", "1",
+                     "--out", str(out_dir)]) == 0
+        environment = load_report(out_dir)["environment"]
+        assert environment["package"].startswith("haarconc ")
+        assert environment["runtime_seconds"] > 0
+
     def test_invalid_inputs(self, capsys):
         assert main(["bound-calc", "--A", "1", "--B", "3", "--a", "1", "--b", "1"]) == 1
         assert main(["bound-calc", "--A", "-1", "--B", "1", "--a", "1", "--b", "1"]) == 1
@@ -151,6 +159,15 @@ class TestExperimentCommands:
         assert payload["bounds"]["envelope"]["b"] > 0
         assert (out_dir / "tv_curve.csv").exists()
         assert (out_dir / "tails.csv").exists()
+
+    def test_degree_nine_refused(self, tmp_path, capsys):
+        for command in ("finite-group", "identity-suite"):
+            path = write_config(tmp_path, f"{command}.json",
+                                {"kind": command, "n": 9, "seed": 0})
+            out_dir = tmp_path / command
+            assert main([command, "--config", path, "--out", str(out_dir)]) == 1
+            assert "2..8" in capsys.readouterr().err
+            assert not out_dir.exists()
 
     def test_scaling_run(self, tmp_path, capsys):
         path = write_config(tmp_path, "cfg.json",
@@ -204,6 +221,15 @@ class TestMixingCurveCommand:
         lines = (out_dir / "mixing_curve.csv").read_text().splitlines()
         assert lines[0] == "k,value"
         assert len(lines) == 42
+
+    def test_report_environment(self, tmp_path, capsys):
+        for group, extra in (("sn", []), ("un", ["--k-max", "2", "--replicates", "1000"])):
+            out_dir = tmp_path / group
+            assert main(["mixing-curve", "--group", group, "--n", "4", *extra,
+                         "--out", str(out_dir)]) == 0
+            environment = load_report(out_dir)["environment"]
+            assert environment["package"].startswith("haarconc ")
+            assert environment["runtime_seconds"] > 0
 
     def test_unitary_group_curve(self, tmp_path, capsys):
         out_dir = tmp_path / "un"

@@ -131,10 +131,10 @@ class TestConfigValidation:
             )
 
     def test_degree_caps(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig.from_dict({"kind": "finite-group", "n": 8, "seed": 0})
-        with pytest.raises(ValueError):
-            ExperimentConfig.from_dict({"kind": "identity-suite", "n": 6, "seed": 0})
+        for kind in ("finite-group", "identity-suite"):
+            assert ExperimentConfig.from_dict({"kind": kind, "n": 8, "seed": 0}).n == 8
+            with pytest.raises(ValueError):
+                ExperimentConfig.from_dict({"kind": kind, "n": 9, "seed": 0})
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"kind": "matrix", "n": 1, "seed": 0})
 
@@ -169,7 +169,7 @@ class TestConfigValidation:
             raw["n_grid"] = data.draw(
                 st.lists(st.integers(2, 32), min_size=1, max_size=3))
         else:
-            cap = {"matrix": 64, "finite-group": 7, "identity-suite": 5}[kind]
+            cap = {"matrix": 64, "finite-group": 8, "identity-suite": 8}[kind]
             raw["n"] = data.draw(st.integers(2, cap))
         if data.draw(st.booleans()):
             raw["replicates"] = data.draw(st.integers(1, 500))
@@ -235,11 +235,14 @@ class TestMatrixExperiment:
             run_matrix_experiment(cfg)
 
     def test_threads_do_not_change_results(self):
+        # The runners take no thread count; `--threads` stops at the CLI.
         cfg = matrix_config(replicates=120)
-        one = run_matrix_experiment(cfg, threads=1)
-        many = run_matrix_experiment(cfg, threads=8)
-        assert one.to_json_dict() == many.to_json_dict()
-        assert one.curves == many.curves
+        with pytest.raises(TypeError):
+            run_matrix_experiment(cfg, threads=8)
+        one = run_matrix_experiment(cfg)
+        again = run_matrix_experiment(cfg)
+        assert one.to_json_dict() == again.to_json_dict()
+        assert one.curves == again.curves
 
 
 class TestReflectionStepExperiment:
@@ -406,6 +409,15 @@ class TestFiniteGroupExperiment:
             assert freq <= bound + 1e-12
             assert exact_prob <= bound + 1e-12
 
+    def test_certificates_pass_on_s8(self):
+        cfg = ExperimentConfig.from_dict(
+            {"kind": "finite-group", "n": 8, "seed": 2, "replicates": 1000}
+        )
+        report = run_finite_group_experiment(cfg)
+        assert report.estimates["group_order"] == 40320
+        assert {v["status"] for v in report.verdicts} == {"pass"}
+        assert report.estimates["tv_at_k_star"] <= experiments.WALK_TV_TARGET
+
 
 class TestIdentitySuite:
     def test_residuals_within_limit(self):
@@ -424,6 +436,15 @@ class TestIdentitySuite:
         )
         report = run_identity_suite(cfg)
         assert not report.has_failure()
+
+    def test_on_s6(self):
+        cfg = ExperimentConfig.from_dict(
+            {"kind": "identity-suite", "n": 6, "seed": 5, "replicates": 5}
+        )
+        report = run_identity_suite(cfg)
+        assert report.estimates["max_conditional_mean_residual"] <= 1e-9
+        assert report.estimates["max_variance_residual"] <= 1e-9
+        assert {v["status"] for v in report.verdicts} == {"pass"}
 
 
 class TestScalingStudy:
@@ -493,10 +514,12 @@ class TestRunExperiment:
 
     def test_reports_identical_across_thread_counts(self):
         cfg = matrix_config(n=6, replicates=200, step_check=True)
-        one = run_experiment(cfg, threads=1)
-        eight = run_experiment(cfg, threads=8)
-        assert strip_runtime(one) == strip_runtime(eight)
-        assert one.curves == eight.curves
+        with pytest.raises(TypeError):
+            run_experiment(cfg, threads=8)
+        one = run_experiment(cfg)
+        again = run_experiment(cfg)
+        assert strip_runtime(one) == strip_runtime(again)
+        assert one.curves == again.curves
 
     def test_reports_identical_across_runs(self):
         cfg = ExperimentConfig.from_dict(

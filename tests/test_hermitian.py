@@ -13,8 +13,6 @@ from haarconc.hermitian import (
     HermitianMatrix,
     SpectralCDF,
     conjugate,
-    ecdf_value,
-    eigensystem,
     eigenvalues,
     hermitian_parts,
     rank_distance,
@@ -82,15 +80,6 @@ class TestEigenvalues:
             hs_sq = float(np.sum(np.abs(m.entries) ** 2))
             assert abs(np.sum(eigs**2) - hs_sq) <= 1e-8
 
-    def test_eigensystem_residual(self):
-        rng = np.random.default_rng(2)
-        for n in (4, 12):
-            m = random_hermitian(n, rng)
-            cdf, vecs = eigensystem(m)
-            residual = m.entries @ vecs - vecs * cdf.eigenvalues
-            limit = 1e-8 * max(1.0, float(np.max(np.abs(m.entries))))
-            assert float(np.max(np.abs(residual))) <= limit
-
 
 class TestSpectralCDF:
     def test_rejects_empty(self):
@@ -108,10 +97,6 @@ class TestSpectralCDF:
         xs = np.array([-2.0, -1.0, 0.25, 3.0])
         vec = cdf.value(xs)
         assert np.array_equal(vec, np.array([cdf.value(x) for x in xs]))
-
-    def test_ecdf_value_alias(self):
-        cdf = SpectralCDF(np.array([0.0, 1.0]))
-        assert ecdf_value(cdf, 0.5) == 0.5
 
     @given(
         st.lists(st.floats(-50, 50), min_size=1, max_size=12),

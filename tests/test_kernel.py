@@ -1,8 +1,12 @@
-"""Tests for the exact step kernel on S_n: enumeration, kernel powers, the
-telescoped pair function, and the exact variance/mean identities."""
+"""Tests for the exact walk operator on S_n: enumeration, kernel powers, the
+telescoped pair function, and the exact variance/mean identities.
+
+The dense kernel P(x, z) = q(z x^-1) is built here, from compose and invert
+over a plain itertools enumeration, as an oracle for the operator."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,23 +15,38 @@ from hypothesis import strategies as st
 
 from haarconc.groups import Permutation, StepDistribution, compose, invert
 from haarconc.kernel import (
-    ExactKernel,
     FiniteGroupTable,
+    WalkOperator,
     apply_kernel_power,
-    build_exact_kernel,
     check_identities,
-    lehmer_rank,
-    lehmer_unrank,
     pair_function,
     pair_potential,
-    solve_potential,
     step_seminorm,
+    walk_operator,
 )
 from haarconc.mixing import exact_tv_curve
 
 
-def lazy_kernel(n: int) -> ExactKernel:
-    return build_exact_kernel(n, StepDistribution.lazy_transposition(n))
+def lazy_kernel(n: int) -> WalkOperator:
+    return walk_operator(n, StepDistribution.lazy_transposition(n))
+
+
+def dense_kernel(n: int) -> np.ndarray:
+    """P(x, z) = q(z x^-1) for the lazy-transposition step, in lexicographic
+    order, from compose and invert alone."""
+    elements = [Permutation(p) for p in itertools.permutations(range(n))]
+    masses = {y: float(q) for y, q in StepDistribution.lazy_transposition(n).support()}
+    p = np.zeros((len(elements), len(elements)))
+    for ix, x in enumerate(elements):
+        x_inv = invert(x)
+        for iz, z in enumerate(elements):
+            p[ix, iz] = masses.get(compose(z, x_inv), 0.0)
+    return p
+
+
+def operator_matrix(op: WalkOperator) -> np.ndarray:
+    """The operator's matrix, one column P e_j per basis vector."""
+    return np.column_stack([op.apply(e) for e in np.eye(op.size)])
 
 
 def centered(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -35,25 +54,32 @@ def centered(rng: np.random.Generator, size: int) -> np.ndarray:
     return f - f.mean()
 
 
-def pair_value_oracle(kernel: ExactKernel, f: np.ndarray, ix: int, iy: int) -> float:
+def potential_oracle(n: int, f: np.ndarray) -> np.ndarray:
     """Independent route: the minimum-norm solution of (I - P) h = f is
-    mean-zero (P is symmetric and f is centered), and the pair value is a
-    difference of h entries, which is shift-invariant anyway."""
-    size = kernel.size
-    h, *_ = np.linalg.lstsq(np.eye(size) - kernel.matrix, f, rcond=None)
+    mean-zero (P is symmetric and f is centered)."""
+    size = math.factorial(n)
+    h, *_ = np.linalg.lstsq(np.eye(size) - dense_kernel(n), f, rcond=None)
+    return h
+
+
+def pair_value_oracle(n: int, f: np.ndarray, ix: int, iy: int) -> float:
+    """The pair value is a difference of h entries, which is shift-invariant."""
+    h = potential_oracle(n, f)
     return float(h[ix] - h[iy])
 
 
 class TestLehmer:
     def test_rank_matches_lexicographic_enumeration(self):
         for n in (1, 2, 3, 4):
+            table = FiniteGroupTable(n)
             for rank, images in enumerate(itertools.permutations(range(n))):
-                assert lehmer_rank(images) == rank
-                assert lehmer_unrank(rank, n) == images
+                assert table.rank(images) == rank
+                assert table.unrank(rank).mapping == images
 
     def test_roundtrip_at_degree_six(self):
+        table = FiniteGroupTable(6)
         for rank in range(0, math.factorial(6), 37):
-            assert lehmer_rank(lehmer_unrank(rank, 6)) == rank
+            assert table.rank(table.unrank(rank)) == rank
 
 
 class TestFiniteGroupTable:
@@ -72,12 +98,22 @@ class TestFiniteGroupTable:
         table = FiniteGroupTable(3)
         with pytest.raises(ValueError):
             table.rank(Permutation.identity(4))
+        with pytest.raises(ValueError):
+            table.rank((0, 0, 1))
 
     def test_left_action_matches_compose(self):
         table = FiniteGroupTable(4)
         g = Permutation((2, 0, 3, 1))
         action = table.left_action(g)
         for idx in range(table.size):
+            assert table.unrank(int(action[idx])) == compose(g, table.unrank(idx))
+
+    def test_left_action_matches_compose_at_degree_eight(self):
+        table = FiniteGroupTable(8)
+        g = Permutation((3, 7, 0, 5, 1, 6, 2, 4))
+        action = table.left_action(g)
+        assert action.dtype == np.int32
+        for idx in range(0, table.size, 997):
             assert table.unrank(int(action[idx])) == compose(g, table.unrank(idx))
 
     def test_left_action_is_a_bijection(self):
@@ -93,50 +129,75 @@ class TestFiniteGroupTable:
         assert sorted(counts.tolist()) == [0, 0, 1, 1, 1, 3]
 
     def test_degree_cap(self):
+        assert FiniteGroupTable(8).size == 40320
         with pytest.raises(ValueError):
-            FiniteGroupTable(10)
+            FiniteGroupTable(9)
 
 
 class TestBuildExactKernel:
+    """walk_operator: the exact kernel as one index map per step element."""
+
     def test_two_by_two_kernel(self):
         kern = lazy_kernel(2)
-        assert np.array_equal(kern.matrix, np.array([[0.5, 0.5], [0.5, 0.5]]))
+        assert np.array_equal(operator_matrix(kern), np.array([[0.5, 0.5], [0.5, 0.5]]))
 
     def test_rows_sum_to_one(self):
         for n in (2, 3, 4, 5):
             kern = lazy_kernel(n)
-            assert float(np.max(np.abs(kern.matrix.sum(axis=1) - 1.0))) <= 1e-14
+            assert kern.actions.shape == (n * (n - 1) // 2 + 1, kern.size)
+            assert abs(float(np.sum(kern.masses)) - 1.0) <= 1e-14
+            assert float(np.max(np.abs(operator_matrix(kern).sum(axis=1) - 1.0))) <= 1e-14
 
     def test_exactly_symmetric(self):
         # The step law is inversion-invariant, so P(x, z) and P(z, x) are the
         # same stored float; symmetry must hold bit for bit.
         for n in (2, 3, 4, 5):
-            kern = lazy_kernel(n)
-            assert np.array_equal(kern.matrix, kern.matrix.T)
+            p = operator_matrix(lazy_kernel(n))
+            assert np.array_equal(p, p.T)
 
     def test_entries_match_step_masses(self):
-        kern = lazy_kernel(3)
-        table = kern.table
-        masses = {perm: mass for perm, mass in kern.step.support()}
-        for ix in range(table.size):
-            x = table.unrank(ix)
-            for iz in range(table.size):
-                z = table.unrank(iz)
-                y = compose(z, invert(x))
-                expected = float(masses.get(y, 0))
-                assert kern.matrix[ix, iz] == expected
+        for n in (2, 3, 4, 5):
+            assert np.array_equal(operator_matrix(lazy_kernel(n)), dense_kernel(n))
+
+    def test_apply_matches_dense_product(self):
+        rng = np.random.default_rng(10)
+        for n in (3, 4, 5):
+            kern = lazy_kernel(n)
+            p = dense_kernel(n)
+            f = rng.standard_normal(kern.size)
+            assert float(np.max(np.abs(kern.apply(f) - p @ f))) <= 1e-15
+
+    def test_rejects_non_involution(self, monkeypatch):
+        cycle = Permutation((1, 2, 0))
+        monkeypatch.setattr(
+            StepDistribution, "support", lambda self: iter([(cycle, Fraction(1))])
+        )
+        with pytest.raises(AssertionError, match="involution"):
+            lazy_kernel(3)
+
+    def test_rejects_masses_off_one(self, monkeypatch):
+        support = StepDistribution.support
+
+        def heavy(self):
+            for y, mass in support(self):
+                yield y, mass * Fraction(1_000_000_001, 1_000_000_000)
+
+        monkeypatch.setattr(StepDistribution, "support", heavy)
+        with pytest.raises(AssertionError, match="sum to 1"):
+            lazy_kernel(4)
 
     def test_rejects_reflection_step(self):
         with pytest.raises(ValueError):
-            build_exact_kernel(3, StepDistribution.unitary_reflection(3))
+            walk_operator(3, StepDistribution.unitary_reflection(3))
 
     def test_rejects_degree_mismatch(self):
         with pytest.raises(ValueError):
-            build_exact_kernel(4, StepDistribution.lazy_transposition(3))
+            walk_operator(4, StepDistribution.lazy_transposition(3))
 
     def test_degree_cap(self):
+        assert lazy_kernel(8).size == 40320
         with pytest.raises(ValueError):
-            build_exact_kernel(8, StepDistribution.lazy_transposition(8))
+            walk_operator(9, StepDistribution.lazy_transposition(9))
 
 
 class TestApplyKernelPower:
@@ -206,7 +267,7 @@ class TestPairFunction:
             f = centered(rng, 24)
             ix, iy = rng.integers(0, 24, size=2)
             got = pair_function(kern, f, int(ix), int(iy), eps=1e-13)
-            want = pair_value_oracle(kern, f, int(ix), int(iy))
+            want = pair_value_oracle(4, f, int(ix), int(iy))
             assert abs(got - want) <= 1e-9
 
     def test_potential_routes_agree(self):
@@ -214,7 +275,7 @@ class TestPairFunction:
         rng = np.random.default_rng(4)
         f = centered(rng, 24)
         series = pair_potential(kern, f, eps=1e-13)
-        solved = solve_potential(kern, f)
+        solved = potential_oracle(4, f)
         diff = series - solved
         # Potentials may differ by an additive constant; differences may not.
         diff -= diff.mean()
@@ -245,6 +306,22 @@ class TestCheckIdentities:
         assert report.conditional_mean_residual == 0.0
         assert report.variance_residual == 0.0
 
+    def test_matches_dense_oracle(self):
+        rng = np.random.default_rng(11)
+        for n in (3, 4, 5):
+            kern = lazy_kernel(n)
+            p = dense_kernel(n)
+            f = centered(rng, kern.size)
+            h = pair_potential(kern, f)
+            df = f[:, None] - f[None, :]
+            dh = h[:, None] - h[None, :]
+            var_pair = 0.5 * float(np.sum(p * df * dh)) / kern.size
+            report = check_identities(kern, f)
+            want_cond = float(np.max(np.abs(h - p @ h - f)))
+            want_var = abs(float(np.var(f)) - var_pair)
+            assert abs(report.conditional_mean_residual - want_cond) <= 1e-13
+            assert abs(report.variance_residual - want_var) <= 1e-13
+
     def test_reports_truncation_eps(self):
         kern = lazy_kernel(3)
         report = check_identities(kern, np.zeros(6), eps=1e-10)
@@ -260,6 +337,17 @@ class TestStepSeminorm:
         kern = lazy_kernel(2)
         value = step_seminorm(kern, np.array([1.0, -1.0]))
         assert value == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+    def test_matches_dense_oracle(self):
+        rng = np.random.default_rng(12)
+        for n in (3, 4, 5):
+            kern = lazy_kernel(n)
+            p = dense_kernel(n)
+            for _ in range(5):
+                f = centered(rng, kern.size)
+                sq = np.sum(p * (f[:, None] - f[None, :]) ** 2, axis=1)
+                want = math.sqrt(float(np.max(sq)))
+                assert abs(step_seminorm(kern, f) - want) <= 1e-13 * want
 
     def test_contractivity_under_kernel_powers(self):
         rng = np.random.default_rng(6)
@@ -283,7 +371,7 @@ class TestStructuralIdentities:
         # With the uniform stationary law, pi(x) P(x, z) symmetric reduces to
         # P itself being symmetric; assert the scaled form explicitly.
         kern = lazy_kernel(4)
-        flow = kern.matrix / kern.size
+        flow = operator_matrix(kern) / kern.size
         assert np.array_equal(flow, flow.T)
 
     def test_telescoping_sum(self):
@@ -301,7 +389,7 @@ class TestStructuralIdentities:
         # |P^k f| <= 2 sup|f| d_TV(walk at k, uniform) for centered f.
         n = 4
         step = StepDistribution.lazy_transposition(n)
-        kern = build_exact_kernel(n, step)
+        kern = walk_operator(n, step)
         curve = exact_tv_curve(n, step, 20)
         rng = np.random.default_rng(9)
         f = centered(rng, kern.size)

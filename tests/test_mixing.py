@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haarconc.groups import StepDistribution, _sample_reflection_batch
-from haarconc.kernel import FiniteGroupTable, build_exact_kernel
+from haarconc.kernel import FiniteGroupTable
 from haarconc.mixing import (
     DecayFit,
     TVCurve,
@@ -22,8 +22,28 @@ from haarconc.mixing import (
 )
 
 
+from test_kernel import dense_kernel
+
+
 def lazy(n: int) -> StepDistribution:
     return StepDistribution.lazy_transposition(n)
+
+
+def scatter_laws(n: int, k_max: int) -> list:
+    """Laws of Y_1 ... Y_k for k = 0 .. k_max by scatter convolution: each
+    step pushes the mass at x to y o x, one support element y at a time."""
+    table = FiniteGroupTable(n)
+    support = [(table.left_action(y), float(mass)) for y, mass in lazy(n).support()]
+    law = np.zeros(table.size)
+    law[table.identity_index] = 1.0
+    laws = [law]
+    for _ in range(k_max):
+        nxt = np.zeros(table.size)
+        for action, mass in support:
+            nxt[action] += mass * law
+        law = nxt
+        laws.append(law)
+    return laws
 
 
 def walk_moments(n: int, k_max: int, reps: int, rng: np.random.Generator, update):
@@ -95,15 +115,22 @@ class TestExactWalkLaw:
 
     def test_matches_kernel_powers(self):
         # k-fold convolution of the step law = identity row of the k-th
-        # kernel power; the two are computed by different code paths.
+        # power of the dense kernel built from compose and invert.
         n = 4
-        kern = build_exact_kernel(n, lazy(n))
-        row = np.zeros(kern.size)
-        row[kern.table.identity_index] = 1.0
+        p = dense_kernel(n)
+        row = np.zeros(p.shape[0])
+        row[0] = 1.0
         for k in range(8):
             law = exact_walk_law(n, lazy(n), k)
             assert float(np.max(np.abs(law - row))) <= 1e-13
-            row = row @ kern.matrix
+            row = row @ p
+
+    def test_bit_equal_to_scatter_convolution(self):
+        for n in range(2, 8):
+            k_max = 3 * n
+            laws = scatter_laws(n, k_max)
+            for k in (0, 1, n, k_max):
+                assert np.array_equal(exact_walk_law(n, lazy(n), k), laws[k])
 
     def test_rejects_reflection_kind(self):
         with pytest.raises(ValueError):
@@ -136,7 +163,15 @@ class TestExactTVCurve:
         curve = exact_tv_curve(6, lazy(6), k)
         assert curve.values[k] < 0.5
 
+    def test_bit_equal_to_scatter_convolution(self):
+        for n in range(2, 8):
+            k_max = 25 * n
+            uniform = 1.0 / math.factorial(n)
+            want = [0.5 * float(np.sum(np.abs(law - uniform))) for law in scatter_laws(n, k_max)]
+            assert np.array_equal(exact_tv_curve(n, lazy(n), k_max).values, np.array(want))
+
     def test_degree_cap(self):
+        assert len(exact_tv_curve(8, lazy(8), 2)) == 3
         with pytest.raises(ValueError):
             exact_tv_curve(9, lazy(9), 5)
 
