@@ -1,10 +1,11 @@
 """Command line interface.
 
 Commands: matrix | finite-group | identity-suite | scaling | mixing-curve |
-bound-calc.  Experiment commands read a JSON config and write report.json
-plus flat CSV curves into --out.  Exit codes: 0 all hard checks pass and no
-statistical verdict fails, 1 usage or config error, 2 a guarantee or a
-statistical verdict failed.
+bound-calc.  Each command parses its arguments (a JSON config for the first
+four), calls one runner from experiments and writes report.json plus flat
+CSV curves into --out (bound-calc only when --out is given).  Exit codes,
+the same for every command: 0 all hard checks pass and no verdict fails,
+1 usage or config error, 2 a guarantee or a verdict failed.
 """
 
 from __future__ import annotations
@@ -12,22 +13,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
-import time
 from pathlib import Path
 
-from .bounds import BoundInputs, concentration_constant, tail_bound
 from .experiments import (
     ExperimentConfig,
     ExperimentReport,
     GuaranteeViolation,
-    child_rng,
-    report_environment,
+    run_bound_calc,
     run_experiment,
+    run_mixing_curve,
 )
-from .groups import StepDistribution
-from .mixing import exact_tv_curve, fit_decay, unitary_mixing_diagnostic
 
 _EXPERIMENT_COMMANDS = ("matrix", "finite-group", "identity-suite", "scaling")
 
@@ -96,102 +92,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_mixing_curve(args) -> int:
-    start = time.perf_counter()
-    n = args.n
-    if args.group == "sn":
-        k_max = args.k_max if args.k_max is not None else 25 * n
-        step = StepDistribution.lazy_transposition(n)
-        curve = exact_tv_curve(n, step, k_max)
-        fit = fit_decay(curve)
-        config_echo = {"command": "mixing-curve", "group": "sn", "n": n, "k_max": k_max}
-        estimates = {"final_tv": float(curve.values[-1])}
-        bounds = {
-            "envelope": {"a": fit.a, "b": fit.b, "tau": fit.tau,
-                         "window": list(fit.window), "residual": fit.residual}
-        }
-        verdicts = [{"name": "envelope_dominates_certified_range", "status": "pass",
-                     "observed": 0.0, "threshold": 0.0, "policy": "exact"}]
-        curves = {
-            "mixing_curve": {
-                "header": ["k", "value"],
-                "rows": [[k, float(v)] for k, v in enumerate(curve.values)],
-            }
-        }
-        replicates = 0
-    else:
-        k_max = args.k_max if args.k_max is not None else 4 * n
-        rng = child_rng(args.seed, "unitary-mixing", 0)
-        diag = unitary_mixing_diagnostic(n, k_max, args.replicates, rng)
-        config_echo = {
-            "command": "mixing-curve", "group": "un", "n": n,
-            "k_max": k_max, "replicates": args.replicates, "seed": args.seed,
-        }
-        estimates = {
-            "moment_at_0": float(diag.moments[0]),
-            "moment_at_k_max": float(diag.moments[-1]),
-            "note": diag.note,
-        }
-        bounds = {}
-        if diag.fit is not None:
-            # kappa implied by treating the PROXY (a, b) as a TV envelope for
-            # the spectral CDF function class (A = 1, B = 3/n); labeled, not
-            # certified.
-            res = concentration_constant(BoundInputs(1.0, 3.0 / n, diag.fit.a, diag.fit.b))
-            bounds = {
-                "proxy_envelope": {"a": diag.fit.a, "b": diag.fit.b, "tau": diag.fit.tau,
-                                   "window": list(diag.fit.window),
-                                   "residual": diag.fit.residual},
-                "proxy_constant": res.constant,
-                "proxy_kappa": n * res.constant / (2.0 * math.log(n)),
-                "note": diag.note,
-            }
-        verdicts = []
-        curves = {
-            "mixing_curve": {
-                "header": ["k", "value", "stderr"],
-                "rows": [[k, float(m), float(s)]
-                         for k, (m, s) in enumerate(zip(diag.moments, diag.stderrs))],
-            }
-        }
-        replicates = args.replicates
-    environment = report_environment(args.seed, replicates, time.perf_counter() - start)
-    report = ExperimentReport(config_echo, estimates, bounds, verdicts, environment, curves)
-    write_report(report, args.out)
-    print(f"report written to {args.out}")
-    return 0
+def _run_mixing_curve(args) -> ExperimentReport:
+    return run_mixing_curve(args.group, args.n, args.k_max, args.seed, args.replicates)
 
 
-def _run_bound_calc(args) -> int:
-    start = time.perf_counter()
-    inputs = BoundInputs(args.A, args.B, args.a, args.b)
-    result = concentration_constant(inputs)
-    print(f"C = {result.constant:.10g}")
-    print(f"variance bound = {result.variance_bound:.10g}")
-    tails = []
-    for t in args.t or []:
-        value = tail_bound(result.constant, t)
-        tails.append({"t": t, "value": value})
-        print(f"tail bound at t={t:g}: {value:.10g}")
-    if args.out is not None:
-        report = ExperimentReport(
-            config_echo={"command": "bound-calc", "A": args.A, "B": args.B,
-                         "a": args.a, "b": args.b},
-            estimates={},
-            bounds={"constant": result.constant,
-                    "variance_bound": result.variance_bound,
-                    "envelope_ratio": result.envelope_ratio,
-                    "crossover": result.crossover,
-                    "crossover_step": result.crossover_step,
-                    "tail_bounds": tails},
-            verdicts=[],
-            environment=report_environment(0, 0, time.perf_counter() - start),
-        )
-        write_report(report, args.out)
-    return 0
+def _run_bound_calc(args) -> ExperimentReport:
+    report = run_bound_calc(args.A, args.B, args.a, args.b, args.t or [])
+    print(f"C = {report.bounds['constant']:.10g}")
+    print(f"variance bound = {report.bounds['variance_bound']:.10g}")
+    for tail in report.bounds["tail_bounds"]:
+        print(f"tail bound at t={tail['t']:g}: {tail['value']:.10g}")
+    return report
 
 
-def _run_experiment_command(args) -> int:
+def _run_experiment_command(args) -> ExperimentReport:
     cfg = parse_config(args.config)
     if cfg.kind != args.command:
         raise ValueError(
@@ -206,14 +120,7 @@ def _run_experiment_command(args) -> int:
         cfg = ExperimentConfig.from_dict({**cfg.to_dict(), **overrides})
     if args.threads < 1:
         raise ValueError("--threads must be at least 1")
-    report = run_experiment(cfg)
-    write_report(report, args.out)
-    failed = [v["name"] for v in report.verdicts if v["status"] == "fail"]
-    print(f"report written to {args.out}")
-    if failed:
-        print(f"failed verdicts: {', '.join(failed)}", file=sys.stderr)
-        return 2
-    return 0
+    return run_experiment(cfg)
 
 
 def main(argv=None) -> int:
@@ -224,16 +131,25 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         if args.command == "bound-calc":
-            return _run_bound_calc(args)
-        if args.command == "mixing-curve":
-            return _run_mixing_curve(args)
-        return _run_experiment_command(args)
+            report = _run_bound_calc(args)
+        elif args.command == "mixing-curve":
+            report = _run_mixing_curve(args)
+        else:
+            report = _run_experiment_command(args)
+        if args.out is not None:
+            write_report(report, args.out)
+            print(f"report written to {args.out}")
     except GuaranteeViolation as exc:
         print(f"hard assertion failed: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if not report.has_failure():
+        return 0
+    failed = ", ".join(v["name"] for v in report.verdicts if v["status"] == "fail")
+    print(f"failed verdicts: {failed}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

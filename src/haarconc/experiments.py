@@ -7,13 +7,17 @@ a chunk of replicates with stacked LAPACK calls (QR, eigvalsh, SVD), which
 give the same bits as one call per matrix.  All work runs on the calling
 thread.  Checks come in two kinds: exact guarantees are hard assertions
 (violation raises GuaranteeViolation), statistical comparisons are verdicts
-under a 4-standard-error policy and never raise.
+under a 4-standard-error policy and never raise.  The reports of all six
+CLI commands are assembled here.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,7 +34,7 @@ from .groups import (
 )
 from .hermitian import cdf_counts, conjugate_stack, rank_distance, sup_cdf_distance
 from .kernel import MAX_DEGREE, check_identities, step_seminorm, walk_operator
-from .mixing import exact_tv_curve, exact_walk_law, fit_decay
+from .mixing import FIT_FLOOR, exact_tv_curve, exact_walk_law, fit_decay, unitary_mixing_diagnostic
 
 TAIL_MIN_REPLICATES = 500
 FINITE_GROUP_TEST_FUNCTIONS = 20
@@ -268,18 +272,37 @@ class ExperimentReport:
         return any(v["status"] == "fail" for v in self.verdicts)
 
 
-def report_environment(seed: int, replicates: int, runtime_seconds: float = 0.0) -> dict:
-    """The ``environment`` block of every report."""
+def report_environment(seed: int, replicates: int) -> dict:
+    """The ``environment`` block of every report; _timed stamps runtime_seconds."""
     return {
         "package": f"haarconc {__version__}",
         "seed": seed,
         "replicates": replicates,
-        "runtime_seconds": runtime_seconds,
+        "runtime_seconds": 0.0,
     }
 
 
-def _environment(cfg: ExperimentConfig) -> dict:
-    return report_environment(cfg.seed, cfg.replicates)
+def _timed(runner):
+    """Stamp the wall time of a top-level runner on its report."""
+    @functools.wraps(runner)
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        report = runner(*args, **kwargs)
+        report.environment["runtime_seconds"] = time.perf_counter() - start
+        return report
+
+    return timed
+
+
+def _envelope(fit) -> dict:
+    return {"a": fit.a, "b": fit.b, "tau": fit.tau, "window": list(fit.window),
+            "residual": fit.residual}
+
+
+def _k_curve(**columns) -> dict:
+    """A CSV curve with one row per walk step k and the given value columns."""
+    rows = [[k, *map(float, row)] for k, row in enumerate(zip(*columns.values()))]
+    return {"header": ["k", *columns], "rows": rows}
 
 
 def _verdict(name, status, observed, threshold, policy, stderr=None) -> dict:
@@ -445,7 +468,8 @@ def run_matrix_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             "rows": tail_rows,
         }
     }
-    return ExperimentReport(cfg.to_dict(), estimates, bounds, verdicts, _environment(cfg), curves)
+    return ExperimentReport(cfg.to_dict(), estimates, bounds, verdicts,
+                            report_environment(cfg.seed, cfg.replicates), curves)
 
 
 def run_reflection_step_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -503,7 +527,16 @@ def run_reflection_step_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         _verdict("step_rank_le_3", "pass", max_rank, STEP_RANK_LIMIT, "exact"),
         _verdict("step_cdf_gap_le_3_over_n", "pass", max_gap, gap_limit, "exact"),
     ]
-    return ExperimentReport(cfg.to_dict(), estimates, bounds, verdicts, _environment(cfg))
+    return ExperimentReport(cfg.to_dict(), estimates, bounds, verdicts,
+                            report_environment(cfg.seed, cfg.replicates))
+
+
+def _lazy_walk(n: int, k_max: int):
+    """The lazy-transposition walk operator on S_n, its exact TV curve up to
+    k_max and the certified envelope of that curve."""
+    op = walk_operator(n, StepDistribution.lazy_transposition(n))
+    curve = exact_tv_curve(op, k_max)
+    return op, curve, fit_decay(curve)
 
 
 def run_finite_group_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -512,15 +545,12 @@ def run_finite_group_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.kind != "finite-group":
         raise ValueError("run_finite_group_experiment requires kind 'finite-group'")
     n = cfg.n
-    step = StepDistribution.lazy_transposition(n)
-    op = walk_operator(n, step)
+    op, curve, fit = _lazy_walk(n, cfg.k_max)
     size = op.size
-    curve = exact_tv_curve(n, step, cfg.k_max)
-    fit = fit_decay(curve)
 
     below = np.nonzero(curve.values <= WALK_TV_TARGET)[0]
     k_star = int(below[0]) if below.size else cfg.k_max
-    law = exact_walk_law(n, step, k_star)
+    law = exact_walk_law(op, k_star)
     law = law / law.sum()
     samples = child_rng(cfg.seed, "finite-tail", 0).choice(size, size=cfg.replicates, p=law)
 
@@ -585,32 +615,21 @@ def run_finite_group_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "default_tail": default_tail,
         "max_variance_margin": max_var_margin,
     }
-    bounds = {
-        "envelope": {
-            "a": fit.a,
-            "b": fit.b,
-            "tau": fit.tau,
-            "window": list(fit.window),
-            "residual": fit.residual,
-        },
-        "default_constant": rows[0]["constant"],
-    }
+    bounds = {"envelope": _envelope(fit), "default_constant": rows[0]["constant"]}
     verdicts = [
         _verdict("variance_le_half_constant", "pass", max_var_margin, 1.0, "exact"),
         _verdict("tails_le_bound", "pass", max_tail_excess, FLOAT_SLACK, "exact"),
     ]
     curves = {
-        "tv_curve": {
-            "header": ["k", "value"],
-            "rows": [[k, float(v)] for k, v in enumerate(curve.values)],
-        },
+        "tv_curve": _k_curve(value=curve.values),
         "tails": {
             "header": ["t", "frequency", "exact_probability", "bound"],
             "rows": [[d["t"], d["frequency"], d["exact_probability"], d["bound"]]
                      for d in default_tail],
         },
     }
-    return ExperimentReport(cfg.to_dict(), estimates, bounds, verdicts, _environment(cfg), curves)
+    return ExperimentReport(cfg.to_dict(), estimates, bounds, verdicts,
+                            report_environment(cfg.seed, cfg.replicates), curves)
 
 
 def run_identity_suite(cfg: ExperimentConfig) -> ExperimentReport:
@@ -646,7 +665,8 @@ def run_identity_suite(cfg: ExperimentConfig) -> ExperimentReport:
             "rows": rows,
         }
     }
-    return ExperimentReport(cfg.to_dict(), estimates, bounds, verdicts, _environment(cfg), curves)
+    return ExperimentReport(cfg.to_dict(), estimates, bounds, verdicts,
+                            report_environment(cfg.seed, cfg.replicates), curves)
 
 
 def run_scaling_study(cfg: ExperimentConfig) -> ExperimentReport:
@@ -744,7 +764,8 @@ def run_scaling_study(cfg: ExperimentConfig) -> ExperimentReport:
             "rows": tail_rows,
         },
     }
-    return ExperimentReport(cfg.to_dict(), estimates, bounds, verdicts, _environment(cfg), curves)
+    return ExperimentReport(cfg.to_dict(), estimates, bounds, verdicts,
+                            report_environment(cfg.seed, cfg.replicates), curves)
 
 
 _RUNNERS = {
@@ -755,17 +776,75 @@ _RUNNERS = {
 }
 
 
+@_timed
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Dispatch on cfg.kind; for matrix configs with step_check, merge the
     reflection-step hard checks into the main report."""
-    import time
-
-    start = time.perf_counter()
     report = _RUNNERS[cfg.kind](cfg)
     if cfg.kind == "matrix" and cfg.step_check:
         step_report = run_reflection_step_experiment(cfg)
         report.estimates["step_check"] = step_report.estimates
         report.bounds["step_check"] = step_report.bounds
         report.verdicts.extend(step_report.verdicts)
-    report.environment["runtime_seconds"] = time.perf_counter() - start
     return report
+
+
+@_timed
+def run_mixing_curve(
+    group: str, n: int, k_max: Optional[int], seed: int, replicates: int
+) -> ExperimentReport:
+    """Walk mixing up to k_max steps (None: 25 n for "sn", 4 n for "un").
+    "sn": exact TV curve and certified envelope, checked against every value
+    above FIT_FLOOR; "un": Monte Carlo trace moments with a PROXY envelope."""
+    if group == "sn":
+        k_max = 25 * n if k_max is None else k_max
+        _, curve, fit = _lazy_walk(n, k_max)
+        ks = np.arange(len(curve))
+        certified = curve.values > FIT_FLOOR
+        ratio = float(np.max(curve.values[certified] * np.exp(fit.b * ks[certified]) / fit.a))
+        status = "pass" if ratio <= 1.0 + FLOAT_SLACK else "fail"
+        return ExperimentReport(
+            config_echo={"command": "mixing-curve", "group": "sn", "n": n, "k_max": k_max},
+            estimates={"final_tv": float(curve.values[-1])},
+            bounds={"envelope": _envelope(fit)},
+            verdicts=[_verdict("envelope_dominates_certified_range", status, ratio, 1.0, "exact")],
+            environment=report_environment(seed, 0),
+            curves={"mixing_curve": _k_curve(value=curve.values)},
+        )
+    if group != "un":
+        raise ValueError(f"group must be 'sn' or 'un' (got {group!r})")
+    k_max = 4 * n if k_max is None else k_max
+    diag = unitary_mixing_diagnostic(n, k_max, replicates, child_rng(seed, "unitary-mixing", 0))
+    bounds = {}
+    if diag.fit is not None:
+        # kappa implied by treating the PROXY (a, b) as a TV envelope for
+        # the spectral CDF function class (A = 1, B = 3/n); labeled, not
+        # certified.
+        res = concentration_constant(BoundInputs(1.0, 3.0 / n, diag.fit.a, diag.fit.b))
+        bounds = {
+            "proxy_envelope": _envelope(diag.fit),
+            "proxy_constant": res.constant,
+            "proxy_kappa": n * res.constant / (2.0 * math.log(n)),
+            "note": diag.note,
+        }
+    return ExperimentReport(
+        config_echo={"command": "mixing-curve", "group": "un", "n": n, "k_max": k_max,
+                     "replicates": replicates, "seed": seed},
+        estimates={"moment_at_0": float(diag.moments[0]),
+                   "moment_at_k_max": float(diag.moments[-1]), "note": diag.note},
+        bounds=bounds,
+        verdicts=[],
+        environment=report_environment(seed, replicates),
+        curves={"mixing_curve": _k_curve(value=diag.moments, stderr=diag.stderrs)},
+    )
+
+
+@_timed
+def run_bound_calc(A: float, B: float, a: float, b: float, ts) -> ExperimentReport:
+    """The concentration constant C for sup|f| <= A, step seminorm <= B and
+    TV envelope a e^(-b k), with the tail bound at each t in ts."""
+    result = concentration_constant(BoundInputs(A, B, a, b))
+    tails = [{"t": t, "value": tail_bound(result.constant, t)} for t in ts]
+    return ExperimentReport({"command": "bound-calc", "A": A, "B": B, "a": a, "b": b}, {},
+                            {**dataclasses.asdict(result), "tail_bounds": tails}, [],
+                            report_environment(0, 0))

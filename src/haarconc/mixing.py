@@ -22,13 +22,16 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import StepDistribution, _sample_reflection_batch
-from .kernel import WalkOperator, apply_kernel_power, walk_operator
+from .groups import _sample_reflection_batch
+from .kernel import WalkOperator, apply_kernel_power
 
 # Steps whose reflection parameters are drawn before the walks take them.
 _BLOCK_STEPS = 8
 # Bytes of walk matrices updated together: 16 walks at n = 32.
 _WALK_CHUNK_BYTES = 256 * 1024
+# Curve values at or below this are float noise: fit_decay neither fits nor
+# certifies them.
+FIT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,19 +84,17 @@ def _point_mass(op: WalkOperator) -> np.ndarray:
     return law
 
 
-def exact_walk_law(n: int, step: StepDistribution, k: int) -> np.ndarray:
+def exact_walk_law(op: WalkOperator, k: int) -> np.ndarray:
     """Exact law of the k-step walk product as a vector in table order."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    op = walk_operator(n, step)
     return apply_kernel_power(op, _point_mass(op), k)
 
 
-def exact_tv_curve(n: int, step: StepDistribution, k_max: int) -> TVCurve:
+def exact_tv_curve(op: WalkOperator, k_max: int) -> TVCurve:
     """d_TV(k) for k = 0 .. k_max, exact up to float summation."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    op = walk_operator(n, step)
     uniform = 1.0 / op.size
     law = _point_mass(op)
     values = [0.5 * float(np.sum(np.abs(law - uniform)))]
@@ -103,7 +104,7 @@ def exact_tv_curve(n: int, step: StepDistribution, k_max: int) -> TVCurve:
     return TVCurve(np.array(values))
 
 
-def fit_decay(curve, floor: float = 1e-12) -> DecayFit:
+def fit_decay(curve, floor: float = FIT_FLOOR) -> DecayFit:
     """Certified exponential envelope for a decaying curve.
 
     The rate comes from a least-squares line on log(values) over the window

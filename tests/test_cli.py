@@ -1,11 +1,13 @@
 """End-to-end CLI tests: parsing, dispatch, exit codes, and deterministic
 report emission."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from haarconc import experiments
+from haarconc import cli, experiments, kernel, mixing
 from haarconc.cli import main, parse_config
 from haarconc.experiments import ExperimentReport
 
@@ -258,6 +260,85 @@ class TestMixingCurveCommand:
         code = main(["mixing-curve", "--group", "un", "--n", "4",
                      "--replicates", "10", "--out", str(tmp_path / "x")])
         assert code == 1
+
+
+class TestSharedReportPath:
+    def test_walk_operator_built_once_per_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        build = kernel.walk_operator
+
+        def counting(n, step):
+            calls.append(n)
+            return build(n, step)
+
+        for module in (kernel, experiments, mixing):
+            monkeypatch.setattr(module, "walk_operator", counting, raising=False)
+        path = write_config(tmp_path, "cfg.json",
+                            {"kind": "finite-group", "n": 5, "seed": 0, "replicates": 500})
+        assert main(["finite-group", "--config", path, "--out", str(tmp_path / "fg")]) == 0
+        assert calls == [5]
+        assert main(["mixing-curve", "--group", "sn", "--n", "5",
+                     "--out", str(tmp_path / "mc")]) == 0
+        assert calls == [5, 5]
+
+    def test_finite_group_and_mixing_curve_agree(self, tmp_path, capsys):
+        path = write_config(tmp_path, "cfg.json",
+                            {"kind": "finite-group", "n": 5, "seed": 0, "replicates": 500,
+                             "k_max": 90})
+        fg, mc = tmp_path / "fg", tmp_path / "mc"
+        assert main(["finite-group", "--config", path, "--out", str(fg)]) == 0
+        assert main(["mixing-curve", "--group", "sn", "--n", "5", "--k-max", "90",
+                     "--out", str(mc)]) == 0
+        assert load_report(fg)["bounds"]["envelope"] == load_report(mc)["bounds"]["envelope"]
+        fg_rows = (fg / "tv_curve.csv").read_text().splitlines()
+        assert fg_rows == (mc / "mixing_curve.csv").read_text().splitlines()
+        assert len(fg_rows) == 92
+
+    def test_envelope_verdict_passes_on_certified_fit(self, tmp_path, capsys):
+        out_dir = tmp_path / "sn"
+        assert main(["mixing-curve", "--group", "sn", "--n", "6", "--out", str(out_dir)]) == 0
+        (verdict,) = load_report(out_dir)["verdicts"]
+        assert verdict["name"] == "envelope_dominates_certified_range"
+        assert verdict["status"] == "pass"
+        assert verdict["threshold"] == 1.0
+        assert 0.0 < verdict["observed"] <= 1.0 + experiments.FLOAT_SLACK
+
+    def test_envelope_verdict_fails_without_inflation(self, tmp_path, capsys, monkeypatch):
+        fit_decay = experiments.fit_decay
+
+        def uninflated(curve):
+            # The least-squares prefactor e^intercept, before fit_decay
+            # raises it to dominate the curve.
+            fit = fit_decay(curve)
+            ks = np.arange(len(curve))
+            window = (curve.values > mixing.FIT_FLOOR) & (curve.values < 0.5)
+            _, intercept = np.polyfit(ks[window], np.log(curve.values[window]), 1)
+            return dataclasses.replace(fit, a=float(np.exp(intercept)))
+
+        monkeypatch.setattr(experiments, "fit_decay", uninflated)
+        out_dir = tmp_path / "sn"
+        assert main(["mixing-curve", "--group", "sn", "--n", "6", "--out", str(out_dir)]) == 2
+        assert "envelope_dominates_certified_range" in capsys.readouterr().err
+        (verdict,) = load_report(out_dir)["verdicts"]
+        assert verdict["status"] == "fail"
+        assert verdict["observed"] > 1.0 + experiments.FLOAT_SLACK
+
+    @pytest.mark.parametrize("runner, argv", [
+        ("run_bound_calc", ["bound-calc", "--A", "1", "--B", "1", "--a", "1", "--b", "1"]),
+        ("run_mixing_curve", ["mixing-curve", "--n", "4"]),
+        ("run_experiment", ["matrix", "--config", None]),
+    ])
+    def test_every_command_exits_two_on_a_failed_verdict(self, tmp_path, capsys,
+                                                          monkeypatch, runner, argv):
+        planted = ExperimentReport(
+            {}, {}, {"constant": 1.0, "variance_bound": 0.5, "tail_bounds": []},
+            [{"name": "planted", "status": "fail"}, {"name": "fine", "status": "pass"}], {},
+        )
+        monkeypatch.setattr(cli, runner, lambda *args: planted)
+        argv = [a if a is not None else write_config(tmp_path, "cfg.json", MATRIX_CFG)
+                for a in argv]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "failed verdicts: planted\n"
 
 
 class TestDeterminism:

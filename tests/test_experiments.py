@@ -20,6 +20,7 @@ from haarconc.experiments import (
     run_finite_group_experiment,
     run_identity_suite,
     run_matrix_experiment,
+    run_mixing_curve,
     run_reflection_step_experiment,
     run_scaling_study,
     sample_spectral_cdfs,
@@ -528,6 +529,10 @@ class TestRunExperiment:
         first = run_experiment(cfg)
         second = run_experiment(cfg)
         assert strip_runtime(first) == strip_runtime(second)
+
+    def test_mixing_curve_rejects_unknown_group(self):
+        with pytest.raises(ValueError, match="group"):
+            run_mixing_curve("on", 4, 8, 0, 1000)
 
 
 class TestReportHelpers:

@@ -390,7 +390,7 @@ class TestStructuralIdentities:
         n = 4
         step = StepDistribution.lazy_transposition(n)
         kern = walk_operator(n, step)
-        curve = exact_tv_curve(n, step, 20)
+        curve = exact_tv_curve(kern, 20)
         rng = np.random.default_rng(9)
         f = centered(rng, kern.size)
         sup = float(np.max(np.abs(f)))

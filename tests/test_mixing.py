@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haarconc.groups import StepDistribution, _sample_reflection_batch
-from haarconc.kernel import FiniteGroupTable
+from haarconc.kernel import FiniteGroupTable, walk_operator
 from haarconc.mixing import (
     DecayFit,
     TVCurve,
@@ -95,21 +95,21 @@ class TestTVCurve:
 
 class TestExactWalkLaw:
     def test_step_zero_is_point_mass_at_identity(self):
-        law = exact_walk_law(3, lazy(3), 0)
+        law = exact_walk_law(walk_operator(3, lazy(3)), 0)
         table = FiniteGroupTable(3)
         expected = np.zeros(6)
         expected[table.identity_index] = 1.0
         assert np.array_equal(law, expected)
 
     def test_step_one_equals_step_masses(self):
-        law = exact_walk_law(3, lazy(3), 1)
+        law = exact_walk_law(walk_operator(3, lazy(3)), 1)
         table = FiniteGroupTable(3)
         for perm, mass in lazy(3).support():
             assert law[table.rank(perm)] == pytest.approx(float(mass), abs=1e-16)
 
     def test_is_probability_vector(self):
         for k in (0, 1, 5, 12):
-            law = exact_walk_law(4, lazy(4), k)
+            law = exact_walk_law(walk_operator(4, lazy(4)), k)
             assert np.all(law >= 0.0)
             assert abs(law.sum() - 1.0) <= 1e-13
 
@@ -121,7 +121,7 @@ class TestExactWalkLaw:
         row = np.zeros(p.shape[0])
         row[0] = 1.0
         for k in range(8):
-            law = exact_walk_law(n, lazy(n), k)
+            law = exact_walk_law(walk_operator(n, lazy(n)), k)
             assert float(np.max(np.abs(law - row))) <= 1e-13
             row = row @ p
 
@@ -130,37 +130,33 @@ class TestExactWalkLaw:
             k_max = 3 * n
             laws = scatter_laws(n, k_max)
             for k in (0, 1, n, k_max):
-                assert np.array_equal(exact_walk_law(n, lazy(n), k), laws[k])
-
-    def test_rejects_reflection_kind(self):
-        with pytest.raises(ValueError):
-            exact_walk_law(3, StepDistribution.unitary_reflection(3), 1)
+                assert np.array_equal(exact_walk_law(walk_operator(n, lazy(n)), k), laws[k])
 
 
 class TestExactTVCurve:
     def test_initial_distance(self):
         for n in (2, 3, 5):
-            curve = exact_tv_curve(n, lazy(n), 0)
+            curve = exact_tv_curve(walk_operator(n, lazy(n)), 0)
             assert curve.values[0] == pytest.approx(1.0 - 1.0 / math.factorial(n), abs=1e-15)
 
     def test_one_step_hand_value_on_s3(self):
         # Half of |1/3 - 1/6| + 3|2/9 - 1/6| + 2|0 - 1/6| = 1/3.
-        curve = exact_tv_curve(3, lazy(3), 1)
+        curve = exact_tv_curve(walk_operator(3, lazy(3)), 1)
         assert abs(curve.values[1] - 1.0 / 3.0) <= 1e-14
 
     def test_mixes_below_target_on_s3(self):
-        curve = exact_tv_curve(3, lazy(3), 20)
+        curve = exact_tv_curve(walk_operator(3, lazy(3)), 20)
         assert curve.values[-1] <= 1e-6
 
     def test_non_increasing(self):
         for n in (3, 4, 5, 6):
-            curve = exact_tv_curve(n, lazy(n), 30)
+            curve = exact_tv_curve(walk_operator(n, lazy(n)), 30)
             diffs = np.diff(curve.values)
             assert float(np.max(diffs)) <= 1e-14
 
     def test_half_n_log_n_scale_on_s6(self):
         k = math.ceil(6 * math.log(6))
-        curve = exact_tv_curve(6, lazy(6), k)
+        curve = exact_tv_curve(walk_operator(6, lazy(6)), k)
         assert curve.values[k] < 0.5
 
     def test_bit_equal_to_scatter_convolution(self):
@@ -168,12 +164,12 @@ class TestExactTVCurve:
             k_max = 25 * n
             uniform = 1.0 / math.factorial(n)
             want = [0.5 * float(np.sum(np.abs(law - uniform))) for law in scatter_laws(n, k_max)]
-            assert np.array_equal(exact_tv_curve(n, lazy(n), k_max).values, np.array(want))
+            assert np.array_equal(exact_tv_curve(walk_operator(n, lazy(n)), k_max).values, np.array(want))
 
     def test_degree_cap(self):
-        assert len(exact_tv_curve(8, lazy(8), 2)) == 3
+        assert len(exact_tv_curve(walk_operator(8, lazy(8)), 2)) == 3
         with pytest.raises(ValueError):
-            exact_tv_curve(9, lazy(9), 5)
+            exact_tv_curve(walk_operator(9, lazy(9)), 5)
 
 
 class TestFitDecay:
@@ -187,7 +183,7 @@ class TestFitDecay:
         assert fit.residual <= 1e-9
 
     def test_envelope_dominates_lazy_walk_curve(self):
-        curve = exact_tv_curve(4, lazy(4), 60)
+        curve = exact_tv_curve(walk_operator(4, lazy(4)), 60)
         fit = fit_decay(curve)
         assert fit.b > 0
         ks = np.arange(len(curve))
