@@ -10,9 +10,14 @@ diagnostic provides a PROXY decay rate.
 
 The U(n) diagnostic simulates its walks in a cache-blocked schedule: the
 reflection parameters of _BLOCK_STEPS steps are drawn for all walks, then
-each chunk of _WALK_CHUNK_BYTES of walk matrices takes those steps one after
-another while it stays in cache.  Its memory is reps * n^2 * 16 B for the
-walks plus _BLOCK_STEPS steps of parameters (reps * (n + 1) * 16 B each).
+each chunk of _WALK_CHUNK_BYTES of walk matrices takes those s steps as one
+block reflector.  The product Y_s ... Y_1 of the block's reflections has the
+compact WY form I - U T U^H (Schreiber & Van Loan, SIAM J. Sci. Stat.
+Comput. 10, 1989), with U = [u_1 ... u_s] and T lower triangular, so a block
+costs two BLAS-3 products per walk instead of s rank-one updates.  Its memory
+is reps * n^2 * 16 B for the walks, _BLOCK_STEPS steps of parameters
+(reps * (n + 1) * 16 B each), (k_max + 1) * reps * 8 B for |Tr W_k|^2, and
+per-chunk scratch of m * (n^2 + 4 s n + 3 s^2) * 16 B for a chunk of m walks.
 """
 
 from __future__ import annotations
@@ -130,24 +135,41 @@ def fit_decay(curve, floor: float = FIT_FLOOR) -> DecayFit:
     return DecayFit(a=a, b=b, tau=tau, window=(lo, hi), residual=residual)
 
 
-def reflection_walk_tv_bound(alpha: float, beta: float, n: int, k: float) -> float:
-    """Distance-to-Haar bound alpha * n^(beta/2) * e^(-beta k / n) for the
-    reflection walk on U(n)."""
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return float(alpha * n ** (beta / 2.0) * np.exp(-beta * k / n))
+def _wy_factor(gram: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Lower-triangular T with Y_s ... Y_1 = I - U T U^H, per walk.
+
+    Y_j = I - c_j u_j u_j^H; `gram` is U^H U (shape (m, s, s)) and `c` holds
+    c_j (shape (m, s)).  Row j is T[j, :j] = -c_j (u_j^H U_{:j}) T_{:j, :j}
+    with T[j, j] = c_j: no division, so c -> 0 (phi -> 0) is harmless.
+    """
+    m, s = c.shape
+    t = np.zeros((m, s, s), dtype=np.complex128)
+    t[:, 0, 0] = c[:, 0]
+    for j in range(1, s):
+        row = gram[:, j, None, :j] @ t[:, :j, :j]
+        np.multiply(row[:, 0], -c[:, j, None], out=t[:, j, :j])
+        t[:, j, j] = c[:, j]
+    return t
 
 
-def reflection_walk_envelope(alpha: float, beta: float, n: int) -> tuple[float, float]:
-    """The (a, b) envelope parameters induced by the reflection-walk bound:
-    a = alpha * n^(beta/2), b = beta / n."""
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return float(alpha * n ** (beta / 2.0)), float(beta / n)
+def _reflect_block(
+    w: np.ndarray, u: np.ndarray, c: np.ndarray, traces: np.ndarray, buf: np.ndarray
+) -> None:
+    """W <- Y_s ... Y_1 W in place for a stack of m walks, Y_j = I - c_j u_j u_j^H.
+
+    `u` has shape (m, n, s) with u_j in column j, `c` shape (m, s), and `buf`
+    the shape of `w`.  traces[j] (shape (s, m)) receives Tr W after step
+    j + 1: with M = U^H W and G = M U, Tr(Y_{j+1} ... Y_1 W) is Tr W minus
+    the prefix sum over a <= j of sum_b T[a, b] G[b, a].
+    """
+    u_h = u.conj().transpose(0, 2, 1).copy()
+    t = _wy_factor(u_h @ u, c)
+    uhw = u_h @ w
+    g = uhw @ u
+    steps = np.cumsum(np.sum(t * g.transpose(0, 2, 1), axis=2), axis=1)
+    traces[:] = (np.trace(w, axis1=1, axis2=2)[:, None] - steps).T
+    np.matmul(u, t @ uhw, out=buf)
+    w -= buf
 
 
 def unitary_mixing_diagnostic(
@@ -159,18 +181,21 @@ def unitary_mixing_diagnostic(
 ) -> MixingDiagnostic:
     """Monte Carlo trace-moment curve for the reflection walk on U(n).
 
-    Simulates `reps` independent walks for k_max steps via rank-one updates
-    W <- W - (1 - e^{i phi}) u (u* W) and records m(k) = E|Tr W_k|^2 with
-    its standard error.  The fitted decay of |m(k) - 1| is labeled PROXY: it
-    is not a total-variation envelope.
+    Simulates `reps` independent walks W_k = Y_k ... Y_1 for k_max steps,
+    Y = I - (1 - e^{i phi}) u u*, and records m(k) = E|Tr W_k|^2 with its
+    standard error.  The fitted decay of |m(k) - 1| is labeled PROXY: it is
+    not a total-variation envelope.
 
-    Steps run in blocks of _BLOCK_STEPS.  For each block, the parameters
+    Steps run in blocks of s <= _BLOCK_STEPS.  For each block, the parameters
     (u, phi) of every walk are drawn one step at a time, in the same order
-    as an unblocked loop would draw them.  Then each chunk of walks (as many
-    as fit in _WALK_CHUNK_BYTES, at least one) takes the block's steps in
-    turn, so a chunk stays in cache across them.  Memory: reps * n^2 * 16 B
-    for the walks, reps * (n + 1) * 16 B per step of the block for its
-    parameters, and (k_max + 1) * reps * 8 B for |Tr W_k|^2.
+    as an unblocked loop would draw them.  Then each chunk of m walks (as
+    many as fit in _WALK_CHUNK_BYTES, at least one) takes the whole block as
+    one rank-s update W <- W - U (T (U^H W)), where I - U T U^H is the compact
+    WY form of the block's product; the traces after each step of the block
+    come from the s x s matrix U^H W U.  Memory: reps * n^2 * 16 B for the
+    walks, reps * (n + 1) * 16 B per step of the block for its parameters,
+    (k_max + 1) * reps * 8 B for |Tr W_k|^2, and m * (n^2 + 4 s n + 3 s^2)
+    * 16 B of per-chunk scratch.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -194,14 +219,13 @@ def unitary_mixing_diagnostic(
             c_block[j] = 1.0 - np.exp(1j * phi)
         for lo in range(0, reps, chunk):
             hi = min(lo + chunk, reps)
-            wc = w[lo:hi]
-            buf = update[: hi - lo]
-            cu = c_block[:steps, lo:hi, None, None] * u_block[:steps, lo:hi, :, None]
-            u_conj = u_block[:steps, lo:hi, None, :].conj()
-            for j in range(steps):
-                np.multiply(cu[j], u_conj[j] @ wc, out=buf)
-                wc -= buf
-                np.trace(wc, axis1=1, axis2=2, out=traces[j, lo:hi])
+            _reflect_block(
+                w[lo:hi],
+                u_block[:steps, lo:hi].transpose(1, 2, 0).copy(),
+                c_block[:steps, lo:hi].T,
+                traces[:steps, lo:hi],
+                update[: hi - lo],
+            )
         sq[first : first + steps] = np.abs(traces[:steps]) ** 2
     moments = sq.mean(axis=1)
     stderrs = sq.std(axis=1, ddof=1) / np.sqrt(reps)

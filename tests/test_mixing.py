@@ -1,5 +1,5 @@
-"""Tests for total-variation curves, decay fitting, the reflection-walk
-envelope, and the trace-moment mixing diagnostic on U(n)."""
+"""Tests for total-variation curves, decay fitting, the block reflector of
+the U(n) walk, and the trace-moment mixing diagnostic on U(n)."""
 
 import math
 
@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haarconc.groups import StepDistribution, _sample_reflection_batch
+from haarconc.groups import (
+    StepDistribution,
+    _sample_reflection_batch,
+    haar_unitaries,
+    reflection_matrices,
+)
 from haarconc.kernel import FiniteGroupTable, walk_operator
 from haarconc.mixing import (
     DecayFit,
@@ -16,8 +21,8 @@ from haarconc.mixing import (
     exact_tv_curve,
     exact_walk_law,
     fit_decay,
-    reflection_walk_envelope,
-    reflection_walk_tv_bound,
+    _BLOCK_STEPS,
+    _reflect_block,
     unitary_mixing_diagnostic,
 )
 
@@ -61,10 +66,24 @@ def walk_moments(n: int, k_max: int, reps: int, rng: np.random.Generator, update
     return moments, stderrs
 
 
-def matmul_update(w, u, phi):
-    """The arithmetic of the blocked walk, on the full stack."""
-    cu = (1.0 - np.exp(1j * phi))[:, None] * u
-    w -= cu[:, :, None] * (u.conj()[:, None, :] @ w)
+def block_walk_moments(n: int, k_max: int, reps: int, rng: np.random.Generator):
+    """m(k) and its standard errors from all walks stepped together, one
+    block reflector of up to _BLOCK_STEPS steps at a time, on the full stack
+    (no chunks)."""
+    w = np.broadcast_to(np.eye(n, dtype=np.complex128), (reps, n, n)).copy()
+    sq = np.empty((k_max + 1, reps))
+    sq[0] = n * n
+    for first in range(1, k_max + 1, _BLOCK_STEPS):
+        steps = min(_BLOCK_STEPS, k_max + 1 - first)
+        draws = [_sample_reflection_batch(n, reps, rng) for _ in range(steps)]
+        u = np.stack([d[0] for d in draws], axis=2)
+        c = np.stack([1.0 - np.exp(1j * d[1]) for d in draws], axis=1)
+        traces = np.empty((steps, reps), dtype=np.complex128)
+        _reflect_block(w, u, c, traces, np.empty_like(w))
+        sq[first : first + steps] = np.abs(traces) ** 2
+    moments = sq.mean(axis=1)
+    stderrs = sq.std(axis=1, ddof=1) / np.sqrt(reps)
+    return moments, stderrs
 
 
 def einsum_update(w, u, phi):
@@ -216,44 +235,55 @@ class TestFitDecay:
         assert abs(fit.b - 0.3) <= 1e-9
 
 
-class TestReflectionWalkBound:
-    def test_at_zero_steps(self):
-        assert reflection_walk_tv_bound(1.0, 1.0, 16, 0) == pytest.approx(4.0, abs=1e-12)
+# Angles where c = 1 - e^{i phi} vanishes, nearly vanishes, is 2, or nearly
+# vanishes from the other side.
+EDGE_ANGLES = (0.0, 1e-9, math.pi, 2.0 * math.pi - 1e-9)
 
-    def test_vanishes_at_large_k(self):
-        assert reflection_walk_tv_bound(1.0, 1.0, 4, 1e6) <= 1e-300
 
-    def test_envelope_extraction(self):
-        a, b = reflection_walk_envelope(2.0, 3.0, 10)
-        assert a == pytest.approx(2.0 * 10**1.5, rel=1e-12)
-        assert b == pytest.approx(0.3, rel=1e-12)
+def block_parameters(n: int, s: int, walks: int, seed: int):
+    """u (walks, n, s), phi (walks, s) and c = 1 - e^{i phi} for s steps of
+    `walks` walks; walk i < 4 takes the edge angles in rotation."""
+    rng = np.random.default_rng(seed)
+    draws = [_sample_reflection_batch(n, walks, rng) for _ in range(s)]
+    u = np.stack([d[0] for d in draws], axis=2)
+    phi = np.stack([d[1] for d in draws], axis=1)
+    for i in range(len(EDGE_ANGLES)):
+        for j in range(s):
+            phi[i, j] = EDGE_ANGLES[(i + j) % len(EDGE_ANGLES)]
+    return u, phi, 1.0 - np.exp(1j * phi)
 
-    def test_rejects_nonpositive_parameters(self):
-        with pytest.raises(ValueError):
-            reflection_walk_tv_bound(0.0, 1.0, 4, 1)
-        with pytest.raises(ValueError):
-            reflection_walk_envelope(1.0, -2.0, 4)
 
-    @given(
-        st.floats(0.1, 10.0),
-        st.floats(0.1, 5.0),
-        st.floats(-2.0, 4.0),
-        st.integers(2, 200),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_cutoff_substitution(self, alpha, beta, c0, n):
-        # Evaluating the bound at k = (n log n)/2 + c0 n collapses to
-        # alpha * exp(-beta * c0), independent of n.
-        k = 0.5 * n * math.log(n) + c0 * n
-        value = reflection_walk_tv_bound(alpha, beta, n, k)
-        assert value == pytest.approx(alpha * math.exp(-beta * c0), rel=1e-9)
+class TestBlockReflector:
+    @pytest.mark.parametrize("n", [2, 3, 5, 32])
+    @pytest.mark.parametrize("s", range(1, _BLOCK_STEPS + 1))
+    def test_equals_dense_product_of_reflections(self, n, s):
+        walks = 6
+        u, phi, c = block_parameters(n, s, walks, seed=10 * n + s)
+        w = np.broadcast_to(np.eye(n, dtype=np.complex128), (walks, n, n)).copy()
+        traces = np.empty((s, walks), dtype=np.complex128)
+        _reflect_block(w, u, c, traces, np.empty_like(w))
+        dense = np.broadcast_to(np.eye(n, dtype=np.complex128), (walks, n, n)).copy()
+        for j in range(s):
+            dense = reflection_matrices(u[:, :, j], phi[:, j]) @ dense
+        assert float(np.max(np.abs(w - dense))) <= 1e-13
 
-    @given(st.floats(0.1, 5.0), st.floats(0.1, 3.0), st.integers(2, 50), st.integers(0, 100))
-    @settings(max_examples=100, deadline=None)
-    def test_envelope_consistent_with_bound(self, alpha, beta, n, k):
-        a, b = reflection_walk_envelope(alpha, beta, n)
-        direct = reflection_walk_tv_bound(alpha, beta, n, k)
-        assert a * math.exp(-b * k) == pytest.approx(direct, rel=1e-9)
+    @pytest.mark.parametrize("n", [2, 3, 5, 32])
+    @pytest.mark.parametrize("s", range(1, _BLOCK_STEPS + 1))
+    def test_prefix_traces_equal_one_step_walk(self, n, s):
+        walks = 6
+        u, phi, c = block_parameters(n, s, walks, seed=10 * n + s)
+        rng = np.random.default_rng(100 + n)
+        shape = (walks, n, n)
+        start = haar_unitaries(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        w = start.copy()
+        traces = np.empty((s, walks), dtype=np.complex128)
+        _reflect_block(w, u, c, traces, np.empty_like(w))
+        stepped = start.copy()
+        for j in range(s):
+            stepped = reflection_matrices(u[:, :, j], phi[:, j]) @ stepped
+            want = np.trace(stepped, axis1=1, axis2=2)
+            np.testing.assert_allclose(traces[j], want, rtol=1e-12, atol=0.0)
+        assert float(np.max(np.abs(w - stepped))) <= 1e-13
 
 
 class TestUnitaryMixingDiagnostic:
@@ -310,13 +340,14 @@ class TestUnitaryMixingDiagnostic:
 
     # (5, 11, 1001): a partial block of 3 steps and a partial chunk of 346
     # walks after 655; (32, 9, 1000): a block of one step and 62 chunks of
-    # 16 walks plus one of 8.
+    # 16 walks plus one of 8.  The reference takes the same blocks on the
+    # whole stack at once, so chunking must not change a bit.
     @pytest.mark.parametrize("n,k_max,reps", [(5, 11, 1001), (32, 9, 1000)])
     def test_blocked_walk_equals_reference_walk(self, n, k_max, reps):
         rng = np.random.default_rng(2024)
         d = unitary_mixing_diagnostic(n, k_max, reps, rng)
         ref_rng = np.random.default_rng(2024)
-        moments, stderrs = walk_moments(n, k_max, reps, ref_rng, matmul_update)
+        moments, stderrs = block_walk_moments(n, k_max, reps, ref_rng)
         assert np.array_equal(d.moments, moments)
         assert np.array_equal(d.stderrs, stderrs)
         stream = np.random.default_rng(2024)
