@@ -34,7 +34,7 @@ from .groups import (
 )
 from .hermitian import cdf_counts, conjugate_stack, rank_distance, sup_cdf_distance
 from .kernel import MAX_DEGREE, check_identities, step_seminorm, walk_operator
-from .mixing import FIT_FLOOR, exact_tv_curve, exact_walk_law, fit_decay, unitary_mixing_diagnostic
+from .mixing import FIT_FLOOR, exact_tv_curve, fit_decay, unitary_mixing_diagnostic
 
 TAIL_MIN_REPLICATES = 500
 FINITE_GROUP_TEST_FUNCTIONS = 20
@@ -531,11 +531,12 @@ def run_reflection_step_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                             report_environment(cfg.seed, cfg.replicates))
 
 
-def _lazy_walk(n: int, k_max: int):
+def _lazy_walk(n: int, k_max: int, law_below: Optional[float] = None):
     """The lazy-transposition walk operator on S_n, its exact TV curve up to
-    k_max and the certified envelope of that curve."""
+    k_max (keeping the law at the first step with TV <= `law_below`, if
+    given) and the certified envelope of that curve."""
     op = walk_operator(n, StepDistribution.lazy_transposition(n))
-    curve = exact_tv_curve(op, k_max)
+    curve = exact_tv_curve(op, k_max, law_below)
     return op, curve, fit_decay(curve)
 
 
@@ -545,13 +546,11 @@ def run_finite_group_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.kind != "finite-group":
         raise ValueError("run_finite_group_experiment requires kind 'finite-group'")
     n = cfg.n
-    op, curve, fit = _lazy_walk(n, cfg.k_max)
+    op, curve, fit = _lazy_walk(n, cfg.k_max, WALK_TV_TARGET)
     size = op.size
 
-    below = np.nonzero(curve.values <= WALK_TV_TARGET)[0]
-    k_star = int(below[0]) if below.size else cfg.k_max
-    law = exact_walk_law(op, k_star)
-    law = law / law.sum()
+    k_star = curve.law_step
+    law = curve.law / curve.law.sum()
     samples = child_rng(cfg.seed, "finite-tail", 0).choice(size, size=cfg.replicates, p=law)
 
     counts = op.table.fixed_point_counts().astype(float) / n

@@ -8,20 +8,24 @@ is inflated until the envelope dominates every computed point above the
 noise floor.  For U(n), where no exact curve is available, a trace-moment
 diagnostic provides a PROXY decay rate.
 
-The U(n) diagnostic simulates its walks in a cache-blocked schedule: the
-reflection parameters of _BLOCK_STEPS steps are drawn for all walks, then
-each chunk of _WALK_CHUNK_BYTES of walk matrices takes those s steps as one
-block reflector.  The product Y_s ... Y_1 of the block's reflections has the
-compact WY form I - U T U^H (Schreiber & Van Loan, SIAM J. Sci. Stat.
-Comput. 10, 1989), with U = [u_1 ... u_s] and T lower triangular, so a block
-costs two BLAS-3 products per walk instead of s rank-one updates.  Its memory
-is reps * n^2 * 16 B for the walks, _BLOCK_STEPS steps of parameters
-(reps * (n + 1) * 16 B each), (k_max + 1) * reps * 8 B for |Tr W_k|^2, and
-per-chunk scratch of m * (n^2 + 4 s n + 3 s^2) * 16 B for a chunk of m walks.
+The U(n) diagnostic simulates its walks walk-major: the walks are split
+into groups of _GROUP_BYTES of walk matrices, and each group takes all of
+its steps on its own generator, seeded from the caller's generator through a
+SeedSequence.  Within a group, steps run in blocks of _BLOCK_STEPS; the
+product Y_s ... Y_1 of a block's reflections has the compact WY form
+I - U T U^H (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989),
+with U = [u_1 ... u_s] and T lower triangular, so a block costs two BLAS-3
+products per walk instead of s rank-one updates.  Both the draws and the
+matrix products release the GIL, so the groups run on one thread per usable
+CPU (the process's affinity mask), and inline on one CPU.  Memory is
+workers * m * (2 n^2 + 6 s n + 3 s^2) * 16 B for groups of m walks and
+blocks of s steps, plus (k_max + 1) * reps * 8 B for |Tr W_k|^2; it does not
+grow with reps otherwise.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,8 +36,8 @@ from .kernel import WalkOperator, apply_kernel_power
 
 # Steps whose reflection parameters are drawn before the walks take them.
 _BLOCK_STEPS = 8
-# Bytes of walk matrices updated together: 16 walks at n = 32.
-_WALK_CHUNK_BYTES = 256 * 1024
+# Bytes of walk matrices in one walk group: 256 walks at n = 32.
+_GROUP_BYTES = 4 * 1024 * 1024
 # Curve values at or below this are float noise: fit_decay neither fits nor
 # certifies them.
 FIT_FLOOR = 1e-12
@@ -41,9 +45,16 @@ FIT_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class TVCurve:
-    """d_TV(walk law at step k, uniform) for k = 0 .. len(values) - 1."""
+    """d_TV(walk law at step k, uniform) for k = 0 .. len(values) - 1.
+
+    A curve computed with a `law_below` target also keeps `law`, the exact
+    walk law at step `law_step`: the first k with d_TV(k) <= target, or the
+    last k if none is.
+    """
 
     values: np.ndarray
+    law_step: Optional[int] = None
+    law: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -96,17 +107,26 @@ def exact_walk_law(op: WalkOperator, k: int) -> np.ndarray:
     return apply_kernel_power(op, _point_mass(op), k)
 
 
-def exact_tv_curve(op: WalkOperator, k_max: int) -> TVCurve:
-    """d_TV(k) for k = 0 .. k_max, exact up to float summation."""
+def exact_tv_curve(op: WalkOperator, k_max: int, law_below: Optional[float] = None) -> TVCurve:
+    """d_TV(k) for k = 0 .. k_max, exact up to float summation.
+
+    With `law_below`, the curve also keeps the law at the first step whose
+    distance is at most `law_below` (at k_max if none is), so a caller that
+    samples from it does not walk to that step a second time.
+    """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     uniform = 1.0 / op.size
     law = _point_mass(op)
-    values = [0.5 * float(np.sum(np.abs(law - uniform)))]
-    for _ in range(k_max):
-        law = op.apply(law)
+    values = []
+    kept = ()
+    for k in range(k_max + 1):
+        if k:
+            law = op.apply(law)
         values.append(0.5 * float(np.sum(np.abs(law - uniform))))
-    return TVCurve(np.array(values))
+        if not kept and law_below is not None and (values[-1] <= law_below or k == k_max):
+            kept = (k, law)
+    return TVCurve(np.array(values), *kept)
 
 
 def fit_decay(curve, floor: float = FIT_FLOOR) -> DecayFit:
@@ -172,6 +192,51 @@ def _reflect_block(
     w -= buf
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _walk_group(n: int, k_max: int, seed: np.random.SeedSequence, sq: np.ndarray) -> None:
+    """All k_max steps of one group of m walks, drawn from its own generator.
+
+    `sq` (shape (k_max + 1, m)) receives |Tr W_k|^2 for k >= 1.  Steps run in
+    blocks of s <= _BLOCK_STEPS: the parameters (u, phi) of every walk of the
+    group are drawn one step at a time, then the group takes the whole block
+    as one rank-s update W <- W - U (T (U^H W)), where I - U T U^H is the
+    compact WY form of the block's product; the traces after each step of
+    the block come from the s x s matrix U^H W U.
+    """
+    m = sq.shape[1]
+    rng = np.random.default_rng(seed)
+    w = np.broadcast_to(np.eye(n, dtype=np.complex128), (m, n, n)).copy()
+    buf = np.empty_like(w)
+    traces = np.empty((_BLOCK_STEPS, m), dtype=np.complex128)
+    for first in range(1, k_max + 1, _BLOCK_STEPS):
+        steps = min(_BLOCK_STEPS, k_max + 1 - first)
+        draws = [_sample_reflection_batch(n, m, rng) for _ in range(steps)]
+        u = np.stack([d[0] for d in draws], axis=2)
+        c = 1.0 - np.exp(1j * np.stack([d[1] for d in draws], axis=1))
+        _reflect_block(w, u, c, traces[:steps], buf)
+        sq[first : first + steps] = np.abs(traces[:steps]) ** 2
+
+
+def _walk_groups(n: int, reps: int) -> list[tuple[int, int]]:
+    """Column ranges [lo, hi) of the walk groups: _GROUP_BYTES of walk
+    matrices each (at least one walk), the last one possibly partial."""
+    size = max(1, _GROUP_BYTES // (n * n * np.dtype(np.complex128).itemsize))
+    return [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
+
+
+def _group_seeds(rng: np.random.Generator, groups: int) -> list[np.random.SeedSequence]:
+    """One independent seed per walk group, spawned from a SeedSequence
+    keyed by two 63-bit integers drawn from `rng`."""
+    return np.random.SeedSequence(rng.integers(2**63, size=2).tolist()).spawn(groups)
+
+
 def unitary_mixing_diagnostic(
     n: int,
     k_max: int,
@@ -186,16 +251,14 @@ def unitary_mixing_diagnostic(
     standard error.  The fitted decay of |m(k) - 1| is labeled PROXY: it is
     not a total-variation envelope.
 
-    Steps run in blocks of s <= _BLOCK_STEPS.  For each block, the parameters
-    (u, phi) of every walk are drawn one step at a time, in the same order
-    as an unblocked loop would draw them.  Then each chunk of m walks (as
-    many as fit in _WALK_CHUNK_BYTES, at least one) takes the whole block as
-    one rank-s update W <- W - U (T (U^H W)), where I - U T U^H is the compact
-    WY form of the block's product; the traces after each step of the block
-    come from the s x s matrix U^H W U.  Memory: reps * n^2 * 16 B for the
-    walks, reps * (n + 1) * 16 B per step of the block for its parameters,
-    (k_max + 1) * reps * 8 B for |Tr W_k|^2, and m * (n^2 + 4 s n + 3 s^2)
-    * 16 B of per-chunk scratch.
+    The walks are split into groups of _GROUP_BYTES of walk matrices (see
+    _walk_groups); each group takes all k_max steps on its own generator
+    (_group_seeds) and writes its own columns of the (k_max + 1, reps) array
+    of |Tr W_k|^2.  The groups run on min(usable CPUs, groups) threads, or
+    inline when that is one, so the result depends on (n, k_max, reps, rng)
+    only, never on the worker count or on thread timing.  Memory: workers *
+    m * (2 n^2 + 6 s n + 3 s^2) * 16 B for groups of m walks, plus
+    (k_max + 1) * reps * 8 B for |Tr W_k|^2.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -203,30 +266,26 @@ def unitary_mixing_diagnostic(
         raise ValueError("k_max must be at least 1")
     if reps < 1000:
         raise ValueError("at least 1000 replicates are required for a stable curve")
-    itemsize = np.dtype(np.complex128).itemsize
-    chunk = max(1, _WALK_CHUNK_BYTES // (n * n * itemsize))
-    w = np.broadcast_to(np.eye(n, dtype=np.complex128), (reps, n, n)).copy()
-    update = np.empty((chunk, n, n), dtype=np.complex128)
-    u_block = np.empty((_BLOCK_STEPS, reps, n), dtype=np.complex128)
-    c_block = np.empty((_BLOCK_STEPS, reps), dtype=np.complex128)
-    traces = np.empty((_BLOCK_STEPS, reps), dtype=np.complex128)
+    groups = _walk_groups(n, reps)
+    seeds = _group_seeds(rng, len(groups))
     sq = np.empty((k_max + 1, reps))
     sq[0] = n * n
-    for first in range(1, k_max + 1, _BLOCK_STEPS):
-        steps = min(_BLOCK_STEPS, k_max + 1 - first)
-        for j in range(steps):
-            u_block[j], phi = _sample_reflection_batch(n, reps, rng)
-            c_block[j] = 1.0 - np.exp(1j * phi)
-        for lo in range(0, reps, chunk):
-            hi = min(lo + chunk, reps)
-            _reflect_block(
-                w[lo:hi],
-                u_block[:steps, lo:hi].transpose(1, 2, 0).copy(),
-                c_block[:steps, lo:hi].T,
-                traces[:steps, lo:hi],
-                update[: hi - lo],
-            )
-        sq[first : first + steps] = np.abs(traces[:steps]) ** 2
+
+    def walk(g: int) -> None:
+        lo, hi = groups[g]
+        _walk_group(n, k_max, seeds[g], sq[:, lo:hi])
+
+    workers = min(_usable_cpus(), len(groups))
+    if workers == 1:
+        for g in range(len(groups)):
+            walk(g)
+    else:
+        # Imported here: concurrent.futures loads logging, about 8 ms that
+        # every command would otherwise pay at start-up.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(walk, range(len(groups))))
     moments = sq.mean(axis=1)
     stderrs = sq.std(axis=1, ddof=1) / np.sqrt(reps)
     deviations = np.abs(moments - 1.0)

@@ -247,6 +247,19 @@ class TestMixingCurveCommand:
         assert len(lines) == 34
         assert payload["environment"]["runtime_seconds"] > 0
 
+    def test_unitary_curve_is_the_same_on_any_worker_count(self, tmp_path, capsys, monkeypatch):
+        # Five walk groups of 250 walks and one of 100.
+        monkeypatch.setattr(mixing, "_GROUP_BYTES", 250 * 8 * 8 * 16)
+        curves = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(mixing, "_usable_cpus", lambda: workers)
+            out_dir = tmp_path / f"un{workers}"
+            assert main(["mixing-curve", "--group", "un", "--n", "8", "--k-max", "20",
+                         "--replicates", "1350", "--seed", "4", "--out", str(out_dir)]) == 0
+            curves.append((out_dir / "mixing_curve.csv").read_bytes())
+        assert curves[1] == curves[0]
+        assert curves[2] == curves[0]
+
     def test_unitary_without_fit_window(self, tmp_path, capsys):
         out_dir = tmp_path / "un_small"
         code = main(["mixing-curve", "--group", "un", "--n", "4", "--k-max", "3",
@@ -280,6 +293,21 @@ class TestSharedReportPath:
         assert main(["mixing-curve", "--group", "sn", "--n", "5",
                      "--out", str(tmp_path / "mc")]) == 0
         assert calls == [5, 5]
+
+    def test_finite_group_walks_the_law_once(self, tmp_path, capsys, monkeypatch):
+        steps = []
+        apply = kernel.WalkOperator.apply
+
+        def counting(op, f):
+            steps.append(1)
+            return apply(op, f)
+
+        monkeypatch.setattr(kernel.WalkOperator, "apply", counting)
+        path = write_config(tmp_path, "cfg.json",
+                            {"kind": "finite-group", "n": 5, "seed": 0, "replicates": 500})
+        assert main(["finite-group", "--config", path, "--out", str(tmp_path / "fg")]) == 0
+        # The TV curve to k_max = 25 n; the law at k_star comes from that pass.
+        assert len(steps) == 125
 
     def test_finite_group_and_mixing_curve_agree(self, tmp_path, capsys):
         path = write_config(tmp_path, "cfg.json",

@@ -2,6 +2,8 @@
 the U(n) walk, and the trace-moment mixing diagnostic on U(n)."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from haarconc.groups import (
     reflection_matrices,
 )
 from haarconc.kernel import FiniteGroupTable, walk_operator
+from haarconc import mixing
 from haarconc.mixing import (
     DecayFit,
     TVCurve,
@@ -22,7 +25,9 @@ from haarconc.mixing import (
     exact_walk_law,
     fit_decay,
     _BLOCK_STEPS,
+    _group_seeds,
     _reflect_block,
+    _walk_groups,
     unitary_mixing_diagnostic,
 )
 
@@ -51,45 +56,50 @@ def scatter_laws(n: int, k_max: int) -> list:
     return laws
 
 
-def walk_moments(n: int, k_max: int, reps: int, rng: np.random.Generator, update):
-    """m(k) and its standard errors from all walks stepped together, one
-    step at a time, by update(w, u, phi)."""
-    w = np.broadcast_to(np.eye(n, dtype=np.complex128), (reps, n, n)).copy()
+def group_walk_moments(n: int, k_max: int, reps: int, rng: np.random.Generator, walk):
+    """m(k) and its standard errors with each walk group of _walk_groups
+    walked on its own stream from _group_seeds, in one call
+    walk(n, k_max, m, group_rng) that returns |Tr W_k|^2 for k = 1 .. k_max
+    as a (k_max, m) array."""
+    groups = _walk_groups(n, reps)
+    seeds = _group_seeds(rng, len(groups))
     sq = np.empty((k_max + 1, reps))
     sq[0] = n * n
-    for k in range(1, k_max + 1):
-        u, phi = _sample_reflection_batch(n, reps, rng)
-        update(w, u, phi)
-        sq[k] = np.abs(np.trace(w, axis1=1, axis2=2)) ** 2
-    moments = np.array([float(np.mean(row)) for row in sq])
-    stderrs = np.array([float(np.std(row, ddof=1) / np.sqrt(reps)) for row in sq])
-    return moments, stderrs
-
-
-def block_walk_moments(n: int, k_max: int, reps: int, rng: np.random.Generator):
-    """m(k) and its standard errors from all walks stepped together, one
-    block reflector of up to _BLOCK_STEPS steps at a time, on the full stack
-    (no chunks)."""
-    w = np.broadcast_to(np.eye(n, dtype=np.complex128), (reps, n, n)).copy()
-    sq = np.empty((k_max + 1, reps))
-    sq[0] = n * n
-    for first in range(1, k_max + 1, _BLOCK_STEPS):
-        steps = min(_BLOCK_STEPS, k_max + 1 - first)
-        draws = [_sample_reflection_batch(n, reps, rng) for _ in range(steps)]
-        u = np.stack([d[0] for d in draws], axis=2)
-        c = np.stack([1.0 - np.exp(1j * d[1]) for d in draws], axis=1)
-        traces = np.empty((steps, reps), dtype=np.complex128)
-        _reflect_block(w, u, c, traces, np.empty_like(w))
-        sq[first : first + steps] = np.abs(traces) ** 2
+    for (lo, hi), seed in zip(groups, seeds):
+        sq[1:, lo:hi] = walk(n, k_max, hi - lo, np.random.default_rng(seed))
     moments = sq.mean(axis=1)
     stderrs = sq.std(axis=1, ddof=1) / np.sqrt(reps)
     return moments, stderrs
 
 
-def einsum_update(w, u, phi):
-    """The walk as first written: an einsum for u* W and a fresh outer product."""
-    uw = np.einsum("ri,rij->rj", u.conj(), w)
-    w -= (1.0 - np.exp(1j * phi))[:, None, None] * u[:, :, None] * uw[:, None, :]
+def block_walk(n: int, k_max: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """|Tr W_k|^2 of m walks stepped together, one block reflector of up to
+    _BLOCK_STEPS steps at a time, on the whole stack."""
+    w = np.broadcast_to(np.eye(n, dtype=np.complex128), (m, n, n)).copy()
+    sq = np.empty((k_max, m))
+    for first in range(0, k_max, _BLOCK_STEPS):
+        steps = min(_BLOCK_STEPS, k_max - first)
+        draws = [_sample_reflection_batch(n, m, rng) for _ in range(steps)]
+        u = np.stack([d[0] for d in draws], axis=2)
+        c = np.stack([1.0 - np.exp(1j * d[1]) for d in draws], axis=1)
+        traces = np.empty((steps, m), dtype=np.complex128)
+        _reflect_block(w, u, c, traces, np.empty_like(w))
+        sq[first : first + steps] = np.abs(traces) ** 2
+    return sq
+
+
+def einsum_walk(n: int, k_max: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """|Tr W_k|^2 of m walks stepped together one reflection at a time, as
+    the walk was first written: an einsum for u* W and a fresh outer
+    product."""
+    w = np.broadcast_to(np.eye(n, dtype=np.complex128), (m, n, n)).copy()
+    sq = np.empty((k_max, m))
+    for k in range(k_max):
+        u, phi = _sample_reflection_batch(n, m, rng)
+        uw = np.einsum("ri,rij->rj", u.conj(), w)
+        w -= (1.0 - np.exp(1j * phi))[:, None, None] * u[:, :, None] * uw[:, None, :]
+        sq[k] = np.abs(np.trace(w, axis1=1, axis2=2)) ** 2
+    return sq
 
 
 def exact_trace_moment(n: int, k: np.ndarray) -> np.ndarray:
@@ -184,6 +194,25 @@ class TestExactTVCurve:
             uniform = 1.0 / math.factorial(n)
             want = [0.5 * float(np.sum(np.abs(law - uniform))) for law in scatter_laws(n, k_max)]
             assert np.array_equal(exact_tv_curve(walk_operator(n, lazy(n)), k_max).values, np.array(want))
+
+    @pytest.mark.parametrize("target", [1.0, 1e-6])
+    def test_keeps_law_at_first_step_below_target(self, target):
+        op = walk_operator(5, lazy(5))
+        curve = exact_tv_curve(op, 125, law_below=target)
+        k = int(np.nonzero(curve.values <= target)[0][0])
+        assert curve.law_step == k
+        assert np.array_equal(curve.law, exact_walk_law(op, k))
+
+    def test_keeps_last_law_when_target_is_not_reached(self):
+        op = walk_operator(4, lazy(4))
+        curve = exact_tv_curve(op, 5, law_below=1e-6)
+        assert curve.values[-1] > 1e-6
+        assert curve.law_step == 5
+        assert np.array_equal(curve.law, exact_walk_law(op, 5))
+
+    def test_keeps_no_law_without_target(self):
+        curve = exact_tv_curve(walk_operator(3, lazy(3)), 4)
+        assert curve.law_step is None and curve.law is None
 
     def test_degree_cap(self):
         assert len(exact_tv_curve(walk_operator(8, lazy(8)), 2)) == 3
@@ -334,24 +363,96 @@ class TestUnitaryMixingDiagnostic:
 
     def test_agrees_with_einsum_walk(self):
         d = unitary_mixing_diagnostic(8, 40, 3000, np.random.default_rng(0))
-        moments, stderrs = walk_moments(8, 40, 3000, np.random.default_rng(0), einsum_update)
+        moments, stderrs = group_walk_moments(8, 40, 3000, np.random.default_rng(0), einsum_walk)
         np.testing.assert_allclose(d.moments, moments, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(d.stderrs, stderrs, rtol=1e-12, atol=0.0)
 
-    # (5, 11, 1001): a partial block of 3 steps and a partial chunk of 346
-    # walks after 655; (32, 9, 1000): a block of one step and 62 chunks of
-    # 16 walks plus one of 8.  The reference takes the same blocks on the
-    # whole stack at once, so chunking must not change a bit.
-    @pytest.mark.parametrize("n,k_max,reps", [(5, 11, 1001), (32, 9, 1000)])
-    def test_blocked_walk_equals_reference_walk(self, n, k_max, reps):
+    # Group sizes in walks (None: the default budget):
+    # (5, 11, 1001, 300): groups 300, 300, 300 and a partial 101, blocks of 8
+    # and a partial 3; (32, 9, 1000, None): 256, 256, 256 and 232, blocks of
+    # 8 and 1; (3, 8, 1000, 1000): one group ending exactly at reps, one
+    # full block; (2, 3, 1000, 0): one walk per group.  The reference walks
+    # each group on its own stream with the whole group at once, so the
+    # schedule and the thread pool must not change a bit.
+    @pytest.mark.parametrize(
+        "n,k_max,reps,walks",
+        [(5, 11, 1001, 300), (32, 9, 1000, None), (3, 8, 1000, 1000), (2, 3, 1000, 0)],
+        ids=["5-11-1001", "32-9-1000", "3-8-1000", "2-3-1000"],
+    )
+    def test_blocked_walk_equals_reference_walk(self, n, k_max, reps, walks, monkeypatch):
+        if walks is not None:
+            monkeypatch.setattr(mixing, "_GROUP_BYTES", walks * n * n * 16)
         rng = np.random.default_rng(2024)
         d = unitary_mixing_diagnostic(n, k_max, reps, rng)
         ref_rng = np.random.default_rng(2024)
-        moments, stderrs = block_walk_moments(n, k_max, reps, ref_rng)
+        moments, stderrs = group_walk_moments(n, k_max, reps, ref_rng, block_walk)
         assert np.array_equal(d.moments, moments)
         assert np.array_equal(d.stderrs, stderrs)
+        # The caller's generator only keys the group seeds.
         stream = np.random.default_rng(2024)
-        for _ in range(k_max):
-            _sample_reflection_batch(n, reps, stream)
+        stream.integers(2**63, size=2)
         assert rng.bit_generator.state == stream.bit_generator.state
         assert ref_rng.bit_generator.state == stream.bit_generator.state
+
+
+class TestWalkGroups:
+    @pytest.mark.parametrize("n,reps", [(2, 1000), (5, 1001), (32, 1000), (32, 4000), (700, 1000)])
+    def test_groups_tile_the_walks(self, n, reps):
+        groups = _walk_groups(n, reps)
+        size = max(1, mixing._GROUP_BYTES // (n * n * 16))
+        assert groups[0][0] == 0 and groups[-1][1] == reps
+        assert all(hi == lo for (_, hi), (lo, _) in zip(groups, groups[1:]))
+        assert all(hi - lo == size for lo, hi in groups[:-1])
+        assert 1 <= groups[-1][1] - groups[-1][0] <= size
+
+    def test_group_streams_differ(self):
+        seeds = _group_seeds(np.random.default_rng(0), 4)
+        firsts = {float(np.random.default_rng(seed).standard_normal()) for seed in seeds}
+        assert len(firsts) == 4
+
+    def test_same_result_on_any_worker_count(self, monkeypatch):
+        # 7 groups: six of 150 walks and one of 100.
+        monkeypatch.setattr(mixing, "_GROUP_BYTES", 150 * 8 * 8 * 16)
+        walk_group = mixing._walk_group
+        threads = []
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            walk_group(*args)
+
+        monkeypatch.setattr(mixing, "_walk_group", recording)
+        results = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(mixing, "_usable_cpus", lambda: workers)
+            threads.clear()
+            results[workers] = unitary_mixing_diagnostic(8, 10, 1000, np.random.default_rng(7))
+            on_main = [t is threading.main_thread() for t in threads]
+            assert len(threads) == 7
+            assert all(on_main) if workers == 1 else not any(on_main)
+        for workers in (2, 3):
+            assert np.array_equal(results[workers].moments, results[1].moments)
+            assert np.array_equal(results[workers].stderrs, results[1].stderrs)
+            assert np.array_equal(results[workers].deviations, results[1].deviations)
+
+    def test_more_workers_than_cores_with_fast_thread_switching(self, monkeypatch):
+        # 40 groups of 25 walks on 8 workers, switching threads every 1 us:
+        # a lost or misplaced column write would change the moments.
+        monkeypatch.setattr(mixing, "_GROUP_BYTES", 25 * 4 * 4 * 16)
+        monkeypatch.setattr(mixing, "_usable_cpus", lambda: 1)
+        want = unitary_mixing_diagnostic(4, 9, 1000, np.random.default_rng(3))
+        monkeypatch.setattr(mixing, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = unitary_mixing_diagnostic(4, 9, 1000, np.random.default_rng(3))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got.moments, want.moments)
+        assert np.array_equal(got.stderrs, want.stderrs)
+
+    def test_usable_cpus_follows_affinity(self, monkeypatch):
+        monkeypatch.setattr(mixing.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert mixing._usable_cpus() == 1
+        monkeypatch.delattr(mixing.os, "sched_getaffinity")
+        monkeypatch.setattr(mixing.os, "cpu_count", lambda: 3)
+        assert mixing._usable_cpus() == 3
