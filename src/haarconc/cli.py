@@ -2,8 +2,9 @@
 
 Commands: matrix | finite-group | identity-suite | scaling | mixing-curve |
 bound-calc.  Each command parses its arguments (a JSON config for the first
-four), calls one runner from experiments and writes report.json plus flat
-CSV curves into --out (bound-calc only when --out is given).  Exit codes,
+four), calls one runner from experiments, writes report.json plus flat
+CSV curves into --out (bound-calc only when --out is given) and prints one
+verdict summary line, "N pass / N fail / N inconclusive".  Exit codes,
 the same for every command: 0 all hard checks pass and no verdict fails,
 1 usage or config error, 2 a guarantee or a verdict failed.
 """
@@ -145,6 +146,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(report.verdict_summary())
     if not report.has_failure():
         return 0
     failed = ", ".join(v["name"] for v in report.verdicts if v["status"] == "fail")

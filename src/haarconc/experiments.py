@@ -2,13 +2,15 @@
 
 Every pipeline derives one child generator per (master seed, stream label,
 replicate index), so results are bit-identical for a fixed config.  The U(n)
-runners draw each replicate's Gaussians from its own generator, then process
-a chunk of replicates with stacked LAPACK calls (QR, eigvalsh, SVD), which
-give the same bits as one call per matrix.  All work runs on the calling
-thread.  Checks come in two kinds: exact guarantees are hard assertions
-(violation raises GuaranteeViolation), statistical comparisons are verdicts
-under a 4-standard-error policy and never raise.  The reports of all six
-CLI commands are assembled here.
+runners draw each replicate's Gaussians (and, with step_check, its one
+reflection step) from its own generator, then process a chunk of replicates
+with stacked LAPACK calls (QR, eigvalsh), which give the same bits as one
+call per matrix.  The reflection step perturbs the replicate's sampled
+reduced form, so the step check needs no Haar draw of its own.  All work
+runs on the calling thread.  Checks come in two kinds: exact guarantees are
+hard assertions (violation raises GuaranteeViolation), statistical
+comparisons are verdicts under a 4-standard-error policy and never raise.
+The reports of all six CLI commands are assembled here.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import platform
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -34,7 +37,13 @@ from .groups import (
 )
 from .hermitian import cdf_counts, conjugate_stack, rank_distance, sup_cdf_distance
 from .kernel import MAX_DEGREE, check_identities, step_seminorm, walk_operator
-from .mixing import FIT_FLOOR, exact_tv_curve, fit_decay, unitary_mixing_diagnostic
+from .mixing import (
+    FIT_FLOOR,
+    _usable_cpus,
+    exact_tv_curve,
+    fit_decay,
+    unitary_mixing_diagnostic,
+)
 
 TAIL_MIN_REPLICATES = 500
 FINITE_GROUP_TEST_FUNCTIONS = 20
@@ -271,14 +280,37 @@ class ExperimentReport:
     def has_failure(self) -> bool:
         return any(v["status"] == "fail" for v in self.verdicts)
 
+    def verdict_summary(self) -> str:
+        """One line: how many verdicts passed, failed and were inconclusive."""
+        return " / ".join(
+            f"{sum(v['status'] == status for v in self.verdicts)} {status}"
+            for status in ("pass", "fail", "inconclusive")
+        )
+
+
+def _blas_build() -> str:
+    """Name and version of the BLAS numpy was built against."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 cannot return the build facts
+        return "unknown"
+    return f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
+
 
 def report_environment(seed: int, replicates: int) -> dict:
-    """The ``environment`` block of every report; _timed stamps runtime_seconds."""
+    """The ``environment`` block of every report: the package, the seed, the
+    replicate count and the numerical environment (runtime Python, numpy,
+    its BLAS build, the CPUs this process may use); _timed stamps
+    runtime_seconds."""
     return {
         "package": f"haarconc {__version__}",
         "seed": seed,
         "replicates": replicates,
         "runtime_seconds": 0.0,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": _blas_build(),
+        "usable_cpus": _usable_cpus(),
     }
 
 
@@ -358,44 +390,96 @@ def _variance_stats(values: np.ndarray) -> tuple[float, float]:
     return var, float(np.sqrt(se_sq))
 
 
-def sample_spectral_cdfs(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """F_H(x) for H = U M U* + V N V* and for the reduced form X M X* + N,
-    one row per replicate and one column per x-grid point.
+def _check_steps(h_red, eig_red, w, y, diag_n, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Rank of H - H' and sup |F_H - F_H'| for one chunk, where H = W + N is
+    the reduced form and H' = Y W Y* + N its image after one reflection step.
 
-    Replicate r draws U, V, X in that order from child_rng(seed, "matrix", r).
+    Raises GuaranteeViolation, naming the global replicate, at the first
+    replicate whose rank exceeds STEP_RANK_LIMIT or whose gap exceeds 3/n.
+    """
+    n = h_red.shape[-1]
+    h_prime = conjugate_stack(y, w) + diag_n
+    ranks, gaps = np.broadcast_arrays(
+        rank_distance(h_red, h_prime),
+        sup_cdf_distance(eig_red, np.linalg.eigvalsh(h_prime)),
+    )
+    bad = np.flatnonzero((ranks > STEP_RANK_LIMIT) | (gaps > 3.0 / n + FLOAT_SLACK))
+    if bad.size:
+        i = bad[0]
+        if ranks[i] > STEP_RANK_LIMIT:
+            raise GuaranteeViolation(
+                f"step perturbation rank {ranks[i]} > {STEP_RANK_LIMIT} "
+                f"at replicate {rows[i]} (n={n})"
+            )
+        raise GuaranteeViolation(
+            f"step CDF gap {gaps[i]:.6e} > 3/n + {FLOAT_SLACK} at replicate {rows[i]} (n={n})"
+        )
+    return ranks, gaps
+
+
+def sample_spectral_cdfs(
+    cfg: ExperimentConfig,
+) -> tuple[np.ndarray, np.ndarray, Optional[tuple[np.ndarray, np.ndarray]]]:
+    """F_H(x) for H = U M U* + V N V* and for the reduced form X M X* + N,
+    one row per replicate and one column per x-grid point, plus, with
+    cfg.step_check, the per-replicate rank and CDF gap of one reflection
+    step (None without it).
+
+    Replicate r draws U, V, X in that order from child_rng(seed, "matrix", r),
+    and with step_check one reflection (u, phi) after them.  The step moves
+    the replicate's own reduced form: H' = Y W Y* + N with W = X M X*, so it
+    needs no Haar draw of its own.  A step whose rank exceeds
+    STEP_RANK_LIMIT or whose CDF gap exceeds 3/n raises GuaranteeViolation.
     """
     n = cfg.n
     xs = np.asarray(cfg.x_grid)
     spec_m = resolve_spectrum(cfg.spectrum_M, n)
     spec_n = resolve_spectrum(cfg.spectrum_N, n)
+    diag_n = np.diag(spec_n)
     f_def = np.empty((cfg.replicates, xs.size))
     f_red = np.empty((cfg.replicates, xs.size))
+    if cfg.step_check:
+        ranks = np.empty(cfg.replicates, dtype=int)
+        gaps = np.empty(cfg.replicates)
     for rows in _chunks(cfg.replicates, n):
         z = np.empty((3, len(rows), n, n), dtype=np.complex128)
+        refl_u = np.empty((len(rows), n), dtype=np.complex128)
+        refl_phi = np.empty(len(rows))
         for i, r in enumerate(rows):
             rng = child_rng(cfg.seed, "matrix", r)
             for j in range(3):
                 z[j, i] = complex_ginibre(n, rng)
+            if cfg.step_check:
+                u_row, phi_row = _sample_reflection_batch(n, 1, rng)
+                refl_u[i], refl_phi[i] = u_row[0], phi_row[0]
         # One QR stack per factor: a single (3, chunk, n, n) stack ran slower.
         u, v, x = map(haar_unitaries, z)
         h = conjugate_stack(u, spec_m) + conjugate_stack(v, spec_n)
-        h_red = conjugate_stack(x, spec_m) + np.diag(spec_n)
+        w = conjugate_stack(x, spec_m)
+        h_red = w + diag_n
+        eig_red = np.linalg.eigvalsh(h_red)
         f_def[rows.start:rows.stop] = cdf_counts(np.linalg.eigvalsh(h), xs) / n
-        f_red[rows.start:rows.stop] = cdf_counts(np.linalg.eigvalsh(h_red), xs) / n
-    return f_def, f_red
+        f_red[rows.start:rows.stop] = cdf_counts(eig_red, xs) / n
+        if cfg.step_check:
+            y = reflection_matrices(refl_u, refl_phi)
+            ranks[rows.start:rows.stop], gaps[rows.start:rows.stop] = _check_steps(
+                h_red, eig_red, w, y, diag_n, rows)
+    return f_def, f_red, (ranks, gaps) if cfg.step_check else None
 
 
 def run_matrix_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Sample H = U M U* + V N V* (and the reduced form X M X* + N), estimate
     the spectral CDF mean/variance/tails on the x grid, and compare against
-    the kappa-scaled bounds."""
+    the kappa-scaled bounds.  With step_check, also report the hard checks
+    on one reflection step of every replicate's reduced form: rank(H - H')
+    <= 3 and sup |F_H - F_H'| <= 3/n."""
     if cfg.kind != "matrix":
         raise ValueError("run_matrix_experiment requires kind 'matrix'")
     n = cfg.n
     xs = np.asarray(cfg.x_grid)
     ts = list(cfg.t_grid)
     reps = cfg.replicates
-    f_def, f_red = sample_spectral_cdfs(cfg)
+    f_def, f_red, steps = sample_spectral_cdfs(cfg)
 
     kappa = cfg.kappa
     variance_bound = esd_bounds(n, kappa, 0.0)[0]
@@ -462,6 +546,16 @@ def run_matrix_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "variance_bound": variance_bound,
         "tail_bounds": [{"t": t, "value": b} for t, b in zip(ts, tail_bounds)],
     }
+    if steps is not None:
+        ranks, gaps = steps
+        max_rank = int(np.max(ranks))
+        max_gap = float(np.max(gaps))
+        gap_limit = 3.0 / n + FLOAT_SLACK
+        estimates["step_check"] = {"n": n, "replicates": reps, "max_rank": max_rank,
+                                   "max_cdf_gap": max_gap}
+        bounds["step_check"] = {"rank_limit": STEP_RANK_LIMIT, "cdf_gap_limit": gap_limit}
+        verdicts.append(_verdict("step_rank_le_3", "pass", max_rank, STEP_RANK_LIMIT, "exact"))
+        verdicts.append(_verdict("step_cdf_gap_le_3_over_n", "pass", max_gap, gap_limit, "exact"))
     curves = {
         "tails": {
             "header": ["x", "t", "frequency", "stderr", "bound"],
@@ -470,65 +564,6 @@ def run_matrix_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     }
     return ExperimentReport(cfg.to_dict(), estimates, bounds, verdicts,
                             report_environment(cfg.seed, cfg.replicates), curves)
-
-
-def run_reflection_step_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Hard structural checks on one reflection step: for H = X M X* + N and
-    H' after the step X -> YX, rank(H - H') <= 3 and the spectral CDFs are
-    within 3/n everywhere."""
-    if cfg.kind != "matrix" or not cfg.step_check:
-        raise ValueError("run_reflection_step_experiment requires kind 'matrix' with step_check")
-    n = cfg.n
-    reps = cfg.replicates
-    gap_limit = 3.0 / n + FLOAT_SLACK
-    spec_m = resolve_spectrum(cfg.spectrum_M, n)
-    diag_n = np.diag(resolve_spectrum(cfg.spectrum_N, n))
-
-    max_rank = 0
-    max_gap = 0.0
-    for rows in _chunks(reps, n):
-        z = np.empty((len(rows), n, n), dtype=np.complex128)
-        u = np.empty((len(rows), n), dtype=np.complex128)
-        phi = np.empty(len(rows))
-        for i, r in enumerate(rows):
-            rng = child_rng(cfg.seed, "step-check", r)
-            z[i] = complex_ginibre(n, rng)
-            u_row, phi_row = _sample_reflection_batch(n, 1, rng)
-            u[i], phi[i] = u_row[0], phi_row[0]
-        y = reflection_matrices(u, phi)
-        w = conjugate_stack(haar_unitaries(z), spec_m)
-        h = w + diag_n
-        h_prime = conjugate_stack(y, w) + diag_n
-        ranks, gaps = np.broadcast_arrays(
-            rank_distance(h, h_prime),
-            sup_cdf_distance(np.linalg.eigvalsh(h), np.linalg.eigvalsh(h_prime)),
-        )
-        bad = np.flatnonzero((ranks > STEP_RANK_LIMIT) | (gaps > gap_limit))
-        if bad.size:
-            i = bad[0]
-            if ranks[i] > STEP_RANK_LIMIT:
-                raise GuaranteeViolation(
-                    f"step perturbation rank {ranks[i]} > {STEP_RANK_LIMIT} "
-                    f"at replicate {rows[i]} (n={n})"
-                )
-            raise GuaranteeViolation(
-                f"step CDF gap {gaps[i]:.6e} > 3/n + {FLOAT_SLACK} at replicate {rows[i]} (n={n})"
-            )
-        max_rank = max(max_rank, int(np.max(ranks)))
-        max_gap = max(max_gap, float(np.max(gaps)))
-    estimates = {
-        "n": n,
-        "replicates": reps,
-        "max_rank": int(max_rank),
-        "max_cdf_gap": float(max_gap),
-    }
-    bounds = {"rank_limit": STEP_RANK_LIMIT, "cdf_gap_limit": gap_limit}
-    verdicts = [
-        _verdict("step_rank_le_3", "pass", max_rank, STEP_RANK_LIMIT, "exact"),
-        _verdict("step_cdf_gap_le_3_over_n", "pass", max_gap, gap_limit, "exact"),
-    ]
-    return ExperimentReport(cfg.to_dict(), estimates, bounds, verdicts,
-                            report_environment(cfg.seed, cfg.replicates))
 
 
 def _lazy_walk(n: int, k_max: int, law_below: Optional[float] = None):
@@ -777,15 +812,8 @@ _RUNNERS = {
 
 @_timed
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Dispatch on cfg.kind; for matrix configs with step_check, merge the
-    reflection-step hard checks into the main report."""
-    report = _RUNNERS[cfg.kind](cfg)
-    if cfg.kind == "matrix" and cfg.step_check:
-        step_report = run_reflection_step_experiment(cfg)
-        report.estimates["step_check"] = step_report.estimates
-        report.bounds["step_check"] = step_report.bounds
-        report.verdicts.extend(step_report.verdicts)
-    return report
+    """Run the runner for cfg.kind."""
+    return _RUNNERS[cfg.kind](cfg)
 
 
 @_timed

@@ -173,16 +173,21 @@ def _wy_factor(gram: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _reflect_block(
-    w: np.ndarray, u: np.ndarray, c: np.ndarray, traces: np.ndarray, buf: np.ndarray
+    w: np.ndarray,
+    u: np.ndarray,
+    u_h: np.ndarray,
+    c: np.ndarray,
+    traces: np.ndarray,
+    buf: np.ndarray,
 ) -> None:
     """W <- Y_s ... Y_1 W in place for a stack of m walks, Y_j = I - c_j u_j u_j^H.
 
-    `u` has shape (m, n, s) with u_j in column j, `c` shape (m, s), and `buf`
-    the shape of `w`.  traces[j] (shape (s, m)) receives Tr W after step
-    j + 1: with M = U^H W and G = M U, Tr(Y_{j+1} ... Y_1 W) is Tr W minus
-    the prefix sum over a <= j of sum_b T[a, b] G[b, a].
+    `u` has shape (m, n, s) with u_j in column j, `u_h` is its conjugate
+    transpose U^H (shape (m, s, n)), `c` has shape (m, s), and `buf` the
+    shape of `w`.  traces[j] (shape (s, m)) receives Tr W after step j + 1:
+    with M = U^H W and G = M U, Tr(Y_{j+1} ... Y_1 W) is Tr W minus the
+    prefix sum over a <= j of sum_b T[a, b] G[b, a].
     """
-    u_h = u.conj().transpose(0, 2, 1).copy()
     t = _wy_factor(u_h @ u, c)
     uhw = u_h @ w
     g = uhw @ u
@@ -215,12 +220,17 @@ def _walk_group(n: int, k_max: int, seed: np.random.SeedSequence, sq: np.ndarray
     w = np.broadcast_to(np.eye(n, dtype=np.complex128), (m, n, n)).copy()
     buf = np.empty_like(w)
     traces = np.empty((_BLOCK_STEPS, m), dtype=np.complex128)
+    u = np.empty((m, n, _BLOCK_STEPS), dtype=np.complex128)
+    u_h = np.empty((m, _BLOCK_STEPS, n), dtype=np.complex128)
+    phi = np.empty((m, _BLOCK_STEPS))
     for first in range(1, k_max + 1, _BLOCK_STEPS):
         steps = min(_BLOCK_STEPS, k_max + 1 - first)
-        draws = [_sample_reflection_batch(n, m, rng) for _ in range(steps)]
-        u = np.stack([d[0] for d in draws], axis=2)
-        c = 1.0 - np.exp(1j * np.stack([d[1] for d in draws], axis=1))
-        _reflect_block(w, u, c, traces[:steps], buf)
+        for j in range(steps):
+            u[:, :, j], phi[:, j] = _sample_reflection_batch(n, m, rng)
+        block_u = u[:, :, :steps]
+        np.conjugate(block_u.transpose(0, 2, 1), out=u_h[:, :steps])
+        c = 1.0 - np.exp(1j * phi[:, :steps])
+        _reflect_block(w, block_u, u_h[:, :steps], c, traces[:steps], buf)
         sq[first : first + steps] = np.abs(traces[:steps]) ** 2
 
 

@@ -3,6 +3,7 @@ report emission."""
 
 import dataclasses
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -367,6 +368,57 @@ class TestSharedReportPath:
                 for a in argv]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "failed verdicts: planted\n"
+
+
+# One short run of every command: (name, argv with None for the config
+# path, config or None, expected exit code).
+EVERY_COMMAND = [
+    ("matrix", ["matrix"], {**MATRIX_CFG, "step_check": True}, 0),
+    ("matrix-failing", ["matrix"], {**MATRIX_CFG, "x_grid": [0.5], "kappa": 1e-8}, 2),
+    ("scaling", ["scaling"], {"kind": "scaling", "n_grid": [4, 6], "seed": 2,
+                              "replicates": 150, "x_grid": [0.5], "t_grid": [0.05]}, 0),
+    ("finite-group", ["finite-group"], {"kind": "finite-group", "n": 4, "seed": 1,
+                                        "replicates": 1500, "k_max": 80}, 0),
+    ("identity-suite", ["identity-suite"], {"kind": "identity-suite", "n": 3, "seed": 7,
+                                            "replicates": 5}, 0),
+    ("mixing-curve-sn", ["mixing-curve", "--group", "sn", "--n", "4"], None, 0),
+    ("mixing-curve-un", ["mixing-curve", "--group", "un", "--n", "4", "--k-max", "2",
+                         "--replicates", "1000"], None, 0),
+    ("bound-calc", ["bound-calc", "--A", "1", "--B", "1", "--a", "1", "--b", "1"], None, 0),
+]
+
+
+def run_command(tmp_path, argv, config, code):
+    """Run one CLI command into tmp_path / "out"; return its report."""
+    if config is not None:
+        argv = [*argv, "--config", write_config(tmp_path, "cfg.json", config)]
+    out_dir = tmp_path / "out"
+    assert main([*argv, "--out", str(out_dir)]) == code
+    return load_report(out_dir)
+
+
+class TestReportFacts:
+    @pytest.mark.parametrize("name,argv,config,code", EVERY_COMMAND,
+                             ids=[c[0] for c in EVERY_COMMAND])
+    def test_prints_verdict_summary(self, tmp_path, capsys, name, argv, config, code):
+        verdicts = run_command(tmp_path, argv, config, code)["verdicts"]
+        counts = [sum(v["status"] == s for v in verdicts)
+                  for s in ("pass", "fail", "inconclusive")]
+        assert sum(counts) == len(verdicts)
+        assert (code == 2) == (counts[1] > 0)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "{} pass / {} fail / {} inconclusive".format(*counts)
+
+    @pytest.mark.parametrize("name,argv,config,code", EVERY_COMMAND,
+                             ids=[c[0] for c in EVERY_COMMAND])
+    def test_environment_facts(self, tmp_path, capsys, name, argv, config, code):
+        environment = run_command(tmp_path, argv, config, code)["environment"]
+        assert set(environment) == {"package", "seed", "replicates", "runtime_seconds",
+                                    "python", "numpy", "blas", "usable_cpus"}
+        assert environment["python"] == platform.python_version()
+        assert environment["numpy"] == np.__version__
+        assert environment["usable_cpus"] == mixing._usable_cpus() >= 1
+        assert isinstance(environment["blas"], str) and environment["blas"]
 
 
 class TestDeterminism:

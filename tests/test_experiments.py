@@ -21,7 +21,6 @@ from haarconc.experiments import (
     run_identity_suite,
     run_matrix_experiment,
     run_mixing_curve,
-    run_reflection_step_experiment,
     run_scaling_study,
     sample_spectral_cdfs,
 )
@@ -247,30 +246,45 @@ class TestMatrixExperiment:
 
 
 class TestReflectionStepExperiment:
+    # The reflection step check is part of the matrix replicate pass.
+
     def test_requires_step_check(self):
         cfg = matrix_config()
-        with pytest.raises(ValueError):
-            run_reflection_step_experiment(cfg)
+        assert sample_spectral_cdfs(cfg)[2] is None
+        report = run_matrix_experiment(cfg)
+        assert "step_check" not in report.estimates
+        assert "step_check" not in report.bounds
+        assert not any(v["name"].startswith("step_") for v in report.verdicts)
 
     def test_hard_guarantees_hold(self):
         for n in (4, 8):
             cfg = matrix_config(n=n, replicates=150, step_check=True)
-            report = run_reflection_step_experiment(cfg)
-            assert report.estimates["max_rank"] <= 3
-            assert report.estimates["max_cdf_gap"] <= 3.0 / n + 1e-12
-            assert {v["status"] for v in report.verdicts} == {"pass"}
+            report = run_matrix_experiment(cfg)
+            step = report.estimates["step_check"]
+            assert step["max_rank"] <= 3
+            assert step["max_cdf_gap"] <= 3.0 / n + 1e-12
+            # One reflection moves W by a trace-zero rank-2 matrix with one
+            # positive and one negative eigenvalue, so the counting function
+            # moves by exactly one wherever the spectra differ.
+            assert step["max_rank"] == 2
+            assert step["max_cdf_gap"] == 1.0 / n
+            assert report.bounds["step_check"] == {"rank_limit": 3,
+                                                   "cdf_gap_limit": 3.0 / n + 1e-12}
+            assert [v["name"] for v in report.verdicts[-2:]] == [
+                "step_rank_le_3", "step_cdf_gap_le_3_over_n"]
+            assert {v["status"] for v in report.verdicts[-2:]} == {"pass"}
 
     def test_rank_violation_raises(self, monkeypatch):
         cfg = matrix_config(n=4, replicates=3, step_check=True)
         monkeypatch.setattr(experiments, "rank_distance", lambda *a, **k: 5)
         with pytest.raises(GuaranteeViolation, match="rank"):
-            run_reflection_step_experiment(cfg)
+            run_matrix_experiment(cfg)
 
     def test_gap_violation_raises(self, monkeypatch):
         cfg = matrix_config(n=4, replicates=3, step_check=True)
         monkeypatch.setattr(experiments, "sup_cdf_distance", lambda *a, **k: 1.0)
         with pytest.raises(GuaranteeViolation, match="gap"):
-            run_reflection_step_experiment(cfg)
+            run_matrix_experiment(cfg)
 
     def test_merged_into_matrix_report(self):
         cfg = matrix_config(n=4, replicates=60, step_check=True)
@@ -301,22 +315,31 @@ def oracle_cdfs(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.array(f_def), np.array(f_red)
 
 
-def oracle_steps(cfg: ExperimentConfig) -> tuple[list, list]:
-    """Rank and CDF gap of every reflection step, one matrix at a time."""
+def svd_rank(a: np.ndarray, tol: float = 1e-8) -> int:
+    """Singular values of A above tol * max(sigma_max, 1), from an SVD."""
+    sing = np.linalg.svd(a, compute_uv=False)
+    return int(np.count_nonzero(sing > tol * max(float(sing.max()), 1.0)))
+
+
+def oracle_steps(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Rank (from an SVD) and CDF gap of every reflection step, one matrix at
+    a time: replicate r draws U, V, X and then one reflection from
+    child_rng(seed, "matrix", r), and the step moves X M X* + N."""
     n = cfg.n
     diag_m = np.diag(resolve_spectrum(cfg.spectrum_M, n)).astype(complex)
     diag_n = np.diag(resolve_spectrum(cfg.spectrum_N, n)).astype(complex)
     ranks, gaps = [], []
     for r in range(cfg.replicates):
-        rng = child_rng(cfg.seed, "step-check", r)
-        x = sample_haar_unitary(n, rng)
+        rng = child_rng(cfg.seed, "matrix", r)
+        for _ in range(3):
+            x = sample_haar_unitary(n, rng)
         y = sample_reflection_step(n, rng).matrix()
         w = conjugate(x, diag_m)
         h = HermitianMatrix(w.entries + diag_n)
         h_prime = HermitianMatrix(conjugate(y, w).entries + diag_n)
-        ranks.append(rank_distance(h, h_prime))
+        ranks.append(svd_rank(h.entries - h_prime.entries))
         gaps.append(sup_cdf_distance(eigenvalues(h), eigenvalues(h_prime)))
-    return ranks, gaps
+    return np.array(ranks), np.array(gaps)
 
 
 def boundary_counts(n: int) -> list[int]:
@@ -339,19 +362,26 @@ class TestChunkedEngine:
                   "x_grid": [-0.5, 0.0, 0.25, 0.5]}
         want_def, want_red = oracle_cdfs(matrix_config(replicates=counts[-1], **common))
         for reps in counts:
-            f_def, f_red = sample_spectral_cdfs(matrix_config(replicates=reps, **common))
-            assert np.array_equal(f_def, want_def[:reps])
-            assert np.array_equal(f_red, want_red[:reps])
+            # The reflection drawn after X leaves U, V and X as they were.
+            for step_check in (False, True):
+                f_def, f_red, _ = sample_spectral_cdfs(
+                    matrix_config(replicates=reps, step_check=step_check, **common))
+                assert np.array_equal(f_def, want_def[:reps])
+                assert np.array_equal(f_red, want_red[:reps])
 
     @pytest.mark.parametrize("n", [2, 7, 16, 64])
     def test_step_extremes_equal_per_replicate_loop(self, n):
         counts = boundary_counts(n)
         common = {"n": n, "seed": n, "spectrum_N": "uniform_grid", "step_check": True}
-        ranks, gaps = oracle_steps(matrix_config(replicates=counts[-1], **common))
+        want_ranks, want_gaps = oracle_steps(matrix_config(replicates=counts[-1], **common))
         for reps in counts:
-            report = run_reflection_step_experiment(matrix_config(replicates=reps, **common))
-            assert report.estimates["max_rank"] == max(ranks[:reps])
-            assert report.estimates["max_cdf_gap"] == max(gaps[:reps])
+            cfg = matrix_config(replicates=reps, **common)
+            _, _, (ranks, gaps) = sample_spectral_cdfs(cfg)
+            assert np.array_equal(ranks, want_ranks[:reps])
+            assert np.array_equal(gaps, want_gaps[:reps])
+            step = run_matrix_experiment(cfg).estimates["step_check"]
+            assert step["max_rank"] == max(want_ranks[:reps])
+            assert step["max_cdf_gap"] == max(want_gaps[:reps])
 
     def test_violation_names_the_global_replicate(self, monkeypatch):
         n = 7
@@ -371,7 +401,32 @@ class TestChunkedEngine:
         monkeypatch.setattr(experiments, "rank_distance", rank_with_violation)
         cfg = matrix_config(n=n, replicates=2 * chunk + 5, step_check=True)
         with pytest.raises(GuaranteeViolation, match=f"at replicate {target} "):
-            run_reflection_step_experiment(cfg)
+            run_matrix_experiment(cfg)
+
+    def test_step_check_reuses_the_replicate_draws(self, monkeypatch):
+        # One generator per replicate and one Haar stack per factor and
+        # chunk, step check included; the rank comes from eigvalsh, not SVD.
+        n, reps = 16, 50
+        chunks = -(-reps // experiments.chunk_size(n))
+        calls = {"child_rng": 0, "haar_unitaries": 0}
+
+        def counted(name):
+            real = getattr(experiments, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the step check ran an SVD")
+
+        for name in calls:
+            monkeypatch.setattr(experiments, name, counted(name))
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        report = run_experiment(matrix_config(n=n, replicates=reps, step_check=True))
+        assert report.estimates["step_check"]["replicates"] == reps
+        assert calls == {"child_rng": reps, "haar_unitaries": 3 * chunks}
 
 
 class TestFiniteGroupExperiment:
@@ -541,6 +596,16 @@ class TestReportHelpers:
         assert not report.has_failure()
         report.verdicts.append({"name": "y", "status": "fail"})
         assert report.has_failure()
+
+    def test_blas_build_from_show_config(self, monkeypatch):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert experiments._blas_build() == f"{blas['name']} {blas['version']}"
+
+        def old_show_config():  # numpy < 1.26 takes no mode
+            return None
+
+        monkeypatch.setattr(np, "show_config", old_show_config)
+        assert experiments._blas_build() == "unknown"
 
     def test_json_dict_drops_curves(self):
         report = ExperimentReport({}, {}, {}, [], {}, curves={"c": {}})

@@ -192,6 +192,29 @@ class TestRankDistance:
         with pytest.raises(ValueError):
             rank_distance(np.zeros((2, 2), dtype=complex), np.zeros((3, 3), dtype=complex))
 
+    def test_equals_svd_rank(self):
+        # The ranks come from eigvalsh of the hermitian difference; an SVD
+        # with the same threshold rule must count the same singular values,
+        # for indefinite differences of every rank and for large norms.
+        rng = np.random.default_rng(11)
+        n = 7
+        a, b, want = [], [], []
+        for r in range(n + 1):
+            for scale in (1e-3, 1.0, 1e6):
+                m = random_hermitian(n, rng).entries
+                pert = np.zeros((n, n), dtype=complex)
+                for j in range(r):
+                    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                    pert += (-1.0) ** j * scale * np.outer(u, u.conj())
+                a.append(m)
+                b.append(m + pert)
+                want.append(r)
+        sing = np.linalg.svd(np.stack(a) - np.stack(b), compute_uv=False)
+        threshold = 1e-8 * np.maximum(sing.max(axis=-1, keepdims=True), 1.0)
+        svd_ranks = np.count_nonzero(sing > threshold, axis=-1)
+        ranks = rank_distance(np.stack(a), np.stack(b))
+        assert ranks.tolist() == svd_ranks.tolist() == want
+
 
 class TestStackedDistances:
     def test_stack_results_equal_per_matrix_results(self):

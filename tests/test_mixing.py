@@ -72,6 +72,11 @@ def group_walk_moments(n: int, k_max: int, reps: int, rng: np.random.Generator, 
     return moments, stderrs
 
 
+def conj_transpose(u: np.ndarray) -> np.ndarray:
+    """U^H of each matrix of a stack, as a contiguous array."""
+    return np.ascontiguousarray(u.conj().transpose(0, 2, 1))
+
+
 def block_walk(n: int, k_max: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """|Tr W_k|^2 of m walks stepped together, one block reflector of up to
     _BLOCK_STEPS steps at a time, on the whole stack."""
@@ -83,7 +88,7 @@ def block_walk(n: int, k_max: int, m: int, rng: np.random.Generator) -> np.ndarr
         u = np.stack([d[0] for d in draws], axis=2)
         c = np.stack([1.0 - np.exp(1j * d[1]) for d in draws], axis=1)
         traces = np.empty((steps, m), dtype=np.complex128)
-        _reflect_block(w, u, c, traces, np.empty_like(w))
+        _reflect_block(w, u, conj_transpose(u), c, traces, np.empty_like(w))
         sq[first : first + steps] = np.abs(traces) ** 2
     return sq
 
@@ -290,7 +295,7 @@ class TestBlockReflector:
         u, phi, c = block_parameters(n, s, walks, seed=10 * n + s)
         w = np.broadcast_to(np.eye(n, dtype=np.complex128), (walks, n, n)).copy()
         traces = np.empty((s, walks), dtype=np.complex128)
-        _reflect_block(w, u, c, traces, np.empty_like(w))
+        _reflect_block(w, u, conj_transpose(u), c, traces, np.empty_like(w))
         dense = np.broadcast_to(np.eye(n, dtype=np.complex128), (walks, n, n)).copy()
         for j in range(s):
             dense = reflection_matrices(u[:, :, j], phi[:, j]) @ dense
@@ -306,7 +311,7 @@ class TestBlockReflector:
         start = haar_unitaries(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         w = start.copy()
         traces = np.empty((s, walks), dtype=np.complex128)
-        _reflect_block(w, u, c, traces, np.empty_like(w))
+        _reflect_block(w, u, conj_transpose(u), c, traces, np.empty_like(w))
         stepped = start.copy()
         for j in range(s):
             stepped = reflection_matrices(u[:, :, j], phi[:, j]) @ stepped
