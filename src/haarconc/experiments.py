@@ -6,11 +6,17 @@ runners draw each replicate's Gaussians (and, with step_check, its one
 reflection step) from its own generator, then process a chunk of replicates
 with stacked LAPACK calls (QR, eigvalsh), which give the same bits as one
 call per matrix.  The reflection step perturbs the replicate's sampled
-reduced form, so the step check needs no Haar draw of its own.  All work
-runs on the calling thread.  Checks come in two kinds: exact guarantees are
-hard assertions (violation raises GuaranteeViolation), statistical
-comparisons are verdicts under a 4-standard-error policy and never raise.
-The reports of all six CLI commands are assembled here.
+reduced form, so the step check needs no Haar draw of its own.  The chunks
+of a matrix run are split into contiguous slices, one per worker: the
+calling process runs the first, and forked children (os.fork) run the
+others and write into shared memory (two threads ran these small LAPACK
+calls no faster than one).  Each worker gets as many CPUs as one BLAS call
+may use, so a BLAS left to use every CPU runs the chunks inline.  A
+replicate's result depends on its index only, so reports do not depend on
+the worker count.  Checks come in two kinds: exact guarantees are hard
+assertions (violation raises GuaranteeViolation), statistical comparisons
+are verdicts under a 4-standard-error policy and never raise.  The reports
+of all six CLI commands are assembled here.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import os
 import platform
 import time
 from dataclasses import dataclass, field
@@ -35,7 +42,7 @@ from .groups import (
     haar_unitaries,
     reflection_matrices,
 )
-from .hermitian import cdf_counts, conjugate_stack, rank_distance, sup_cdf_distance
+from .hermitian import _hermitian_rank, cdf_counts, conjugate_stack, sup_cdf_distance
 from .kernel import MAX_DEGREE, check_identities, step_seminorm, walk_operator
 from .mixing import (
     FIT_FLOOR,
@@ -54,6 +61,14 @@ STEP_RANK_LIMIT = 3
 # Byte budget of one chunk's unitaries: three complex n x n matrices per
 # replicate.  Larger chunks ran no faster and raised peak memory.
 CHUNK_BYTES = 256 * 1024
+# Memory of a matrix run: one replicate, step check included, holds about
+# 16 complex n x n matrices at a time (peak RSS grew by 21 / 69 / 256 MB at
+# n = 256 / 512 / 1024).  Every worker holds one chunk, and the workers of a
+# run together stay under MATRIX_BYTES_BUDGET; MAX_MATRIX_N is the largest n
+# whose one-replicate chunk fits it, so a larger n is refused up front.
+MATRIX_BYTES_BUDGET = 1024**3
+MAX_MATRIX_N = 2048
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class GuaranteeViolation(RuntimeError):
@@ -205,14 +220,17 @@ class ExperimentConfig:
                 raise ValueError("config key 'n_grid' must be a nonempty array of integers")
             parsed = []
             for item in grid:
-                if isinstance(item, bool) or not isinstance(item, (int, np.integer)) or item < 2:
-                    raise ValueError("config key 'n_grid' entries must be integers >= 2")
+                if (isinstance(item, bool) or not isinstance(item, (int, np.integer))
+                        or not 2 <= item <= MAX_MATRIX_N):
+                    raise ValueError(
+                        f"config key 'n_grid' entries must be integers in range 2..{MAX_MATRIX_N}"
+                        f" (got {item!r})")
                 parsed.append(int(item))
             fields["n_grid"] = tuple(parsed)
         else:
             if "n" not in data:
                 raise ValueError(f"missing required config key 'n' for kind '{kind}'")
-            cap = None if kind == "matrix" else MAX_DEGREE
+            cap = MAX_MATRIX_N if kind == "matrix" else MAX_DEGREE
             fields["n"] = _require_int(data, "n", 2, cap)
 
         if kind in ("matrix", "scaling"):
@@ -297,11 +315,22 @@ def _blas_build() -> str:
     return f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
 
 
+def _blas_threads() -> int:
+    """Threads one BLAS call may use: the first variable of BLAS_THREAD_VARS
+    set to a positive integer (OpenBLAS reads OPENBLAS_NUM_THREADS before
+    OMP_NUM_THREADS), else every usable CPU, the OpenBLAS and MKL default."""
+    for var in BLAS_THREAD_VARS:
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return _usable_cpus()
+
+
 def report_environment(seed: int, replicates: int) -> dict:
     """The ``environment`` block of every report: the package, the seed, the
     replicate count and the numerical environment (runtime Python, numpy,
-    its BLAS build, the CPUs this process may use); _timed stamps
-    runtime_seconds."""
+    its BLAS build, the BLAS thread variables, null where unset, and the
+    CPUs this process may use); _timed stamps runtime_seconds."""
     return {
         "package": f"haarconc {__version__}",
         "seed": seed,
@@ -310,6 +339,7 @@ def report_environment(seed: int, replicates: int) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": _blas_build(),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "usable_cpus": _usable_cpus(),
     }
 
@@ -393,6 +423,8 @@ def _variance_stats(values: np.ndarray) -> tuple[float, float]:
 def _check_steps(h_red, eig_red, w, y, diag_n, rows) -> tuple[np.ndarray, np.ndarray]:
     """Rank of H - H' and sup |F_H - F_H'| for one chunk, where H = W + N is
     the reduced form and H' = Y W Y* + N its image after one reflection step.
+    Both come out of conjugate_stack plus a real diagonal, so they are exactly
+    hermitian and their difference needs no second hermitisation.
 
     Raises GuaranteeViolation, naming the global replicate, at the first
     replicate whose rank exceeds STEP_RANK_LIMIT or whose gap exceeds 3/n.
@@ -400,7 +432,7 @@ def _check_steps(h_red, eig_red, w, y, diag_n, rows) -> tuple[np.ndarray, np.nda
     n = h_red.shape[-1]
     h_prime = conjugate_stack(y, w) + diag_n
     ranks, gaps = np.broadcast_arrays(
-        rank_distance(h_red, h_prime),
+        _hermitian_rank(h_red - h_prime),
         sup_cdf_distance(eig_red, np.linalg.eigvalsh(h_prime)),
     )
     bad = np.flatnonzero((ranks > STEP_RANK_LIMIT) | (gaps > 3.0 / n + FLOAT_SLACK))
@@ -417,6 +449,92 @@ def _check_steps(h_red, eig_red, w, y, diag_n, rows) -> tuple[np.ndarray, np.nda
     return ranks, gaps
 
 
+def _chunk_bytes(n: int) -> int:
+    """Working set of one chunk of a matrix run (see MATRIX_BYTES_BUDGET)."""
+    return chunk_size(n) * 16 * n * n * np.dtype(np.complex128).itemsize
+
+
+def _run_chunks(chunks: list, layouts: list, work, n: int) -> list[np.ndarray]:
+    """Run work(chunks, out) over `chunks` into fresh arrays of the given
+    (shape, dtype) layouts, and return the arrays.
+
+    The chunks are split into one contiguous slice per worker: at most one
+    worker per chunk and per _blas_threads() usable CPUs, and only as many
+    as fit MATRIX_BYTES_BUDGET together.  Idle OpenBLAS threads spin: two
+    workers with unpinned BLAS threads on two CPUs ran the scaling benchmark
+    config in 12.7 s, one worker in 2.6 s.  One worker, or no os.fork,
+    runs the chunks inline; otherwise see _run_forked.
+    """
+    workers = min(_usable_cpus() // _blas_threads(), len(chunks),
+                  MATRIX_BYTES_BUDGET // _chunk_bytes(n))
+    if workers <= 1 or not hasattr(os, "fork"):
+        out = [np.empty(shape, dtype) for shape, dtype in layouts]
+        work(chunks, out)
+        return out
+    bounds = [len(chunks) * i // workers for i in range(workers + 1)]
+    return _run_forked([chunks[lo:hi] for lo, hi in zip(bounds, bounds[1:])], layouts, work)
+
+
+def _run_forked(slices: list, layouts: list, work) -> list[np.ndarray]:
+    """The calling process runs slices[0]; each other slice runs in a child
+    made with os.fork, which leaves with os._exit.  All of them write into
+    one anonymous shared mmap, copied into ordinary arrays once every child
+    is reaped.  A child sends its exception back pickled through a pipe.
+    The error of the earliest failing slice is raised, so a violation names
+    the first violating replicate; a child that dies without one (killed,
+    out of memory) raises RuntimeError naming its replicates.
+    """
+    import mmap
+    import pickle
+
+    shared = mmap.mmap(-1, sum(math.prod(shape) * np.dtype(dtype).itemsize
+                               for shape, dtype in layouts))
+    out, offset = [], 0
+    for shape, dtype in layouts:
+        out.append(np.frombuffer(shared, dtype, math.prod(shape), offset).reshape(shape))
+        offset += out[-1].nbytes
+    children = []
+    try:
+        for part in slices[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_fd)
+                    try:
+                        work(part, out)
+                        code = 0
+                    except BaseException as exc:  # sent to the parent, which raises it
+                        with os.fdopen(write_fd, "wb") as pipe:
+                            pipe.write(pickle.dumps(exc))
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children.append((pid, read_fd, part))
+        work(slices[0], out)
+    finally:
+        errors = []
+        for pid, read_fd, part in children:
+            with os.fdopen(read_fd, "rb") as pipe:
+                sent = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            if sent:
+                errors.append(pickle.loads(sent))
+            elif status:
+                errors.append(RuntimeError(
+                    f"the worker for replicates {part[0].start}..{part[-1].stop - 1} "
+                    f"exited with status {os.waitstatus_to_exitcode(status)}"))
+    if errors:
+        raise errors[0]
+    return [a.copy() for a in out]
+
+
 def sample_spectral_cdfs(
     cfg: ExperimentConfig,
 ) -> tuple[np.ndarray, np.ndarray, Optional[tuple[np.ndarray, np.ndarray]]]:
@@ -430,41 +548,48 @@ def sample_spectral_cdfs(
     the replicate's own reduced form: H' = Y W Y* + N with W = X M X*, so it
     needs no Haar draw of its own.  A step whose rank exceeds
     STEP_RANK_LIMIT or whose CDF gap exceeds 3/n raises GuaranteeViolation.
+    The chunks run on up to one worker process per usable CPU (_run_chunks);
+    a replicate's draws and arithmetic do not depend on which worker runs
+    it, so neither do the results.
     """
     n = cfg.n
     xs = np.asarray(cfg.x_grid)
     spec_m = resolve_spectrum(cfg.spectrum_M, n)
     spec_n = resolve_spectrum(cfg.spectrum_N, n)
     diag_n = np.diag(spec_n)
-    f_def = np.empty((cfg.replicates, xs.size))
-    f_red = np.empty((cfg.replicates, xs.size))
+    layouts = [((cfg.replicates, xs.size), np.float64)] * 2
     if cfg.step_check:
-        ranks = np.empty(cfg.replicates, dtype=int)
-        gaps = np.empty(cfg.replicates)
-    for rows in _chunks(cfg.replicates, n):
-        z = np.empty((3, len(rows), n, n), dtype=np.complex128)
-        refl_u = np.empty((len(rows), n), dtype=np.complex128)
-        refl_phi = np.empty(len(rows))
-        for i, r in enumerate(rows):
-            rng = child_rng(cfg.seed, "matrix", r)
-            for j in range(3):
-                z[j, i] = complex_ginibre(n, rng)
+        layouts += [((cfg.replicates,), np.dtype(int)), ((cfg.replicates,), np.float64)]
+
+    def work(chunks, out) -> None:
+        f_def, f_red, *steps = out
+        for rows in chunks:
+            z = np.empty((3, len(rows), n, n), dtype=np.complex128)
+            refl_u = np.empty((len(rows), n), dtype=np.complex128)
+            refl_phi = np.empty(len(rows))
+            for i, r in enumerate(rows):
+                rng = child_rng(cfg.seed, "matrix", r)
+                for j in range(3):
+                    z[j, i] = complex_ginibre(n, rng)
+                if cfg.step_check:
+                    u_row, phi_row = _sample_reflection_batch(n, 1, rng)
+                    refl_u[i], refl_phi[i] = u_row[0], phi_row[0]
+            # One QR stack per factor: a single (3, chunk, n, n) stack ran slower.
+            u, v, x = map(haar_unitaries, z)
+            h = conjugate_stack(u, spec_m) + conjugate_stack(v, spec_n)
+            w = conjugate_stack(x, spec_m)
+            h_red = w + diag_n
+            eig_red = np.linalg.eigvalsh(h_red)
+            f_def[rows.start:rows.stop] = cdf_counts(np.linalg.eigvalsh(h), xs) / n
+            f_red[rows.start:rows.stop] = cdf_counts(eig_red, xs) / n
             if cfg.step_check:
-                u_row, phi_row = _sample_reflection_batch(n, 1, rng)
-                refl_u[i], refl_phi[i] = u_row[0], phi_row[0]
-        # One QR stack per factor: a single (3, chunk, n, n) stack ran slower.
-        u, v, x = map(haar_unitaries, z)
-        h = conjugate_stack(u, spec_m) + conjugate_stack(v, spec_n)
-        w = conjugate_stack(x, spec_m)
-        h_red = w + diag_n
-        eig_red = np.linalg.eigvalsh(h_red)
-        f_def[rows.start:rows.stop] = cdf_counts(np.linalg.eigvalsh(h), xs) / n
-        f_red[rows.start:rows.stop] = cdf_counts(eig_red, xs) / n
-        if cfg.step_check:
-            y = reflection_matrices(refl_u, refl_phi)
-            ranks[rows.start:rows.stop], gaps[rows.start:rows.stop] = _check_steps(
-                h_red, eig_red, w, y, diag_n, rows)
-    return f_def, f_red, (ranks, gaps) if cfg.step_check else None
+                y = reflection_matrices(refl_u, refl_phi)
+                ranks, gaps = steps
+                ranks[rows.start:rows.stop], gaps[rows.start:rows.stop] = _check_steps(
+                    h_red, eig_red, w, y, diag_n, rows)
+
+    f_def, f_red, *steps = _run_chunks(list(_chunks(cfg.replicates, n)), layouts, work, n)
+    return f_def, f_red, tuple(steps) if cfg.step_check else None
 
 
 def run_matrix_experiment(cfg: ExperimentConfig) -> ExperimentReport:

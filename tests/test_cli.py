@@ -172,6 +172,20 @@ class TestExperimentCommands:
             assert "2..8" in capsys.readouterr().err
             assert not out_dir.exists()
 
+    def test_matrix_size_cap_refused(self, tmp_path, capsys, monkeypatch):
+        def no_work(cfg):
+            raise AssertionError("an oversized config reached the replicates")
+
+        monkeypatch.setattr(experiments, "sample_spectral_cdfs", no_work)
+        big = experiments.MAX_MATRIX_N + 1
+        for command, body in (("matrix", {"n": big}), ("scaling", {"n_grid": [8, big]})):
+            path = write_config(tmp_path, f"{command}.json",
+                                {"kind": command, "seed": 0, **body})
+            out_dir = tmp_path / command
+            assert main([command, "--config", path, "--out", str(out_dir)]) == 1
+            assert f"2..{experiments.MAX_MATRIX_N}" in capsys.readouterr().err
+            assert not out_dir.exists()
+
     def test_scaling_run(self, tmp_path, capsys):
         path = write_config(tmp_path, "cfg.json",
                             {"kind": "scaling", "n_grid": [4, 6], "seed": 2,
@@ -207,7 +221,7 @@ class TestExperimentCommands:
     def test_hard_violation_exits_two(self, tmp_path, capsys, monkeypatch):
         path = write_config(tmp_path, "cfg.json",
                             {**MATRIX_CFG, "replicates": 5, "step_check": True})
-        monkeypatch.setattr(experiments, "rank_distance", lambda *a, **k: 7)
+        monkeypatch.setattr(experiments, "_hermitian_rank", lambda *a, **k: 7)
         code = main(["matrix", "--config", path, "--out", str(tmp_path / "hv")])
         assert code == 2
         assert "hard assertion failed" in capsys.readouterr().err
@@ -411,14 +425,21 @@ class TestReportFacts:
 
     @pytest.mark.parametrize("name,argv,config,code", EVERY_COMMAND,
                              ids=[c[0] for c in EVERY_COMMAND])
-    def test_environment_facts(self, tmp_path, capsys, name, argv, config, code):
+    def test_environment_facts(self, tmp_path, capsys, monkeypatch, name, argv, config, code):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         environment = run_command(tmp_path, argv, config, code)["environment"]
         assert set(environment) == {"package", "seed", "replicates", "runtime_seconds",
-                                    "python", "numpy", "blas", "usable_cpus"}
+                                    "python", "numpy", "blas", "blas_threads",
+                                    "usable_cpus"}
         assert environment["python"] == platform.python_version()
         assert environment["numpy"] == np.__version__
         assert environment["usable_cpus"] == mixing._usable_cpus() >= 1
         assert isinstance(environment["blas"], str) and environment["blas"]
+        assert environment["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                               "OMP_NUM_THREADS": "2",
+                                               "MKL_NUM_THREADS": None}
 
 
 class TestDeterminism:

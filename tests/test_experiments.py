@@ -3,6 +3,8 @@ reproducibility of the reports."""
 
 import copy
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -24,10 +26,12 @@ from haarconc.experiments import (
     run_scaling_study,
     sample_spectral_cdfs,
 )
+from haarconc import hermitian
 from haarconc.groups import sample_haar_unitary, sample_reflection_step
 from haarconc.hermitian import (
     HermitianMatrix,
     conjugate,
+    conjugate_stack,
     eigenvalues,
     rank_distance,
     sup_cdf_distance,
@@ -276,7 +280,7 @@ class TestReflectionStepExperiment:
 
     def test_rank_violation_raises(self, monkeypatch):
         cfg = matrix_config(n=4, replicates=3, step_check=True)
-        monkeypatch.setattr(experiments, "rank_distance", lambda *a, **k: 5)
+        monkeypatch.setattr(experiments, "_hermitian_rank", lambda *a, **k: 5)
         with pytest.raises(GuaranteeViolation, match="rank"):
             run_matrix_experiment(cfg)
 
@@ -387,18 +391,7 @@ class TestChunkedEngine:
         n = 7
         chunk = experiments.chunk_size(n)
         target = chunk + 2
-        real = experiments.rank_distance
-        seen = [0]
-
-        def rank_with_violation(a, b):
-            ranks = np.array(real(a, b))
-            local = target - seen[0]
-            if 0 <= local < ranks.size:
-                ranks[local] = experiments.STEP_RANK_LIMIT + 1
-            seen[0] += ranks.size
-            return ranks
-
-        monkeypatch.setattr(experiments, "rank_distance", rank_with_violation)
+        plant_step_defects(monkeypatch, [target])
         cfg = matrix_config(n=n, replicates=2 * chunk + 5, step_check=True)
         with pytest.raises(GuaranteeViolation, match=f"at replicate {target} "):
             run_matrix_experiment(cfg)
@@ -406,6 +399,7 @@ class TestChunkedEngine:
     def test_step_check_reuses_the_replicate_draws(self, monkeypatch):
         # One generator per replicate and one Haar stack per factor and
         # chunk, step check included; the rank comes from eigvalsh, not SVD.
+        # The counters live in this process, so the run takes one worker.
         n, reps = 16, 50
         chunks = -(-reps // experiments.chunk_size(n))
         calls = {"child_rng": 0, "haar_unitaries": 0}
@@ -424,9 +418,204 @@ class TestChunkedEngine:
         for name in calls:
             monkeypatch.setattr(experiments, name, counted(name))
         monkeypatch.setattr(np.linalg, "svd", no_svd)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
         report = run_experiment(matrix_config(n=n, replicates=reps, step_check=True))
         assert report.estimates["step_check"]["replicates"] == reps
         assert calls == {"child_rng": reps, "haar_unitaries": 3 * chunks}
+
+    def test_step_ranks_equal_the_rehermitised_path(self, monkeypatch):
+        # H and H' are exactly hermitian, so ranking H - H' as it is gives
+        # the ranks of rank_distance, which hermitises both again.
+        real = experiments._check_steps
+        expected = []
+
+        def check_both_paths(h_red, eig_red, w, y, diag_n, rows):
+            expected.append(rank_distance(h_red, conjugate_stack(y, w) + diag_n))
+            return real(h_red, eig_red, w, y, diag_n, rows)
+
+        monkeypatch.setattr(experiments, "_check_steps", check_both_paths)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+        for n in (2, 7, 16):
+            expected.clear()
+            cfg = matrix_config(n=n, replicates=2 * experiments.chunk_size(n) + 1,
+                                spectrum_N="uniform_grid", step_check=True)
+            _, _, (ranks, _) = sample_spectral_cdfs(cfg)
+            assert np.array_equal(ranks, np.concatenate(expected))
+
+    def test_step_check_hermitises_each_product_once(self, monkeypatch):
+        # U M U*, V N V*, X M X* and Y W Y*: four per chunk, none for the
+        # rank of H - H'.
+        n, reps = 16, 50
+        chunks = -(-reps // experiments.chunk_size(n))
+        real = hermitian.hermitian_parts
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(hermitian, "hermitian_parts", counted)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+        sample_spectral_cdfs(matrix_config(n=n, replicates=reps, step_check=True))
+        assert calls[0] == 4 * chunks
+
+
+def plant_step_defects(monkeypatch, targets) -> None:
+    """Give each target replicate a step by a Haar unitary in place of its
+    reflection, so H - H' has full rank.  The plant is keyed on the global
+    rows that _check_steps receives, so it fires in whichever worker process
+    runs the replicate."""
+    real = experiments._check_steps
+
+    def check(h_red, eig_red, w, y, diag_n, rows):
+        y = y.copy()
+        for r in targets:
+            if r in rows:
+                y[rows.index(r)] = sample_haar_unitary(
+                    h_red.shape[-1], np.random.default_rng(r)).entries
+        return real(h_red, eig_red, w, y, diag_n, rows)
+
+    monkeypatch.setattr(experiments, "_check_steps", check)
+
+
+def use_workers(monkeypatch, workers: int) -> list:
+    """Let matrix runs use `workers` processes, with one BLAS thread each;
+    returns the list that each os.fork call of the run appends to."""
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(True)
+        return real_fork()
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+class TestWorkerProcesses:
+    # Slices are contiguous runs of chunks: with c chunks and w workers,
+    # worker i runs chunks [c i // w, c (i + 1) // w).
+
+    @pytest.fixture(autouse=True)
+    def time_limit(self):
+        # A child that never exits would block the parent's waitpid.
+        def expire(signum, frame):
+            raise TimeoutError("the worker processes did not finish within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("n", [2, 7, 64])
+    def test_results_equal_across_worker_counts(self, n, monkeypatch):
+        chunk = experiments.chunk_size(n)
+        cfg = matrix_config(n=n, seed=n, replicates=2 * chunk + 5 if chunk > 1 else 7,
+                            spectrum_N="uniform_grid", x_grid=[-0.5, 0.0, 0.25, 0.5],
+                            step_check=True)
+        chunks = -(-cfg.replicates // chunk)
+        runs = []
+        for workers in (1, 2, 3):
+            forks = use_workers(monkeypatch, workers)
+            f_def, f_red, (ranks, gaps) = sample_spectral_cdfs(cfg)
+            assert len(forks) == min(workers, chunks) - 1
+            runs.append((f_def, f_red, ranks, gaps))
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    def test_one_worker_or_one_chunk_never_forks(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("os.fork was called")
+
+        n = 7
+        chunk = experiments.chunk_size(n)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        for workers, reps in ((1, 3 * chunk), (3, chunk)):
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(os, "fork", no_fork)
+            f_def, _, _ = sample_spectral_cdfs(matrix_config(n=n, replicates=reps))
+            assert f_def.shape == (reps, 5)
+
+    def test_workers_fit_the_memory_budget(self, monkeypatch):
+        n = 64
+        chunk_bytes = experiments._chunk_bytes(n)
+        assert (experiments._chunk_bytes(experiments.MAX_MATRIX_N)
+                <= experiments.MATRIX_BYTES_BUDGET
+                < experiments._chunk_bytes(experiments.MAX_MATRIX_N + 1))
+        forks = use_workers(monkeypatch, 3)
+        monkeypatch.setattr(experiments, "MATRIX_BYTES_BUDGET", 2 * chunk_bytes + 1)
+        sample_spectral_cdfs(matrix_config(n=n, replicates=6))
+        assert len(forks) == 1
+
+    def test_workers_share_the_cpus_with_blas_threads(self, monkeypatch):
+        # Four CPUs: two workers of two BLAS threads each; a BLAS left to
+        # use every CPU, or one that asks for more, leaves one worker.
+        forks = use_workers(monkeypatch, 4)
+        for var in experiments.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for env, workers in (({"OPENBLAS_NUM_THREADS": "2"}, 2),
+                             ({"OMP_NUM_THREADS": "1"}, 4),
+                             ({"OPENBLAS_NUM_THREADS": "8", "OMP_NUM_THREADS": "1"}, 1),
+                             ({"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "2"}, 2),
+                             ({}, 1)):
+            forks.clear()
+            with monkeypatch.context() as m:
+                for var, value in env.items():
+                    m.setenv(var, value)
+                sample_spectral_cdfs(matrix_config(n=64, replicates=8))
+            assert len(forks) == workers - 1, env
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_violation_in_a_child_names_its_replicate(self, workers, monkeypatch):
+        # 3 chunks of n = 7: the target sits in the second one, which a
+        # child runs.
+        n = 7
+        chunk = experiments.chunk_size(n)
+        target = chunk + 2
+        forks = use_workers(monkeypatch, workers)
+        plant_step_defects(monkeypatch, [target, 2 * chunk + 1])
+        cfg = matrix_config(n=n, replicates=2 * chunk + 5, step_check=True)
+        with pytest.raises(GuaranteeViolation, match=f"at replicate {target} "):
+            sample_spectral_cdfs(cfg)
+        assert len(forks) == workers - 1
+
+    def test_earliest_slice_wins_over_the_first_to_fail(self, monkeypatch):
+        # One replicate per chunk at n = 64: the child fails on its first
+        # chunk, long before the parent reaches the end of its own slice,
+        # yet the parent's replicate comes first and is the one named.
+        n, reps = 64, 24
+        assert experiments.chunk_size(n) == 1
+        forks = use_workers(monkeypatch, 2)
+        plant_step_defects(monkeypatch, [reps // 2 - 1, reps // 2])
+        cfg = matrix_config(n=n, replicates=reps, step_check=True)
+        with pytest.raises(GuaranteeViolation, match=f"at replicate {reps // 2 - 1} "):
+            sample_spectral_cdfs(cfg)
+        assert len(forks) == 1
+
+    def test_dead_child_raises(self, monkeypatch):
+        n = 7
+        chunk = experiments.chunk_size(n)
+        parent = os.getpid()
+        real = experiments._check_steps
+
+        def die_in_child(h_red, eig_red, w, y, diag_n, rows):
+            if rows.start >= chunk:
+                if os.getpid() == parent:
+                    raise AssertionError("the second slice ran in the parent")
+                os._exit(3)
+            return real(h_red, eig_red, w, y, diag_n, rows)
+
+        use_workers(monkeypatch, 2)
+        monkeypatch.setattr(experiments, "_check_steps", die_in_child)
+        cfg = matrix_config(n=n, replicates=2 * chunk + 5, step_check=True)
+        with pytest.raises(RuntimeError,
+                           match=rf"replicates {chunk}\.\.{2 * chunk + 4} exited with status 3"):
+            sample_spectral_cdfs(cfg)
 
 
 class TestFiniteGroupExperiment:
