@@ -8,15 +8,16 @@ with stacked LAPACK calls (QR, eigvalsh), which give the same bits as one
 call per matrix.  The reflection step perturbs the replicate's sampled
 reduced form, so the step check needs no Haar draw of its own.  The chunks
 of a matrix run are split into contiguous slices, one per worker: the
-calling process runs the first, and forked children (os.fork) run the
-others and write into shared memory (two threads ran these small LAPACK
-calls no faster than one).  Each worker gets as many CPUs as one BLAS call
-may use, so a BLAS left to use every CPU runs the chunks inline.  A
-replicate's result depends on its index only, so reports do not depend on
-the worker count.  Checks come in two kinds: exact guarantees are hard
-assertions (violation raises GuaranteeViolation), statistical comparisons
-are verdicts under a 4-standard-error policy and never raise.  The reports
-of all six CLI commands are assembled here.
+calling process runs the first, and on Linux forked children (os.fork) run
+the others and write into shared memory (two threads ran these small LAPACK
+calls no faster than one); other platforms run every chunk inline.  Each
+worker gets as many CPUs as one BLAS call may use, so a BLAS left to use
+every CPU runs the chunks inline.  A replicate's result depends on its
+index only, so reports do not depend on the worker count.  Checks come in
+two kinds: exact guarantees are hard assertions (violation raises
+GuaranteeViolation), statistical comparisons are verdicts under a
+4-standard-error policy and never raise.  The reports of all six CLI
+commands are assembled here.
 """
 
 from __future__ import annotations
@@ -316,14 +317,21 @@ def _blas_build() -> str:
 
 
 def _blas_threads() -> int:
-    """Threads one BLAS call may use: the first variable of BLAS_THREAD_VARS
-    set to a positive integer (OpenBLAS reads OPENBLAS_NUM_THREADS before
-    OMP_NUM_THREADS), else every usable CPU, the OpenBLAS and MKL default."""
+    """Threads one BLAS call may use.  OpenBLAS reads OPENBLAS_NUM_THREADS,
+    and MKL reads MKL_NUM_THREADS, before OMP_NUM_THREADS; for another BLAS
+    the largest of the three counts.  A variable counts when set to a
+    positive integer; with none that counts, every usable CPU (the OpenBLAS
+    and MKL default)."""
+    values = {}
     for var in BLAS_THREAD_VARS:
         value = os.environ.get(var, "")
         if value.isdigit() and int(value) > 0:
-            return int(value)
-    return _usable_cpus()
+            values[var] = int(value)
+    build = _blas_build().lower()
+    for family, var in (("openblas", "OPENBLAS_NUM_THREADS"), ("mkl", "MKL_NUM_THREADS")):
+        if family in build:
+            return values.get(var) or values.get("OMP_NUM_THREADS") or _usable_cpus()
+    return max(values.values(), default=_usable_cpus())
 
 
 def report_environment(seed: int, replicates: int) -> dict:
@@ -462,77 +470,102 @@ def _run_chunks(chunks: list, layouts: list, work, n: int) -> list[np.ndarray]:
     worker per chunk and per _blas_threads() usable CPUs, and only as many
     as fit MATRIX_BYTES_BUDGET together.  Idle OpenBLAS threads spin: two
     workers with unpinned BLAS threads on two CPUs ran the scaling benchmark
-    config in 12.7 s, one worker in 2.6 s.  One worker, or no os.fork,
-    runs the chunks inline; otherwise see _run_forked.
-    """
-    workers = min(_usable_cpus() // _blas_threads(), len(chunks),
-                  MATRIX_BYTES_BUDGET // _chunk_bytes(n))
-    if workers <= 1 or not hasattr(os, "fork"):
-        out = [np.empty(shape, dtype) for shape, dtype in layouts]
-        work(chunks, out)
-        return out
-    bounds = [len(chunks) * i // workers for i in range(workers + 1)]
-    return _run_forked([chunks[lo:hi] for lo, hi in zip(bounds, bounds[1:])], layouts, work)
+    config in 12.7 s, one worker in 2.6 s.  Workers other than the first
+    are children made with os.fork, on Linux only: elsewhere system
+    libraries may start threads that a forked child cannot use (CPython's
+    macOS default is spawn), so one worker runs everything there.
 
-
-def _run_forked(slices: list, layouts: list, work) -> list[np.ndarray]:
-    """The calling process runs slices[0]; each other slice runs in a child
-    made with os.fork, which leaves with os._exit.  All of them write into
-    one anonymous shared mmap, copied into ordinary arrays once every child
-    is reaped.  A child sends its exception back pickled through a pipe.
-    The error of the earliest failing slice is raised, so a violation names
-    the first violating replicate; a child that dies without one (killed,
-    out of memory) raises RuntimeError naming its replicates.
+    The calling process runs slices[0], and each other slice runs in a
+    child, which leaves with os._exit; a slice that gets no child (os.fork
+    or os.pipe failed) runs in the calling process after slices[0].  All of
+    them write into one anonymous shared mmap, copied into ordinary arrays
+    once every child is reaped.  A child sends its exception back pickled
+    through a pipe.  The error of the earliest failing slice is raised, so a
+    violation names the first violating replicate; a child that dies without
+    one (killed, out of memory) or whose error cannot be unpickled raises
+    RuntimeError naming its replicates.
     """
     import mmap
     import pickle
 
-    shared = mmap.mmap(-1, sum(math.prod(shape) * np.dtype(dtype).itemsize
-                               for shape, dtype in layouts))
+    workers = 1
+    if platform.system() == "Linux" and hasattr(os, "fork"):
+        workers = max(1, min(_usable_cpus() // _blas_threads(), len(chunks),
+                             MATRIX_BYTES_BUDGET // _chunk_bytes(n)))
+    bounds = [len(chunks) * i // workers for i in range(workers + 1)]
+    slices = [chunks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    shared = mmap.mmap(-1, max(1, sum(math.prod(shape) * np.dtype(dtype).itemsize
+                                      for shape, dtype in layouts)))
     out, offset = [], 0
     for shape, dtype in layouts:
         out.append(np.frombuffer(shared, dtype, math.prod(shape), offset).reshape(shape))
         offset += out[-1].nbytes
-    children = []
+    own, children, errors = [0], [], []
     try:
-        for part in slices[1:]:
-            read_fd, write_fd = os.pipe()
+        for k in range(1, workers):
             try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(read_fd)
-                    try:
-                        work(part, out)
-                        code = 0
-                    except BaseException as exc:  # sent to the parent, which raises it
-                        with os.fdopen(write_fd, "wb") as pipe:
-                            pipe.write(pickle.dumps(exc))
-                finally:
-                    os._exit(code)
-            os.close(write_fd)
-            children.append((pid, read_fd, part))
-        work(slices[0], out)
+                children.append((k, *_fork_slice(slices[k], out, work)))
+            except OSError:  # no process or pipe to spare: run the rest here
+                own += range(k, workers)
+                break
+        for k in own:
+            try:
+                work(slices[k], out)
+            except Exception as exc:
+                errors.append((k, exc))
+                break
     finally:
-        errors = []
-        for pid, read_fd, part in children:
+        reaped = []
+        for k, pid, read_fd in children:
             with os.fdopen(read_fd, "rb") as pipe:
                 sent = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            if sent:
-                errors.append(pickle.loads(sent))
-            elif status:
-                errors.append(RuntimeError(
-                    f"the worker for replicates {part[0].start}..{part[-1].stop - 1} "
-                    f"exited with status {os.waitstatus_to_exitcode(status)}"))
+            reaped.append((k, sent, os.waitpid(pid, 0)[1]))
+    for k, sent, status in reaped:
+        replicates = f"replicates {slices[k][0].start}..{slices[k][-1].stop - 1}"
+        if sent:
+            try:
+                errors.append((k, pickle.loads(sent)))
+            except Exception as exc:
+                errors.append((k, RuntimeError(
+                    f"the worker for {replicates} sent an error that could not be "
+                    f"read ({type(exc).__name__}: {exc})")))
+        elif status:
+            errors.append((k, RuntimeError(
+                f"the worker for {replicates} exited with status "
+                f"{os.waitstatus_to_exitcode(status)}")))
     if errors:
-        raise errors[0]
+        raise min(errors, key=lambda error: error[0])[1]
     return [a.copy() for a in out]
+
+
+def _fork_slice(part, out, work) -> tuple[int, int]:
+    """Fork a child that runs work(part, out) and writes its pickled
+    exception, if any, to a pipe; returns the child's pid and the pipe's
+    read end.  Raises OSError, leaving no child, if os.pipe or os.fork
+    fails."""
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                work(part, out)
+                code = 0
+            except BaseException as exc:  # sent to the parent, which raises it
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pipe.write(pickle.dumps(exc))
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
 
 
 def sample_spectral_cdfs(
@@ -548,7 +581,8 @@ def sample_spectral_cdfs(
     the replicate's own reduced form: H' = Y W Y* + N with W = X M X*, so it
     needs no Haar draw of its own.  A step whose rank exceeds
     STEP_RANK_LIMIT or whose CDF gap exceeds 3/n raises GuaranteeViolation.
-    The chunks run on up to one worker process per usable CPU (_run_chunks);
+    The chunks run on up to one worker process per usable CPU, forked on
+    Linux only (_run_chunks);
     a replicate's draws and arithmetic do not depend on which worker runs
     it, so neither do the results.
     """

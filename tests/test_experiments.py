@@ -2,6 +2,7 @@
 reproducibility of the reports."""
 
 import copy
+import errno
 import math
 import os
 import signal
@@ -478,6 +479,13 @@ def plant_step_defects(monkeypatch, targets) -> None:
     monkeypatch.setattr(experiments, "_check_steps", check)
 
 
+class Unrebuildable(Exception):
+    """Pickles, but cannot be unpickled: its args do not fit __init__."""
+
+    def __init__(self, first, second):
+        super().__init__(first)
+
+
 def use_workers(monkeypatch, workers: int) -> list:
     """Let matrix runs use `workers` processes, with one BLAS thread each;
     returns the list that each os.fork call of the run appends to."""
@@ -552,23 +560,101 @@ class TestWorkerProcesses:
         sample_spectral_cdfs(matrix_config(n=n, replicates=6))
         assert len(forks) == 1
 
-    def test_workers_share_the_cpus_with_blas_threads(self, monkeypatch):
+    @pytest.mark.parametrize("build, cases", [
+        ("scipy-openblas 0.3.31", [({"OPENBLAS_NUM_THREADS": "2"}, 2),
+                                   ({"OMP_NUM_THREADS": "1"}, 4),
+                                   ({"OPENBLAS_NUM_THREADS": "8", "OMP_NUM_THREADS": "1"}, 1),
+                                   ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
+                                   ({"MKL_NUM_THREADS": "1"}, 1),
+                                   ({}, 1)]),
+        ("mkl 2024.2", [({"MKL_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
+                        ({"MKL_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "4"}, 4),
+                        ({"OMP_NUM_THREADS": "2"}, 2),
+                        ({"OPENBLAS_NUM_THREADS": "1"}, 1)]),
+        ("blis 1.0", [({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "2"}, 2),
+                      ({"OMP_NUM_THREADS": "1"}, 4),
+                      ({}, 1)]),
+    ])
+    def test_workers_share_the_cpus_with_blas_threads(self, build, cases, monkeypatch):
         # Four CPUs: two workers of two BLAS threads each; a BLAS left to
         # use every CPU, or one that asks for more, leaves one worker.
+        # OpenBLAS and MKL each read their own variable before
+        # OMP_NUM_THREADS; another BLAS counts the largest value set.
         forks = use_workers(monkeypatch, 4)
+        monkeypatch.setattr(experiments, "_blas_build", lambda: build)
         for var in experiments.BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
-        for env, workers in (({"OPENBLAS_NUM_THREADS": "2"}, 2),
-                             ({"OMP_NUM_THREADS": "1"}, 4),
-                             ({"OPENBLAS_NUM_THREADS": "8", "OMP_NUM_THREADS": "1"}, 1),
-                             ({"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "2"}, 2),
-                             ({}, 1)):
+        for env, workers in cases:
             forks.clear()
             with monkeypatch.context() as m:
                 for var, value in env.items():
                     m.setenv(var, value)
                 sample_spectral_cdfs(matrix_config(n=64, replicates=8))
             assert len(forks) == workers - 1, env
+
+    def test_other_platforms_run_inline(self, monkeypatch):
+        cfg = matrix_config(n=7, replicates=3 * experiments.chunk_size(7), step_check=True)
+        use_workers(monkeypatch, 1)
+        want = sample_spectral_cdfs(cfg)
+        forks = use_workers(monkeypatch, 3)
+        monkeypatch.setattr(experiments.platform, "system", lambda: "Darwin")
+        got = sample_spectral_cdfs(cfg)
+        assert forks == []
+        for a, b in zip((*got[:2], *got[2]), (*want[:2], *want[2])):
+            assert np.array_equal(a, b)
+
+    def test_failed_fork_runs_the_slice_inline(self, monkeypatch):
+        # Three workers over three chunks: the first fork succeeds, the
+        # second fails, so the calling process runs slices 0 and 2.
+        n = 7
+        chunk = experiments.chunk_size(n)
+        cfg = matrix_config(n=n, replicates=2 * chunk + 5, step_check=True)
+        use_workers(monkeypatch, 1)
+        want = sample_spectral_cdfs(cfg)
+        forks = use_workers(monkeypatch, 3)
+        counted_fork = os.fork
+
+        def fork_once():
+            if forks:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return counted_fork()
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        got = sample_spectral_cdfs(cfg)
+        assert len(forks) == 1
+        for a, b in zip((*got[:2], *got[2]), (*want[:2], *want[2])):
+            assert np.array_equal(a, b)
+        # The child's violation (slice 1) still beats the parent's (slice 2),
+        # and with no child at all the parent runs the slices in order.
+        plant_step_defects(monkeypatch, [chunk + 1, 2 * chunk + 1])
+        for fork in (fork_once, no_fork):
+            forks.clear()
+            monkeypatch.setattr(os, "fork", fork)
+            with pytest.raises(GuaranteeViolation, match=f"at replicate {chunk + 1} "):
+                sample_spectral_cdfs(cfg)
+
+    def test_unreadable_error_raises_and_reaps_every_child(self, monkeypatch):
+        n = 7
+        chunk = experiments.chunk_size(n)
+        real = experiments._check_steps
+
+        def unreadable_in_children(h_red, eig_red, w, y, diag_n, rows):
+            if rows.start >= chunk:
+                raise Unrebuildable("cannot", "unpickle")
+            return real(h_red, eig_red, w, y, diag_n, rows)
+
+        forks = use_workers(monkeypatch, 3)
+        monkeypatch.setattr(experiments, "_check_steps", unreadable_in_children)
+        cfg = matrix_config(n=n, replicates=2 * chunk + 5, step_check=True)
+        with pytest.raises(RuntimeError, match=rf"replicates {chunk}\.\.{2 * chunk - 1} "
+                                               "sent an error that could not be read"):
+            sample_spectral_cdfs(cfg)
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_violation_in_a_child_names_its_replicate(self, workers, monkeypatch):
