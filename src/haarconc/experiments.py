@@ -48,6 +48,7 @@ from .kernel import MAX_DEGREE, check_identities, step_seminorm, walk_operator
 from .mixing import (
     FIT_FLOOR,
     _usable_cpus,
+    _walk_bytes,
     exact_tv_curve,
     fit_decay,
     unitary_mixing_diagnostic,
@@ -69,6 +70,11 @@ CHUNK_BYTES = 256 * 1024
 # whose one-replicate chunk fits it, so a larger n is refused up front.
 MATRIX_BYTES_BUDGET = 1024**3
 MAX_MATRIX_N = 2048
+# Bytes a finite-group replicate holds: its sampled element index and the
+# sampled deviations of two test functions, since the previous function's
+# are freed only once the next one's are assigned (traced peak: 24.0 B per
+# replicate at 4 million replicates).
+FINITE_GROUP_REPLICATE_BYTES = 24
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -263,7 +269,9 @@ class ExperimentConfig:
                 fields["k_max"] = _require_int(data, "k_max", 1)
             else:
                 fields["k_max"] = 25 * fields["n"]
-        return ExperimentConfig(**fields)
+        cfg = ExperimentConfig(**fields)
+        _require_budget(f"a {kind} run of {cfg.replicates} replicates", _replicate_bytes(cfg))
+        return cfg
 
     def to_dict(self) -> dict:
         """Canonical JSON form: every key allowed for the kind, defaults filled."""
@@ -457,6 +465,41 @@ def _check_steps(h_red, eig_red, w, y, diag_n, rows) -> tuple[np.ndarray, np.nda
     return ranks, gaps
 
 
+def _require_budget(run: str, estimate: int) -> None:
+    """Refuse, before any work, a run whose memory estimate exceeds
+    MATRIX_BYTES_BUDGET; the message gives the estimate and the budget."""
+    if estimate > MATRIX_BYTES_BUDGET:
+        raise ValueError(
+            f"{run} needs an estimated {estimate / 2**20:,.1f} MiB, above the "
+            f"{MATRIX_BYTES_BUDGET / 2**20:,.0f} MiB memory budget")
+
+
+def _replicate_bytes(cfg: ExperimentConfig) -> int:
+    """The memory of a run that grows with its replicate count.  A matrix
+    run (and each n of a scaling run) fills the _cdf_layouts arrays and
+    holds them twice while they are copied out of the shared memory; a
+    finite-group run holds FINITE_GROUP_REPLICATE_BYTES per replicate."""
+    if cfg.kind in ("matrix", "scaling"):
+        return 2 * _layout_bytes(_cdf_layouts(cfg.replicates, len(cfg.x_grid), cfg.step_check))
+    if cfg.kind == "finite-group":
+        return FINITE_GROUP_REPLICATE_BYTES * cfg.replicates
+    return 0
+
+
+def _cdf_layouts(replicates: int, points: int, step_check: Optional[bool]) -> list:
+    """(shape, dtype) of the arrays a matrix run fills: F_H and the reduced
+    form's F per replicate and x point, and with step_check the rank and the
+    CDF gap of each replicate's step."""
+    layouts = [((replicates, points), np.float64)] * 2
+    if step_check:
+        layouts += [((replicates,), np.dtype(int)), ((replicates,), np.float64)]
+    return layouts
+
+
+def _layout_bytes(layouts: list) -> int:
+    return sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layouts)
+
+
 def _chunk_bytes(n: int) -> int:
     """Working set of one chunk of a matrix run (see MATRIX_BYTES_BUDGET)."""
     return chunk_size(n) * 16 * n * n * np.dtype(np.complex128).itemsize
@@ -494,8 +537,7 @@ def _run_chunks(chunks: list, layouts: list, work, n: int) -> list[np.ndarray]:
                              MATRIX_BYTES_BUDGET // _chunk_bytes(n)))
     bounds = [len(chunks) * i // workers for i in range(workers + 1)]
     slices = [chunks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    shared = mmap.mmap(-1, max(1, sum(math.prod(shape) * np.dtype(dtype).itemsize
-                                      for shape, dtype in layouts)))
+    shared = mmap.mmap(-1, max(1, _layout_bytes(layouts)))
     out, offset = [], 0
     for shape, dtype in layouts:
         out.append(np.frombuffer(shared, dtype, math.prod(shape), offset).reshape(shape))
@@ -591,9 +633,7 @@ def sample_spectral_cdfs(
     spec_m = resolve_spectrum(cfg.spectrum_M, n)
     spec_n = resolve_spectrum(cfg.spectrum_N, n)
     diag_n = np.diag(spec_n)
-    layouts = [((cfg.replicates, xs.size), np.float64)] * 2
-    if cfg.step_check:
-        layouts += [((cfg.replicates,), np.dtype(int)), ((cfg.replicates,), np.float64)]
+    layouts = _cdf_layouts(cfg.replicates, xs.size, cfg.step_check)
 
     def work(chunks, out) -> None:
         f_def, f_red, *steps = out
@@ -1000,6 +1040,8 @@ def run_mixing_curve(
     if group != "un":
         raise ValueError(f"group must be 'sn' or 'un' (got {group!r})")
     k_max = 4 * n if k_max is None else k_max
+    _require_budget(f"a U({n}) walk of {replicates} replicates and {k_max} steps",
+                   _walk_bytes(n, k_max, replicates))
     diag = unitary_mixing_diagnostic(n, k_max, replicates, child_rng(seed, "unitary-mixing", 0))
     bounds = {}
     if diag.fit is not None:

@@ -6,6 +6,12 @@ stores that sum as one left-action index map per support element y with its
 mass q(y), never as a |G| x |G| matrix.  With a symmetric step made of
 involutions, P is exactly symmetric (the uniform measure makes (X, YX) an
 exchangeable pair), so the same gather also advances the walk law.
+One application is one stacked gather f[L_y] for every y at once, scaled by
+the masses, whose rows are then summed strictly in support order: row 0,
+then + row 1, and so on.  That is the floating-point sequence of summing
+q(y) f[L_y] one map at a time, so the results are the same bits; the
+certified envelope depends on them (see mixing.fit_decay), and a sum in any
+other order is not a drop-in replacement.
 The pair function F(x, y) = sum_k (P^k f(x) - P^k f(y)) telescopes through the
 potential h = sum_k P^k f, which this module computes by certified series
 truncation.
@@ -21,7 +27,7 @@ import numpy as np
 from .groups import Permutation, StepDistribution
 
 # One cap for the table, the walk operator and the S_n configs: at n = 8 the
-# table is 40320 elements and the operator's maps take 4.7 MB.
+# table is 40320 elements and the operator's maps take 9.4 MB.
 MAX_DEGREE = 8
 
 CENTERING_TOL = 1e-12
@@ -31,7 +37,9 @@ class FiniteGroupTable:
     """Canonical enumeration of S_n in Lehmer (lexicographic) order.
 
     itertools.permutations yields tuples in lexicographic order, so row index
-    and Lehmer rank coincide; ranks are computed from the images directly.
+    and Lehmer rank coincide.  Read as base-n numbers the rows keep that
+    order, so the rank of any images is where their number falls among the
+    rows' numbers.
     """
 
     def __init__(self, n: int):
@@ -41,6 +49,8 @@ class FiniteGroupTable:
             raise ValueError(f"group table limited to degree {MAX_DEGREE}")
         self.n = n
         self.mappings = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+        self._digits = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        self._keys = self.mappings @ self._digits
 
     @property
     def size(self) -> int:
@@ -52,12 +62,7 @@ class FiniteGroupTable:
 
     def _ranks(self, images: np.ndarray) -> np.ndarray:
         """Lehmer rank of each row of an (m, n) array of permutation images."""
-        cols = np.ascontiguousarray(images.T)
-        ranks = np.zeros(images.shape[0], dtype=np.int64)
-        for i in range(self.n - 1):
-            smaller = np.count_nonzero(cols[i + 1 :] < cols[i], axis=0)
-            ranks = ranks * (self.n - i) + smaller
-        return ranks
+        return np.searchsorted(self._keys, images @ self._digits)
 
     def rank(self, perm) -> int:
         key = perm.mapping if isinstance(perm, Permutation) else tuple(perm)
@@ -69,10 +74,11 @@ class FiniteGroupTable:
         return Permutation(tuple(int(v) for v in self.mappings[rank]))
 
     def left_action(self, perm: Permutation) -> np.ndarray:
-        """Index map L with L[rank(g)] = rank(perm o g) for every g."""
+        """Index map L with L[rank(g)] = rank(perm o g) for every g, as np.intp,
+        the index type np.take uses without a conversion."""
         if perm.n != self.n:
             raise ValueError("degree mismatch")
-        return self._ranks(np.asarray(perm.mapping)[self.mappings]).astype(np.int32)
+        return self._ranks(np.asarray(perm.mapping)[self.mappings])
 
     def fixed_point_counts(self) -> np.ndarray:
         """Number of fixed points of each element, in table order."""
@@ -81,8 +87,8 @@ class FiniteGroupTable:
 
 @dataclass(frozen=True)
 class WalkOperator:
-    """The walk as index maps: ``actions[j]`` is the left action of the j-th
-    support element of the step, ``masses[j]`` its probability."""
+    """The walk as index maps: ``actions[j]`` (np.intp) is the left action of
+    the j-th support element of the step, ``masses[j]`` its probability."""
 
     table: FiniteGroupTable
     step: StepDistribution
@@ -94,16 +100,27 @@ class WalkOperator:
         return self.table.size
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """sum_y q(y) f[L_y]: P f, and also the walk law one step on, since
-        every map is an involution and P is therefore symmetric."""
-        out = self.masses[0] * f[self.actions[0]]
-        for mass, action in zip(self.masses[1:], self.actions[1:]):
-            out += mass * f[action]
+        """sum_y q(y) f[L_y] for a float vector f in table order: P f, and
+        also the walk law one step on, since every map is an involution and
+        P is therefore symmetric.
+
+        One gather takes f[L_y] for every y; the rows, scaled by their
+        masses, are then added one at a time in support order, starting
+        from row 0 itself.  That keeps the bits of the per-map sum
+        q_0 f[L_0] + q_1 f[L_1] + ...: np.add.reduce would start from +0.0
+        and turn a -0.0 into +0.0, and a pairwise or blocked sum rounds
+        differently.
+        """
+        rows = np.take(f, self.actions)
+        rows *= self.masses[:, None]
+        out = rows[0].copy()
+        for row in rows[1:]:
+            out += row
         return out
 
     def differences(self, f: np.ndarray) -> np.ndarray:
         """f - f o L_y for every support element y, one row each."""
-        return f - f[self.actions]
+        return f - np.take(f, self.actions)
 
 
 @dataclass(frozen=True)

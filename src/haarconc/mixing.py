@@ -135,6 +135,15 @@ def fit_decay(curve, floor: float = FIT_FLOOR) -> DecayFit:
     The rate comes from a least-squares line on log(values) over the window
     where values lie strictly inside (floor, 0.5); the prefactor is then
     raised until a * e^(-b k) >= value(k) for every k with value(k) > floor.
+
+    Both the window and the prefactor rest on the values just above the
+    floor, where the rounding of an exact curve is large in relative terms,
+    so the envelope of the S_n curve is reproducible only bit for bit.  At
+    n = 7, summing the walk law in BLAS order instead of support order moves
+    the curve by at most 3.1e-16, but the value at k = 84 by 5e-5 relative
+    (1.27168565e-12 against 1.27175290e-12), a by 1.7e-6 and b by 2.8e-7.
+    An L2 contraction bound on the tail from the exact law at one step, as
+    planned for ROADMAP item 3, would not depend on these values.
     """
     values = np.asarray(curve.values if isinstance(curve, TVCurve) else curve, dtype=float)
     if floor < 0:
@@ -234,11 +243,37 @@ def _walk_group(n: int, k_max: int, seed: np.random.SeedSequence, sq: np.ndarray
         sq[first : first + steps] = np.abs(traces[:steps]) ** 2
 
 
+def _group_size(n: int) -> int:
+    """Walks per walk group: _GROUP_BYTES of walk matrices, at least one walk."""
+    return max(1, _GROUP_BYTES // (n * n * np.dtype(np.complex128).itemsize))
+
+
 def _walk_groups(n: int, reps: int) -> list[tuple[int, int]]:
-    """Column ranges [lo, hi) of the walk groups: _GROUP_BYTES of walk
-    matrices each (at least one walk), the last one possibly partial."""
-    size = max(1, _GROUP_BYTES // (n * n * np.dtype(np.complex128).itemsize))
+    """Column ranges [lo, hi) of the walk groups, the last one possibly partial."""
+    size = _group_size(n)
     return [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
+
+
+def _check_walk(n: int, k_max: int, reps: int) -> None:
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    if reps < 1000:
+        raise ValueError("at least 1000 replicates are required for a stable curve")
+
+
+def _walk_bytes(n: int, k_max: int, reps: int) -> int:
+    """Estimated memory of unitary_mixing_diagnostic(n, k_max, reps, ...):
+    workers * m * (2 n^2 + 6 s n + 3 s^2) * 16 B for the walk groups in
+    flight, m walks each and blocks of s steps, plus (k_max + 1) * reps * 8 B
+    for |Tr W_k|^2.  Computed from the arguments alone, so it is cheap at any
+    size; raises ValueError for arguments the diagnostic refuses."""
+    _check_walk(n, k_max, reps)
+    m = min(_group_size(n), reps)
+    workers = min(_usable_cpus(), -(-reps // m))
+    s = _BLOCK_STEPS
+    return workers * m * (2 * n * n + 6 * s * n + 3 * s * s) * 16 + (k_max + 1) * reps * 8
 
 
 def _group_seeds(rng: np.random.Generator, groups: int) -> list[np.random.SeedSequence]:
@@ -268,14 +303,9 @@ def unitary_mixing_diagnostic(
     inline when that is one, so the result depends on (n, k_max, reps, rng)
     only, never on the worker count or on thread timing.  Memory: workers *
     m * (2 n^2 + 6 s n + 3 s^2) * 16 B for groups of m walks, plus
-    (k_max + 1) * reps * 8 B for |Tr W_k|^2.
+    (k_max + 1) * reps * 8 B for |Tr W_k|^2 (_walk_bytes estimates it).
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    if reps < 1000:
-        raise ValueError("at least 1000 replicates are required for a stable curve")
+    _check_walk(n, k_max, reps)
     groups = _walk_groups(n, reps)
     seeds = _group_seeds(rng, len(groups))
     sq = np.empty((k_max + 1, reps))

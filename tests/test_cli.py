@@ -186,6 +186,27 @@ class TestExperimentCommands:
             assert f"2..{experiments.MAX_MATRIX_N}" in capsys.readouterr().err
             assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command, body, estimate", [
+        # 2 arrays * 8 B * 10^8 replicates * 5 x points, held twice.
+        ("matrix", {"n": 8, "replicates": 10**8}, "15,258.8 MiB"),
+        ("scaling", {"n_grid": [8, 16], "replicates": 10**8}, "15,258.8 MiB"),
+        # 24 B per replicate.
+        ("finite-group", {"n": 5, "replicates": 10**8}, "2,288.8 MiB"),
+    ])
+    def test_replicates_over_the_memory_budget_refused(self, command, body, estimate,
+                                                       tmp_path, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("an oversized config reached the work")
+
+        monkeypatch.setattr(experiments, "sample_spectral_cdfs", no_work)
+        monkeypatch.setattr(experiments, "walk_operator", no_work)
+        path = write_config(tmp_path, "cfg.json", {"kind": command, "seed": 0, **body})
+        out_dir = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert f"needs an estimated {estimate}, above the 1,024 MiB memory budget" in err
+        assert not out_dir.exists()
+
     def test_scaling_run(self, tmp_path, capsys):
         path = write_config(tmp_path, "cfg.json",
                             {"kind": "scaling", "n_grid": [4, 6], "seed": 2,
@@ -283,6 +304,21 @@ class TestMixingCurveCommand:
         payload = load_report(out_dir)
         assert payload["bounds"] == {}
         assert "no usable fit window" in payload["estimates"]["note"]
+
+    def test_walk_over_the_memory_budget_refused(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("an oversized walk reached the work")
+
+        monkeypatch.setattr(experiments, "unitary_mixing_diagnostic", no_work)
+        out_dir = tmp_path / "un"
+        # (k_max + 1) * reps * 8 B of squared traces alone: 3 TB.
+        code = main(["mixing-curve", "--group", "un", "--n", "8", "--k-max", str(10**8),
+                     "--replicates", "4000", "--out", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "U(8) walk of 4000 replicates and 100000000 steps needs an estimated" in err
+        assert "above the 1,024 MiB memory budget" in err
+        assert not out_dir.exists()
 
     def test_replicate_floor_enforced(self, tmp_path, capsys):
         code = main(["mixing-curve", "--group", "un", "--n", "4",

@@ -3,6 +3,7 @@ reproducibility of the reports."""
 
 import copy
 import errno
+import json
 import math
 import os
 import signal
@@ -27,7 +28,8 @@ from haarconc.experiments import (
     run_scaling_study,
     sample_spectral_cdfs,
 )
-from haarconc import hermitian
+from haarconc import hermitian, kernel
+from haarconc.cli import write_report
 from haarconc.groups import sample_haar_unitary, sample_reflection_step
 from haarconc.hermitian import (
     HermitianMatrix,
@@ -37,6 +39,8 @@ from haarconc.hermitian import (
     rank_distance,
     sup_cdf_distance,
 )
+
+from test_kernel import reference_apply, reference_differences
 
 REPORT_KEYS = {"config_echo", "estimates", "bounds", "verdicts", "environment"}
 
@@ -863,6 +867,34 @@ class TestRunExperiment:
     def test_mixing_curve_rejects_unknown_group(self):
         with pytest.raises(ValueError, match="group"):
             run_mixing_curve("on", 4, 8, 0, 1000)
+
+
+class TestStackedGatherReports:
+    """The S_n reports are the same bytes with the walk operator's stacked
+    gather and with the per-map loop it replaced."""
+
+    @staticmethod
+    def written(cfg: ExperimentConfig, out_dir) -> dict:
+        write_report(run_experiment(cfg), out_dir)
+        files = {path.name: path.read_text() for path in sorted(out_dir.iterdir())}
+        payload = json.loads(files.pop("report.json"))
+        payload["environment"].pop("runtime_seconds")
+        return {"report.json": payload, **files}
+
+    @pytest.mark.parametrize("kind, n, seed", [
+        ("finite-group", 5, 0), ("finite-group", 5, 1), ("finite-group", 6, 0),
+        ("finite-group", 6, 1), ("finite-group", 7, 0), ("finite-group", 7, 1),
+        ("identity-suite", 5, 0),
+    ])
+    def test_outputs_equal_the_per_map_loop(self, kind, n, seed, tmp_path, monkeypatch):
+        cfg = ExperimentConfig.from_dict({"kind": kind, "n": n, "seed": seed})
+        gathered = self.written(cfg, tmp_path / "gather")
+        monkeypatch.setattr(kernel.WalkOperator, "apply", reference_apply)
+        monkeypatch.setattr(kernel.WalkOperator, "differences", reference_differences)
+        looped = self.written(cfg, tmp_path / "loop")
+        csvs = {"finite-group": ["tails.csv", "tv_curve.csv"], "identity-suite": ["residuals.csv"]}
+        assert sorted(gathered) == ["report.json", *csvs[kind]]
+        assert gathered == looped
 
 
 class TestReportHelpers:

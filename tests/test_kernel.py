@@ -49,6 +49,35 @@ def operator_matrix(op: WalkOperator) -> np.ndarray:
     return np.column_stack([op.apply(e) for e in np.eye(op.size)])
 
 
+def reference_apply(op: WalkOperator, f: np.ndarray) -> np.ndarray:
+    """P f as one gather per map, summed map by map in support order: the
+    loop WalkOperator.apply replaced, whose bits it must keep."""
+    out = op.masses[0] * f[op.actions[0]]
+    for mass, action in zip(op.masses[1:], op.actions[1:]):
+        out += mass * f[action]
+    return out
+
+
+def reference_differences(op: WalkOperator, f: np.ndarray) -> np.ndarray:
+    """f - f o L_y by fancy indexing, the form WalkOperator.differences replaced."""
+    return f - f[op.actions]
+
+
+def reference_step_seminorm(op: WalkOperator, f: np.ndarray) -> float:
+    d = reference_differences(op, f)
+    return math.sqrt(float(np.max(op.masses @ (d * d))))
+
+
+def lehmer_ranks(images: np.ndarray) -> np.ndarray:
+    """Lehmer rank of each row of images from the definition: per position
+    the number of smaller images after it, read in mixed radix."""
+    n = images.shape[1]
+    ranks = np.zeros(images.shape[0], dtype=np.int64)
+    for i in range(n - 1):
+        ranks = ranks * (n - i) + np.count_nonzero(images[:, i + 1 :] < images[:, i, None], axis=1)
+    return ranks
+
+
 def centered(rng: np.random.Generator, size: int) -> np.ndarray:
     f = rng.standard_normal(size)
     return f - f.mean()
@@ -112,7 +141,7 @@ class TestFiniteGroupTable:
         table = FiniteGroupTable(8)
         g = Permutation((3, 7, 0, 5, 1, 6, 2, 4))
         action = table.left_action(g)
-        assert action.dtype == np.int32
+        assert action.dtype == np.intp
         for idx in range(0, table.size, 997):
             assert table.unrank(int(action[idx])) == compose(g, table.unrank(idx))
 
@@ -198,6 +227,51 @@ class TestBuildExactKernel:
         assert lazy_kernel(8).size == 40320
         with pytest.raises(ValueError):
             walk_operator(9, StepDistribution.lazy_transposition(9))
+
+
+class TestStackedGather:
+    """apply and differences gather every map at once; their bits must equal
+    the per-map loop's, and so must the walk law and the step seminorm."""
+
+    def test_actions_are_intp(self):
+        for n in (2, 5, 8):
+            assert lazy_kernel(n).actions.dtype == np.intp
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_actions_equal_the_lehmer_ranks(self, n):
+        kern = lazy_kernel(n)
+        for (y, _), action in zip(kern.step.support(), kern.actions):
+            assert np.array_equal(action, lehmer_ranks(np.asarray(y.mapping)[kern.table.mappings]))
+
+    def test_random_vectors_match_the_per_map_loop(self):
+        rng = np.random.default_rng(31)
+        for n in range(2, 8):
+            kern = lazy_kernel(n)
+            # Entries spread over 32 decades, where any other summation
+            # order rounds differently, and an all -0.0 vector, which a sum
+            # started from +0.0 would turn into +0.0.
+            spread = rng.standard_normal(kern.size) * 10.0 ** rng.integers(-16, 16, kern.size)
+            for f in (rng.standard_normal(kern.size), spread, np.full(kern.size, -0.0)):
+                want = reference_apply(kern, f)
+                got = kern.apply(f)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+                assert np.array_equal(kern.differences(f), reference_differences(kern, f))
+                assert step_seminorm(kern, f) == reference_step_seminorm(kern, f)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_walk_law_matches_the_per_map_loop(self, n):
+        # 25 n steps, the default k_max; 10 at n = 8 to spare time.
+        kern = lazy_kernel(n)
+        law = np.zeros(kern.size)
+        law[kern.table.identity_index] = 1.0
+        want = law.copy()
+        for _ in range(10 if n == 8 else 25 * n):
+            law = kern.apply(law)
+            want = reference_apply(kern, want)
+            assert np.array_equal(law, want)
+            assert np.array_equal(kern.differences(law), reference_differences(kern, want))
+        assert step_seminorm(kern, law) == reference_step_seminorm(kern, want)
 
 
 class TestApplyKernelPower:
