@@ -7,17 +7,14 @@ reflection step) from its own generator, then process a chunk of replicates
 with stacked LAPACK calls (QR, eigvalsh), which give the same bits as one
 call per matrix.  The reflection step perturbs the replicate's sampled
 reduced form, so the step check needs no Haar draw of its own.  The chunks
-of a matrix run are split into contiguous slices, one per worker: the
-calling process runs the first, and on Linux forked children (os.fork) run
-the others and write into shared memory (two threads ran these small LAPACK
-calls no faster than one); other platforms run every chunk inline.  Each
-worker gets as many CPUs as one BLAS call may use, so a BLAS left to use
-every CPU runs the chunks inline.  A replicate's result depends on its
-index only, so reports do not depend on the worker count.  Checks come in
-two kinds: exact guarantees are hard assertions (violation raises
-GuaranteeViolation), statistical comparisons are verdicts under a
-4-standard-error policy and never raise.  The reports of all six CLI
-commands are assembled here.
+of a matrix run go to the forked workers of haarconc.workers (two threads
+ran these small LAPACK calls no faster than one), one per CPU that one BLAS
+call may use, so a BLAS left to use every CPU runs the chunks inline.  A
+replicate's result depends on its index only, so reports do not depend on
+the worker count.  Checks come in two kinds: exact guarantees are hard
+assertions (violation raises GuaranteeViolation), statistical comparisons
+are verdicts under a 4-standard-error policy and never raise.  The reports
+of all six CLI commands are assembled here.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, workers
 from .bounds import BoundInputs, concentration_constant, esd_bounds, tail_bound
 from .groups import (
     StepDistribution,
@@ -47,7 +44,6 @@ from .hermitian import _hermitian_rank, cdf_counts, conjugate_stack, sup_cdf_dis
 from .kernel import MAX_DEGREE, check_identities, step_seminorm, walk_operator
 from .mixing import (
     FIT_FLOOR,
-    _usable_cpus,
     _walk_bytes,
     exact_tv_curve,
     fit_decay,
@@ -66,16 +62,13 @@ CHUNK_BYTES = 256 * 1024
 # Memory of a matrix run: one replicate, step check included, holds about
 # 16 complex n x n matrices at a time (peak RSS grew by 21 / 69 / 256 MB at
 # n = 256 / 512 / 1024).  Every worker holds one chunk, and the workers of a
-# run together stay under MATRIX_BYTES_BUDGET; MAX_MATRIX_N is the largest n
+# run together stay under workers.BYTES_BUDGET; MAX_MATRIX_N is the largest n
 # whose one-replicate chunk fits it, so a larger n is refused up front.
-MATRIX_BYTES_BUDGET = 1024**3
 MAX_MATRIX_N = 2048
-# Bytes a finite-group replicate holds: its sampled element index and the
-# sampled deviations of two test functions, since the previous function's
-# are freed only once the next one's are assigned (traced peak: 24.0 B per
-# replicate at 4 million replicates).
-FINITE_GROUP_REPLICATE_BYTES = 24
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Bytes a finite-group replicate holds while its element is drawn: a uniform
+# draw and the element's index (traced peak: 16.2 B per replicate at
+# 4 million replicates).
+FINITE_GROUP_REPLICATE_BYTES = 16
 
 
 class GuaranteeViolation(RuntimeError):
@@ -315,33 +308,6 @@ class ExperimentReport:
         )
 
 
-def _blas_build() -> str:
-    """Name and version of the BLAS numpy was built against."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy < 1.26 cannot return the build facts
-        return "unknown"
-    return f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
-
-
-def _blas_threads() -> int:
-    """Threads one BLAS call may use.  OpenBLAS reads OPENBLAS_NUM_THREADS,
-    and MKL reads MKL_NUM_THREADS, before OMP_NUM_THREADS; for another BLAS
-    the largest of the three counts.  A variable counts when set to a
-    positive integer; with none that counts, every usable CPU (the OpenBLAS
-    and MKL default)."""
-    values = {}
-    for var in BLAS_THREAD_VARS:
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            values[var] = int(value)
-    build = _blas_build().lower()
-    for family, var in (("openblas", "OPENBLAS_NUM_THREADS"), ("mkl", "MKL_NUM_THREADS")):
-        if family in build:
-            return values.get(var) or values.get("OMP_NUM_THREADS") or _usable_cpus()
-    return max(values.values(), default=_usable_cpus())
-
-
 def report_environment(seed: int, replicates: int) -> dict:
     """The ``environment`` block of every report: the package, the seed, the
     replicate count and the numerical environment (runtime Python, numpy,
@@ -354,9 +320,9 @@ def report_environment(seed: int, replicates: int) -> dict:
         "runtime_seconds": 0.0,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "blas": _blas_build(),
-        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
-        "usable_cpus": _usable_cpus(),
+        "blas": workers.blas_build(),
+        "blas_threads": {var: os.environ.get(var) for var in workers.BLAS_THREAD_VARS},
+        "usable_cpus": workers.usable_cpus(),
     }
 
 
@@ -418,12 +384,6 @@ def chunk_size(n: int) -> int:
     return max(1, CHUNK_BYTES // (3 * n * n * np.dtype(np.complex128).itemsize))
 
 
-def _chunks(count: int, n: int):
-    size = chunk_size(n)
-    for start in range(0, count, size):
-        yield range(start, min(start + size, count))
-
-
 def _variance_stats(values: np.ndarray) -> tuple[float, float]:
     """Unbiased sample variance and a normal-approximation standard error."""
     reps = values.size
@@ -467,11 +427,11 @@ def _check_steps(h_red, eig_red, w, y, diag_n, rows) -> tuple[np.ndarray, np.nda
 
 def _require_budget(run: str, estimate: int) -> None:
     """Refuse, before any work, a run whose memory estimate exceeds
-    MATRIX_BYTES_BUDGET; the message gives the estimate and the budget."""
-    if estimate > MATRIX_BYTES_BUDGET:
+    workers.BYTES_BUDGET; the message gives the estimate and the budget."""
+    if estimate > workers.BYTES_BUDGET:
         raise ValueError(
             f"{run} needs an estimated {estimate / 2**20:,.1f} MiB, above the "
-            f"{MATRIX_BYTES_BUDGET / 2**20:,.0f} MiB memory budget")
+            f"{workers.BYTES_BUDGET / 2**20:,.0f} MiB memory budget")
 
 
 def _replicate_bytes(cfg: ExperimentConfig) -> int:
@@ -480,7 +440,8 @@ def _replicate_bytes(cfg: ExperimentConfig) -> int:
     holds them twice while they are copied out of the shared memory; a
     finite-group run holds FINITE_GROUP_REPLICATE_BYTES per replicate."""
     if cfg.kind in ("matrix", "scaling"):
-        return 2 * _layout_bytes(_cdf_layouts(cfg.replicates, len(cfg.x_grid), cfg.step_check))
+        layouts = _cdf_layouts(cfg.replicates, len(cfg.x_grid), cfg.step_check)
+        return 2 * workers.layout_bytes(layouts)
     if cfg.kind == "finite-group":
         return FINITE_GROUP_REPLICATE_BYTES * cfg.replicates
     return 0
@@ -496,118 +457,9 @@ def _cdf_layouts(replicates: int, points: int, step_check: Optional[bool]) -> li
     return layouts
 
 
-def _layout_bytes(layouts: list) -> int:
-    return sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layouts)
-
-
 def _chunk_bytes(n: int) -> int:
-    """Working set of one chunk of a matrix run (see MATRIX_BYTES_BUDGET)."""
+    """Working set of one chunk of a matrix run (see MAX_MATRIX_N)."""
     return chunk_size(n) * 16 * n * n * np.dtype(np.complex128).itemsize
-
-
-def _run_chunks(chunks: list, layouts: list, work, n: int) -> list[np.ndarray]:
-    """Run work(chunks, out) over `chunks` into fresh arrays of the given
-    (shape, dtype) layouts, and return the arrays.
-
-    The chunks are split into one contiguous slice per worker: at most one
-    worker per chunk and per _blas_threads() usable CPUs, and only as many
-    as fit MATRIX_BYTES_BUDGET together.  Idle OpenBLAS threads spin: two
-    workers with unpinned BLAS threads on two CPUs ran the scaling benchmark
-    config in 12.7 s, one worker in 2.6 s.  Workers other than the first
-    are children made with os.fork, on Linux only: elsewhere system
-    libraries may start threads that a forked child cannot use (CPython's
-    macOS default is spawn), so one worker runs everything there.
-
-    The calling process runs slices[0], and each other slice runs in a
-    child, which leaves with os._exit; a slice that gets no child (os.fork
-    or os.pipe failed) runs in the calling process after slices[0].  All of
-    them write into one anonymous shared mmap, copied into ordinary arrays
-    once every child is reaped.  A child sends its exception back pickled
-    through a pipe.  The error of the earliest failing slice is raised, so a
-    violation names the first violating replicate; a child that dies without
-    one (killed, out of memory) or whose error cannot be unpickled raises
-    RuntimeError naming its replicates.
-    """
-    import mmap
-    import pickle
-
-    workers = 1
-    if platform.system() == "Linux" and hasattr(os, "fork"):
-        workers = max(1, min(_usable_cpus() // _blas_threads(), len(chunks),
-                             MATRIX_BYTES_BUDGET // _chunk_bytes(n)))
-    bounds = [len(chunks) * i // workers for i in range(workers + 1)]
-    slices = [chunks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    shared = mmap.mmap(-1, max(1, _layout_bytes(layouts)))
-    out, offset = [], 0
-    for shape, dtype in layouts:
-        out.append(np.frombuffer(shared, dtype, math.prod(shape), offset).reshape(shape))
-        offset += out[-1].nbytes
-    own, children, errors = [0], [], []
-    try:
-        for k in range(1, workers):
-            try:
-                children.append((k, *_fork_slice(slices[k], out, work)))
-            except OSError:  # no process or pipe to spare: run the rest here
-                own += range(k, workers)
-                break
-        for k in own:
-            try:
-                work(slices[k], out)
-            except Exception as exc:
-                errors.append((k, exc))
-                break
-    finally:
-        reaped = []
-        for k, pid, read_fd in children:
-            with os.fdopen(read_fd, "rb") as pipe:
-                sent = pipe.read()
-            reaped.append((k, sent, os.waitpid(pid, 0)[1]))
-    for k, sent, status in reaped:
-        replicates = f"replicates {slices[k][0].start}..{slices[k][-1].stop - 1}"
-        if sent:
-            try:
-                errors.append((k, pickle.loads(sent)))
-            except Exception as exc:
-                errors.append((k, RuntimeError(
-                    f"the worker for {replicates} sent an error that could not be "
-                    f"read ({type(exc).__name__}: {exc})")))
-        elif status:
-            errors.append((k, RuntimeError(
-                f"the worker for {replicates} exited with status "
-                f"{os.waitstatus_to_exitcode(status)}")))
-    if errors:
-        raise min(errors, key=lambda error: error[0])[1]
-    return [a.copy() for a in out]
-
-
-def _fork_slice(part, out, work) -> tuple[int, int]:
-    """Fork a child that runs work(part, out) and writes its pickled
-    exception, if any, to a pipe; returns the child's pid and the pipe's
-    read end.  Raises OSError, leaving no child, if os.pipe or os.fork
-    fails."""
-    import pickle
-
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            try:
-                work(part, out)
-                code = 0
-            except BaseException as exc:  # sent to the parent, which raises it
-                with os.fdopen(write_fd, "wb") as pipe:
-                    pipe.write(pickle.dumps(exc))
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, read_fd
 
 
 def sample_spectral_cdfs(
@@ -623,10 +475,9 @@ def sample_spectral_cdfs(
     the replicate's own reduced form: H' = Y W Y* + N with W = X M X*, so it
     needs no Haar draw of its own.  A step whose rank exceeds
     STEP_RANK_LIMIT or whose CDF gap exceeds 3/n raises GuaranteeViolation.
-    The chunks run on up to one worker process per usable CPU, forked on
-    Linux only (_run_chunks);
-    a replicate's draws and arithmetic do not depend on which worker runs
-    it, so neither do the results.
+    The chunks run on the worker processes of workers.run; a replicate's
+    draws and arithmetic do not depend on which worker runs it, so neither
+    do the results.
     """
     n = cfg.n
     xs = np.asarray(cfg.x_grid)
@@ -662,7 +513,8 @@ def sample_spectral_cdfs(
                 ranks[rows.start:rows.stop], gaps[rows.start:rows.stop] = _check_steps(
                     h_red, eig_red, w, y, diag_n, rows)
 
-    f_def, f_red, *steps = _run_chunks(list(_chunks(cfg.replicates, n)), layouts, work, n)
+    chunks = workers.ranges(cfg.replicates, chunk_size(n))
+    f_def, f_red, *steps = workers.run(chunks, layouts, work, _chunk_bytes(n))
     return f_def, f_red, tuple(steps) if cfg.step_check else None
 
 
@@ -785,7 +637,10 @@ def run_finite_group_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     k_star = curve.law_step
     law = curve.law / curve.law.sum()
-    samples = child_rng(cfg.seed, "finite-tail", 0).choice(size, size=cfg.replicates, p=law)
+    # Draws per element, whose sums give the sampled tails: no per-replicate
+    # array outlives the draw.
+    hits = np.bincount(child_rng(cfg.seed, "finite-tail", 0).choice(
+        size, size=cfg.replicates, p=law), minlength=size)
 
     counts = op.table.fixed_point_counts().astype(float) / n
     default_f = counts - counts.mean()
@@ -812,10 +667,9 @@ def run_finite_group_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         margin = variance / result.variance_bound
         max_var_margin = max(max_var_margin, margin)
         dev = np.abs(f)
-        sampled_dev = dev[samples]
         for t in ts:
             bound = tail_bound(result.constant, t)
-            freq = float(np.mean(sampled_dev >= t))
+            freq = float(np.sum(hits[dev >= t]) / cfg.replicates)
             exact_prob = float(np.mean(dev >= t))
             for value, src in ((freq, "sampled"), (exact_prob, "exact")):
                 if value > bound + FLOAT_SLACK:

@@ -15,22 +15,19 @@ SeedSequence.  Within a group, steps run in blocks of _BLOCK_STEPS; the
 product Y_s ... Y_1 of a block's reflections has the compact WY form
 I - U T U^H (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989),
 with U = [u_1 ... u_s] and T lower triangular, so a block costs two BLAS-3
-products per walk instead of s rank-one updates.  Both the draws and the
-matrix products release the GIL, so the groups run on one thread per usable
-CPU (the process's affinity mask), and inline on one CPU.  Memory is
-workers * m * (2 n^2 + 6 s n + 3 s^2) * 16 B for groups of m walks and
-blocks of s steps, plus (k_max + 1) * reps * 8 B for |Tr W_k|^2; it does not
-grow with reps otherwise.
+products per walk instead of s rank-one updates.  The groups run on the
+forked workers of haarconc.workers, under the worker rule of the matrix
+chunks, and only the |Tr W_k|^2 array grows with reps (_walk_bytes).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import workers
 from .groups import _sample_reflection_batch
 from .kernel import WalkOperator, apply_kernel_power
 
@@ -206,14 +203,6 @@ def _reflect_block(
     w -= buf
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, else the CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _walk_group(n: int, k_max: int, seed: np.random.SeedSequence, sq: np.ndarray) -> None:
     """All k_max steps of one group of m walks, drawn from its own generator.
 
@@ -248,10 +237,10 @@ def _group_size(n: int) -> int:
     return max(1, _GROUP_BYTES // (n * n * np.dtype(np.complex128).itemsize))
 
 
-def _walk_groups(n: int, reps: int) -> list[tuple[int, int]]:
-    """Column ranges [lo, hi) of the walk groups, the last one possibly partial."""
-    size = _group_size(n)
-    return [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
+def _group_bytes(n: int, reps: int) -> int:
+    """Working set of one group of m walks in s-step blocks: m (2n^2 + 6sn + 3s^2) 16 B."""
+    m, s = min(_group_size(n), reps), _BLOCK_STEPS
+    return m * (2 * n * n + 6 * s * n + 3 * s * s) * 16
 
 
 def _check_walk(n: int, k_max: int, reps: int) -> None:
@@ -265,15 +254,14 @@ def _check_walk(n: int, k_max: int, reps: int) -> None:
 
 def _walk_bytes(n: int, k_max: int, reps: int) -> int:
     """Estimated memory of unitary_mixing_diagnostic(n, k_max, reps, ...):
-    workers * m * (2 n^2 + 6 s n + 3 s^2) * 16 B for the walk groups in
-    flight, m walks each and blocks of s steps, plus (k_max + 1) * reps * 8 B
-    for |Tr W_k|^2.  Computed from the arguments alone, so it is cheap at any
-    size; raises ValueError for arguments the diagnostic refuses."""
+    one group's _group_bytes per worker that workers.run starts, plus
+    (k_max + 1) * reps * 8 B of |Tr W_k|^2, held twice (shared, then copied
+    out).  Cheap at any size; raises ValueError for arguments the diagnostic
+    refuses."""
     _check_walk(n, k_max, reps)
-    m = min(_group_size(n), reps)
-    workers = min(_usable_cpus(), -(-reps // m))
-    s = _BLOCK_STEPS
-    return workers * m * (2 * n * n + 6 * s * n + 3 * s * s) * 16 + (k_max + 1) * reps * 8
+    group = _group_bytes(n, reps)
+    count = workers.worker_count(-(-reps // _group_size(n)), group)
+    return count * group + 2 * (k_max + 1) * reps * 8
 
 
 def _group_seeds(rng: np.random.Generator, groups: int) -> list[np.random.SeedSequence]:
@@ -296,36 +284,23 @@ def unitary_mixing_diagnostic(
     standard error.  The fitted decay of |m(k) - 1| is labeled PROXY: it is
     not a total-variation envelope.
 
-    The walks are split into groups of _GROUP_BYTES of walk matrices (see
-    _walk_groups); each group takes all k_max steps on its own generator
-    (_group_seeds) and writes its own columns of the (k_max + 1, reps) array
-    of |Tr W_k|^2.  The groups run on min(usable CPUs, groups) threads, or
-    inline when that is one, so the result depends on (n, k_max, reps, rng)
-    only, never on the worker count or on thread timing.  Memory: workers *
-    m * (2 n^2 + 6 s n + 3 s^2) * 16 B for groups of m walks, plus
-    (k_max + 1) * reps * 8 B for |Tr W_k|^2 (_walk_bytes estimates it).
+    The walks are split into groups of _GROUP_BYTES of walk matrices; each
+    group takes all k_max steps on its own generator (_group_seeds) and
+    writes its own columns of the (k_max + 1, reps) array of |Tr W_k|^2, on
+    the forked workers of workers.run.  So the result depends on (n, k_max,
+    reps, rng) only, never on the worker count.
     """
     _check_walk(n, k_max, reps)
-    groups = _walk_groups(n, reps)
+    size = _group_size(n)
+    groups = workers.ranges(reps, size)
     seeds = _group_seeds(rng, len(groups))
-    sq = np.empty((k_max + 1, reps))
+
+    def work(part, out) -> None:
+        for walks in part:
+            _walk_group(n, k_max, seeds[walks.start // size], out[0][:, walks.start:walks.stop])
+
+    sq, = workers.run(groups, [((k_max + 1, reps), np.float64)], work, _group_bytes(n, reps))
     sq[0] = n * n
-
-    def walk(g: int) -> None:
-        lo, hi = groups[g]
-        _walk_group(n, k_max, seeds[g], sq[:, lo:hi])
-
-    workers = min(_usable_cpus(), len(groups))
-    if workers == 1:
-        for g in range(len(groups)):
-            walk(g)
-    else:
-        # Imported here: concurrent.futures loads logging, about 8 ms that
-        # every command would otherwise pay at start-up.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(walk, range(len(groups))))
     moments = sq.mean(axis=1)
     stderrs = sq.std(axis=1, ddof=1) / np.sqrt(reps)
     deviations = np.abs(moments - 1.0)

@@ -3,14 +3,18 @@ report emission."""
 
 import dataclasses
 import json
+import os
 import platform
+import threading
 
 import numpy as np
 import pytest
 
-from haarconc import cli, experiments, kernel, mixing
+from haarconc import cli, experiments, kernel, mixing, workers
 from haarconc.cli import main, parse_config
 from haarconc.experiments import ExperimentReport
+
+from test_experiments import use_workers, worker_time_limit  # noqa: F401 (fixture)
 
 
 def write_config(tmp_path, name, data) -> str:
@@ -190,8 +194,8 @@ class TestExperimentCommands:
         # 2 arrays * 8 B * 10^8 replicates * 5 x points, held twice.
         ("matrix", {"n": 8, "replicates": 10**8}, "15,258.8 MiB"),
         ("scaling", {"n_grid": [8, 16], "replicates": 10**8}, "15,258.8 MiB"),
-        # 24 B per replicate.
-        ("finite-group", {"n": 5, "replicates": 10**8}, "2,288.8 MiB"),
+        # 16 B per replicate: one replicate more than fits 1 GiB.
+        ("finite-group", {"n": 5, "replicates": 2**26 + 1}, "1,024.0 MiB"),
     ])
     def test_replicates_over_the_memory_budget_refused(self, command, body, estimate,
                                                        tmp_path, capsys, monkeypatch):
@@ -283,15 +287,17 @@ class TestMixingCurveCommand:
         assert len(lines) == 34
         assert payload["environment"]["runtime_seconds"] > 0
 
+    @pytest.mark.usefixtures("worker_time_limit")
     def test_unitary_curve_is_the_same_on_any_worker_count(self, tmp_path, capsys, monkeypatch):
         # Five walk groups of 250 walks and one of 100.
         monkeypatch.setattr(mixing, "_GROUP_BYTES", 250 * 8 * 8 * 16)
         curves = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(mixing, "_usable_cpus", lambda: workers)
-            out_dir = tmp_path / f"un{workers}"
+        for count in (1, 2, 3):
+            forks = use_workers(monkeypatch, count)
+            out_dir = tmp_path / f"un{count}"
             assert main(["mixing-curve", "--group", "un", "--n", "8", "--k-max", "20",
                          "--replicates", "1350", "--seed", "4", "--out", str(out_dir)]) == 0
+            assert len(forks) == count - 1
             curves.append((out_dir / "mixing_curve.csv").read_bytes())
         assert curves[1] == curves[0]
         assert curves[2] == curves[0]
@@ -471,11 +477,41 @@ class TestReportFacts:
                                     "usable_cpus"}
         assert environment["python"] == platform.python_version()
         assert environment["numpy"] == np.__version__
-        assert environment["usable_cpus"] == mixing._usable_cpus() >= 1
+        assert environment["usable_cpus"] == workers.usable_cpus() >= 1
         assert isinstance(environment["blas"], str) and environment["blas"]
         assert environment["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
                                                "OMP_NUM_THREADS": "2",
                                                "MKL_NUM_THREADS": None}
+
+
+@pytest.mark.usefixtures("worker_time_limit")
+class TestForkedWorkers:
+    # Three workers over at least three items per runner call; scaling
+    # calls the matrix runner once per n.
+    @pytest.mark.parametrize("argv, config, expected", [
+        (["matrix"], {"kind": "matrix", "n": 8, "replicates": 300, "step_check": True}, 2),
+        (["scaling"], {"kind": "scaling", "n_grid": [8, 16], "replicates": 300}, 4),
+        (["mixing-curve", "--group", "un", "--n", "8", "--k-max", "10",
+          "--replicates", "1000"], None, 2),
+    ], ids=["matrix", "scaling", "mixing-curve-un"])
+    def test_no_thread_is_alive_at_any_fork(self, argv, config, expected, tmp_path, capsys,
+                                            monkeypatch):
+        # Four walk groups of 250 walks at n = 8.
+        monkeypatch.setattr(mixing, "_GROUP_BYTES", 250 * 8 * 8 * 16)
+        forks = use_workers(monkeypatch, 3)
+        counted_fork = os.fork
+
+        def single_threaded_fork():
+            assert threading.active_count() == 1, threading.enumerate()
+            return counted_fork()
+
+        monkeypatch.setattr(os, "fork", single_threaded_fork)
+        if config is not None:
+            argv = [*argv, "--config", write_config(tmp_path, "cfg.json", {**config, "seed": 1})]
+        else:
+            argv = [*argv, "--seed", "1"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert len(forks) == expected
 
 
 class TestDeterminism:

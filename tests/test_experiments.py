@@ -7,6 +7,7 @@ import json
 import math
 import os
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from haarconc.experiments import (
     run_scaling_study,
     sample_spectral_cdfs,
 )
-from haarconc import hermitian, kernel
+from haarconc import hermitian, kernel, workers
 from haarconc.cli import write_report
 from haarconc.groups import sample_haar_unitary, sample_reflection_step
 from haarconc.hermitian import (
@@ -423,7 +424,7 @@ class TestChunkedEngine:
         for name in calls:
             monkeypatch.setattr(experiments, name, counted(name))
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
         report = run_experiment(matrix_config(n=n, replicates=reps, step_check=True))
         assert report.estimates["step_check"]["replicates"] == reps
         assert calls == {"child_rng": reps, "haar_unitaries": 3 * chunks}
@@ -439,7 +440,7 @@ class TestChunkedEngine:
             return real(h_red, eig_red, w, y, diag_n, rows)
 
         monkeypatch.setattr(experiments, "_check_steps", check_both_paths)
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
         for n in (2, 7, 16):
             expected.clear()
             cfg = matrix_config(n=n, replicates=2 * experiments.chunk_size(n) + 1,
@@ -460,7 +461,7 @@ class TestChunkedEngine:
             return real(*args)
 
         monkeypatch.setattr(hermitian, "hermitian_parts", counted)
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
         sample_spectral_cdfs(matrix_config(n=n, replicates=reps, step_check=True))
         assert calls[0] == 4 * chunks
 
@@ -490,8 +491,8 @@ class Unrebuildable(Exception):
         super().__init__(first)
 
 
-def use_workers(monkeypatch, workers: int) -> list:
-    """Let matrix runs use `workers` processes, with one BLAS thread each;
+def use_workers(monkeypatch, count: int) -> list:
+    """Let runs use `count` worker processes, with one BLAS thread each;
     returns the list that each os.fork call of the run appends to."""
     forks = []
     real_fork = os.fork
@@ -501,26 +502,29 @@ def use_workers(monkeypatch, workers: int) -> list:
         return real_fork()
 
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: count)
     monkeypatch.setattr(os, "fork", counted_fork)
     return forks
 
 
+@pytest.fixture
+def worker_time_limit():
+    """Fail a test whose worker processes run past 60 s: a child that never
+    exits would block the parent's waitpid."""
+    def expire(signum, frame):
+        raise TimeoutError("the worker processes did not finish within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("worker_time_limit")
 class TestWorkerProcesses:
     # Slices are contiguous runs of chunks: with c chunks and w workers,
     # worker i runs chunks [c i // w, c (i + 1) // w).
-
-    @pytest.fixture(autouse=True)
-    def time_limit(self):
-        # A child that never exits would block the parent's waitpid.
-        def expire(signum, frame):
-            raise TimeoutError("the worker processes did not finish within 60 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(60)
-        yield
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
     @pytest.mark.parametrize("n", [2, 7, 64])
     def test_results_equal_across_worker_counts(self, n, monkeypatch):
@@ -530,10 +534,10 @@ class TestWorkerProcesses:
                             step_check=True)
         chunks = -(-cfg.replicates // chunk)
         runs = []
-        for workers in (1, 2, 3):
-            forks = use_workers(monkeypatch, workers)
+        for count in (1, 2, 3):
+            forks = use_workers(monkeypatch, count)
             f_def, f_red, (ranks, gaps) = sample_spectral_cdfs(cfg)
-            assert len(forks) == min(workers, chunks) - 1
+            assert len(forks) == min(count, chunks) - 1
             runs.append((f_def, f_red, ranks, gaps))
         for run in runs[1:]:
             for got, want in zip(run, runs[0]):
@@ -547,8 +551,8 @@ class TestWorkerProcesses:
         n = 7
         chunk = experiments.chunk_size(n)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        for workers, reps in ((1, 3 * chunk), (3, chunk)):
-            monkeypatch.setattr(experiments, "_usable_cpus", lambda: workers)
+        for count, reps in ((1, 3 * chunk), (3, chunk)):
+            monkeypatch.setattr(workers, "usable_cpus", lambda: count)
             monkeypatch.setattr(os, "fork", no_fork)
             f_def, _, _ = sample_spectral_cdfs(matrix_config(n=n, replicates=reps))
             assert f_def.shape == (reps, 5)
@@ -557,10 +561,10 @@ class TestWorkerProcesses:
         n = 64
         chunk_bytes = experiments._chunk_bytes(n)
         assert (experiments._chunk_bytes(experiments.MAX_MATRIX_N)
-                <= experiments.MATRIX_BYTES_BUDGET
+                <= workers.BYTES_BUDGET
                 < experiments._chunk_bytes(experiments.MAX_MATRIX_N + 1))
         forks = use_workers(monkeypatch, 3)
-        monkeypatch.setattr(experiments, "MATRIX_BYTES_BUDGET", 2 * chunk_bytes + 1)
+        monkeypatch.setattr(workers, "BYTES_BUDGET", 2 * chunk_bytes + 1)
         sample_spectral_cdfs(matrix_config(n=n, replicates=6))
         assert len(forks) == 1
 
@@ -585,23 +589,23 @@ class TestWorkerProcesses:
         # OpenBLAS and MKL each read their own variable before
         # OMP_NUM_THREADS; another BLAS counts the largest value set.
         forks = use_workers(monkeypatch, 4)
-        monkeypatch.setattr(experiments, "_blas_build", lambda: build)
-        for var in experiments.BLAS_THREAD_VARS:
+        monkeypatch.setattr(workers, "blas_build", lambda: build)
+        for var in workers.BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
-        for env, workers in cases:
+        for env, count in cases:
             forks.clear()
             with monkeypatch.context() as m:
                 for var, value in env.items():
                     m.setenv(var, value)
                 sample_spectral_cdfs(matrix_config(n=64, replicates=8))
-            assert len(forks) == workers - 1, env
+            assert len(forks) == count - 1, env
 
     def test_other_platforms_run_inline(self, monkeypatch):
         cfg = matrix_config(n=7, replicates=3 * experiments.chunk_size(7), step_check=True)
         use_workers(monkeypatch, 1)
         want = sample_spectral_cdfs(cfg)
         forks = use_workers(monkeypatch, 3)
-        monkeypatch.setattr(experiments.platform, "system", lambda: "Darwin")
+        monkeypatch.setattr(workers.platform, "system", lambda: "Darwin")
         got = sample_spectral_cdfs(cfg)
         assert forks == []
         for a, b in zip((*got[:2], *got[2]), (*want[:2], *want[2])):
@@ -660,19 +664,19 @@ class TestWorkerProcesses:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_violation_in_a_child_names_its_replicate(self, workers, monkeypatch):
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_violation_in_a_child_names_its_replicate(self, count, monkeypatch):
         # 3 chunks of n = 7: the target sits in the second one, which a
         # child runs.
         n = 7
         chunk = experiments.chunk_size(n)
         target = chunk + 2
-        forks = use_workers(monkeypatch, workers)
+        forks = use_workers(monkeypatch, count)
         plant_step_defects(monkeypatch, [target, 2 * chunk + 1])
         cfg = matrix_config(n=n, replicates=2 * chunk + 5, step_check=True)
         with pytest.raises(GuaranteeViolation, match=f"at replicate {target} "):
             sample_spectral_cdfs(cfg)
-        assert len(forks) == workers - 1
+        assert len(forks) == count - 1
 
     def test_earliest_slice_wins_over_the_first_to_fail(self, monkeypatch):
         # One replicate per chunk at n = 64: the child fails on its first
@@ -709,6 +713,21 @@ class TestWorkerProcesses:
 
 
 class TestFiniteGroupExperiment:
+    def test_traced_peak_fits_the_replicate_budget(self):
+        # The draw holds a uniform and an index per replicate, 16 B; a
+        # per-replicate array kept beside them would pass 24 B.
+        reps = 2_000_000
+        cfg = ExperimentConfig.from_dict(
+            {"kind": "finite-group", "n": 4, "seed": 0, "replicates": reps})
+        tracemalloc.start()
+        try:
+            run_finite_group_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert experiments.FINITE_GROUP_REPLICATE_BYTES == 16
+        assert peak < (experiments.FINITE_GROUP_REPLICATE_BYTES + 1) * reps
+
     def test_fixed_point_variance_on_s5(self):
         cfg = ExperimentConfig.from_dict(
             {"kind": "finite-group", "n": 5, "seed": 3, "replicates": 2000}
@@ -906,13 +925,13 @@ class TestReportHelpers:
 
     def test_blas_build_from_show_config(self, monkeypatch):
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        assert experiments._blas_build() == f"{blas['name']} {blas['version']}"
+        assert workers.blas_build() == f"{blas['name']} {blas['version']}"
 
         def old_show_config():  # numpy < 1.26 takes no mode
             return None
 
         monkeypatch.setattr(np, "show_config", old_show_config)
-        assert experiments._blas_build() == "unknown"
+        assert workers.blas_build() == "unknown"
 
     def test_json_dict_drops_curves(self):
         report = ExperimentReport({}, {}, {}, [], {}, curves={"c": {}})

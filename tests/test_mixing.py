@@ -2,8 +2,6 @@
 the U(n) walk, and the trace-moment mixing diagnostic on U(n)."""
 
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -17,7 +15,7 @@ from haarconc.groups import (
     reflection_matrices,
 )
 from haarconc.kernel import FiniteGroupTable, walk_operator
-from haarconc import mixing
+from haarconc import mixing, workers
 from haarconc.mixing import (
     DecayFit,
     TVCurve,
@@ -27,11 +25,12 @@ from haarconc.mixing import (
     _BLOCK_STEPS,
     _group_seeds,
     _reflect_block,
-    _walk_groups,
+    _walk_bytes,
     unitary_mixing_diagnostic,
 )
 
 
+from test_experiments import use_workers, worker_time_limit  # noqa: F401 (fixture)
 from test_kernel import dense_kernel
 
 
@@ -56,17 +55,22 @@ def scatter_laws(n: int, k_max: int) -> list:
     return laws
 
 
+def walk_groups(n: int, reps: int) -> list:
+    """The walk columns of each walk group, as the diagnostic splits them."""
+    return workers.ranges(reps, mixing._group_size(n))
+
+
 def group_walk_moments(n: int, k_max: int, reps: int, rng: np.random.Generator, walk):
-    """m(k) and its standard errors with each walk group of _walk_groups
+    """m(k) and its standard errors with each walk group of walk_groups
     walked on its own stream from _group_seeds, in one call
     walk(n, k_max, m, group_rng) that returns |Tr W_k|^2 for k = 1 .. k_max
     as a (k_max, m) array."""
-    groups = _walk_groups(n, reps)
+    groups = walk_groups(n, reps)
     seeds = _group_seeds(rng, len(groups))
     sq = np.empty((k_max + 1, reps))
     sq[0] = n * n
-    for (lo, hi), seed in zip(groups, seeds):
-        sq[1:, lo:hi] = walk(n, k_max, hi - lo, np.random.default_rng(seed))
+    for walks, seed in zip(groups, seeds):
+        sq[1:, walks.start:walks.stop] = walk(n, k_max, len(walks), np.random.default_rng(seed))
     moments = sq.mean(axis=1)
     stderrs = sq.std(axis=1, ddof=1) / np.sqrt(reps)
     return moments, stderrs
@@ -378,7 +382,7 @@ class TestUnitaryMixingDiagnostic:
     # 8 and 1; (3, 8, 1000, 1000): one group ending exactly at reps, one
     # full block; (2, 3, 1000, 0): one walk per group.  The reference walks
     # each group on its own stream with the whole group at once, so the
-    # schedule and the thread pool must not change a bit.
+    # schedule and the worker processes must not change a bit.
     @pytest.mark.parametrize(
         "n,k_max,reps,walks",
         [(5, 11, 1001, 300), (32, 9, 1000, None), (3, 8, 1000, 1000), (2, 3, 1000, 0)],
@@ -400,15 +404,16 @@ class TestUnitaryMixingDiagnostic:
         assert ref_rng.bit_generator.state == stream.bit_generator.state
 
 
+@pytest.mark.usefixtures("worker_time_limit")
 class TestWalkGroups:
     @pytest.mark.parametrize("n,reps", [(2, 1000), (5, 1001), (32, 1000), (32, 4000), (700, 1000)])
     def test_groups_tile_the_walks(self, n, reps):
-        groups = _walk_groups(n, reps)
+        groups = walk_groups(n, reps)
         size = max(1, mixing._GROUP_BYTES // (n * n * 16))
-        assert groups[0][0] == 0 and groups[-1][1] == reps
-        assert all(hi == lo for (_, hi), (lo, _) in zip(groups, groups[1:]))
-        assert all(hi - lo == size for lo, hi in groups[:-1])
-        assert 1 <= groups[-1][1] - groups[-1][0] <= size
+        assert groups[0].start == 0 and groups[-1].stop == reps
+        assert all(a.stop == b.start for a, b in zip(groups, groups[1:]))
+        assert all(len(walks) == size for walks in groups[:-1])
+        assert 1 <= len(groups[-1]) <= size
 
     def test_group_streams_differ(self):
         seeds = _group_seeds(np.random.default_rng(0), 4)
@@ -418,46 +423,45 @@ class TestWalkGroups:
     def test_same_result_on_any_worker_count(self, monkeypatch):
         # 7 groups: six of 150 walks and one of 100.
         monkeypatch.setattr(mixing, "_GROUP_BYTES", 150 * 8 * 8 * 16)
-        walk_group = mixing._walk_group
-        threads = []
-
-        def recording(*args):
-            threads.append(threading.current_thread())
-            walk_group(*args)
-
-        monkeypatch.setattr(mixing, "_walk_group", recording)
         results = {}
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(mixing, "_usable_cpus", lambda: workers)
-            threads.clear()
-            results[workers] = unitary_mixing_diagnostic(8, 10, 1000, np.random.default_rng(7))
-            on_main = [t is threading.main_thread() for t in threads]
-            assert len(threads) == 7
-            assert all(on_main) if workers == 1 else not any(on_main)
-        for workers in (2, 3):
-            assert np.array_equal(results[workers].moments, results[1].moments)
-            assert np.array_equal(results[workers].stderrs, results[1].stderrs)
-            assert np.array_equal(results[workers].deviations, results[1].deviations)
+        for count in (1, 2, 3):
+            forks = use_workers(monkeypatch, count)
+            results[count] = unitary_mixing_diagnostic(8, 10, 1000, np.random.default_rng(7))
+            assert len(forks) == count - 1
+        for count in (2, 3):
+            assert np.array_equal(results[count].moments, results[1].moments)
+            assert np.array_equal(results[count].stderrs, results[1].stderrs)
+            assert np.array_equal(results[count].deviations, results[1].deviations)
 
-    def test_more_workers_than_cores_with_fast_thread_switching(self, monkeypatch):
-        # 40 groups of 25 walks on 8 workers, switching threads every 1 us:
-        # a lost or misplaced column write would change the moments.
+    def test_more_workers_than_cores_on_the_fork_path(self, monkeypatch):
+        # 40 groups of 25 walks on 8 forked workers, five groups each: a
+        # lost or misplaced column write would change the moments.
         monkeypatch.setattr(mixing, "_GROUP_BYTES", 25 * 4 * 4 * 16)
-        monkeypatch.setattr(mixing, "_usable_cpus", lambda: 1)
+        use_workers(monkeypatch, 1)
         want = unitary_mixing_diagnostic(4, 9, 1000, np.random.default_rng(3))
-        monkeypatch.setattr(mixing, "_usable_cpus", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = unitary_mixing_diagnostic(4, 9, 1000, np.random.default_rng(3))
-        finally:
-            sys.setswitchinterval(interval)
+        forks = use_workers(monkeypatch, 8)
+        got = unitary_mixing_diagnostic(4, 9, 1000, np.random.default_rng(3))
+        assert len(forks) == 7
         assert np.array_equal(got.moments, want.moments)
         assert np.array_equal(got.stderrs, want.stderrs)
 
+    def test_memory_estimate_counts_the_workers_that_run(self, monkeypatch):
+        # Three CPUs and a budget that fits two of the five groups: the
+        # estimate holds two groups in flight, and the run forks once.
+        n, k_max, reps = 8, 6, 1250
+        monkeypatch.setattr(mixing, "_GROUP_BYTES", 250 * n * n * 16)
+        group = mixing._group_bytes(n, reps)
+        forks = use_workers(monkeypatch, 3)
+        monkeypatch.setattr(workers, "BYTES_BUDGET", 2 * group + 1)
+        estimate = _walk_bytes(n, k_max, reps)
+        unitary_mixing_diagnostic(n, k_max, reps, np.random.default_rng(0))
+        traces = (k_max + 1) * reps * 8
+        assert estimate == (len(forks) + 1) * group + 2 * traces
+        assert len(forks) == 1
+
     def test_usable_cpus_follows_affinity(self, monkeypatch):
-        monkeypatch.setattr(mixing.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert mixing._usable_cpus() == 1
-        monkeypatch.delattr(mixing.os, "sched_getaffinity")
-        monkeypatch.setattr(mixing.os, "cpu_count", lambda: 3)
-        assert mixing._usable_cpus() == 3
+        monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert workers.usable_cpus() == 1
+        monkeypatch.delattr(workers.os, "sched_getaffinity")
+        monkeypatch.setattr(workers.os, "cpu_count", lambda: 3)
+        assert workers.usable_cpus() == 3
