@@ -5,13 +5,15 @@ replicate index), so results are bit-identical for a fixed config.  The U(n)
 runners draw each replicate's Gaussians (and, with step_check, its one
 reflection step) from its own generator, then process a chunk of replicates
 with stacked LAPACK calls (QR, eigvalsh), which give the same bits as one
-call per matrix.  The reflection step perturbs the replicate's sampled
-reduced form, so the step check needs no Haar draw of its own.  The chunks
-of a matrix run go to the forked workers of haarconc.workers (two threads
-ran these small LAPACK calls no faster than one), one per CPU that one BLAS
-call may use, so a BLAS left to use every CPU runs the chunks inline.  A
-replicate's result depends on its index only, so reports do not depend on
-the worker count.  Checks come in two kinds: exact guarantees are hard
+call per matrix.  A spectrum that ends in a run of r >= 2 equal values
+needs only the first n - r columns of its Haar factor, so only those
+Gaussian columns are factored (_haar_conjugates).  The reflection step
+perturbs the replicate's sampled reduced form, so the step check needs no
+Haar draw of its own.  The chunks of a matrix run go to the forked workers
+of haarconc.workers (two threads ran these small LAPACK calls no faster than
+one), one per CPU that one BLAS call may use, so a BLAS left to use every
+CPU runs the chunks inline.  A replicate's result depends on its index
+only, so reports do not depend on the worker count.  Checks come in two kinds: exact guarantees are hard
 assertions (violation raises GuaranteeViolation), statistical comparisons
 are verdicts under a 4-standard-error policy and never raise.  The reports
 of all six CLI commands are assembled here.
@@ -31,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, workers
+from . import __version__, hermitian, workers
 from .bounds import BoundInputs, concentration_constant, esd_bounds, tail_bound
 from .groups import (
     StepDistribution,
@@ -436,12 +438,12 @@ def _require_budget(run: str, estimate: int) -> None:
 
 def _replicate_bytes(cfg: ExperimentConfig) -> int:
     """The memory of a run that grows with its replicate count.  A matrix
-    run (and each n of a scaling run) fills the _cdf_layouts arrays and
-    holds them twice while they are copied out of the shared memory; a
-    finite-group run holds FINITE_GROUP_REPLICATE_BYTES per replicate."""
+    run (and each n of a scaling run) fills the _cdf_layouts arrays in the
+    workers' shared memory; a finite-group run holds
+    FINITE_GROUP_REPLICATE_BYTES per replicate."""
     if cfg.kind in ("matrix", "scaling"):
         layouts = _cdf_layouts(cfg.replicates, len(cfg.x_grid), cfg.step_check)
-        return 2 * workers.layout_bytes(layouts)
+        return workers.layout_bytes(layouts)
     if cfg.kind == "finite-group":
         return FINITE_GROUP_REPLICATE_BYTES * cfg.replicates
     return 0
@@ -462,6 +464,39 @@ def _chunk_bytes(n: int) -> int:
     return chunk_size(n) * 16 * n * n * np.dtype(np.complex128).itemsize
 
 
+def _factored_columns(spectrum: np.ndarray) -> int:
+    """Columns of a Haar unitary U that U M U* needs, M = diag(spectrum):
+    n - r when the spectrum ends in a run of r >= 2 equal values, else n."""
+    n = spectrum.size
+    differ = np.flatnonzero(spectrum != spectrum[-1])
+    k = int(differ[-1]) + 1 if differ.size else 0
+    return k if n - k >= 2 else n
+
+
+def _haar_conjugates(z: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """U M U*, hermitised once, for the Haar unitary U of each Gaussian
+    matrix of the (chunk, n, n) stack z, and M = diag(spectrum).
+
+    With k = _factored_columns(spectrum) < n the spectrum ends in n - k
+    copies of lam, and U M U* = lam I + U_S (M_S - lam) U_S* needs only the
+    first k columns U_S of U: haar_unitaries of z's first k columns (the
+    same bits as U's for n <= 128).  With k = 0 it is lam I, and no QR runs.
+    With k = n it is conjugate_stack of the whole U.
+    """
+    n = spectrum.size
+    k = _factored_columns(spectrum)
+    if k == n:
+        return conjugate_stack(haar_unitaries(z), spectrum)
+    lam = spectrum[-1]
+    if k == 0:
+        return np.broadcast_to(lam * np.eye(n, dtype=np.complex128), z.shape)
+    u = haar_unitaries(z[..., :k])
+    h = hermitian.hermitian_parts((u * (spectrum[:k] - lam)) @ np.conj(np.swapaxes(u, -1, -2)))
+    diagonal = np.arange(n)
+    h[..., diagonal, diagonal] += lam
+    return h
+
+
 def sample_spectral_cdfs(
     cfg: ExperimentConfig,
 ) -> tuple[np.ndarray, np.ndarray, Optional[tuple[np.ndarray, np.ndarray]]]:
@@ -471,7 +506,10 @@ def sample_spectral_cdfs(
     step (None without it).
 
     Replicate r draws U, V, X in that order from child_rng(seed, "matrix", r),
-    and with step_check one reflection (u, phi) after them.  The step moves
+    and with step_check one reflection (u, phi) after them.  Each factor
+    draws its whole n x n Gaussian matrix, but only the columns its
+    spectrum needs are factored (_haar_conjugates): the first n // 2 for
+    two_point at n >= 3, none for zero, all n for uniform_grid.  The step moves
     the replicate's own reduced form: H' = Y W Y* + N with W = X M X*, so it
     needs no Haar draw of its own.  A step whose rank exceeds
     STEP_RANK_LIMIT or whose CDF gap exceeds 3/n raises GuaranteeViolation.
@@ -500,9 +538,8 @@ def sample_spectral_cdfs(
                     u_row, phi_row = _sample_reflection_batch(n, 1, rng)
                     refl_u[i], refl_phi[i] = u_row[0], phi_row[0]
             # One QR stack per factor: a single (3, chunk, n, n) stack ran slower.
-            u, v, x = map(haar_unitaries, z)
-            h = conjugate_stack(u, spec_m) + conjugate_stack(v, spec_n)
-            w = conjugate_stack(x, spec_m)
+            h = _haar_conjugates(z[0], spec_m) + _haar_conjugates(z[1], spec_n)
+            w = _haar_conjugates(z[2], spec_m)
             h_red = w + diag_n
             eig_red = np.linalg.eigvalsh(h_red)
             f_def[rows.start:rows.stop] = cdf_counts(np.linalg.eigvalsh(h), xs) / n

@@ -255,13 +255,13 @@ def _check_walk(n: int, k_max: int, reps: int) -> None:
 def _walk_bytes(n: int, k_max: int, reps: int) -> int:
     """Estimated memory of unitary_mixing_diagnostic(n, k_max, reps, ...):
     one group's _group_bytes per worker that workers.run starts, plus
-    (k_max + 1) * reps * 8 B of |Tr W_k|^2, held twice (shared, then copied
-    out).  Cheap at any size; raises ValueError for arguments the diagnostic
+    (k_max + 1) * reps * 8 B of |Tr W_k|^2 in the workers' shared memory.
+    Cheap at any size; raises ValueError for arguments the diagnostic
     refuses."""
     _check_walk(n, k_max, reps)
     group = _group_bytes(n, reps)
     count = workers.worker_count(-(-reps // _group_size(n)), group)
-    return count * group + 2 * (k_max + 1) * reps * 8
+    return count * group + (k_max + 1) * reps * 8
 
 
 def _group_seeds(rng: np.random.Generator, groups: int) -> list[np.random.SeedSequence]:
@@ -302,7 +302,10 @@ def unitary_mixing_diagnostic(
     sq, = workers.run(groups, [((k_max + 1, reps), np.float64)], work, _group_bytes(n, reps))
     sq[0] = n * n
     moments = sq.mean(axis=1)
-    stderrs = sq.std(axis=1, ddof=1) / np.sqrt(reps)
+    # sq.std(axis=1, ddof=1), step for step, in place of its temporary copy.
+    sq -= moments[:, None]
+    np.multiply(sq, sq, out=sq)
+    stderrs = np.sqrt(sq.sum(axis=1) / (reps - 1)) / np.sqrt(reps)
     deviations = np.abs(moments - 1.0)
     if floor is None:
         floor = max(1e-12, 2.0 * float(np.median(stderrs[1:])))

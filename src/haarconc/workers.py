@@ -89,10 +89,10 @@ def run(items: list, layouts: list, work, item_bytes: int) -> list[np.ndarray]:
     The calling process runs slices[0], and each other slice runs in a child
     made with os.fork, which leaves with os._exit; a slice that gets no
     child (os.fork or os.pipe failed) runs in the calling process after
-    slices[0].  All of them write into one anonymous shared mmap, copied
-    into ordinary arrays once every child is reaped, so the arrays are held
-    twice at the end.  A child sends its exception back pickled through a
-    pipe.  The error of the earliest failing slice is raised, so a violation
+    slices[0].  All of them write into one anonymous shared mmap; the
+    returned arrays are views of it, which keep it mapped while they live,
+    and every run maps its own.  A child sends its exception back pickled
+    through a pipe.  The error of the earliest failing slice is raised, so a violation
     names the first violating replicate; a child that dies without one
     (killed, out of memory) or whose error cannot be unpickled raises
     RuntimeError naming its replicates.
@@ -140,7 +140,7 @@ def run(items: list, layouts: list, work, item_bytes: int) -> list[np.ndarray]:
                 f"{os.waitstatus_to_exitcode(status)}")))
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
-    return [a.copy() for a in out]
+    return out
 
 
 def _fork(part, out, work) -> tuple[int, int]:

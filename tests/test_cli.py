@@ -191,9 +191,10 @@ class TestExperimentCommands:
             assert not out_dir.exists()
 
     @pytest.mark.parametrize("command, body, estimate", [
-        # 2 arrays * 8 B * 10^8 replicates * 5 x points, held twice.
-        ("matrix", {"n": 8, "replicates": 10**8}, "15,258.8 MiB"),
-        ("scaling", {"n_grid": [8, 16], "replicates": 10**8}, "15,258.8 MiB"),
+        # 2 arrays * 8 B * 2 * 10^8 replicates * 5 x points, in the workers'
+        # shared memory only.
+        ("matrix", {"n": 8, "replicates": 2 * 10**8}, "15,258.8 MiB"),
+        ("scaling", {"n_grid": [8, 16], "replicates": 2 * 10**8}, "15,258.8 MiB"),
         # 16 B per replicate: one replicate more than fits 1 GiB.
         ("finite-group", {"n": 5, "replicates": 2**26 + 1}, "1,024.0 MiB"),
     ])

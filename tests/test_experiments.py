@@ -5,6 +5,7 @@ import copy
 import errno
 import json
 import math
+import mmap
 import os
 import signal
 import tracemalloc
@@ -87,6 +88,19 @@ class TestResolveSpectrum:
     def test_explicit_list_length_checked(self):
         with pytest.raises(ValueError):
             resolve_spectrum([1.0, 2.0], 3)
+
+    @pytest.mark.parametrize("source, n, columns", [
+        # A trailing run of r >= 2 equal values leaves n - r columns to factor.
+        ("two_point", 8, 4),
+        ("two_point", 7, 3),
+        ("uniform_grid", 8, 8),
+        ("zero", 5, 0),
+        ([0.0, 1.0, 1.0], 3, 1),
+        ([1.0, 1.0, 0.0], 3, 3),
+        ([2.0, 2.0, 2.0], 3, 0),
+    ])
+    def test_factored_columns(self, source, n, columns):
+        assert experiments._factored_columns(resolve_spectrum(source, n)) == columns
 
 
 class TestConfigValidation:
@@ -365,10 +379,20 @@ class TestChunkedEngine:
     def test_chunk_sizes_follow_the_byte_budget(self):
         assert [experiments.chunk_size(n) for n in (8, 16, 32, 64, 128)] == [85, 21, 5, 1, 1]
 
-    @pytest.mark.parametrize("n", [2, 7, 16, 64])
-    def test_cdf_values_equal_per_replicate_loop(self, n):
+    @pytest.mark.parametrize("n, spectrum_N", [
+        *(pytest.param(n, "uniform_grid", id=str(n)) for n in (2, 7, 16, 64)),
+        # A two_point N is factored through its first n // 2 columns (whole
+        # at n = 2), a trailing_run N through those before its run of 0.3;
+        # at n = 2 that run is all of N, so N = 0.3 I and no QR runs.
+        *(pytest.param(n, spectrum, id=f"{n}-{spectrum}")
+          for n in (2, 7, 16, 64) for spectrum in ("two_point", "trailing_run")),
+    ])
+    def test_cdf_values_equal_per_replicate_loop(self, n, spectrum_N):
+        if spectrum_N == "trailing_run":
+            run = max(2, n // 3)
+            spectrum_N = [-1.0 + i / n for i in range(n - run)] + [0.3] * run
         counts = boundary_counts(n)
-        common = {"n": n, "seed": n, "spectrum_N": "uniform_grid",
+        common = {"n": n, "seed": n, "spectrum_N": spectrum_N,
                   "x_grid": [-0.5, 0.0, 0.25, 0.5]}
         want_def, want_red = oracle_cdfs(matrix_config(replicates=counts[-1], **common))
         for reps in counts:
@@ -556,6 +580,33 @@ class TestWorkerProcesses:
             monkeypatch.setattr(os, "fork", no_fork)
             f_def, _, _ = sample_spectral_cdfs(matrix_config(n=n, replicates=reps))
             assert f_def.shape == (reps, 5)
+
+    def test_results_outlive_the_next_run(self, monkeypatch):
+        # workers.run hands back views of its shared memory, not copies: a
+        # child's rows stay readable after the next run, which maps its own.
+        use_workers(monkeypatch, 2)
+        layouts = [((6,), np.float64), ((6,), np.dtype(int))]
+
+        def fill(offset):
+            def work(part, out):
+                for rows in part:
+                    out[0][rows.start:rows.stop] = offset + np.arange(rows.start, rows.stop)
+                    out[1][rows.start:rows.stop] = os.getpid()
+            return work
+
+        first = workers.run(workers.ranges(6, 3), layouts, fill(10.0), 1)
+        kept = [a.copy() for a in first]
+        second = workers.run(workers.ranges(6, 3), layouts, fill(20.0), 1)
+        assert len(set(first[1].tolist())) == 2
+        assert np.array_equal(second[0], 20.0 + np.arange(6))
+        for got, copy_, other in zip(first, kept, second):
+            assert np.array_equal(got, copy_)
+            assert not np.shares_memory(got, copy_)
+            assert not np.shares_memory(got, other)
+            base = got
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert isinstance(base.obj, mmap.mmap)
 
     def test_workers_fit_the_memory_budget(self, monkeypatch):
         n = 64

@@ -167,14 +167,27 @@ class TestHaarUnitary:
         b = sample_haar_unitary(5, np.random.default_rng(99))
         assert np.array_equal(a.entries, b.entries)
 
-    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 64, 128])
     def test_single_sample_equals_stacked_slice(self, n):
         rng = np.random.default_rng(n)
         singles = [sample_haar_unitary(n, rng).entries for _ in range(3)]
         rng = np.random.default_rng(n)
-        stacked = haar_unitaries(np.stack([complex_ginibre(n, rng) for _ in range(3)]))
+        z = np.stack([complex_ginibre(n, rng) for _ in range(3)])
+        stacked = haar_unitaries(z)
         for i in range(3):
             assert np.array_equal(stacked[i], singles[i])
+        # The QR of the first k Gaussian columns gives the first k columns.
+        for k in sorted({1, n // 2, n - 1} - {0, n}):
+            assert np.array_equal(haar_unitaries(z[..., :k]), stacked[..., :k])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_ginibre_equals_the_complex_expression(self, n):
+        for seed in range(5):
+            rng = np.random.default_rng([n, seed])
+            want = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+            got = complex_ginibre(n, np.random.default_rng([n, seed]))
+            assert got.shape == (n, n) and got.dtype == np.complex128
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
     def test_stack_with_one_non_unitary_slice_raises(self):
         rng = np.random.default_rng(6)

@@ -456,7 +456,7 @@ class TestWalkGroups:
         estimate = _walk_bytes(n, k_max, reps)
         unitary_mixing_diagnostic(n, k_max, reps, np.random.default_rng(0))
         traces = (k_max + 1) * reps * 8
-        assert estimate == (len(forks) + 1) * group + 2 * traces
+        assert estimate == (len(forks) + 1) * group + traces
         assert len(forks) == 1
 
     def test_usable_cpus_follows_affinity(self, monkeypatch):
