@@ -480,7 +480,8 @@ def _haar_conjugates(z: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     With k = _factored_columns(spectrum) < n the spectrum ends in n - k
     copies of lam, and U M U* = lam I + U_S (M_S - lam) U_S* needs only the
     first k columns U_S of U: haar_unitaries of z's first k columns (the
-    same bits as U's for n <= 128).  With k = 0 it is lam I, and no QR runs.
+    same bits as U's for n <= 128 with one BLAS thread; see
+    haar_unitaries).  With k = 0 it is lam I, and no QR runs.
     With k = n it is conjugate_stack of the whole U.
     """
     n = spectrum.size

@@ -228,8 +228,10 @@ def haar_unitaries(z: np.ndarray) -> np.ndarray:
 
     A (..., n, k) stack of the first k < n Gaussian columns gives the first
     k columns of those unitaries, checked through their k x k Gram matrix:
-    the same bits for n <= 128, and equal to rounding above, where LAPACK
-    factors in blocks.
+    the same bits for n <= 128 while BLAS runs one thread, and equal to
+    rounding above, where LAPACK factors in blocks, or where a threaded
+    BLAS splits the k- and the n-column updates differently (from n = 97
+    on two OpenBLAS 0.3.31 threads).
     """
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
