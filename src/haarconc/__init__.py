@@ -6,37 +6,24 @@ __version__ = "0.1.0"
 from .bounds import (
     BoundInputs,
     BoundResult,
-    NormEstimate,
     concentration_constant,
     esd_bounds,
-    estimate_norms,
     tail_bound,
 )
 from .groups import (
     Permutation,
-    ReflectionStep,
     StepDistribution,
-    UnitaryMatrix,
     compose,
     invert,
     sample_haar_permutation,
     sample_haar_unitary,
     sample_reflection_step,
-    sample_step,
 )
-from .hermitian import (
-    HermitianMatrix,
-    SpectralCDF,
-    conjugate,
-    eigenvalues,
-    rank_distance,
-    sup_cdf_distance,
-)
+from .hermitian import sup_cdf_distance
 from .kernel import (
     FiniteGroupTable,
     IdentityReport,
     WalkOperator,
-    apply_kernel_power,
     check_identities,
     pair_function,
     pair_potential,
@@ -48,7 +35,6 @@ from .mixing import (
     MixingDiagnostic,
     TVCurve,
     exact_tv_curve,
-    exact_walk_law,
     fit_decay,
     unitary_mixing_diagnostic,
 )
@@ -73,33 +59,22 @@ __all__ = [
     "ExperimentReport",
     "FiniteGroupTable",
     "GuaranteeViolation",
-    "HermitianMatrix",
     "IdentityReport",
     "MixingDiagnostic",
-    "NormEstimate",
     "Permutation",
-    "ReflectionStep",
-    "SpectralCDF",
     "StepDistribution",
     "TVCurve",
-    "UnitaryMatrix",
     "WalkOperator",
-    "apply_kernel_power",
     "check_identities",
     "child_rng",
     "compose",
     "concentration_constant",
-    "conjugate",
-    "eigenvalues",
     "esd_bounds",
-    "estimate_norms",
     "exact_tv_curve",
-    "exact_walk_law",
     "fit_decay",
     "invert",
     "pair_function",
     "pair_potential",
-    "rank_distance",
     "resolve_spectrum",
     "run_experiment",
     "run_finite_group_experiment",
@@ -109,7 +84,6 @@ __all__ = [
     "sample_haar_permutation",
     "sample_haar_unitary",
     "sample_reflection_step",
-    "sample_step",
     "step_seminorm",
     "sup_cdf_distance",
     "tail_bound",

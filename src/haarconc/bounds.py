@@ -16,11 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
-
-from .groups import StepDistribution, compose, sample_step
 
 
 @dataclass(frozen=True)
@@ -88,10 +85,10 @@ def tail_bound(constant: float, t: float) -> float:
     Deliberately not clamped to 1: the raw bound is what the certificates
     compare against.
     """
-    if constant < 0:
-        raise ValueError("constant must be nonnegative")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not constant >= 0:
+        raise ValueError(f"constant must be nonnegative (got {constant!r})")
+    if not t >= 0:
+        raise ValueError(f"t must be nonnegative (got {t!r})")
     if t == 0:
         return 2.0
     if constant == 0:
@@ -106,52 +103,8 @@ def esd_bounds(n: int, kappa: float, t: float) -> tuple[float, float]:
         raise ValueError("n must be an integer >= 2")
     if not (kappa > 0):
         raise ValueError("kappa must be positive")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not t >= 0:
+        raise ValueError(f"t must be nonnegative (got {t!r})")
     variance = kappa * math.log(n) / n
     return variance, tail_bound(2.0 * variance, t)
 
-
-@dataclass(frozen=True)
-class NormEstimate:
-    """Empirical norm estimates; both are LOWER estimates of the true norms.
-
-    sup_estimate is max|f| over the probe points only, and step_estimate is
-    the max probe RMS of one-step changes.  Feeding these into
-    concentration_constant does not certify anything.
-    """
-
-    sup_estimate: float
-    step_estimate: float
-    step_stderr: float
-    lower_bound_only: bool = True
-
-
-def estimate_norms(
-    f: Callable,
-    step: StepDistribution,
-    probes: Sequence,
-    reps: int,
-    rng: np.random.Generator,
-) -> NormEstimate:
-    """Monte Carlo lower estimates of sup|f| and the step RMS seminorm."""
-    if reps < 100:
-        raise ValueError("at least 100 replicates per probe are required")
-    if len(probes) < 10:
-        raise ValueError("at least 10 probe points are required")
-    sup_est = max(abs(float(f(x))) for x in probes)
-    best_mean = 0.0
-    best_se = 0.0
-    for x in probes:
-        fx = float(f(x))
-        sq = np.empty(reps)
-        for r in range(reps):
-            y = sample_step(step, rng)
-            sq[r] = (fx - float(f(compose(y, x)))) ** 2
-        mean = float(np.mean(sq))
-        if mean > best_mean:
-            best_mean = mean
-            best_se = float(np.std(sq, ddof=1) / np.sqrt(reps))
-    step_est = math.sqrt(best_mean)
-    step_se = best_se / (2.0 * step_est) if step_est > 0 else 0.0
-    return NormEstimate(sup_estimate=sup_est, step_estimate=step_est, step_stderr=step_se)

@@ -144,6 +144,8 @@ def _require_float_list(data: dict, key: str, minimum: Optional[float] = None) -
         if isinstance(item, bool) or not isinstance(item, (int, float, np.integer, np.floating)):
             raise ValueError(f"config key '{key}' must contain only numbers")
         item = float(item)
+        if not math.isfinite(item):
+            raise ValueError(f"config key '{key}' must contain only finite numbers (got {item})")
         if minimum is not None and item < minimum:
             raise ValueError(f"config key '{key}' entries must be >= {minimum}")
         out.append(item)
@@ -173,8 +175,8 @@ def _parse_spectrum(data: dict, key: str, kind: str, n: Optional[int]):
 class ExperimentConfig:
     """Validated, canonicalized experiment configuration.
 
-    Spectra are either a generator name ("two_point" | "uniform_grid") or an
-    explicit tuple of eigenvalues.
+    Spectra are either a generator name ("two_point" | "uniform_grid" |
+    "zero") or an explicit tuple of finite eigenvalues.
     """
 
     kind: str
@@ -245,8 +247,9 @@ class ExperimentConfig:
             if isinstance(kappa, bool) or not isinstance(kappa, (int, float, np.integer, np.floating)):
                 raise ValueError("config key 'kappa' must be a positive number")
             kappa = float(kappa)
-            if not (kappa > 0):
-                raise ValueError("config key 'kappa' must be a positive number")
+            if not 0 < kappa < math.inf:
+                raise ValueError(
+                    f"config key 'kappa' must be a positive finite number (got {kappa})")
             fields["kappa"] = kappa
         if kind in ("matrix", "scaling", "finite-group"):
             fields["t_grid"] = (

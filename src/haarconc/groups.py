@@ -1,7 +1,8 @@
-"""Group elements and samplers for the symmetric group S_n and the unitary group U(n).
+"""Permutations and the step law of S_n, and array samplers for U(n).
 
 Two families of random walk steps are provided: lazy random transpositions on
-S_n and random complex reflections on U(n).  Both step laws are symmetric
+S_n and random complex reflections on U(n), drawn as (u, phi) and built into
+matrices by reflection_matrices.  Both step laws are symmetric
 (Y and Y^-1 agree in law) and constant on conjugacy classes, which is what the
 downstream variance machinery requires.
 """
@@ -10,14 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
 UNITARITY_TOL = 1e-12
 
 LAZY_TRANSPOSITION = "lazy-transposition"
-UNITARY_REFLECTION = "unitary-reflection"
 
 
 @dataclass(frozen=True)
@@ -54,35 +54,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.mapping[i]
 
-    def fixed_points(self) -> int:
-        return sum(1 for i, v in enumerate(self.mapping) if i == v)
-
-
-class UnitaryMatrix:
-    """An n x n complex matrix expected to be unitary.
-
-    Samplers check ``max|U* U - I| <= 1e-12`` when they build the entries
-    (:func:`require_unitary`).  Products built with :func:`compose` are not
-    re-checked; call :meth:`unitarity_defect` on demand.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries, *, check: bool = False, tol: float = UNITARITY_TOL):
-        arr = np.array(entries, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("entries must form a square matrix")
-        self.entries = arr
-        if check:
-            require_unitary(arr, tol)
-
-    @property
-    def n(self) -> int:
-        return int(self.entries.shape[0])
-
-    def unitarity_defect(self) -> float:
-        return float(unitarity_defects(self.entries))
-
 
 def unitarity_defects(u: np.ndarray) -> np.ndarray:
     """max|U* U - I| of every matrix in a (..., n, n) stack."""
@@ -102,49 +73,21 @@ def require_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> None:
         )
 
 
-class ReflectionStep:
-    """A complex reflection Y = I - (1 - e^{i phi}) u u*.
-
-    Y acts as multiplication by e^{i phi} on the complex line through the unit
-    vector u and as the identity on its orthocomplement, so its eigenvalues
-    are e^{i phi} once and 1 with multiplicity n - 1, and det Y = e^{i phi}.
-    """
-
-    __slots__ = ("u", "phi")
-
-    def __init__(self, u, phi: float):
-        vec = np.array(u, dtype=np.complex128).reshape(-1)
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"u must be a unit vector (norm {norm!r})")
-        phi = float(phi)
-        if not (0.0 <= phi <= 2.0 * np.pi):
-            raise ValueError("phi must lie in [0, 2*pi]")
-        self.u = vec
-        self.phi = phi
-
-    @property
-    def n(self) -> int:
-        return int(self.u.size)
-
-    def matrix(self) -> UnitaryMatrix:
-        return UnitaryMatrix(reflection_matrices(self.u, np.float64(self.phi)))
-
-
 @dataclass(frozen=True)
 class StepDistribution:
-    """The law of a single walk step.
+    """The law of a single walk step on S_n.
 
-    ``lazy-transposition`` on S_n puts mass 1/n on the identity and 2/n^2 on
-    each transposition (draw i, j independently uniform; i == j is lazy).
-    ``unitary-reflection`` on U(n) is the ReflectionStep law.
+    ``lazy-transposition`` puts mass 1/n on the identity and 2/n^2 on each
+    transposition (draw i, j independently uniform; i == j is lazy).  The
+    U(n) step, a random reflection, is drawn as arrays by
+    :func:`sample_reflection_step`.
     """
 
     kind: str
     n: int
 
     def __post_init__(self) -> None:
-        if self.kind not in (LAZY_TRANSPOSITION, UNITARY_REFLECTION):
+        if self.kind != LAZY_TRANSPOSITION:
             raise ValueError(f"unknown step kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
@@ -153,18 +96,8 @@ class StepDistribution:
     def lazy_transposition(cls, n: int) -> "StepDistribution":
         return cls(LAZY_TRANSPOSITION, n)
 
-    @classmethod
-    def unitary_reflection(cls, n: int) -> "StepDistribution":
-        return cls(UNITARY_REFLECTION, n)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == LAZY_TRANSPOSITION
-
     def support(self) -> Iterator[tuple[Permutation, Fraction]]:
-        """Exact (element, mass) pairs; only defined for finite step kinds."""
-        if not self.is_finite:
-            raise ValueError("support enumeration requires a finite step kind")
+        """Exact (element, mass) pairs."""
         n = self.n
         yield Permutation.identity(n), Fraction(1, n)
         for i in range(n):
@@ -172,32 +105,23 @@ class StepDistribution:
                 yield Permutation.transposition(n, i, j), Fraction(2, n * n)
 
 
-GroupElement = Union[Permutation, UnitaryMatrix]
+def compose(g1: Permutation, g2: Permutation) -> Permutation:
+    """Product g1 * g2 of two permutations, composed as maps, left factor outermost."""
+    if not (isinstance(g1, Permutation) and isinstance(g2, Permutation)):
+        raise TypeError("compose takes two permutations")
+    if g1.n != g2.n:
+        raise ValueError("degree mismatch")
+    return Permutation(tuple(g1.mapping[v] for v in g2.mapping))
 
 
-def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """Group product g1 * g2 (permutations compose as maps, left factor outermost)."""
-    if isinstance(g1, Permutation) and isinstance(g2, Permutation):
-        if g1.n != g2.n:
-            raise ValueError("degree mismatch")
-        return Permutation(tuple(g1.mapping[v] for v in g2.mapping))
-    if isinstance(g1, UnitaryMatrix) and isinstance(g2, UnitaryMatrix):
-        if g1.n != g2.n:
-            raise ValueError("dimension mismatch")
-        return UnitaryMatrix(g1.entries @ g2.entries)
-    raise TypeError("cannot compose elements of different groups")
-
-
-def invert(g: GroupElement) -> GroupElement:
-    """Group inverse; for a unitary matrix this is the conjugate transpose."""
-    if isinstance(g, Permutation):
-        inv = [0] * g.n
-        for i, v in enumerate(g.mapping):
-            inv[v] = i
-        return Permutation(tuple(inv))
-    if isinstance(g, UnitaryMatrix):
-        return UnitaryMatrix(g.entries.conj().T)
-    raise TypeError(f"not a group element: {type(g).__name__}")
+def invert(g: Permutation) -> Permutation:
+    """Inverse of a permutation."""
+    if not isinstance(g, Permutation):
+        raise TypeError(f"not a permutation: {type(g).__name__}")
+    inv = [0] * g.n
+    for i, v in enumerate(g.mapping):
+        inv[v] = i
+    return Permutation(tuple(inv))
 
 
 def complex_ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -240,12 +164,12 @@ def haar_unitaries(z: np.ndarray) -> np.ndarray:
     return q
 
 
-def sample_haar_unitary(n: int, rng: np.random.Generator) -> UnitaryMatrix:
-    """Haar sample from U(n): :func:`haar_unitaries` of one
+def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar sample from U(n), an (n, n) array: :func:`haar_unitaries` of one
     :func:`complex_ginibre` draw."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return UnitaryMatrix(haar_unitaries(complex_ginibre(n, rng)))
+    return haar_unitaries(complex_ginibre(n, rng))
 
 
 def reflection_matrices(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -274,13 +198,14 @@ def _sample_reflection_batch(
     return u, phi
 
 
-def sample_reflection_step(n: int, rng: np.random.Generator) -> ReflectionStep:
-    """One reflection step: u uniform on the complex unit sphere in C^n,
-    phi on [0, 2*pi) with density proportional to sin(phi/2)^(n-1), independent."""
+def sample_reflection_step(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.float64]:
+    """One reflection step (u, phi): u uniform on the complex unit sphere in
+    C^n, phi on [0, 2*pi] with density proportional to sin(phi/2)^(n-1),
+    independent; reflection_matrices(u, phi) is its matrix Y."""
     if n < 1:
         raise ValueError("n must be at least 1")
     u, phi = _sample_reflection_batch(n, 1, rng)
-    return ReflectionStep(u[0], float(phi[0]))
+    return u[0], phi[0]
 
 
 def sample_haar_permutation(n: int, rng: np.random.Generator) -> Permutation:
@@ -289,10 +214,3 @@ def sample_haar_permutation(n: int, rng: np.random.Generator) -> Permutation:
         raise ValueError("n must be at least 1")
     return Permutation(tuple(int(v) for v in rng.permutation(n)))
 
-
-def sample_step(dist: StepDistribution, rng: np.random.Generator) -> GroupElement:
-    """Draw one step from the given distribution, materialized as a group element."""
-    if dist.is_finite:
-        i, j = rng.integers(0, dist.n, size=2)
-        return Permutation.transposition(dist.n, int(i), int(j))
-    return sample_reflection_step(dist.n, rng).matrix()

@@ -70,9 +70,6 @@ class FiniteGroupTable:
             raise ValueError(f"not an element of S_{self.n}: {key!r}")
         return int(self._ranks(np.array([key]))[0])
 
-    def unrank(self, rank: int) -> Permutation:
-        return Permutation(tuple(int(v) for v in self.mappings[rank]))
-
     def left_action(self, perm: Permutation) -> np.ndarray:
         """Index map L with L[rank(g)] = rank(perm o g) for every g, as np.intp,
         the index type np.take uses without a conversion."""
@@ -138,8 +135,6 @@ def walk_operator(n: int, step: StepDistribution) -> WalkOperator:
     Checks that the masses sum to 1 within 1e-14 and that every map is an
     involution.
     """
-    if not step.is_finite:
-        raise ValueError("exact walk operator requires a finite step kind")
     if step.n != n:
         raise ValueError("step degree does not match n")
     if n > MAX_DEGREE:
@@ -163,16 +158,6 @@ def _check_vector(op: WalkOperator, f) -> np.ndarray:
     if f.shape != (op.size,):
         raise ValueError("f must be a vector over the group, in table order")
     return f
-
-
-def apply_kernel_power(op: WalkOperator, f, k: int) -> np.ndarray:
-    """P^k f by repeated application of the walk operator."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    g = _check_vector(op, f).copy()
-    for _ in range(k):
-        g = op.apply(g)
-    return g
 
 
 def pair_potential(

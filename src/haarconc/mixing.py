@@ -29,7 +29,7 @@ import numpy as np
 
 from . import workers
 from .groups import _sample_reflection_batch
-from .kernel import WalkOperator, apply_kernel_power
+from .kernel import WalkOperator
 
 # Steps whose reflection parameters are drawn before the walks take them.
 _BLOCK_STEPS = 8
@@ -97,13 +97,6 @@ def _point_mass(op: WalkOperator) -> np.ndarray:
     return law
 
 
-def exact_walk_law(op: WalkOperator, k: int) -> np.ndarray:
-    """Exact law of the k-step walk product as a vector in table order."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return apply_kernel_power(op, _point_mass(op), k)
-
-
 def exact_tv_curve(op: WalkOperator, k_max: int, law_below: Optional[float] = None) -> TVCurve:
     """d_TV(k) for k = 0 .. k_max, exact up to float summation.
 
@@ -140,7 +133,7 @@ def fit_decay(curve, floor: float = FIT_FLOOR) -> DecayFit:
     the curve by at most 3.1e-16, but the value at k = 84 by 5e-5 relative
     (1.27168565e-12 against 1.27175290e-12), a by 1.7e-6 and b by 2.8e-7.
     An L2 contraction bound on the tail from the exact law at one step, as
-    planned for ROADMAP item 3, would not depend on these values.
+    planned for ROADMAP item 4, would not depend on these values.
     """
     values = np.asarray(curve.values if isinstance(curve, TVCurve) else curve, dtype=float)
     if floor < 0:

@@ -1,5 +1,5 @@
 """Tests for the concentration constant, tail bounds, the spectral-CDF
-specialization, and empirical norm estimation."""
+specialization, and the step size of the spectral CDF on U(n)."""
 
 import math
 
@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 from haarconc.bounds import (
     BoundInputs,
     BoundResult,
-    NormEstimate,
     concentration_constant,
     esd_bounds,
-    estimate_norms,
     tail_bound,
 )
-from haarconc.groups import Permutation, StepDistribution, sample_haar_unitary
-from haarconc.hermitian import HermitianMatrix, conjugate, eigenvalues
+from haarconc.groups import reflection_matrices, sample_haar_unitary, sample_reflection_step
+from haarconc.hermitian import cdf_counts, conjugate_stack
 
 
 def partial_sum_oracle(A: float, B: float, a: float, b: float, k_cap: int = 1_000_000) -> float:
@@ -160,6 +158,14 @@ class TestTailBound:
         with pytest.raises(ValueError):
             tail_bound(1.0, -0.5)
 
+    def test_rejects_nan_arguments(self):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            tail_bound(1.0, math.nan)
+        with pytest.raises(ValueError, match="constant must be nonnegative"):
+            tail_bound(math.nan, 0.5)
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            esd_bounds(8, 1.0, math.nan)
+
     def test_not_clamped_to_one(self):
         assert tail_bound(100.0, 0.1) > 1.0
 
@@ -205,57 +211,25 @@ class TestEsdBounds:
 
 
 class TestEstimateNorms:
-    def test_constant_function(self):
-        step = StepDistribution.lazy_transposition(4)
-        rng = np.random.default_rng(0)
-        probes = [Permutation.identity(4)] * 10
-        est = estimate_norms(lambda x: -2.5, step, probes, 100, rng)
-        assert est.sup_estimate == 2.5
-        assert est.step_estimate == 0.0
-        assert est.step_stderr == 0.0
-        assert est.lower_bound_only
-
-    def test_requires_enough_probes_and_reps(self):
-        step = StepDistribution.lazy_transposition(3)
-        rng = np.random.default_rng(1)
-        probes = [Permutation.identity(3)] * 10
-        with pytest.raises(ValueError):
-            estimate_norms(lambda x: 0.0, step, probes[:9], 100, rng)
-        with pytest.raises(ValueError):
-            estimate_norms(lambda x: 0.0, step, probes, 99, rng)
-
     def test_spectral_cdf_function_on_unitary_group(self):
-        # f(U) = CDF of U M U* + N at a fixed point: values lie in [0, 1],
-        # and one reflection step moves the CDF by at most 3/n pointwise.
-        n = 8
+        # f(U) = F(0.25) of U M U* + N: values lie in [0, 1], and one
+        # reflection step moves the CDF by at most 3/n pointwise, so the
+        # step RMS of f at every probe U is at most 3/n.
+        n, reps = 8, 100
         rng = np.random.default_rng(2)
-        diag_m = np.diag(np.where(np.arange(n) < n // 2, -1.0, 1.0)).astype(complex)
-        diag_n = np.diag(np.linspace(-1.0, 1.0, n)).astype(complex)
+        spec_m = np.where(np.arange(n) < n // 2, -1.0, 1.0)
+        diag_n = np.diag(np.linspace(-1.0, 1.0, n))
+        x = np.array([0.25])
 
-        def f(u):
-            h = HermitianMatrix(conjugate(u, diag_m).entries + diag_n)
-            return eigenvalues(h).value(0.25)
+        def f(w):
+            return cdf_counts(np.linalg.eigvalsh(w + diag_n), x)[..., 0] / n
 
-        probes = [sample_haar_unitary(n, rng) for _ in range(10)]
-        step = StepDistribution.unitary_reflection(n)
-        est = estimate_norms(f, step, probes, 100, rng)
-        assert est.sup_estimate <= 1.0
-        assert est.step_estimate <= 3.0 / n + 1e-12
-        assert est.step_stderr >= 0.0
-        assert est.lower_bound_only
-
-    def test_determinism(self):
-        n = 5
-        step = StepDistribution.lazy_transposition(n)
-        seed_rng = np.random.default_rng(3)
-        probes = [
-            Permutation(tuple(int(v) for v in seed_rng.permutation(n))) for _ in range(10)
-        ]
-
-        def f(x):
-            return x.fixed_points() / n
-
-        est1 = estimate_norms(f, step, probes, 100, np.random.default_rng(4))
-        est2 = estimate_norms(f, step, probes, 100, np.random.default_rng(4))
-        assert est1 == est2
-        assert 0.0 <= est1.sup_estimate <= 1.0
+        for _ in range(10):
+            w = conjugate_stack(sample_haar_unitary(n, rng), spec_m)
+            steps = [sample_reflection_step(n, rng) for _ in range(reps)]
+            y = reflection_matrices(np.stack([u for u, _ in steps]),
+                                    np.array([phi for _, phi in steps]))
+            sq = (f(w) - f(conjugate_stack(y, w))) ** 2
+            assert 0.0 <= f(w) <= 1.0
+            assert math.sqrt(float(np.mean(sq))) <= 3.0 / n + 1e-12
+            assert float(np.max(sq)) <= (3.0 / n) ** 2 + 1e-12

@@ -82,6 +82,23 @@ class TestArgumentHandling:
         assert main(["matrix", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert "color" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, text", [
+        ("x_grid", '"t_grid": [NaN, 0.1], "x_grid": [Infinity, 0.0]'),
+        ("t_grid", '"t_grid": [NaN, 0.1]'),
+        ("x_grid", '"x_grid": [-Infinity]'),
+        ("spectrum_M", '"spectrum_M": [NaN, 0, 0, 0, 0, 0, 0, 1]'),
+        ("kappa", '"kappa": Infinity'),
+    ])
+    def test_non_finite_config_numbers_refused(self, tmp_path, capsys, key, text):
+        # json.loads reads NaN and Infinity; a run on them used to exit 0
+        # and write bare NaN tokens into report.json.
+        path = tmp_path / "cfg.json"
+        path.write_text('{"kind": "matrix", "n": 8, "seed": 0, "replicates": 50, ' + text + "}")
+        out = tmp_path / "out"
+        assert main(["matrix", "--config", str(path), "--out", str(out)]) == 1
+        assert f"config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_kind_must_match_command(self, tmp_path, capsys):
         path = write_config(tmp_path, "cfg.json", MATRIX_CFG)
         code = main(["finite-group", "--config", path, "--out", str(tmp_path / "out")])
@@ -130,6 +147,13 @@ class TestBoundCalc:
     def test_invalid_inputs(self, capsys):
         assert main(["bound-calc", "--A", "1", "--B", "3", "--a", "1", "--b", "1"]) == 1
         assert main(["bound-calc", "--A", "-1", "--B", "1", "--a", "1", "--b", "1"]) == 1
+
+    def test_nan_t_refused(self, tmp_path, capsys):
+        out = tmp_path / "bc"
+        assert main(["bound-calc", "--A", "1", "--B", "1", "--a", "1", "--b", "1",
+                     "--t", "0.5", "--t", "nan", "--out", str(out)]) == 1
+        assert "t must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExperimentCommands:

@@ -32,13 +32,12 @@ from haarconc.experiments import (
 )
 from haarconc import hermitian, kernel, workers
 from haarconc.cli import write_report
-from haarconc.groups import sample_haar_unitary, sample_reflection_step
+from haarconc.groups import reflection_matrices, sample_haar_unitary, sample_reflection_step
 from haarconc.hermitian import (
-    HermitianMatrix,
-    conjugate,
+    _hermitian_rank,
+    cdf_counts,
     conjugate_stack,
-    eigenvalues,
-    rank_distance,
+    hermitian_parts,
     sup_cdf_distance,
 )
 
@@ -171,6 +170,21 @@ class TestConfigValidation:
     def test_kappa_must_be_positive(self):
         with pytest.raises(ValueError, match="kappa"):
             matrix_config(kappa=0.0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("x_grid", [math.inf, 0.0]),
+        ("t_grid", [math.nan, 0.1]),
+        ("spectrum_N", [0.0] * 7 + [-math.inf]),
+        ("kappa", math.inf),
+        ("kappa", math.nan),
+    ])
+    def test_non_finite_numbers_refused(self, key, value):
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            matrix_config(**{key: value})
+        if key in ("x_grid", "t_grid", "kappa"):
+            with pytest.raises(ValueError, match=f"config key '{key}'"):
+                ExperimentConfig.from_dict(
+                    {"kind": "scaling", "n_grid": [4], "seed": 0, key: value})
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
@@ -320,6 +334,11 @@ class TestReflectionStepExperiment:
         assert report.environment["runtime_seconds"] > 0
 
 
+def conjugate(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """U M U* of one whole unitary and one matrix, hermitised."""
+    return hermitian_parts(u @ m @ u.conj().T)
+
+
 def oracle_cdfs(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """The per-replicate loop of the matrix runner, one matrix at a time."""
     n = cfg.n
@@ -332,10 +351,10 @@ def oracle_cdfs(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
         u = sample_haar_unitary(n, rng)
         v = sample_haar_unitary(n, rng)
         x = sample_haar_unitary(n, rng)
-        h = HermitianMatrix(conjugate(u, diag_m).entries + conjugate(v, diag_n).entries)
-        h_red = HermitianMatrix(conjugate(x, diag_m).entries + diag_n)
-        f_def.append(eigenvalues(h).value(xs))
-        f_red.append(eigenvalues(h_red).value(xs))
+        h = hermitian_parts(conjugate(u, diag_m) + conjugate(v, diag_n))
+        h_red = hermitian_parts(conjugate(x, diag_m) + diag_n)
+        f_def.append(cdf_counts(np.linalg.eigvalsh(h), xs) / n)
+        f_red.append(cdf_counts(np.linalg.eigvalsh(h_red), xs) / n)
     return np.array(f_def), np.array(f_red)
 
 
@@ -357,12 +376,12 @@ def oracle_steps(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
         rng = child_rng(cfg.seed, "matrix", r)
         for _ in range(3):
             x = sample_haar_unitary(n, rng)
-        y = sample_reflection_step(n, rng).matrix()
+        y = reflection_matrices(*sample_reflection_step(n, rng))
         w = conjugate(x, diag_m)
-        h = HermitianMatrix(w.entries + diag_n)
-        h_prime = HermitianMatrix(conjugate(y, w).entries + diag_n)
-        ranks.append(svd_rank(h.entries - h_prime.entries))
-        gaps.append(sup_cdf_distance(eigenvalues(h), eigenvalues(h_prime)))
+        h = hermitian_parts(w + diag_n)
+        h_prime = hermitian_parts(conjugate(y, w) + diag_n)
+        ranks.append(svd_rank(h - h_prime))
+        gaps.append(sup_cdf_distance(np.linalg.eigvalsh(h), np.linalg.eigvalsh(h_prime)))
     return np.array(ranks), np.array(gaps)
 
 
@@ -455,12 +474,13 @@ class TestChunkedEngine:
 
     def test_step_ranks_equal_the_rehermitised_path(self, monkeypatch):
         # H and H' are exactly hermitian, so ranking H - H' as it is gives
-        # the ranks of rank_distance, which hermitises both again.
+        # the ranks of hermitising both again first.
         real = experiments._check_steps
         expected = []
 
         def check_both_paths(h_red, eig_red, w, y, diag_n, rows):
-            expected.append(rank_distance(h_red, conjugate_stack(y, w) + diag_n))
+            h_prime = conjugate_stack(y, w) + diag_n
+            expected.append(_hermitian_rank(hermitian_parts(h_red) - hermitian_parts(h_prime)))
             return real(h_red, eig_red, w, y, diag_n, rows)
 
         monkeypatch.setattr(experiments, "_check_steps", check_both_paths)
@@ -502,7 +522,7 @@ def plant_step_defects(monkeypatch, targets) -> None:
         for r in targets:
             if r in rows:
                 y[rows.index(r)] = sample_haar_unitary(
-                    h_red.shape[-1], np.random.default_rng(r)).entries
+                    h_red.shape[-1], np.random.default_rng(r))
         return real(h_red, eig_red, w, y, diag_n, rows)
 
     monkeypatch.setattr(experiments, "_check_steps", check)

@@ -1,5 +1,6 @@
-"""Tests for hermitian spectral statistics: eigenvalues, spectral CDFs,
-rank distance, and the rank perturbation inequality for CDF gaps."""
+"""Tests for hermitian spectral statistics on arrays: hermitisation,
+eigenvalues, CDF counts, the sup-CDF distance, the rank of a difference,
+and the rank perturbation inequality for CDF gaps."""
 
 import math
 
@@ -8,21 +9,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haarconc.groups import sample_haar_unitary, sample_reflection_step
+from haarconc.groups import reflection_matrices, sample_haar_unitary, sample_reflection_step
 from haarconc.hermitian import (
-    HermitianMatrix,
-    SpectralCDF,
-    conjugate,
-    eigenvalues,
+    _hermitian_rank,
+    cdf_counts,
+    conjugate_stack,
     hermitian_parts,
-    rank_distance,
     sup_cdf_distance,
 )
 
 
-def random_hermitian(n: int, rng: np.random.Generator) -> HermitianMatrix:
+def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return HermitianMatrix((g + g.conj().T) / 2.0)
+    return hermitian_parts((g + g.conj().T) / 2.0)
+
+
+def cdf(eigs, x):
+    """F(x) = #{lambda <= x} / n of one spectrum, at a scalar or an array of x."""
+    eigs = np.asarray(eigs, dtype=float)
+    return cdf_counts(eigs, np.atleast_1d(np.asarray(x, dtype=float))) / eigs.size
 
 
 def brute_force_sup_gap(e1: np.ndarray, e2: np.ndarray) -> float:
@@ -37,22 +42,24 @@ def brute_force_sup_gap(e1: np.ndarray, e2: np.ndarray) -> float:
 
 
 class TestHermitianMatrix:
+    """hermitian_parts, the check every conjugated stack passes through."""
+
     def test_rejects_far_from_hermitian(self):
-        with pytest.raises(ValueError):
-            HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        with pytest.raises(ValueError, match="not hermitian"):
+            hermitian_parts(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            HermitianMatrix(np.zeros((2, 3), dtype=complex))
+            hermitian_parts(np.zeros((2, 3), dtype=complex))
 
     def test_stored_entries_exactly_hermitian(self):
         rng = np.random.default_rng(0)
         m = random_hermitian(6, rng)
-        assert np.array_equal(m.entries, m.entries.conj().T)
+        assert np.array_equal(m, m.conj().T)
 
     def test_stack_with_one_non_hermitian_slice_raises(self):
         rng = np.random.default_rng(3)
-        stack = np.stack([random_hermitian(4, rng).entries for _ in range(3)])
+        stack = np.stack([random_hermitian(4, rng) for _ in range(3)])
         assert np.array_equal(hermitian_parts(stack), stack)
         stack[1, 0, 1] += 1e-6
         with pytest.raises(ValueError, match="slice 1"):
@@ -63,40 +70,44 @@ class TestHermitianMatrix:
 
 
 class TestEigenvalues:
+    """np.linalg.eigvalsh, the sorted spectra every runner takes."""
+
     def test_diagonal_matrix_sorted(self):
-        cdf = eigenvalues(np.diag([3.0, 1.0, 2.0]).astype(complex))
-        assert np.allclose(cdf.eigenvalues, [1.0, 2.0, 3.0], atol=1e-12)
+        eigs = np.linalg.eigvalsh(np.diag([3.0, 1.0, 2.0]).astype(complex))
+        assert np.allclose(eigs, [1.0, 2.0, 3.0], atol=1e-12)
 
     def test_two_by_two_swap(self):
-        cdf = eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-        assert np.allclose(cdf.eigenvalues, [-1.0, 1.0], atol=1e-12)
+        eigs = np.linalg.eigvalsh(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        assert np.allclose(eigs, [-1.0, 1.0], atol=1e-12)
 
     def test_trace_identities(self):
         rng = np.random.default_rng(1)
         for n in (3, 8, 16):
             m = random_hermitian(n, rng)
-            eigs = eigenvalues(m).eigenvalues
-            assert abs(eigs.sum() - np.trace(m.entries).real) <= 1e-9
-            hs_sq = float(np.sum(np.abs(m.entries) ** 2))
+            eigs = np.linalg.eigvalsh(m)
+            assert np.all(np.diff(eigs) >= 0.0)
+            assert abs(eigs.sum() - np.trace(m).real) <= 1e-9
+            hs_sq = float(np.sum(np.abs(m) ** 2))
             assert abs(np.sum(eigs**2) - hs_sq) <= 1e-8
 
 
 class TestSpectralCDF:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            SpectralCDF(np.array([]))
+    """cdf_counts / n, the step function F(x) = #{lambda <= x} / n."""
 
     def test_frozen_example_values(self):
-        cdf = eigenvalues(np.diag([1.0, 2.0, 3.0]).astype(complex))
-        assert cdf.value(2.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert cdf.value(0.5) == 0.0
-        assert cdf.value(3.0) == 1.0
+        eigs = np.linalg.eigvalsh(np.diag([1.0, 2.0, 3.0]).astype(complex))
+        assert cdf(eigs, 2.0)[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert cdf(eigs, 0.5)[0] == 0.0
+        assert cdf(eigs, 3.0)[0] == 1.0
 
     def test_vectorized_matches_scalar(self):
-        cdf = SpectralCDF(np.array([-1.0, 0.0, 0.5, 2.0]))
+        eigs = np.array([-1.0, 0.0, 0.5, 2.0])
         xs = np.array([-2.0, -1.0, 0.25, 3.0])
-        vec = cdf.value(xs)
-        assert np.array_equal(vec, np.array([cdf.value(x) for x in xs]))
+        vec = cdf(eigs, xs)
+        assert np.array_equal(vec, np.array([cdf(eigs, x)[0] for x in xs]))
+        # Stacked spectra: one row of counts per spectrum.
+        stacked = cdf_counts(np.stack([eigs, eigs[::-1].copy()]), xs)
+        assert np.array_equal(stacked, np.stack([vec, vec]) * eigs.size)
 
     @given(
         st.lists(st.floats(-50, 50), min_size=1, max_size=12),
@@ -104,37 +115,36 @@ class TestSpectralCDF:
     )
     @settings(max_examples=200, deadline=None)
     def test_step_function_properties(self, eigs, queries):
-        cdf = SpectralCDF(np.array(eigs))
         n = len(eigs)
-        values = [cdf.value(x) for x in sorted(queries)]
+        values = cdf(eigs, sorted(queries)).tolist()
         for v in values:
             assert 0.0 <= v <= 1.0
             # Every value is a multiple of 1/n.
             assert round(v * n) == pytest.approx(v * n, abs=1e-9)
         assert all(a <= b for a, b in zip(values, values[1:]))
-        assert cdf.value(max(eigs)) == 1.0
-        assert cdf.value(min(eigs) - 1.0) == 0.0
+        assert cdf(eigs, max(eigs))[0] == 1.0
+        assert cdf(eigs, min(eigs) - 1.0)[0] == 0.0
 
 
 class TestSupCdfDistance:
     def test_hand_examples(self):
-        d = sup_cdf_distance(SpectralCDF([0.0, 1.0]), SpectralCDF([0.0, 2.0]))
+        d = sup_cdf_distance(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
         assert d == pytest.approx(0.5, abs=1e-15)
-        d = sup_cdf_distance(SpectralCDF([0.0, 1.0, 2.0]), SpectralCDF([0.0, 1.0, 5.0]))
+        d = sup_cdf_distance(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 5.0]))
         assert d == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_identical_spectra(self):
-        cdf = SpectralCDF([0.0, 1.5, 2.0])
-        assert sup_cdf_distance(cdf, cdf) == 0.0
+        eigs = np.array([0.0, 1.5, 2.0])
+        assert sup_cdf_distance(eigs, eigs) == 0.0
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            sup_cdf_distance(SpectralCDF([0.0]), SpectralCDF([0.0, 1.0]))
+            sup_cdf_distance(np.array([0.0]), np.array([0.0, 1.0]))
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
-        a = SpectralCDF(rng.standard_normal(7))
-        b = SpectralCDF(rng.standard_normal(7))
+        a = rng.standard_normal(7)
+        b = rng.standard_normal(7)
         assert sup_cdf_distance(a, b) == sup_cdf_distance(b, a)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 10))
@@ -143,37 +153,39 @@ class TestSupCdfDistance:
         rng = np.random.default_rng(seed)
         e1 = np.sort(rng.standard_normal(n))
         e2 = np.sort(rng.standard_normal(n))
-        got = sup_cdf_distance(SpectralCDF(e1), SpectralCDF(e2))
+        got = sup_cdf_distance(e1, e2)
         assert got == pytest.approx(brute_force_sup_gap(e1, e2), abs=1e-12)
 
     def test_ties_and_duplicates(self):
         e1 = np.array([0.0, 0.0, 1.0, 1.0])
         e2 = np.array([0.0, 1.0, 1.0, 1.0])
-        got = sup_cdf_distance(SpectralCDF(e1), SpectralCDF(e2))
+        got = sup_cdf_distance(e1, e2)
         assert got == pytest.approx(brute_force_sup_gap(e1, e2), abs=1e-15)
         assert got == pytest.approx(0.25, abs=1e-15)
 
 
 class TestRankDistance:
+    """_hermitian_rank of the difference of two hermitian matrices."""
+
     def test_zero_for_equal(self):
         rng = np.random.default_rng(4)
         m = random_hermitian(6, rng)
-        assert rank_distance(m, m) == 0
+        assert _hermitian_rank(m - m) == 0
 
     def test_rank_one_update(self):
         rng = np.random.default_rng(5)
         m = random_hermitian(6, rng)
         u = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        bumped = HermitianMatrix(m.entries + np.outer(u, u.conj()))
-        assert rank_distance(m, bumped) == 1
+        bumped = hermitian_parts(m + np.outer(u, u.conj()))
+        assert _hermitian_rank(m - bumped) == 1
 
     def test_reflection_conjugation_rank(self):
         rng = np.random.default_rng(6)
         n = 8
         m = random_hermitian(n, rng)
-        y = sample_reflection_step(n, rng).matrix()
-        conj = conjugate(y, m)
-        r = rank_distance(m, conj)
+        y = reflection_matrices(*sample_reflection_step(n, rng))
+        conj = conjugate_stack(y, m)
+        r = _hermitian_rank(m - conj)
         assert r <= 3
         assert r == 2
 
@@ -183,14 +195,15 @@ class TestRankDistance:
         rng = np.random.default_rng(7)
         n = 8
         m = random_hermitian(n, rng)
-        y = sample_reflection_step(n, rng).matrix()
-        conj = conjugate(y, m)
-        ranks = {rank_distance(m, conj, tol=t) for t in (1e-10, 1e-8, 1e-6, 1e-4)}
+        y = reflection_matrices(*sample_reflection_step(n, rng))
+        conj = conjugate_stack(y, m)
+        ranks = {int(_hermitian_rank(m - conj, tol=t)) for t in (1e-10, 1e-8, 1e-6, 1e-4)}
         assert len(ranks) == 1
 
     def test_shape_mismatch(self):
+        # A difference that is not square has no rank to take.
         with pytest.raises(ValueError):
-            rank_distance(np.zeros((2, 2), dtype=complex), np.zeros((3, 3), dtype=complex))
+            _hermitian_rank(np.zeros((2, 3), dtype=complex))
 
     def test_equals_svd_rank(self):
         # The ranks come from eigvalsh of the hermitian difference; an SVD
@@ -201,18 +214,19 @@ class TestRankDistance:
         a, b, want = [], [], []
         for r in range(n + 1):
             for scale in (1e-3, 1.0, 1e6):
-                m = random_hermitian(n, rng).entries
+                m = random_hermitian(n, rng)
                 pert = np.zeros((n, n), dtype=complex)
                 for j in range(r):
                     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                     pert += (-1.0) ** j * scale * np.outer(u, u.conj())
                 a.append(m)
-                b.append(m + pert)
+                b.append(hermitian_parts(m + pert))
                 want.append(r)
-        sing = np.linalg.svd(np.stack(a) - np.stack(b), compute_uv=False)
+        diff = np.stack(a) - np.stack(b)
+        sing = np.linalg.svd(diff, compute_uv=False)
         threshold = 1e-8 * np.maximum(sing.max(axis=-1, keepdims=True), 1.0)
         svd_ranks = np.count_nonzero(sing > threshold, axis=-1)
-        ranks = rank_distance(np.stack(a), np.stack(b))
+        ranks = _hermitian_rank(diff)
         assert ranks.tolist() == svd_ranks.tolist() == want
 
 
@@ -224,38 +238,44 @@ class TestStackedDistances:
         for r in range(8):
             m = random_hermitian(n, rng)
             u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            pairs.append((m, HermitianMatrix(m.entries + (r % 3) * np.outer(u, u.conj()))))
-        a = np.stack([m.entries for m, _ in pairs])
-        b = np.stack([p.entries for _, p in pairs])
-        ranks = rank_distance(a, b)
+            pairs.append((m, hermitian_parts(m + (r % 3) * np.outer(u, u.conj()))))
+        a = np.stack([m for m, _ in pairs])
+        b = np.stack([p for _, p in pairs])
+        ranks = _hermitian_rank(a - b)
         gaps = sup_cdf_distance(np.linalg.eigvalsh(a), np.linalg.eigvalsh(b))
         for i, (m, p) in enumerate(pairs):
-            assert ranks[i] == rank_distance(m, p)
-            assert gaps[i] == sup_cdf_distance(eigenvalues(m), eigenvalues(p))
+            assert ranks[i] == _hermitian_rank(m - p)
+            assert gaps[i] == sup_cdf_distance(np.linalg.eigvalsh(m), np.linalg.eigvalsh(p))
         assert set(ranks.tolist()) == {0, 1}
 
 
 class TestConjugate:
+    """conjugate_stack: U M U*, hermitised."""
+
     def test_identity_fixes_matrix(self):
         rng = np.random.default_rng(8)
         m = random_hermitian(5, rng)
-        out = conjugate(np.eye(5, dtype=complex), m)
-        assert np.max(np.abs(out.entries - m.entries)) <= 1e-15
+        out = conjugate_stack(np.eye(5, dtype=complex), m)
+        assert np.max(np.abs(out - m)) <= 1e-15
 
     def test_spectrum_and_trace_preserved(self):
         rng = np.random.default_rng(9)
         n = 16
         m = random_hermitian(n, rng)
         u = sample_haar_unitary(n, rng)
-        out = conjugate(u, m)
-        before = eigenvalues(m).eigenvalues
-        after = eigenvalues(out).eigenvalues
+        out = conjugate_stack(u, m)
+        assert np.array_equal(out, out.conj().T)
+        before = np.linalg.eigvalsh(m)
+        after = np.linalg.eigvalsh(out)
         assert float(np.max(np.abs(before - after))) <= 1e-9
-        assert abs(np.trace(out.entries) - np.trace(m.entries)) <= 1e-10
+        assert abs(np.trace(out) - np.trace(m)) <= 1e-10
+        # A diagonal M given by its entries is the column scaling U * m.
+        d = np.diag(m).real.copy()
+        assert np.array_equal(conjugate_stack(u, d), conjugate_stack(u, np.diag(d)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            conjugate(np.eye(3, dtype=complex), np.zeros((2, 2), dtype=complex))
+            conjugate_stack(np.eye(3, dtype=complex), np.zeros((2, 2), dtype=complex))
 
 
 class TestRankPerturbationInequality:
@@ -271,9 +291,9 @@ class TestRankPerturbationInequality:
                     for _ in range(r):
                         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                         pert += rng.standard_normal() * np.outer(u, u.conj())
-                    bumped = HermitianMatrix(m.entries + pert)
-                    assert rank_distance(m, bumped) <= r
-                    gap = sup_cdf_distance(eigenvalues(m), eigenvalues(bumped))
+                    bumped = hermitian_parts(m + pert)
+                    assert _hermitian_rank(m - bumped) <= r
+                    gap = sup_cdf_distance(np.linalg.eigvalsh(m), np.linalg.eigvalsh(bumped))
                     assert gap <= r / n + 1e-12
                     instances += 1
         assert instances >= 200

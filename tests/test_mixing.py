@@ -20,7 +20,6 @@ from haarconc.mixing import (
     DecayFit,
     TVCurve,
     exact_tv_curve,
-    exact_walk_law,
     fit_decay,
     _BLOCK_STEPS,
     _group_seeds,
@@ -53,6 +52,12 @@ def scatter_laws(n: int, k_max: int) -> list:
         law = nxt
         laws.append(law)
     return laws
+
+
+def walk_law(op, k: int) -> np.ndarray:
+    """The exact walk law at step k, as exact_tv_curve keeps it for a
+    target that no distance meets."""
+    return exact_tv_curve(op, k, law_below=-1.0).law
 
 
 def walk_groups(n: int, reps: int) -> list:
@@ -132,22 +137,24 @@ class TestTVCurve:
 
 
 class TestExactWalkLaw:
+    """The law exact_tv_curve keeps, the one finite-group samples from."""
+
     def test_step_zero_is_point_mass_at_identity(self):
-        law = exact_walk_law(walk_operator(3, lazy(3)), 0)
+        law = walk_law(walk_operator(3, lazy(3)), 0)
         table = FiniteGroupTable(3)
         expected = np.zeros(6)
         expected[table.identity_index] = 1.0
         assert np.array_equal(law, expected)
 
     def test_step_one_equals_step_masses(self):
-        law = exact_walk_law(walk_operator(3, lazy(3)), 1)
+        law = walk_law(walk_operator(3, lazy(3)), 1)
         table = FiniteGroupTable(3)
         for perm, mass in lazy(3).support():
             assert law[table.rank(perm)] == pytest.approx(float(mass), abs=1e-16)
 
     def test_is_probability_vector(self):
         for k in (0, 1, 5, 12):
-            law = exact_walk_law(walk_operator(4, lazy(4)), k)
+            law = walk_law(walk_operator(4, lazy(4)), k)
             assert np.all(law >= 0.0)
             assert abs(law.sum() - 1.0) <= 1e-13
 
@@ -159,7 +166,7 @@ class TestExactWalkLaw:
         row = np.zeros(p.shape[0])
         row[0] = 1.0
         for k in range(8):
-            law = exact_walk_law(walk_operator(n, lazy(n)), k)
+            law = walk_law(walk_operator(n, lazy(n)), k)
             assert float(np.max(np.abs(law - row))) <= 1e-13
             row = row @ p
 
@@ -168,7 +175,7 @@ class TestExactWalkLaw:
             k_max = 3 * n
             laws = scatter_laws(n, k_max)
             for k in (0, 1, n, k_max):
-                assert np.array_equal(exact_walk_law(walk_operator(n, lazy(n)), k), laws[k])
+                assert np.array_equal(walk_law(walk_operator(n, lazy(n)), k), laws[k])
 
 
 class TestExactTVCurve:
@@ -210,14 +217,14 @@ class TestExactTVCurve:
         curve = exact_tv_curve(op, 125, law_below=target)
         k = int(np.nonzero(curve.values <= target)[0][0])
         assert curve.law_step == k
-        assert np.array_equal(curve.law, exact_walk_law(op, k))
+        assert np.array_equal(curve.law, walk_law(op, k))
 
     def test_keeps_last_law_when_target_is_not_reached(self):
         op = walk_operator(4, lazy(4))
         curve = exact_tv_curve(op, 5, law_below=1e-6)
         assert curve.values[-1] > 1e-6
         assert curve.law_step == 5
-        assert np.array_equal(curve.law, exact_walk_law(op, 5))
+        assert np.array_equal(curve.law, walk_law(op, 5))
 
     def test_keeps_no_law_without_target(self):
         curve = exact_tv_curve(walk_operator(3, lazy(3)), 4)
