@@ -45,6 +45,7 @@ from .groups import (
 from .hermitian import _hermitian_rank, cdf_counts, conjugate_stack, sup_cdf_distance
 from .kernel import MAX_DEGREE, check_identities, step_seminorm, walk_operator
 from .mixing import (
+    CURVE_POINT_BYTES,
     FIT_FLOOR,
     _walk_bytes,
     exact_tv_curve,
@@ -268,7 +269,8 @@ class ExperimentConfig:
             else:
                 fields["k_max"] = 25 * fields["n"]
         cfg = ExperimentConfig(**fields)
-        _require_budget(f"a {kind} run of {cfg.replicates} replicates", _replicate_bytes(cfg))
+        steps = f" and {cfg.k_max} steps" if cfg.k_max else ""
+        _require_budget(f"a {kind} run of {cfg.replicates} replicates{steps}", _replicate_bytes(cfg))
         return cfg
 
     def to_dict(self) -> dict:
@@ -443,12 +445,13 @@ def _replicate_bytes(cfg: ExperimentConfig) -> int:
     """The memory of a run that grows with its replicate count.  A matrix
     run (and each n of a scaling run) fills the _cdf_layouts arrays in the
     workers' shared memory; a finite-group run holds
-    FINITE_GROUP_REPLICATE_BYTES per replicate."""
+    FINITE_GROUP_REPLICATE_BYTES per replicate, plus CURVE_POINT_BYTES per
+    step of its curve."""
     if cfg.kind in ("matrix", "scaling"):
         layouts = _cdf_layouts(cfg.replicates, len(cfg.x_grid), cfg.step_check)
         return workers.layout_bytes(layouts)
     if cfg.kind == "finite-group":
-        return FINITE_GROUP_REPLICATE_BYTES * cfg.replicates
+        return FINITE_GROUP_REPLICATE_BYTES * cfg.replicates + CURVE_POINT_BYTES * (cfg.k_max + 1)
     return 0
 
 
@@ -919,6 +922,7 @@ def run_mixing_curve(
     above FIT_FLOOR; "un": Monte Carlo trace moments with a PROXY envelope."""
     if group == "sn":
         k_max = 25 * n if k_max is None else k_max
+        _require_budget(f"an S_{n} walk of {k_max} steps", CURVE_POINT_BYTES * (k_max + 1))
         _, curve, fit = _lazy_walk(n, k_max)
         ks = np.arange(len(curve))
         certified = curve.values > FIT_FLOOR

@@ -185,23 +185,22 @@ def reflection_matrices(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def _sample_reflection_batch(
     n: int, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized draw of `count` reflection parameters (u rows, phi values)."""
-    g = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-    u = g / np.linalg.norm(g, axis=1, keepdims=True)
-    # The first coordinate of a uniform point on the real unit sphere in
-    # R^{n+1} is cos(theta) with theta-density proportional to sin^{n-1} on
-    # [0, pi]; phi = 2*theta then has density proportional to sin^{n-1}(phi/2)
-    # on [0, 2*pi].  Rejection-free and exact.
-    v = rng.standard_normal((count, n + 1))
-    cos_theta = v[:, 0] / np.linalg.norm(v, axis=1)
-    phi = 2.0 * np.arccos(np.clip(cos_theta, -1.0, 1.0))
-    return u, phi
+    """Vectorized draw of `count` reflection parameters (u rows, phi values).
+    u's real, then imaginary parts go into the float view of its array, as in
+    complex_ginibre.  cos(phi/2) is the first coordinate of a uniform point on
+    the sphere in R^{n+1}, so (1 + cos(phi/2))/2 ~ Beta(n/2, n/2)."""
+    u = np.empty((count, n), dtype=np.complex128)
+    parts = u.view(np.float64).reshape(count, n, 2)
+    parts[..., 0] = rng.standard_normal((count, n))
+    parts[..., 1] = rng.standard_normal((count, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return u, 2.0 * np.arccos(2.0 * rng.beta(n / 2, n / 2, count) - 1.0)
 
 
 def sample_reflection_step(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.float64]:
     """One reflection step (u, phi): u uniform on the complex unit sphere in
-    C^n, phi on [0, 2*pi] with density proportional to sin(phi/2)^(n-1),
-    independent; reflection_matrices(u, phi) is its matrix Y."""
+    C^n, phi on [0, 2*pi] with density proportional to sin(phi/2)^(n-1)
+    (one beta draw), independent; reflection_matrices(u, phi) is its matrix Y."""
     if n < 1:
         raise ValueError("n must be at least 1")
     u, phi = _sample_reflection_batch(n, 1, rng)

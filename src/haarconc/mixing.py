@@ -15,9 +15,11 @@ SeedSequence.  Within a group, steps run in blocks of _BLOCK_STEPS; the
 product Y_s ... Y_1 of a block's reflections has the compact WY form
 I - U T U^H (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989),
 with U = [u_1 ... u_s] and T lower triangular, so a block costs two BLAS-3
-products per walk instead of s rank-one updates.  The groups run on the
-forked workers of haarconc.workers, under the worker rule of the matrix
-chunks, and only the |Tr W_k|^2 array grows with reps (_walk_bytes).
+products per walk instead of s rank-one updates, applied in place.  The
+groups run on the forked workers of haarconc.workers, under the worker rule
+of the matrix chunks.  Each unit of groups streams the mean of |Tr W_k|^2
+and the sum of squared deviations per k, so memory grows with reps only by
+those moments (_walk_bytes).
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ from .kernel import WalkOperator
 _BLOCK_STEPS = 8
 # Bytes of walk matrices in one walk group: 256 walks at n = 32.
 _GROUP_BYTES = 4 * 1024 * 1024
+# Memory of one curve point from the walk to the report (peak RSS grew by
+# 218 B a point for S_3, by 247 B for U(2) besides its units' moments).
+CURVE_POINT_BYTES = 256
 # Curve values at or below this are float noise: fit_decay neither fits nor
 # certifies them.
 FIT_FLOOR = 1e-12
@@ -171,48 +176,54 @@ def _wy_factor(gram: np.ndarray, c: np.ndarray) -> np.ndarray:
     return t
 
 
-def _reflect_block(
-    w: np.ndarray,
-    u: np.ndarray,
-    u_h: np.ndarray,
-    c: np.ndarray,
-    traces: np.ndarray,
-    buf: np.ndarray,
-) -> None:
+def _reflect_block(w, u, u_h, c, traces, uhw, rows) -> None:
     """W <- Y_s ... Y_1 W in place for a stack of m walks, Y_j = I - c_j u_j u_j^H.
 
     `u` has shape (m, n, s) with u_j in column j, `u_h` is its conjugate
-    transpose U^H (shape (m, s, n)), `c` has shape (m, s), and `buf` the
-    shape of `w`.  traces[j] (shape (s, m)) receives Tr W after step j + 1:
-    with M = U^H W and G = M U, Tr(Y_{j+1} ... Y_1 W) is Tr W minus the
-    prefix sum over a <= j of sum_b T[a, b] G[b, a].
+    transpose U^H (shape (m, s, n)), and `c` has shape (m, s).  traces[j]
+    (shape (s, m)) receives Tr W after step j + 1: with M = U^H W and
+    G = M U, Tr(Y_{j+1} ... Y_1 W) is Tr W minus the prefix sum over a <= j
+    of sum_b T[a, b] G[b, a].  M goes into `uhw` (the shape of `u_h`), then
+    T M over `u_h`, and W - U (T M) is taken a band of _BLOCK_STEPS rows at
+    a time through `rows` (shape (m, _BLOCK_STEPS, n)).
     """
     t = _wy_factor(u_h @ u, c)
-    uhw = u_h @ w
+    np.matmul(u_h, w, out=uhw)
     g = uhw @ u
-    steps = np.cumsum(np.sum(t * g.transpose(0, 2, 1), axis=2), axis=1)
+    steps = np.cumsum(np.einsum("wab,wba->wa", t, g), axis=1)
     traces[:] = (np.trace(w, axis1=1, axis2=2)[:, None] - steps).T
-    np.matmul(u, t @ uhw, out=buf)
-    w -= buf
+    tuhw = np.matmul(t, uhw, out=u_h)
+    for lo in range(0, w.shape[1], _BLOCK_STEPS):
+        band = w[:, lo : lo + _BLOCK_STEPS]
+        band -= np.matmul(u[:, lo : lo + _BLOCK_STEPS], tuhw, out=rows[:, : band.shape[1]])
 
 
-def _walk_group(n: int, k_max: int, seed: np.random.SeedSequence, sq: np.ndarray) -> None:
+def _merge(acc: np.ndarray, count: int, size: int, mean: np.ndarray, m2: np.ndarray) -> None:
+    """Take `size` values of mean `mean` and sum of squared deviations `m2`
+    into acc = (mean, m2) of `count` values, in place: the pairwise update of
+    Chan, Golub & LeVeque (Amer. Stat. 37, 1983); exact from count = 0."""
+    delta = mean - acc[0]
+    acc[0] += delta * (size / (count + size))
+    acc[1] += m2 + delta * delta * (count * size / (count + size))
+
+
+def _walk_group(n: int, k_max: int, m: int, seed, acc: np.ndarray, count: int) -> None:
     """All k_max steps of one group of m walks, drawn from its own generator.
 
-    `sq` (shape (k_max + 1, m)) receives |Tr W_k|^2 for k >= 1.  Steps run in
+    acc (shape (2, k_max)) holds the moments of |Tr W_k|^2, k = 1 .. k_max,
+    over the `count` walks of the unit before this group; the group's own,
+    taken two-pass at the end of each block, are merged in.  Steps run in
     blocks of s <= _BLOCK_STEPS: the parameters (u, phi) of every walk of the
     group are drawn one step at a time, then the group takes the whole block
     as one rank-s update W <- W - U (T (U^H W)), where I - U T U^H is the
     compact WY form of the block's product; the traces after each step of
     the block come from the s x s matrix U^H W U.
     """
-    m = sq.shape[1]
     rng = np.random.default_rng(seed)
     w = np.broadcast_to(np.eye(n, dtype=np.complex128), (m, n, n)).copy()
-    buf = np.empty_like(w)
     traces = np.empty((_BLOCK_STEPS, m), dtype=np.complex128)
     u = np.empty((m, n, _BLOCK_STEPS), dtype=np.complex128)
-    u_h = np.empty((m, _BLOCK_STEPS, n), dtype=np.complex128)
+    u_h, uhw, rows = (np.empty((m, _BLOCK_STEPS, n), dtype=np.complex128) for _ in range(3))
     phi = np.empty((m, _BLOCK_STEPS))
     for first in range(1, k_max + 1, _BLOCK_STEPS):
         steps = min(_BLOCK_STEPS, k_max + 1 - first)
@@ -221,8 +232,11 @@ def _walk_group(n: int, k_max: int, seed: np.random.SeedSequence, sq: np.ndarray
         block_u = u[:, :, :steps]
         np.conjugate(block_u.transpose(0, 2, 1), out=u_h[:, :steps])
         c = 1.0 - np.exp(1j * phi[:, :steps])
-        _reflect_block(w, block_u, u_h[:, :steps], c, traces[:steps], buf)
-        sq[first : first + steps] = np.abs(traces[:steps]) ** 2
+        _reflect_block(w, block_u, u_h[:, :steps], c, traces[:steps], uhw[:, :steps], rows)
+        sq = np.abs(traces[:steps]) ** 2
+        mean = sq.mean(axis=1)
+        _merge(acc[:, first - 1 : first + steps - 1], count, m, mean,
+               np.sum((sq - mean[:, None]) ** 2, axis=1))
 
 
 def _group_size(n: int) -> int:
@@ -230,10 +244,15 @@ def _group_size(n: int) -> int:
     return max(1, _GROUP_BYTES // (n * n * np.dtype(np.complex128).itemsize))
 
 
+def _unit_size(n: int) -> int:
+    """Walks per unit of streamed moments: whole walk groups, at least 64 walks."""
+    return _group_size(n) * -(-64 // _group_size(n))
+
+
 def _group_bytes(n: int, reps: int) -> int:
-    """Working set of one group of m walks in s-step blocks: m (2n^2 + 6sn + 3s^2) 16 B."""
+    """Working set of one group of m walks in s-step blocks: m (n^2 + 4sn + 3s^2) 16 B."""
     m, s = min(_group_size(n), reps), _BLOCK_STEPS
-    return m * (2 * n * n + 6 * s * n + 3 * s * s) * 16
+    return m * (n * n + 4 * s * n + 3 * s * s) * 16
 
 
 def _check_walk(n: int, k_max: int, reps: int) -> None:
@@ -247,14 +266,15 @@ def _check_walk(n: int, k_max: int, reps: int) -> None:
 
 def _walk_bytes(n: int, k_max: int, reps: int) -> int:
     """Estimated memory of unitary_mixing_diagnostic(n, k_max, reps, ...):
-    one group's _group_bytes per worker that workers.run starts, plus
-    (k_max + 1) * reps * 8 B of |Tr W_k|^2 in the workers' shared memory.
-    Cheap at any size; raises ValueError for arguments the diagnostic
-    refuses."""
+    one group's _group_bytes per worker that workers.run starts, the units'
+    moment accumulators (units x 2 x k_max floats in the workers' shared
+    memory) and CURVE_POINT_BYTES per curve point.  Cheap at any size;
+    raises ValueError for arguments the diagnostic refuses."""
     _check_walk(n, k_max, reps)
     group = _group_bytes(n, reps)
-    count = workers.worker_count(-(-reps // _group_size(n)), group)
-    return count * group + (k_max + 1) * reps * 8
+    units = -(-reps // _unit_size(n))
+    count = workers.worker_count(units, group)
+    return count * group + units * k_max * 16 + (k_max + 1) * CURVE_POINT_BYTES
 
 
 def _group_seeds(rng: np.random.Generator, groups: int) -> list[np.random.SeedSequence]:
@@ -278,27 +298,29 @@ def unitary_mixing_diagnostic(
     not a total-variation envelope.
 
     The walks are split into groups of _GROUP_BYTES of walk matrices; each
-    group takes all k_max steps on its own generator (_group_seeds) and
-    writes its own columns of the (k_max + 1, reps) array of |Tr W_k|^2, on
-    the forked workers of workers.run.  So the result depends on (n, k_max,
-    reps, rng) only, never on the worker count.
+    group takes all k_max steps on its own generator (_group_seeds), in
+    units of whole groups (_unit_size) on the forked workers of workers.run.
+    Each unit keeps the mean of |Tr W_k|^2 over its walks and the sum of
+    squared deviations from it, and the units are merged in index order
+    (_merge), so the result depends on (n, k_max, reps, rng) only, never on
+    the worker count.
     """
     _check_walk(n, k_max, reps)
-    size = _group_size(n)
-    groups = workers.ranges(reps, size)
-    seeds = _group_seeds(rng, len(groups))
+    size, unit = _group_size(n), _unit_size(n)
+    seeds = _group_seeds(rng, -(-reps // size))
+    units = workers.ranges(reps, unit)
 
     def work(part, out) -> None:
         for walks in part:
-            _walk_group(n, k_max, seeds[walks.start // size], out[0][:, walks.start:walks.stop])
+            for lo in range(walks.start, walks.stop, size):
+                _walk_group(n, k_max, min(size, walks.stop - lo), seeds[lo // size],
+                            out[0][lo // unit], lo - walks.start)
 
-    sq, = workers.run(groups, [((k_max + 1, reps), np.float64)], work, _group_bytes(n, reps))
-    sq[0] = n * n
-    moments = sq.mean(axis=1)
-    # sq.std(axis=1, ddof=1), step for step, in place of its temporary copy.
-    sq -= moments[:, None]
-    np.multiply(sq, sq, out=sq)
-    stderrs = np.sqrt(sq.sum(axis=1) / (reps - 1)) / np.sqrt(reps)
+    acc, = workers.run(units, [((len(units), 2, k_max), np.float64)], work, _group_bytes(n, reps))
+    for walks, unit_acc in zip(units[1:], acc[1:]):
+        _merge(acc[0], walks.start, len(walks), *unit_acc)
+    moments = np.concatenate(([float(n * n)], acc[0, 0]))
+    stderrs = np.concatenate(([0.0], np.sqrt(acc[0, 1] / (reps - 1)) / np.sqrt(reps)))
     deviations = np.abs(moments - 1.0)
     if floor is None:
         floor = max(1e-12, 2.0 * float(np.median(stderrs[1:])))

@@ -221,6 +221,8 @@ class TestExperimentCommands:
         ("scaling", {"n_grid": [8, 16], "replicates": 2 * 10**8}, "15,258.8 MiB"),
         # 16 B per replicate: one replicate more than fits 1 GiB.
         ("finite-group", {"n": 5, "replicates": 2**26 + 1}, "1,024.0 MiB"),
+        # CURVE_POINT_BYTES per step of the curve.
+        ("finite-group", {"n": 5, "k_max": 10**7}, "2,441.6 MiB"),
     ])
     def test_replicates_over_the_memory_budget_refused(self, command, body, estimate,
                                                        tmp_path, capsys, monkeypatch):
@@ -342,12 +344,30 @@ class TestMixingCurveCommand:
 
         monkeypatch.setattr(experiments, "unitary_mixing_diagnostic", no_work)
         out_dir = tmp_path / "un"
-        # (k_max + 1) * reps * 8 B of squared traces alone: 3 TB.
+        # (k_max + 1) * CURVE_POINT_BYTES of curve rows alone: 24 GiB.
         code = main(["mixing-curve", "--group", "un", "--n", "8", "--k-max", str(10**8),
                      "--replicates", "4000", "--out", str(out_dir)])
         assert code == 1
         err = capsys.readouterr().err
         assert "U(8) walk of 4000 replicates and 100000000 steps needs an estimated" in err
+        assert "above the 1,024 MiB memory budget" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("group", ["sn", "un"])
+    def test_long_curve_refused_before_the_walk(self, group, tmp_path, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("an oversized curve reached the walk")
+
+        monkeypatch.setattr(experiments, "_lazy_walk", no_work)
+        monkeypatch.setattr(experiments, "unitary_mixing_diagnostic", no_work)
+        out_dir = tmp_path / group
+        # 10^7 curve points of CURVE_POINT_BYTES each: 2.4 GiB.
+        code = main(["mixing-curve", "--group", group, "--n", "3", "--k-max", str(10**7),
+                     "--replicates", "1000", "--out", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        walk = "S_3 walk of" if group == "sn" else "U(3) walk of 1000 replicates and"
+        assert f"{walk} 10000000 steps needs an estimated" in err
         assert "above the 1,024 MiB memory budget" in err
         assert not out_dir.exists()
 

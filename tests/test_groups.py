@@ -18,6 +18,7 @@ from haarconc import workers
 from haarconc.groups import (
     Permutation,
     StepDistribution,
+    _sample_reflection_batch,
     complex_ginibre,
     compose,
     haar_unitaries,
@@ -291,6 +292,19 @@ class TestReflectionStep:
             vals[r] = math.cos(sample_reflection_step(n, rng)[1] / 2.0) ** 2
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean() - oracle) <= 4.0 * se
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
+    def test_angle_moments_of_the_sphere_coordinate(self, n):
+        # cos(phi/2) is the first coordinate of a uniform point on the unit
+        # sphere in R^{n+1}: E cos = 0, E cos^2 = 1/(n+1) and
+        # E cos^4 = 3/((n+1)(n+3)).
+        reps = 200_000
+        _, phi = _sample_reflection_batch(n, reps, np.random.default_rng(40 + n))
+        cos = np.cos(phi / 2.0)
+        for power, want in ((1, 0.0), (2, 1.0 / (n + 1)), (4, 3.0 / ((n + 1) * (n + 3)))):
+            vals = cos**power
+            se = vals.std(ddof=1) / math.sqrt(reps)
+            assert abs(vals.mean() - want) <= 5.0 * se, (power, vals.mean(), want, se)
 
     def test_inverse_has_same_trace_law(self):
         # Y and Y^{-1} = Y* should have identically distributed Re Tr;

@@ -2,6 +2,7 @@
 the U(n) walk, and the trace-moment mixing diagnostic on U(n)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,9 +82,49 @@ def group_walk_moments(n: int, k_max: int, reps: int, rng: np.random.Generator, 
     return moments, stderrs
 
 
+def pairwise(mean_a, m2_a, count, size, mean_b, m2_b):
+    """Mean and sum of squared deviations of count + size values from those
+    of their first count and last size values (Chan, Golub & LeVeque)."""
+    delta = mean_b - mean_a
+    return (mean_a + delta * (size / (count + size)),
+            m2_a + (m2_b + delta * delta * (count * size / (count + size))))
+
+
+def unit_walk_moments(n: int, k_max: int, reps: int, rng: np.random.Generator, walk):
+    """m(k) and its standard errors from the walks of group_walk_moments,
+    reduced as the diagnostic streams them: each group's moments taken
+    two-pass per block of _BLOCK_STEPS steps and merged into its unit's, the
+    units (whole groups of at least 64 walks) merged in order."""
+    size = mixing._group_size(n)
+    unit = size * math.ceil(64 / size)
+    seeds = _group_seeds(rng, len(walk_groups(n, reps)))
+    total = (np.zeros(k_max), np.zeros(k_max))
+    for lo in range(0, reps, unit):
+        hi = min(lo + unit, reps)
+        acc = (np.zeros(k_max), np.zeros(k_max))
+        for start in range(lo, hi, size):
+            m = min(size, hi - start)
+            sq = walk(n, k_max, m, np.random.default_rng(seeds[start // size]))
+            blocks = [sq[first : first + _BLOCK_STEPS] for first in range(0, k_max, _BLOCK_STEPS)]
+            means = [block.mean(axis=1) for block in blocks]
+            m2s = [np.sum((block - mean[:, None]) ** 2, axis=1) for block, mean in zip(blocks, means)]
+            acc = pairwise(*acc, start - lo, m, np.concatenate(means), np.concatenate(m2s))
+        total = pairwise(*total, lo, hi - lo, *acc)
+    moments = np.concatenate(([n * n], total[0]))
+    stderrs = np.concatenate(([0.0], np.sqrt(total[1] / (reps - 1)) / np.sqrt(reps)))
+    return moments, stderrs
+
+
 def conj_transpose(u: np.ndarray) -> np.ndarray:
     """U^H of each matrix of a stack, as a contiguous array."""
     return np.ascontiguousarray(u.conj().transpose(0, 2, 1))
+
+
+def reflect(w: np.ndarray, u: np.ndarray, c: np.ndarray, traces: np.ndarray) -> None:
+    """_reflect_block on fresh buffers: U^H, U^H W and one band of rows."""
+    u_h = conj_transpose(u)
+    _reflect_block(w, u, u_h, c, traces, np.empty_like(u_h),
+                   np.empty((w.shape[0], _BLOCK_STEPS, w.shape[2]), dtype=np.complex128))
 
 
 def block_walk(n: int, k_max: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -97,7 +138,7 @@ def block_walk(n: int, k_max: int, m: int, rng: np.random.Generator) -> np.ndarr
         u = np.stack([d[0] for d in draws], axis=2)
         c = np.stack([1.0 - np.exp(1j * d[1]) for d in draws], axis=1)
         traces = np.empty((steps, m), dtype=np.complex128)
-        _reflect_block(w, u, conj_transpose(u), c, traces, np.empty_like(w))
+        reflect(w, u, c, traces)
         sq[first : first + steps] = np.abs(traces) ** 2
     return sq
 
@@ -306,7 +347,7 @@ class TestBlockReflector:
         u, phi, c = block_parameters(n, s, walks, seed=10 * n + s)
         w = np.broadcast_to(np.eye(n, dtype=np.complex128), (walks, n, n)).copy()
         traces = np.empty((s, walks), dtype=np.complex128)
-        _reflect_block(w, u, conj_transpose(u), c, traces, np.empty_like(w))
+        reflect(w, u, c, traces)
         dense = np.broadcast_to(np.eye(n, dtype=np.complex128), (walks, n, n)).copy()
         for j in range(s):
             dense = reflection_matrices(u[:, :, j], phi[:, j]) @ dense
@@ -322,7 +363,7 @@ class TestBlockReflector:
         start = haar_unitaries(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         w = start.copy()
         traces = np.empty((s, walks), dtype=np.complex128)
-        _reflect_block(w, u, conj_transpose(u), c, traces, np.empty_like(w))
+        reflect(w, u, c, traces)
         stepped = start.copy()
         for j in range(s):
             stepped = reflection_matrices(u[:, :, j], phi[:, j]) @ stepped
@@ -387,8 +428,9 @@ class TestUnitaryMixingDiagnostic:
     # (5, 11, 1001, 300): groups 300, 300, 300 and a partial 101, blocks of 8
     # and a partial 3; (32, 9, 1000, None): 256, 256, 256 and 232, blocks of
     # 8 and 1; (3, 8, 1000, 1000): one group ending exactly at reps, one
-    # full block; (2, 3, 1000, 0): one walk per group.  The reference walks
-    # each group on its own stream with the whole group at once, so the
+    # full block; (2, 3, 1000, 0): one walk per group, units of 64 groups and
+    # a partial unit of 40.  The reference walks each group on its own stream
+    # with the whole group at once and reduces the units in order, so the
     # schedule and the worker processes must not change a bit.
     @pytest.mark.parametrize(
         "n,k_max,reps,walks",
@@ -401,7 +443,7 @@ class TestUnitaryMixingDiagnostic:
         rng = np.random.default_rng(2024)
         d = unitary_mixing_diagnostic(n, k_max, reps, rng)
         ref_rng = np.random.default_rng(2024)
-        moments, stderrs = group_walk_moments(n, k_max, reps, ref_rng, block_walk)
+        moments, stderrs = unit_walk_moments(n, k_max, reps, ref_rng, block_walk)
         assert np.array_equal(d.moments, moments)
         assert np.array_equal(d.stderrs, stderrs)
         # The caller's generator only keys the group seeds.
@@ -441,8 +483,8 @@ class TestWalkGroups:
             assert np.array_equal(results[count].deviations, results[1].deviations)
 
     def test_more_workers_than_cores_on_the_fork_path(self, monkeypatch):
-        # 40 groups of 25 walks on 8 forked workers, five groups each: a
-        # lost or misplaced column write would change the moments.
+        # 40 groups of 25 walks in 14 units of up to three groups, on 8
+        # forked workers: a lost or misplaced unit would change the moments.
         monkeypatch.setattr(mixing, "_GROUP_BYTES", 25 * 4 * 4 * 16)
         use_workers(monkeypatch, 1)
         want = unitary_mixing_diagnostic(4, 9, 1000, np.random.default_rng(3))
@@ -462,9 +504,41 @@ class TestWalkGroups:
         monkeypatch.setattr(workers, "BYTES_BUDGET", 2 * group + 1)
         estimate = _walk_bytes(n, k_max, reps)
         unitary_mixing_diagnostic(n, k_max, reps, np.random.default_rng(0))
-        traces = (k_max + 1) * reps * 8
-        assert estimate == (len(forks) + 1) * group + traces
+        # Five units of one group each, and the curve's rows.
+        moments = 5 * 2 * k_max * 8 + (k_max + 1) * mixing.CURVE_POINT_BYTES
+        assert estimate == (len(forks) + 1) * group + moments
         assert len(forks) == 1
+
+    @pytest.mark.parametrize("n", [5, 32, 64])
+    def test_group_bytes_bound_the_traced_peak(self, n):
+        # One group's walk matrices, its four s x n buffers and its s x s
+        # factors; a leftover group-sized buffer would add n^2 per walk.
+        m, k_max = mixing._group_size(n), 3 * _BLOCK_STEPS
+        acc = np.zeros((2, k_max))
+        tracemalloc.start()
+        try:
+            mixing._walk_group(n, k_max, m, np.random.SeedSequence(n), acc, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.8 <= peak / mixing._group_bytes(n, m) <= 1.2
+
+    @pytest.mark.parametrize("cpus", [1, 2, 16])
+    def test_walk_memory_does_not_grow_with_the_walks(self, cpus, monkeypatch):
+        # Ten times the walks add only their units' moment accumulators, on
+        # as many workers as the CPUs let both runs start.
+        use_workers(monkeypatch, cpus)
+        n, k_max = 32, 128
+        units = [-(-reps // mixing._unit_size(n)) for reps in (4000, 40000)]
+        growth = _walk_bytes(n, k_max, 40000) - _walk_bytes(n, k_max, 4000)
+        assert growth <= (units[1] - units[0]) * 2 * k_max * 8
+
+    @pytest.mark.parametrize("n", [2, 32, 64, 65, 100, 4096])
+    def test_units_hold_whole_groups_of_at_least_64_walks(self, n):
+        size, unit = mixing._group_size(n), mixing._unit_size(n)
+        assert unit % size == 0
+        assert 64 <= unit < 64 + size
+        assert unit == size if size >= 64 else unit > size
 
     def test_usable_cpus_follows_affinity(self, monkeypatch):
         monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0}, raising=False)
