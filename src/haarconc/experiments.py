@@ -12,11 +12,13 @@ perturbs the replicate's sampled reduced form, so the step check needs no
 Haar draw of its own.  The chunks of a matrix run go to the forked workers
 of haarconc.workers (two threads ran these small LAPACK calls no faster than
 one), one per CPU that one BLAS call may use, so a BLAS left to use every
-CPU runs the chunks inline.  A replicate's result depends on its index
-only, so reports do not depend on the worker count.  Checks come in two kinds: exact guarantees are hard
-assertions (violation raises GuaranteeViolation), statistical comparisons
-are verdicts under a 4-standard-error policy and never raise.  The reports
-of all six CLI commands are assembled here.
+CPU runs the chunks inline, under the _matrix_plan that also refuses a
+config above the memory budget.  A replicate's result depends on its index
+only, so reports do not depend on the worker count.  Checks come in two
+kinds: exact guarantees are hard assertions (violation raises
+GuaranteeViolation), statistical comparisons are verdicts under a
+4-standard-error policy and never raise.  The reports of all six CLI
+commands are assembled here.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .bounds import BoundInputs, concentration_constant, esd_bounds, tail_bound
 from .groups import (
     StepDistribution,
     _sample_reflection_batch,
-    complex_ginibre,
     haar_unitaries,
     reflection_matrices,
 )
@@ -47,7 +48,6 @@ from .kernel import MAX_DEGREE, check_identities, step_seminorm, walk_operator
 from .mixing import (
     CURVE_POINT_BYTES,
     FIT_FLOOR,
-    _walk_bytes,
     exact_tv_curve,
     fit_decay,
     unitary_mixing_diagnostic,
@@ -64,10 +64,10 @@ STEP_RANK_LIMIT = 3
 CHUNK_BYTES = 256 * 1024
 # Memory of a matrix run: one replicate, step check included, holds about
 # 16 complex n x n matrices at a time (peak RSS grew by 21 / 69 / 256 MB at
-# n = 256 / 512 / 1024).  Every worker holds one chunk, and the workers of a
-# run together stay under workers.BYTES_BUDGET; MAX_MATRIX_N is the largest n
-# whose one-replicate chunk fits it, so a larger n is refused up front.
-MAX_MATRIX_N = 2048
+# n = 256 / 512 / 1024).  Every worker holds one chunk beside the CDF arrays
+# (_matrix_plan); MAX_MATRIX_N is the largest n whose one-replicate chunk
+# fits workers.BYTES_BUDGET, so a larger n is refused up front.
+MAX_MATRIX_N = 2047
 # Bytes a finite-group replicate holds while its element is drawn: a uniform
 # draw and the element's index (traced peak: 16.2 B per replicate at
 # 4 million replicates).
@@ -269,8 +269,13 @@ class ExperimentConfig:
             else:
                 fields["k_max"] = 25 * fields["n"]
         cfg = ExperimentConfig(**fields)
-        steps = f" and {cfg.k_max} steps" if cfg.k_max else ""
-        _require_budget(f"a {kind} run of {cfg.replicates} replicates{steps}", _replicate_bytes(cfg))
+        if kind in ("matrix", "scaling"):
+            for n in cfg.n_grid or (cfg.n,):
+                _matrix_plan(cfg, n)
+        elif kind == "finite-group":
+            workers.require_budget(
+                f"a finite-group run of {cfg.replicates} replicates and {cfg.k_max} steps",
+                FINITE_GROUP_REPLICATE_BYTES * cfg.replicates + CURVE_POINT_BYTES * (cfg.k_max + 1))
         return cfg
 
     def to_dict(self) -> dict:
@@ -432,42 +437,18 @@ def _check_steps(h_red, eig_red, w, y, diag_n, rows) -> tuple[np.ndarray, np.nda
     return ranks, gaps
 
 
-def _require_budget(run: str, estimate: int) -> None:
-    """Refuse, before any work, a run whose memory estimate exceeds
-    workers.BYTES_BUDGET; the message gives the estimate and the budget."""
-    if estimate > workers.BYTES_BUDGET:
-        raise ValueError(
-            f"{run} needs an estimated {estimate / 2**20:,.1f} MiB, above the "
-            f"{workers.BYTES_BUDGET / 2**20:,.0f} MiB memory budget")
-
-
-def _replicate_bytes(cfg: ExperimentConfig) -> int:
-    """The memory of a run that grows with its replicate count.  A matrix
-    run (and each n of a scaling run) fills the _cdf_layouts arrays in the
-    workers' shared memory; a finite-group run holds
-    FINITE_GROUP_REPLICATE_BYTES per replicate, plus CURVE_POINT_BYTES per
-    step of its curve."""
-    if cfg.kind in ("matrix", "scaling"):
-        layouts = _cdf_layouts(cfg.replicates, len(cfg.x_grid), cfg.step_check)
-        return workers.layout_bytes(layouts)
-    if cfg.kind == "finite-group":
-        return FINITE_GROUP_REPLICATE_BYTES * cfg.replicates + CURVE_POINT_BYTES * (cfg.k_max + 1)
-    return 0
-
-
-def _cdf_layouts(replicates: int, points: int, step_check: Optional[bool]) -> list:
-    """(shape, dtype) of the arrays a matrix run fills: F_H and the reduced
-    form's F per replicate and x point, and with step_check the rank and the
-    CDF gap of each replicate's step."""
-    layouts = [((replicates, points), np.float64)] * 2
-    if step_check:
-        layouts += [((replicates,), np.dtype(int)), ((replicates,), np.float64)]
-    return layouts
-
-
-def _chunk_bytes(n: int) -> int:
-    """Working set of one chunk of a matrix run (see MAX_MATRIX_N)."""
-    return chunk_size(n) * 16 * n * n * np.dtype(np.complex128).itemsize
+def _matrix_plan(cfg: ExperimentConfig, n: int) -> workers.Plan:
+    """The workers.plan of a matrix run at n (each n of a scaling run): a
+    chunk holds about 16 complex n x n matrices per replicate (MAX_MATRIX_N),
+    and the shared arrays hold F_H and the reduced form's F per replicate and
+    x point, and with step_check each replicate's step rank and CDF gap."""
+    reps, chunk = cfg.replicates, chunk_size(n)
+    layouts = [((reps, len(cfg.x_grid)), np.float64)] * 2
+    if cfg.step_check:
+        layouts += [((reps,), np.dtype(int)), ((reps,), np.float64)]
+    return workers.plan(workers.ranges(reps, chunk), layouts,
+                        chunk * 16 * n * n * np.dtype(np.complex128).itemsize,
+                        f"a {cfg.kind} run of {reps} replicates")
 
 
 def _factored_columns(spectrum: np.ndarray) -> int:
@@ -512,38 +493,39 @@ def sample_spectral_cdfs(
     cfg.step_check, the per-replicate rank and CDF gap of one reflection
     step (None without it).
 
-    Replicate r draws U, V, X in that order from child_rng(seed, "matrix", r),
-    and with step_check one reflection (u, phi) after them.  Each factor
-    draws its whole n x n Gaussian matrix, but only the columns its
+    Replicate r draws the whole n x n Gaussian matrices of U, V, X, each
+    real parts first, in one standard_normal call (the bits of three
+    complex_ginibre draws) from child_rng(seed, "matrix", r), and with
+    step_check one reflection (u, phi) after them, but only the columns a
     spectrum needs are factored (_haar_conjugates): the first n // 2 for
-    two_point at n >= 3, none for zero, all n for uniform_grid.  The step moves
-    the replicate's own reduced form: H' = Y W Y* + N with W = X M X*, so it
-    needs no Haar draw of its own.  A step whose rank exceeds
+    two_point at n >= 3, none for zero, all n for uniform_grid.  The step
+    moves the replicate's own reduced form: H' = Y W Y* + N with W = X M X*,
+    so it needs no Haar draw of its own.  A step whose rank exceeds
     STEP_RANK_LIMIT or whose CDF gap exceeds 3/n raises GuaranteeViolation.
-    The chunks run on the worker processes of workers.run; a replicate's
-    draws and arithmetic do not depend on which worker runs it, so neither
-    do the results.
+    The chunks run on the workers of workers.run under _matrix_plan; a
+    replicate's draws and arithmetic do not depend on which worker runs it,
+    so neither do the results.
     """
     n = cfg.n
     xs = np.asarray(cfg.x_grid)
     spec_m = resolve_spectrum(cfg.spectrum_M, n)
     spec_n = resolve_spectrum(cfg.spectrum_N, n)
     diag_n = np.diag(spec_n)
-    layouts = _cdf_layouts(cfg.replicates, xs.size, cfg.step_check)
 
     def work(chunks, out) -> None:
         f_def, f_red, *steps = out
         for rows in chunks:
             z = np.empty((3, len(rows), n, n), dtype=np.complex128)
+            parts = z.view(np.float64).reshape(3, len(rows), n, n, 2).transpose(1, 0, 4, 2, 3)
             refl_u = np.empty((len(rows), n), dtype=np.complex128)
             refl_phi = np.empty(len(rows))
             for i, r in enumerate(rows):
                 rng = child_rng(cfg.seed, "matrix", r)
-                for j in range(3):
-                    z[j, i] = complex_ginibre(n, rng)
+                parts[i] = rng.standard_normal((3, 2, n, n))
                 if cfg.step_check:
                     u_row, phi_row = _sample_reflection_batch(n, 1, rng)
                     refl_u[i], refl_phi[i] = u_row[0], phi_row[0]
+            z *= 1.0 / np.sqrt(2.0)
             # One QR stack per factor: a single (3, chunk, n, n) stack ran slower.
             h = _haar_conjugates(z[0], spec_m) + _haar_conjugates(z[1], spec_n)
             w = _haar_conjugates(z[2], spec_m)
@@ -557,8 +539,7 @@ def sample_spectral_cdfs(
                 ranks[rows.start:rows.stop], gaps[rows.start:rows.stop] = _check_steps(
                     h_red, eig_red, w, y, diag_n, rows)
 
-    chunks = workers.ranges(cfg.replicates, chunk_size(n))
-    f_def, f_red, *steps = workers.run(chunks, layouts, work, _chunk_bytes(n))
+    f_def, f_red, *steps = workers.run(_matrix_plan(cfg, n), work)
     return f_def, f_red, tuple(steps) if cfg.step_check else None
 
 
@@ -805,23 +786,8 @@ def run_scaling_study(cfg: ExperimentConfig) -> ExperimentReport:
     below the configured kappa and re-tests tails with the measured kappa."""
     if cfg.kind != "scaling":
         raise ValueError("run_scaling_study requires kind 'scaling'")
-    ts = list(cfg.t_grid)
-    sub_reports = []
-    for n in cfg.n_grid:
-        sub = ExperimentConfig.from_dict(
-            {
-                "kind": "matrix",
-                "n": n,
-                "spectrum_M": cfg.spectrum_M,
-                "spectrum_N": cfg.spectrum_N,
-                "x_grid": list(cfg.x_grid),
-                "replicates": cfg.replicates,
-                "seed": cfg.seed,
-                "kappa": cfg.kappa,
-                "t_grid": ts,
-            }
-        )
-        sub_reports.append((n, run_matrix_experiment(sub)))
+    sub_reports = [(n, run_matrix_experiment(dataclasses.replace(
+        cfg, kind="matrix", n=n, n_grid=None, step_check=False))) for n in cfg.n_grid]
 
     kappa_measured = 0.0
     for n, rep in sub_reports:
@@ -922,7 +888,7 @@ def run_mixing_curve(
     above FIT_FLOOR; "un": Monte Carlo trace moments with a PROXY envelope."""
     if group == "sn":
         k_max = 25 * n if k_max is None else k_max
-        _require_budget(f"an S_{n} walk of {k_max} steps", CURVE_POINT_BYTES * (k_max + 1))
+        workers.require_budget(f"an S_{n} walk of {k_max} steps", CURVE_POINT_BYTES * (k_max + 1))
         _, curve, fit = _lazy_walk(n, k_max)
         ks = np.arange(len(curve))
         certified = curve.values > FIT_FLOOR
@@ -939,8 +905,6 @@ def run_mixing_curve(
     if group != "un":
         raise ValueError(f"group must be 'sn' or 'un' (got {group!r})")
     k_max = 4 * n if k_max is None else k_max
-    _require_budget(f"a U({n}) walk of {replicates} replicates and {k_max} steps",
-                   _walk_bytes(n, k_max, replicates))
     diag = unitary_mixing_diagnostic(n, k_max, replicates, child_rng(seed, "unitary-mixing", 0))
     bounds = {}
     if diag.fit is not None:

@@ -16,10 +16,10 @@ product Y_s ... Y_1 of a block's reflections has the compact WY form
 I - U T U^H (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989),
 with U = [u_1 ... u_s] and T lower triangular, so a block costs two BLAS-3
 products per walk instead of s rank-one updates, applied in place.  The
-groups run on the forked workers of haarconc.workers, under the worker rule
-of the matrix chunks.  Each unit of groups streams the mean of |Tr W_k|^2
-and the sum of squared deviations per k, so memory grows with reps only by
-those moments (_walk_bytes).
+groups run on the forked workers of haarconc.workers, under one
+workers.plan like the matrix chunks.  Each unit of groups streams the mean
+of |Tr W_k|^2 and the sum of squared deviations per k, so memory grows with
+reps only by those moments.
 """
 
 from __future__ import annotations
@@ -250,31 +250,12 @@ def _unit_size(n: int) -> int:
 
 
 def _group_bytes(n: int, reps: int) -> int:
-    """Working set of one group of m walks in s-step blocks: m (n^2 + 4sn + 3s^2) 16 B."""
+    """Working set of one group of m walks in s-step blocks, m (n^2 + 4sn +
+    3s^2 + 3s + 3n) 16 B: per walk the walk matrix, four s x n buffers, a
+    block's s x s factors, the s-vectors that outlive it and a step's draw;
+    and three ufunc buffers, which numpy takes for the in-place band update."""
     m, s = min(_group_size(n), reps), _BLOCK_STEPS
-    return m * (n * n + 4 * s * n + 3 * s * s) * 16
-
-
-def _check_walk(n: int, k_max: int, reps: int) -> None:
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    if reps < 1000:
-        raise ValueError("at least 1000 replicates are required for a stable curve")
-
-
-def _walk_bytes(n: int, k_max: int, reps: int) -> int:
-    """Estimated memory of unitary_mixing_diagnostic(n, k_max, reps, ...):
-    one group's _group_bytes per worker that workers.run starts, the units'
-    moment accumulators (units x 2 x k_max floats in the workers' shared
-    memory) and CURVE_POINT_BYTES per curve point.  Cheap at any size;
-    raises ValueError for arguments the diagnostic refuses."""
-    _check_walk(n, k_max, reps)
-    group = _group_bytes(n, reps)
-    units = -(-reps // _unit_size(n))
-    count = workers.worker_count(units, group)
-    return count * group + units * k_max * 16 + (k_max + 1) * CURVE_POINT_BYTES
+    return m * (n * n + 4 * s * n + 3 * s * s + 3 * s + 3 * n) * 16 + 3 * np.getbufsize() * 16
 
 
 def _group_seeds(rng: np.random.Generator, groups: int) -> list[np.random.SeedSequence]:
@@ -303,12 +284,22 @@ def unitary_mixing_diagnostic(
     Each unit keeps the mean of |Tr W_k|^2 over its walks and the sum of
     squared deviations from it, and the units are merged in index order
     (_merge), so the result depends on (n, k_max, reps, rng) only, never on
-    the worker count.
+    the worker count.  The run's workers.plan counts one group per worker
+    (_group_bytes), the units' moments and CURVE_POINT_BYTES per curve
+    point, and refuses a walk above the memory budget before any draw.
     """
-    _check_walk(n, k_max, reps)
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    if reps < 1000:
+        raise ValueError("at least 1000 replicates are required for a stable curve")
     size, unit = _group_size(n), _unit_size(n)
-    seeds = _group_seeds(rng, -(-reps // size))
     units = workers.ranges(reps, unit)
+    plan = workers.plan(units, [((len(units), 2, k_max), np.float64)], _group_bytes(n, reps),
+                        f"a U({n}) walk of {reps} replicates and {k_max} steps",
+                        (k_max + 1) * CURVE_POINT_BYTES)
+    seeds = _group_seeds(rng, -(-reps // size))
 
     def work(part, out) -> None:
         for walks in part:
@@ -316,7 +307,7 @@ def unitary_mixing_diagnostic(
                 _walk_group(n, k_max, min(size, walks.stop - lo), seeds[lo // size],
                             out[0][lo // unit], lo - walks.start)
 
-    acc, = workers.run(units, [((len(units), 2, k_max), np.float64)], work, _group_bytes(n, reps))
+    acc, = workers.run(plan, work)
     for walks, unit_acc in zip(units[1:], acc[1:]):
         _merge(acc[0], walks.start, len(walks), *unit_acc)
     moments = np.concatenate(([float(n * n)], acc[0, 0]))

@@ -1,8 +1,9 @@
 """Forked workers for both Monte Carlo loops of the U(n) runners, the
 matrix replicate chunks and the reflection walk's groups.  Each loop is a
 list of items (ranges of replicates) that write their own rows or columns
-of shared arrays, so the arrays depend neither on the worker count
-(worker_count, one rule for both) nor on which worker runs an item (run).
+of shared arrays, so the arrays depend neither on the worker count nor on
+which worker runs an item.  plan picks the workers and the memory estimate
+from the same numbers, and run forks exactly the planned slices.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import mmap
 import os
 import pickle
 import platform
+from typing import NamedTuple
 
 import numpy as np
 
-# Memory budget of one run: the workers' items together, and each runner's
-# arrays that grow with the replicate count.
+# Memory budget of one run: the workers' items together, the shared arrays
+# and what else the caller holds that grows with the run (plan).
 BYTES_BUDGET = 1024**3
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -66,25 +68,50 @@ def layout_bytes(layouts: list) -> int:
     return sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layouts)
 
 
-def worker_count(items: int, item_bytes: int) -> int:
-    """Workers of a run of `items` items that hold `item_bytes` each.
+class Plan(NamedTuple):
+    """A run that fits BYTES_BUDGET: its items in contiguous slices, one per
+    worker, the layouts of its shared arrays, and its estimated bytes."""
 
-    One per blas_threads() usable CPUs, at most one per item, and only as
-    many as fit BYTES_BUDGET together; at least one.  Idle OpenBLAS threads
-    spin: two workers with unpinned BLAS threads on two CPUs ran the scaling
-    benchmark config in 12.7 s, one worker in 2.6 s.  One off Linux: there
-    system libraries may start threads that a forked child cannot use
-    (CPython's macOS default is spawn).
+    slices: list
+    layouts: list
+    estimate: int
+
+
+def require_budget(run: str, estimate: int) -> None:
+    """Refuse, before any work, a run whose memory estimate exceeds
+    BYTES_BUDGET; the message gives the estimate and the budget."""
+    if estimate > BYTES_BUDGET:
+        raise ValueError(
+            f"{run} needs an estimated {estimate / 2**20:,.1f} MiB, above the "
+            f"{BYTES_BUDGET / 2**20:,.0f} MiB memory budget")
+
+
+def plan(items: list, layouts: list, item_bytes: int, run: str, extra: int = 0) -> Plan:
+    """The workers of a run of `items` that hold `item_bytes` each, beside
+    shared arrays of the given (shape, dtype) layouts and `extra` bytes the
+    caller holds: one per blas_threads() usable CPUs, at most one per item,
+    and only as many as fit BYTES_BUDGET beside the arrays and `extra`; at
+    least one.  The estimate is workers * item_bytes + layout_bytes(layouts)
+    + extra, and require_budget refuses, as `run`, a run above the budget.
+    Idle OpenBLAS threads spin: two workers with unpinned BLAS threads on
+    two CPUs ran the scaling benchmark config in 12.7 s, one worker in
+    2.6 s.  One off Linux: there system libraries may start threads that a
+    forked child cannot use (CPython's macOS default is spawn).
     """
-    if platform.system() != "Linux" or not hasattr(os, "fork"):
-        return 1
-    return max(1, min(usable_cpus() // blas_threads(), items, BYTES_BUDGET // item_bytes))
+    fixed = layout_bytes(layouts) + extra
+    workers = 1
+    if platform.system() == "Linux" and hasattr(os, "fork"):
+        workers = max(1, min(usable_cpus() // blas_threads(), len(items),
+                             (BYTES_BUDGET - fixed) // item_bytes))
+    estimate = workers * item_bytes + fixed
+    require_budget(run, estimate)
+    bounds = [len(items) * i // workers for i in range(workers + 1)]
+    return Plan([items[lo:hi] for lo, hi in zip(bounds, bounds[1:])], layouts, estimate)
 
 
-def run(items: list, layouts: list, work, item_bytes: int) -> list[np.ndarray]:
-    """Run work(slice, out) over contiguous slices of `items`, one per
-    worker_count(), into fresh arrays of the given (shape, dtype) layouts,
-    and return the arrays.
+def run(plan: Plan, work) -> list[np.ndarray]:
+    """Run work(slice, out) over the slices of `plan` into fresh arrays of
+    its layouts, and return the arrays.
 
     The calling process runs slices[0], and each other slice runs in a child
     made with os.fork, which leaves with os._exit; a slice that gets no
@@ -92,26 +119,24 @@ def run(items: list, layouts: list, work, item_bytes: int) -> list[np.ndarray]:
     slices[0].  All of them write into one anonymous shared mmap; the
     returned arrays are views of it, which keep it mapped while they live,
     and every run maps its own.  A child sends its exception back pickled
-    through a pipe.  The error of the earliest failing slice is raised, so a violation
-    names the first violating replicate; a child that dies without one
-    (killed, out of memory) or whose error cannot be unpickled raises
-    RuntimeError naming its replicates.
+    through a pipe.  The error of the earliest failing slice is raised, so
+    a violation names the first violating replicate; a child that dies
+    without one (killed, out of memory) or whose error cannot be unpickled
+    raises RuntimeError naming its replicates.
     """
-    workers = worker_count(len(items), item_bytes)
-    bounds = [len(items) * i // workers for i in range(workers + 1)]
-    slices = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    shared = mmap.mmap(-1, max(1, layout_bytes(layouts)))
+    slices = plan.slices
+    shared = mmap.mmap(-1, max(1, layout_bytes(plan.layouts)))
     out, offset = [], 0
-    for shape, dtype in layouts:
+    for shape, dtype in plan.layouts:
         out.append(np.frombuffer(shared, dtype, math.prod(shape), offset).reshape(shape))
         offset += out[-1].nbytes
     own, children, errors = [0], [], []
     try:
-        for k in range(1, workers):
+        for k in range(1, len(slices)):
             try:
                 children.append((k, *_fork(slices[k], out, work)))
             except OSError:  # no process or pipe to spare: run the rest here
-                own += range(k, workers)
+                own += range(k, len(slices))
                 break
         for k in own:
             try:

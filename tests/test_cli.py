@@ -215,14 +215,19 @@ class TestExperimentCommands:
             assert not out_dir.exists()
 
     @pytest.mark.parametrize("command, body, estimate", [
-        # 2 arrays * 8 B * 2 * 10^8 replicates * 5 x points, in the workers'
-        # shared memory only.
-        ("matrix", {"n": 8, "replicates": 2 * 10**8}, "15,258.8 MiB"),
-        ("scaling", {"n_grid": [8, 16], "replicates": 2 * 10**8}, "15,258.8 MiB"),
+        # 2 arrays * 8 B * 2 * 10^8 replicates * 5 x points in the workers'
+        # shared memory, and one worker's chunk of 85 replicates at n = 8.
+        ("matrix", {"n": 8, "replicates": 2 * 10**8}, "15,260.1 MiB"),
+        ("scaling", {"n_grid": [8, 16], "replicates": 2 * 10**8}, "15,260.1 MiB"),
         # 16 B per replicate: one replicate more than fits 1 GiB.
         ("finite-group", {"n": 5, "replicates": 2**26 + 1}, "1,024.0 MiB"),
         # CURVE_POINT_BYTES per step of the curve.
         ("finite-group", {"n": 5, "k_max": 10**7}, "2,441.6 MiB"),
+        # One replicate's chunk at n = 2047 (1,023.0 MiB) and the CDF arrays
+        # of 20 000 replicates (1.5 MiB); a scaling grid is refused before
+        # its first n runs.
+        ("matrix", {"n": 2047, "replicates": 20000}, "1,024.5 MiB"),
+        ("scaling", {"n_grid": [8, 2047], "replicates": 20000}, "1,024.5 MiB"),
     ])
     def test_replicates_over_the_memory_budget_refused(self, command, body, estimate,
                                                        tmp_path, capsys, monkeypatch):
@@ -231,11 +236,30 @@ class TestExperimentCommands:
 
         monkeypatch.setattr(experiments, "sample_spectral_cdfs", no_work)
         monkeypatch.setattr(experiments, "walk_operator", no_work)
+        use_workers(monkeypatch, 1)
         path = write_config(tmp_path, "cfg.json", {"kind": command, "seed": 0, **body})
         out_dir = tmp_path / command
         assert main([command, "--config", path, "--out", str(out_dir)]) == 1
         err = capsys.readouterr().err
         assert f"needs an estimated {estimate}, above the 1,024 MiB memory budget" in err
+        assert not out_dir.exists()
+
+    def test_arrays_that_fit_beside_no_chunk_refused(self, tmp_path, capsys, monkeypatch):
+        # The CDF arrays of 1000 replicates at five x points fit the budget,
+        # but neither two workers' chunks nor one fit beside them.
+        def no_work(*args):
+            raise AssertionError("an oversized config reached the work")
+
+        monkeypatch.setattr(experiments, "sample_spectral_cdfs", no_work)
+        use_workers(monkeypatch, 2)
+        n, reps = 64, 1000
+        chunk = experiments.chunk_size(n) * 16 * n * n * 16
+        monkeypatch.setattr(workers, "BYTES_BUDGET", 2 * reps * 5 * 8 + chunk - 1)
+        path = write_config(tmp_path, "cfg.json",
+                            {"kind": "matrix", "n": n, "seed": 0, "replicates": reps})
+        out_dir = tmp_path / "matrix"
+        assert main(["matrix", "--config", path, "--out", str(out_dir)]) == 1
+        assert "a matrix run of 1000 replicates needs an estimated" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_scaling_run(self, tmp_path, capsys):
@@ -342,7 +366,7 @@ class TestMixingCurveCommand:
         def no_work(*args):
             raise AssertionError("an oversized walk reached the work")
 
-        monkeypatch.setattr(experiments, "unitary_mixing_diagnostic", no_work)
+        monkeypatch.setattr(mixing, "_walk_group", no_work)
         out_dir = tmp_path / "un"
         # (k_max + 1) * CURVE_POINT_BYTES of curve rows alone: 24 GiB.
         code = main(["mixing-curve", "--group", "un", "--n", "8", "--k-max", str(10**8),
@@ -359,7 +383,7 @@ class TestMixingCurveCommand:
             raise AssertionError("an oversized curve reached the walk")
 
         monkeypatch.setattr(experiments, "_lazy_walk", no_work)
-        monkeypatch.setattr(experiments, "unitary_mixing_diagnostic", no_work)
+        monkeypatch.setattr(mixing, "_walk_group", no_work)
         out_dir = tmp_path / group
         # 10^7 curve points of CURVE_POINT_BYTES each: 2.4 GiB.
         code = main(["mixing-curve", "--group", group, "--n", "3", "--k-max", str(10**7),

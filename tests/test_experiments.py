@@ -614,9 +614,10 @@ class TestWorkerProcesses:
                     out[1][rows.start:rows.stop] = os.getpid()
             return work
 
-        first = workers.run(workers.ranges(6, 3), layouts, fill(10.0), 1)
+        plan = workers.plan(workers.ranges(6, 3), layouts, 1, "a test run")
+        first = workers.run(plan, fill(10.0))
         kept = [a.copy() for a in first]
-        second = workers.run(workers.ranges(6, 3), layouts, fill(20.0), 1)
+        second = workers.run(plan, fill(20.0))
         assert len(set(first[1].tolist())) == 2
         assert np.array_equal(second[0], 20.0 + np.arange(6))
         for got, copy_, other in zip(first, kept, second):
@@ -629,15 +630,44 @@ class TestWorkerProcesses:
             assert isinstance(base.obj, mmap.mmap)
 
     def test_workers_fit_the_memory_budget(self, monkeypatch):
-        n = 64
-        chunk_bytes = experiments._chunk_bytes(n)
-        assert (experiments._chunk_bytes(experiments.MAX_MATRIX_N)
-                <= workers.BYTES_BUDGET
-                < experiments._chunk_bytes(experiments.MAX_MATRIX_N + 1))
+        # MAX_MATRIX_N is the largest n whose one-replicate chunk fits the
+        # budget beside the CDF arrays of 1000 replicates.
+        use_workers(monkeypatch, 1)
+        assert experiments._matrix_plan(matrix_config(replicates=1000),
+                                        experiments.MAX_MATRIX_N).estimate <= workers.BYTES_BUDGET
+        with pytest.raises(ValueError, match="needs an estimated"):
+            experiments._matrix_plan(matrix_config(replicates=1), experiments.MAX_MATRIX_N + 1)
+        # Three CPUs and six chunks, with a budget that fits the CDF arrays
+        # (at 200 x points, larger than a chunk) and two chunks beside them:
+        # two workers run, so the run forks once.
         forks = use_workers(monkeypatch, 3)
-        monkeypatch.setattr(workers, "BYTES_BUDGET", 2 * chunk_bytes + 1)
-        sample_spectral_cdfs(matrix_config(n=n, replicates=6))
+        cfg = matrix_config(replicates=6 * experiments.chunk_size(8),
+                            x_grid=[i / 100 for i in range(-100, 100)])
+        three = experiments._matrix_plan(cfg, 8)
+        arrays = workers.layout_bytes(three.layouts)
+        chunk_bytes = (three.estimate - arrays) // 3
+        assert arrays > chunk_bytes
+        monkeypatch.setattr(workers, "BYTES_BUDGET", arrays + 2 * chunk_bytes)
+        assert len(experiments._matrix_plan(cfg, 8).slices) == 2
+        sample_spectral_cdfs(cfg)
         assert len(forks) == 1
+
+    @pytest.mark.parametrize("n", [8, 32, 64, 128])
+    def test_chunk_bytes_bound_the_traced_peak(self, n, monkeypatch):
+        # One chunk with the step check and every Haar column factored; the
+        # first call makes one-time allocations, so a warm-up runs first.
+        use_workers(monkeypatch, 1)
+        cfg = matrix_config(n=n, replicates=experiments.chunk_size(n), step_check=True,
+                            spectrum_N="uniform_grid")
+        plan = experiments._matrix_plan(cfg, n)
+        sample_spectral_cdfs(cfg)
+        tracemalloc.start()
+        try:
+            sample_spectral_cdfs(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.6 <= peak / (plan.estimate - workers.layout_bytes(plan.layouts)) <= 1.0
 
     @pytest.mark.parametrize("build, cases", [
         ("scipy-openblas 0.3.31", [({"OPENBLAS_NUM_THREADS": "2"}, 2),

@@ -25,7 +25,6 @@ from haarconc.mixing import (
     _BLOCK_STEPS,
     _group_seeds,
     _reflect_block,
-    _walk_bytes,
     unitary_mixing_diagnostic,
 )
 
@@ -453,6 +452,23 @@ class TestUnitaryMixingDiagnostic:
         assert ref_rng.bit_generator.state == stream.bit_generator.state
 
 
+def walk_plan(monkeypatch, n: int, k_max: int, reps: int) -> workers.Plan:
+    """The workers.plan of unitary_mixing_diagnostic(n, k_max, reps), taken
+    before any walk: the diagnostic plans before it seeds its groups."""
+    plans = []
+    real_plan = workers.plan
+
+    def no_seeds(*args):
+        raise LookupError("planned")
+
+    with monkeypatch.context() as m:
+        m.setattr(workers, "plan", lambda *args: plans.append(real_plan(*args)) or plans[-1])
+        m.setattr(mixing, "_group_seeds", no_seeds)
+        with pytest.raises(LookupError, match="planned"):
+            unitary_mixing_diagnostic(n, k_max, reps, np.random.default_rng(0))
+    return plans[0]
+
+
 @pytest.mark.usefixtures("worker_time_limit")
 class TestWalkGroups:
     @pytest.mark.parametrize("n,reps", [(2, 1000), (5, 1001), (32, 1000), (32, 4000), (700, 1000)])
@@ -495,24 +511,27 @@ class TestWalkGroups:
         assert np.array_equal(got.stderrs, want.stderrs)
 
     def test_memory_estimate_counts_the_workers_that_run(self, monkeypatch):
-        # Three CPUs and a budget that fits two of the five groups: the
-        # estimate holds two groups in flight, and the run forks once.
+        # Three CPUs and a budget that fits two of the five groups beside
+        # the moments and the curve: the estimate holds two groups in
+        # flight, and the run forks once.
         n, k_max, reps = 8, 6, 1250
         monkeypatch.setattr(mixing, "_GROUP_BYTES", 250 * n * n * 16)
         group = mixing._group_bytes(n, reps)
         forks = use_workers(monkeypatch, 3)
-        monkeypatch.setattr(workers, "BYTES_BUDGET", 2 * group + 1)
-        estimate = _walk_bytes(n, k_max, reps)
-        unitary_mixing_diagnostic(n, k_max, reps, np.random.default_rng(0))
         # Five units of one group each, and the curve's rows.
         moments = 5 * 2 * k_max * 8 + (k_max + 1) * mixing.CURVE_POINT_BYTES
+        monkeypatch.setattr(workers, "BYTES_BUDGET", 2 * group + moments)
+        estimate = walk_plan(monkeypatch, n, k_max, reps).estimate
+        unitary_mixing_diagnostic(n, k_max, reps, np.random.default_rng(0))
         assert estimate == (len(forks) + 1) * group + moments
         assert len(forks) == 1
 
-    @pytest.mark.parametrize("n", [5, 32, 64])
+    @pytest.mark.parametrize("n", [5, 32, 64, 100, 200])
     def test_group_bytes_bound_the_traced_peak(self, n):
-        # One group's walk matrices, its four s x n buffers and its s x s
-        # factors; a leftover group-sized buffer would add n^2 per walk.
+        # One group's walk matrices, its four s x n buffers, its s x s
+        # factors, the s-vectors that outlive a block, a step's draw and the
+        # band update's ufunc buffers; a leftover group-sized buffer would
+        # add n^2 per walk.
         m, k_max = mixing._group_size(n), 3 * _BLOCK_STEPS
         acc = np.zeros((2, k_max))
         tracemalloc.start()
@@ -521,7 +540,7 @@ class TestWalkGroups:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 0.8 <= peak / mixing._group_bytes(n, m) <= 1.2
+        assert 0.8 <= peak / mixing._group_bytes(n, m) <= 1.0
 
     @pytest.mark.parametrize("cpus", [1, 2, 16])
     def test_walk_memory_does_not_grow_with_the_walks(self, cpus, monkeypatch):
@@ -530,7 +549,8 @@ class TestWalkGroups:
         use_workers(monkeypatch, cpus)
         n, k_max = 32, 128
         units = [-(-reps // mixing._unit_size(n)) for reps in (4000, 40000)]
-        growth = _walk_bytes(n, k_max, 40000) - _walk_bytes(n, k_max, 4000)
+        growth = (walk_plan(monkeypatch, n, k_max, 40000).estimate
+                  - walk_plan(monkeypatch, n, k_max, 4000).estimate)
         assert growth <= (units[1] - units[0]) * 2 * k_max * 8
 
     @pytest.mark.parametrize("n", [2, 32, 64, 65, 100, 4096])
