@@ -446,7 +446,7 @@ def _matrix_plan(cfg: ExperimentConfig, n: int) -> workers.Plan:
     layouts = [((reps, len(cfg.x_grid)), np.float64)] * 2
     if cfg.step_check:
         layouts += [((reps,), np.dtype(int)), ((reps,), np.float64)]
-    return workers.plan(workers.ranges(reps, chunk), layouts,
+    return workers.plan(reps, chunk, layouts,
                         chunk * 16 * n * n * np.dtype(np.complex128).itemsize,
                         f"a {cfg.kind} run of {reps} replicates")
 

@@ -295,8 +295,8 @@ def unitary_mixing_diagnostic(
     if reps < 1000:
         raise ValueError("at least 1000 replicates are required for a stable curve")
     size, unit = _group_size(n), _unit_size(n)
-    units = workers.ranges(reps, unit)
-    plan = workers.plan(units, [((len(units), 2, k_max), np.float64)], _group_bytes(n, reps),
+    plan = workers.plan(reps, unit, [((-(-reps // unit), 2, k_max), np.float64)],
+                        _group_bytes(n, reps),
                         f"a U({n}) walk of {reps} replicates and {k_max} steps",
                         (k_max + 1) * CURVE_POINT_BYTES)
     seeds = _group_seeds(rng, -(-reps // size))
@@ -308,8 +308,8 @@ def unitary_mixing_diagnostic(
                             out[0][lo // unit], lo - walks.start)
 
     acc, = workers.run(plan, work)
-    for walks, unit_acc in zip(units[1:], acc[1:]):
-        _merge(acc[0], walks.start, len(walks), *unit_acc)
+    for i in range(1, len(acc)):
+        _merge(acc[0], i * unit, min(unit, reps - i * unit), *acc[i])
     moments = np.concatenate(([float(n * n)], acc[0, 0]))
     stderrs = np.concatenate(([0.0], np.sqrt(acc[0, 1] / (reps - 1)) / np.sqrt(reps)))
     deviations = np.abs(moments - 1.0)

@@ -86,27 +86,27 @@ def require_budget(run: str, estimate: int) -> None:
             f"{BYTES_BUDGET / 2**20:,.0f} MiB memory budget")
 
 
-def plan(items: list, layouts: list, item_bytes: int, run: str, extra: int = 0) -> Plan:
-    """The workers of a run of `items` that hold `item_bytes` each, beside
-    shared arrays of the given (shape, dtype) layouts and `extra` bytes the
-    caller holds: one per blas_threads() usable CPUs, at most one per item,
-    and only as many as fit BYTES_BUDGET beside the arrays and `extra`; at
-    least one.  The estimate is workers * item_bytes + layout_bytes(layouts)
-    + extra, and require_budget refuses, as `run`, a run above the budget.
+def plan(count: int, size: int, layouts: list, item_bytes: int, run: str, extra: int = 0) -> Plan:
+    """The workers of a run of `count` replicates in items of `size` (ranges),
+    each holding `item_bytes`, beside arrays of the given (shape, dtype)
+    layouts and `extra` bytes the caller holds: one per blas_threads() usable
+    CPUs, at most one per item, and as many as fit BYTES_BUDGET; at least one.
+    The estimate is workers * item_bytes + layout_bytes(layouts) + extra; a
+    run above the budget is refused, as `run`, before any item is built.
     Idle OpenBLAS threads spin: two workers with unpinned BLAS threads on
     two CPUs ran the scaling benchmark config in 12.7 s, one worker in
     2.6 s.  One off Linux: there system libraries may start threads that a
     forked child cannot use (CPython's macOS default is spawn).
     """
-    fixed = layout_bytes(layouts) + extra
+    items, fixed = -(-count // size), layout_bytes(layouts) + extra
     workers = 1
     if platform.system() == "Linux" and hasattr(os, "fork"):
-        workers = max(1, min(usable_cpus() // blas_threads(), len(items),
+        workers = max(1, min(usable_cpus() // blas_threads(), items,
                              (BYTES_BUDGET - fixed) // item_bytes))
     estimate = workers * item_bytes + fixed
     require_budget(run, estimate)
-    bounds = [len(items) * i // workers for i in range(workers + 1)]
-    return Plan([items[lo:hi] for lo, hi in zip(bounds, bounds[1:])], layouts, estimate)
+    units, bounds = ranges(count, size), [items * i // workers for i in range(workers + 1)]
+    return Plan([units[lo:hi] for lo, hi in zip(bounds, bounds[1:])], layouts, estimate)
 
 
 def run(plan: Plan, work) -> list[np.ndarray]:

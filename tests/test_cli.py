@@ -5,11 +5,15 @@ import dataclasses
 import json
 import os
 import platform
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import haarconc
 from haarconc import cli, experiments, kernel, mixing, workers
 from haarconc.cli import main, parse_config
 from haarconc.experiments import ExperimentReport
@@ -31,6 +35,31 @@ def report_without_runtime(out_dir) -> dict:
     payload = load_report(out_dir)
     payload["environment"].pop("runtime_seconds")
     return payload
+
+
+# main(argv) with the child's address space held to 1 GiB past its imports:
+# prints the exit code and the peak of the memory tracemalloc traced.
+BOUNDED_MAIN = """
+import resource, sys, tracemalloc
+from haarconc.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (2**30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+tracemalloc.start()
+code = main(sys.argv[1:])
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def bounded_main(args: list) -> tuple[int, int, str]:
+    """BOUNDED_MAIN(args) in a child with one BLAS thread: its exit code,
+    its traced peak in bytes, and its stderr."""
+    src = str(Path(haarconc.__file__).resolve().parents[1])
+    env = dict(os.environ, **{var: "1" for var in workers.BLAS_THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", BOUNDED_MAIN, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout, done.stderr[-1000:]
+    code, peak = (int(word) for word in done.stdout.split())
+    return code, peak, done.stderr
 
 
 MATRIX_CFG = {
@@ -260,6 +289,25 @@ class TestExperimentCommands:
         out_dir = tmp_path / "matrix"
         assert main(["matrix", "--config", path, "--out", str(out_dir)]) == 1
         assert "a matrix run of 1000 replicates needs an estimated" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.skipif(platform.system() != "Linux", reason="address-space limit")
+    @pytest.mark.parametrize("command, args", [
+        ("matrix", []),
+        ("mixing-curve", ["--group", "un", "--n", "100", "--replicates", str(10**11)]),
+    ])
+    def test_huge_replicate_counts_refused_without_allocating(self, command, args, tmp_path):
+        # 10^12 one-replicate chunks at n = 64, and 1.6 * 10^9 units of walks
+        # at n = 100: the refusal is worked out from the counts, so listing
+        # the items first would take gigabytes.
+        if command == "matrix":
+            args = ["--config", write_config(tmp_path, "cfg.json", {
+                "kind": "matrix", "n": 64, "seed": 0, "replicates": 10**12})]
+        out_dir = tmp_path / command
+        code, peak, err = bounded_main([command, *args, "--out", str(out_dir)])
+        assert code == 1
+        assert "needs an estimated" in err
+        assert peak < 2**22
         assert not out_dir.exists()
 
     def test_scaling_run(self, tmp_path, capsys):

@@ -614,7 +614,7 @@ class TestWorkerProcesses:
                     out[1][rows.start:rows.stop] = os.getpid()
             return work
 
-        plan = workers.plan(workers.ranges(6, 3), layouts, 1, "a test run")
+        plan = workers.plan(6, 3, layouts, 1, "a test run")
         first = workers.run(plan, fill(10.0))
         kept = [a.copy() for a in first]
         second = workers.run(plan, fill(20.0))
