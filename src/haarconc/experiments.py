@@ -441,14 +441,16 @@ def _matrix_plan(cfg: ExperimentConfig, n: int) -> workers.Plan:
     """The workers.plan of a matrix run at n (each n of a scaling run): a
     chunk holds about 16 complex n x n matrices per replicate (MAX_MATRIX_N),
     and the shared arrays hold F_H and the reduced form's F per replicate and
-    x point, and with step_check each replicate's step rank and CDF gap."""
+    x point, and with step_check each replicate's step rank and CDF gap.
+    A scaling run's refusal names the n that is over the budget."""
     reps, chunk = cfg.replicates, chunk_size(n)
+    at = f" at n = {n}" if cfg.kind == "scaling" else ""
     layouts = [((reps, len(cfg.x_grid)), np.float64)] * 2
     if cfg.step_check:
         layouts += [((reps,), np.dtype(int)), ((reps,), np.float64)]
     return workers.plan(reps, chunk, layouts,
                         chunk * 16 * n * n * np.dtype(np.complex128).itemsize,
-                        f"a {cfg.kind} run of {reps} replicates")
+                        f"a {cfg.kind} run of {reps} replicates{at}")
 
 
 def _factored_columns(spectrum: np.ndarray) -> int:

@@ -116,8 +116,10 @@ class WalkOperator:
         return out
 
     def differences(self, f: np.ndarray) -> np.ndarray:
-        """f - f o L_y for every support element y, one row each."""
-        return f - np.take(f, self.actions)
+        """f - f o L_y for every support element y, one row each, taken in
+        the buffer of the gather."""
+        rows = np.take(f, self.actions)
+        return np.subtract(f, rows, out=rows)
 
 
 @dataclass(frozen=True)
@@ -214,7 +216,8 @@ def check_identities(op: WalkOperator, f, eps: float = 1e-12) -> IdentityReport:
     h = pair_potential(op, f, eps=eps)
     res_cond = float(np.max(np.abs(h - op.apply(h) - f)))
     var_exact = float(np.mean(f * f) - np.mean(f) ** 2)
-    flow = op.differences(f) * op.differences(h)
+    flow = op.differences(f)
+    flow *= op.differences(h)
     var_pair = 0.5 * float(np.mean(op.masses @ flow))
     return IdentityReport(res_cond, abs(var_exact - var_pair), eps)
 
@@ -222,4 +225,5 @@ def check_identities(op: WalkOperator, f, eps: float = 1e-12) -> IdentityReport:
 def step_seminorm(op: WalkOperator, f) -> float:
     """sup_x sqrt(E (f(x) - f(Yx))^2), computed exactly from the walk operator."""
     d = op.differences(_check_vector(op, f))
-    return float(np.sqrt(np.max(op.masses @ (d * d))))
+    d *= d
+    return float(np.sqrt(np.max(op.masses @ d)))

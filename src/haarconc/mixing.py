@@ -108,20 +108,33 @@ def exact_tv_curve(op: WalkOperator, k_max: int, law_below: Optional[float] = No
     With `law_below`, the curve also keeps the law at the first step whose
     distance is at most `law_below` (at k_max if none is), so a caller that
     samples from it does not walk to that step a second time.
+
+    The walk stops at its floating-point fixed point: op.apply is a
+    deterministic function of its input, so once a step returns its input
+    unchanged, every later step would too, and the remaining values repeat
+    the last one (for the lazy transposition walk from k = 76 / 97 / 115 /
+    150 at n = 5 / 6 / 7 / 8).  The laws are nonnegative, so no -0.0 can
+    make equal values differ in their bits.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     uniform = 1.0 / op.size
     law = _point_mass(op)
-    values = []
+    values = np.empty(k_max + 1)
     kept = ()
     for k in range(k_max + 1):
         if k:
-            law = op.apply(law)
-        values.append(0.5 * float(np.sum(np.abs(law - uniform))))
-        if not kept and law_below is not None and (values[-1] <= law_below or k == k_max):
+            step = op.apply(law)
+            if np.array_equal(step, law):
+                values[k:] = values[k - 1]
+                break
+            law = step
+        values[k] = 0.5 * float(np.sum(np.abs(law - uniform)))
+        if not kept and law_below is not None and values[k] <= law_below:
             kept = (k, law)
-    return TVCurve(np.array(values), *kept)
+    if not kept and law_below is not None:
+        kept = (k_max, law)
+    return TVCurve(values, *kept)
 
 
 def fit_decay(curve, floor: float = FIT_FLOOR) -> DecayFit:
@@ -258,12 +271,6 @@ def _group_bytes(n: int, reps: int) -> int:
     return m * (n * n + 4 * s * n + 3 * s * s + 3 * s + 3 * n) * 16 + 3 * np.getbufsize() * 16
 
 
-def _group_seeds(rng: np.random.Generator, groups: int) -> list[np.random.SeedSequence]:
-    """One independent seed per walk group, spawned from a SeedSequence
-    keyed by two 63-bit integers drawn from `rng`."""
-    return np.random.SeedSequence(rng.integers(2**63, size=2).tolist()).spawn(groups)
-
-
 def unitary_mixing_diagnostic(
     n: int,
     k_max: int,
@@ -279,7 +286,10 @@ def unitary_mixing_diagnostic(
     not a total-variation envelope.
 
     The walks are split into groups of _GROUP_BYTES of walk matrices; each
-    group takes all k_max steps on its own generator (_group_seeds), in
+    group g takes all k_max steps on its own generator, seeded by
+    SeedSequence(entropy, spawn_key=(g,)), where entropy is two 63-bit
+    integers drawn from `rng`: child g of SeedSequence(entropy).spawn, made
+    only when the group starts, so no seed list grows with reps.  It runs in
     units of whole groups (_unit_size) on the forked workers of workers.run.
     Each unit keeps the mean of |Tr W_k|^2 over its walks and the sum of
     squared deviations from it, and the units are merged in index order
@@ -299,12 +309,13 @@ def unitary_mixing_diagnostic(
                         _group_bytes(n, reps),
                         f"a U({n}) walk of {reps} replicates and {k_max} steps",
                         (k_max + 1) * CURVE_POINT_BYTES)
-    seeds = _group_seeds(rng, -(-reps // size))
+    entropy = rng.integers(2**63, size=2).tolist()
 
     def work(part, out) -> None:
         for walks in part:
             for lo in range(walks.start, walks.stop, size):
-                _walk_group(n, k_max, min(size, walks.stop - lo), seeds[lo // size],
+                seed = np.random.SeedSequence(entropy, spawn_key=(lo // size,))
+                _walk_group(n, k_max, min(size, walks.stop - lo), seed,
                             out[0][lo // unit], lo - walks.start)
 
     acc, = workers.run(plan, work)

@@ -17,6 +17,7 @@ import haarconc
 from haarconc import cli, experiments, kernel, mixing, workers
 from haarconc.cli import main, parse_config
 from haarconc.experiments import ExperimentReport
+from haarconc.groups import StepDistribution
 
 from test_experiments import use_workers, worker_time_limit  # noqa: F401 (fixture)
 
@@ -273,6 +274,26 @@ class TestExperimentCommands:
         assert f"needs an estimated {estimate}, above the 1,024 MiB memory budget" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command, body, run", [
+        ("matrix", {"n": 2047}, "a matrix run of 20000 replicates needs"),
+        # n = 64 fits; the message names the n that does not.
+        ("scaling", {"n_grid": [64, 2047]}, "a scaling run of 20000 replicates at n = 2047 needs"),
+    ])
+    def test_refusal_names_the_run_over_the_budget(self, command, body, run,
+                                                   tmp_path, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("an oversized config reached the work")
+
+        monkeypatch.setattr(experiments, "sample_spectral_cdfs", no_work)
+        use_workers(monkeypatch, 1)
+        path = write_config(tmp_path, "cfg.json",
+                            {"kind": command, "seed": 0, "replicates": 20000, **body})
+        out_dir = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out_dir)]) == 1
+        assert f"{run} an estimated 1,024.5 MiB, above the 1,024 MiB memory budget" in (
+            capsys.readouterr().err)
+        assert not out_dir.exists()
+
     def test_arrays_that_fit_beside_no_chunk_refused(self, tmp_path, capsys, monkeypatch):
         # The CDF arrays of 1000 replicates at five x points fit the budget,
         # but neither two workers' chunks nor one fit beside them.
@@ -469,8 +490,19 @@ class TestSharedReportPath:
         assert calls == [5, 5]
 
     def test_finite_group_walks_the_law_once(self, tmp_path, capsys, monkeypatch):
-        steps = []
+        # The walk's floating-point fixed point: the first step whose law
+        # equals the law before it.
         apply = kernel.WalkOperator.apply
+        op = kernel.walk_operator(5, StepDistribution.lazy_transposition(5))
+        law = np.zeros(op.size)
+        law[op.table.identity_index] = 1.0
+        for fixed in range(1, 126):
+            step = apply(op, law)
+            if np.array_equal(step, law):
+                break
+            law = step
+        assert fixed == 76
+        steps = []
 
         def counting(op, f):
             steps.append(1)
@@ -480,8 +512,9 @@ class TestSharedReportPath:
         path = write_config(tmp_path, "cfg.json",
                             {"kind": "finite-group", "n": 5, "seed": 0, "replicates": 500})
         assert main(["finite-group", "--config", path, "--out", str(tmp_path / "fg")]) == 0
-        # The TV curve to k_max = 25 n; the law at k_star comes from that pass.
-        assert len(steps) == 125
+        # The TV curve to k_max = 25 n stops at the fixed point; the law at
+        # k_star comes from that pass.
+        assert len(steps) == fixed
 
     def test_finite_group_and_mixing_curve_agree(self, tmp_path, capsys):
         path = write_config(tmp_path, "cfg.json",

@@ -79,6 +79,15 @@ def reference_step_seminorm(op: WalkOperator, f: np.ndarray) -> float:
     return math.sqrt(float(np.max(op.masses @ (d * d))))
 
 
+def reference_identities(op: WalkOperator, f: np.ndarray) -> tuple:
+    """The residuals of check_identities with every product out of place."""
+    h = pair_potential(op, f)
+    res_cond = float(np.max(np.abs(h - op.apply(h) - f)))
+    var_exact = float(np.mean(f * f) - np.mean(f) ** 2)
+    flow = reference_differences(op, f) * reference_differences(op, h)
+    return res_cond, abs(var_exact - 0.5 * float(np.mean(op.masses @ flow)))
+
+
 def lehmer_ranks(images: np.ndarray) -> np.ndarray:
     """Lehmer rank of each row of images from the definition: per position
     the number of smaller images after it, read in mixed radix."""
@@ -401,6 +410,20 @@ class TestCheckIdentities:
             want_var = abs(float(np.var(f)) - var_pair)
             assert abs(report.conditional_mean_residual - want_cond) <= 1e-13
             assert abs(report.variance_residual - want_var) <= 1e-13
+
+    def test_equals_the_out_of_place_formulas(self):
+        # The products that check_identities and step_seminorm take in the
+        # gather's buffer keep the bits of the out-of-place ones, also for
+        # entries spread over eight decades.
+        rng = np.random.default_rng(13)
+        for n in range(2, 8):
+            kern = lazy_kernel(n)
+            spread = rng.standard_normal(kern.size) * 10.0 ** rng.integers(-4, 4, kern.size)
+            for f in (centered(rng, kern.size), spread - spread.mean()):
+                report = check_identities(kern, f)
+                got = (report.conditional_mean_residual, report.variance_residual)
+                assert got == reference_identities(kern, f)
+                assert step_seminorm(kern, f) == reference_step_seminorm(kern, f)
 
     def test_reports_truncation_eps(self):
         kern = lazy_kernel(3)

@@ -23,7 +23,6 @@ from haarconc.mixing import (
     exact_tv_curve,
     fit_decay,
     _BLOCK_STEPS,
-    _group_seeds,
     _reflect_block,
     unitary_mixing_diagnostic,
 )
@@ -65,13 +64,21 @@ def walk_groups(n: int, reps: int) -> list:
     return workers.ranges(reps, mixing._group_size(n))
 
 
+def group_seeds(rng: np.random.Generator, groups: int) -> list:
+    """One seed per walk group: the children of SeedSequence.spawn from a
+    SeedSequence keyed by two 63-bit integers drawn from rng.  The
+    diagnostic makes child g itself, as SeedSequence(entropy,
+    spawn_key=(g,)), when group g starts."""
+    return np.random.SeedSequence(rng.integers(2**63, size=2).tolist()).spawn(groups)
+
+
 def group_walk_moments(n: int, k_max: int, reps: int, rng: np.random.Generator, walk):
     """m(k) and its standard errors with each walk group of walk_groups
-    walked on its own stream from _group_seeds, in one call
+    walked on its own stream from group_seeds, in one call
     walk(n, k_max, m, group_rng) that returns |Tr W_k|^2 for k = 1 .. k_max
     as a (k_max, m) array."""
     groups = walk_groups(n, reps)
-    seeds = _group_seeds(rng, len(groups))
+    seeds = group_seeds(rng, len(groups))
     sq = np.empty((k_max + 1, reps))
     sq[0] = n * n
     for walks, seed in zip(groups, seeds):
@@ -96,7 +103,7 @@ def unit_walk_moments(n: int, k_max: int, reps: int, rng: np.random.Generator, w
     units (whole groups of at least 64 walks) merged in order."""
     size = mixing._group_size(n)
     unit = size * math.ceil(64 / size)
-    seeds = _group_seeds(rng, len(walk_groups(n, reps)))
+    seeds = group_seeds(rng, len(walk_groups(n, reps)))
     total = (np.zeros(k_max), np.zeros(k_max))
     for lo in range(0, reps, unit):
         hi = min(lo + unit, reps)
@@ -265,6 +272,29 @@ class TestExactTVCurve:
         assert curve.values[-1] > 1e-6
         assert curve.law_step == 5
         assert np.array_equal(curve.law, walk_law(op, 5))
+
+    @pytest.mark.parametrize("law_below", [-1.0, 1.0, 1e-6])
+    @pytest.mark.parametrize("steps_per_degree", [25, 50])
+    def test_equals_a_walk_that_applies_every_step(self, steps_per_degree, law_below):
+        # The curve stops at the walk's fixed point (never reached at
+        # n = 4); a walk that applies the operator at every k must read the
+        # same values and keep the same law.
+        for n in range(2, 8):
+            op = walk_operator(n, lazy(n))
+            k_max = steps_per_degree * n
+            law = np.zeros(op.size)
+            law[op.table.identity_index] = 1.0
+            values, kept = [], None
+            for k in range(k_max + 1):
+                if k:
+                    law = op.apply(law)
+                values.append(0.5 * float(np.sum(np.abs(law - 1.0 / op.size))))
+                if kept is None and (values[-1] <= law_below or k == k_max):
+                    kept = (k, law)
+            curve = exact_tv_curve(op, k_max, law_below)
+            assert np.array_equal(curve.values, np.array(values))
+            assert curve.law_step == kept[0]
+            assert np.array_equal(curve.law, kept[1])
 
     def test_keeps_no_law_without_target(self):
         curve = exact_tv_curve(walk_operator(3, lazy(3)), 4)
@@ -454,16 +484,16 @@ class TestUnitaryMixingDiagnostic:
 
 def walk_plan(monkeypatch, n: int, k_max: int, reps: int) -> workers.Plan:
     """The workers.plan of unitary_mixing_diagnostic(n, k_max, reps), taken
-    before any walk: the diagnostic plans before it seeds its groups."""
+    before any walk: the diagnostic plans before it runs its groups."""
     plans = []
     real_plan = workers.plan
 
-    def no_seeds(*args):
+    def no_run(*args):
         raise LookupError("planned")
 
     with monkeypatch.context() as m:
         m.setattr(workers, "plan", lambda *args: plans.append(real_plan(*args)) or plans[-1])
-        m.setattr(mixing, "_group_seeds", no_seeds)
+        m.setattr(workers, "run", no_run)
         with pytest.raises(LookupError, match="planned"):
             unitary_mixing_diagnostic(n, k_max, reps, np.random.default_rng(0))
     return plans[0]
@@ -480,10 +510,32 @@ class TestWalkGroups:
         assert all(len(walks) == size for walks in groups[:-1])
         assert 1 <= len(groups[-1]) <= size
 
-    def test_group_streams_differ(self):
-        seeds = _group_seeds(np.random.default_rng(0), 4)
+    def test_group_streams_differ(self, monkeypatch):
+        # 1000 groups of one walk each: group g is seeded by child g of the
+        # spawn, and no two streams start alike.
+        seeds = []
+        monkeypatch.setattr(mixing, "_walk_group", lambda n, k, m, seed, *rest: seeds.append(seed))
+        use_workers(monkeypatch, 1)
+        monkeypatch.setattr(mixing, "_GROUP_BYTES", 1)
+        unitary_mixing_diagnostic(2, 1, 1000, np.random.default_rng(0))
+        want = group_seeds(np.random.default_rng(0), 1000)
+        assert ([seed.generate_state(4).tolist() for seed in seeds]
+                == [child.generate_state(4).tolist() for child in want])
         firsts = {float(np.random.default_rng(seed).standard_normal()) for seed in seeds}
-        assert len(firsts) == 4
+        assert len(firsts) == 1000
+
+    def test_group_seeds_are_made_as_the_groups_start(self, monkeypatch):
+        # At n = 512 a group is one walk; a seed list made before the first
+        # step took 8.8 MiB here.
+        monkeypatch.setattr(mixing, "_walk_group", lambda *args: None)
+        use_workers(monkeypatch, 1)
+        tracemalloc.start()
+        try:
+            unitary_mixing_diagnostic(512, 1, 20000, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_same_result_on_any_worker_count(self, monkeypatch):
         # 7 groups: six of 150 walks and one of 100.
