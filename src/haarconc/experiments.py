@@ -2,35 +2,37 @@
 
 Every pipeline derives one child generator per (master seed, stream label,
 replicate index), so results are bit-identical for a fixed config.  The U(n)
-runners draw each replicate's Gaussians (and, with step_check, its one
-reflection step) from its own generator, then process a chunk of replicates
-with stacked LAPACK calls (QR, eigvalsh), which give the same bits as one
-call per matrix.  A spectrum that ends in a run of r >= 2 equal values
-needs only the first n - r columns of its Haar factor, so only those
-Gaussian columns are factored (_haar_conjugates).  The reflection step
-perturbs the replicate's sampled reduced form, so the step check needs no
-Haar draw of its own.  The chunks of a matrix run go to the forked workers
-of haarconc.workers (two threads ran these small LAPACK calls no faster than
-one), one per CPU that one BLAS call may use, so a BLAS left to use every
-CPU runs the chunks inline, under the _matrix_plan that also refuses a
-config above the memory budget.  A replicate's result depends on its index
-only, so reports do not depend on the worker count.  Checks come in two
-kinds: exact guarantees are hard assertions (violation raises
-GuaranteeViolation), statistical comparisons are verdicts under a
-4-standard-error policy and never raise.  The reports of all six CLI
-commands are assembled here.
+runners, matrix at its n and scaling at each n of its grid, share one
+sampler and one statistics path: sample_spectral_cdfs draws each replicate's
+Gaussians (and, with step_check, its one reflection step) from its own
+generator, then processes a chunk of replicates with stacked LAPACK calls
+(QR, eigvalsh), which give the same bits as one call per matrix, and
+_cdf_statistics turns its replicate rows into the per_x estimates.  A
+spectrum that ends in a run of r >= 2 equal values needs only the first
+n - r columns of its Haar factor, so only those Gaussian columns are
+factored (_haar_conjugates).  The reflection step perturbs the replicate's
+sampled reduced form, so the step check needs no Haar draw of its own.  The
+chunks go to the forked workers of haarconc.workers (two threads ran these
+small LAPACK calls no faster than one), one per CPU that one BLAS call may
+use, so a BLAS left to use every CPU runs the chunks inline, under the
+_matrix_plan that also refuses a config above the memory budget.  A
+replicate's result depends on its index only, so reports do not depend on
+the worker count.  Checks come in two kinds: exact guarantees are hard
+assertions (violation raises GuaranteeViolation), statistical comparisons
+are verdicts that never raise, all made by _estimate_verdict under one
+4-standard-error rule.  The reports of all six CLI commands are assembled
+here.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import math
 import os
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -268,6 +270,14 @@ class ExperimentConfig:
                 fields["k_max"] = _require_int(data, "k_max", 1)
             else:
                 fields["k_max"] = 25 * fields["n"]
+        for key in ("n_grid", "x_grid", "t_grid"):
+            # Verdict names print grid values with _fmt, so two entries that
+            # print alike would give two verdicts one name.
+            names = [_fmt(v) for v in fields.get(key) or ()]
+            clash = next((name for i, name in enumerate(names) if name in names[:i]), None)
+            if clash is not None:
+                raise ValueError(f"config key '{key}' has two entries that both print as "
+                                 f"{clash!r} in verdict names")
         cfg = ExperimentConfig(**fields)
         if kind in ("matrix", "scaling"):
             for n in cfg.n_grid or (cfg.n,):
@@ -374,16 +384,24 @@ def _verdict(name, status, observed, threshold, policy, stderr=None) -> dict:
     return out
 
 
-def _upper_confidence_status(observed: float, stderr: float, threshold: float) -> str:
-    if observed + 4.0 * stderr <= threshold:
-        return "pass"
-    if observed - 4.0 * stderr > threshold:
-        return "fail"
-    return "inconclusive"
+def _estimate_verdict(name, observed, stderr, threshold, policy, conclusive) -> dict:
+    """The one rule of every Monte Carlo verdict, at 4 standard errors.
 
-
-def _allowance_status(observed: float, stderr: float, threshold: float) -> str:
-    return "pass" if observed <= threshold + 4.0 * stderr else "fail"
+    "4se-upper-confidence" passes when observed + 4 stderr <= threshold,
+    fails when observed - 4 stderr > threshold and is inconclusive between;
+    "4se-allowance" passes when observed <= threshold + 4 stderr and fails
+    above.  Either is inconclusive when the sample cannot decide
+    (`conclusive` false: fewer than 2 replicates, or tails below
+    TAIL_MIN_REPLICATES)."""
+    if not conclusive:
+        status = "inconclusive"
+    elif policy == "4se-allowance":
+        status = "pass" if observed <= threshold + 4.0 * stderr else "fail"
+    elif observed + 4.0 * stderr <= threshold:
+        status = "pass"
+    else:
+        status = "fail" if observed - 4.0 * stderr > threshold else "inconclusive"
+    return _verdict(name, status, observed, threshold, policy, stderr)
 
 
 def _fmt(x: float) -> str:
@@ -394,18 +412,6 @@ def chunk_size(n: int) -> int:
     """Replicates per chunk of the U(n) runners: 85 / 21 / 5 / 1 at
     n = 8 / 16 / 32 / 64."""
     return max(1, CHUNK_BYTES // (3 * n * n * np.dtype(np.complex128).itemsize))
-
-
-def _variance_stats(values: np.ndarray) -> tuple[float, float]:
-    """Unbiased sample variance and a normal-approximation standard error."""
-    reps = values.size
-    if reps < 2:
-        return 0.0, 0.0
-    var = float(np.var(values, ddof=1))
-    centered = values - np.mean(values)
-    m4 = float(np.mean(centered**4))
-    se_sq = max(m4 - var * var * (reps - 3) / (reps - 1), 0.0) / reps
-    return var, float(np.sqrt(se_sq))
 
 
 def _check_steps(h_red, eig_red, w, y, diag_n, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -488,12 +494,13 @@ def _haar_conjugates(z: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
 
 
 def sample_spectral_cdfs(
-    cfg: ExperimentConfig,
+    cfg: ExperimentConfig, n: int,
 ) -> tuple[np.ndarray, np.ndarray, Optional[tuple[np.ndarray, np.ndarray]]]:
-    """F_H(x) for H = U M U* + V N V* and for the reduced form X M X* + N,
-    one row per replicate and one column per x-grid point, plus, with
-    cfg.step_check, the per-replicate rank and CDF gap of one reflection
-    step (None without it).
+    """F_H(x) for H = U M U* + V N V* and for the reduced form X M X* + N
+    at n (cfg.n of a matrix run, one n of a scaling grid), one row per
+    replicate and one column per x-grid point, plus, with cfg.step_check,
+    the per-replicate rank and CDF gap of one reflection step (None
+    without it).
 
     Replicate r draws the whole n x n Gaussian matrices of U, V, X, each
     real parts first, in one standard_normal call (the bits of three
@@ -508,7 +515,6 @@ def sample_spectral_cdfs(
     replicate's draws and arithmetic do not depend on which worker runs it,
     so neither do the results.
     """
-    n = cfg.n
     xs = np.asarray(cfg.x_grid)
     spec_m = resolve_spectrum(cfg.spectrum_M, n)
     spec_n = resolve_spectrum(cfg.spectrum_N, n)
@@ -545,6 +551,40 @@ def sample_spectral_cdfs(
     return f_def, f_red, tuple(steps) if cfg.step_check else None
 
 
+def _cdf_statistics(cfg: ExperimentConfig, n: int, f_def: np.ndarray,
+                    f_red: np.ndarray) -> list:
+    """The per_x rows of one n from the replicate rows of sample_spectral_cdfs.
+
+    Per x point: the means of F_H and of the reduced form's F with their
+    standard errors, the unbiased variance of F_H with its normal-
+    approximation standard error (these four are 0 below 2 replicates),
+    scaled_ratio = n Var / log n, and per t of cfg.t_grid the frequency of
+    |F_H - mean| >= t with its binomial standard error.
+    """
+    reps = cfg.replicates
+    per_x = []
+    for ix, x in enumerate(cfg.x_grid):
+        col, col_red = f_def[:, ix], f_red[:, ix]
+        mean = float(np.mean(col))
+        var = se_var = se_mean = se_mean_red = 0.0
+        if reps >= 2:
+            var = float(np.var(col, ddof=1))
+            m4 = float(np.mean((col - mean)**4))
+            se_var = float(np.sqrt(max(m4 - var * var * (reps - 3) / (reps - 1), 0.0) / reps))
+            se_mean = float(np.std(col, ddof=1) / np.sqrt(reps))
+            se_mean_red = float(np.std(col_red, ddof=1) / np.sqrt(reps))
+        dev = np.abs(col - mean)
+        freqs = [float(np.mean(dev >= t)) for t in cfg.t_grid]
+        per_x.append({
+            "x": float(x), "mean": mean, "mean_stderr": se_mean,
+            "mean_reduced": float(np.mean(col_red)), "mean_reduced_stderr": se_mean_red,
+            "variance": var, "variance_stderr": se_var, "scaled_ratio": n * var / math.log(n),
+            "tail": [{"t": t, "frequency": f, "stderr": float(np.sqrt(f * (1.0 - f) / reps))}
+                     for t, f in zip(cfg.t_grid, freqs)],
+        })
+    return per_x
+
+
 def run_matrix_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Sample H = U M U* + V N V* (and the reduced form X M X* + N), estimate
     the spectral CDF mean/variance/tails on the x grid, and compare against
@@ -553,70 +593,29 @@ def run_matrix_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     <= 3 and sup |F_H - F_H'| <= 3/n."""
     if cfg.kind != "matrix":
         raise ValueError("run_matrix_experiment requires kind 'matrix'")
-    n = cfg.n
-    xs = np.asarray(cfg.x_grid)
-    ts = list(cfg.t_grid)
-    reps = cfg.replicates
-    f_def, f_red, steps = sample_spectral_cdfs(cfg)
-
-    kappa = cfg.kappa
+    n, reps, kappa, ts = cfg.n, cfg.replicates, cfg.kappa, list(cfg.t_grid)
+    f_def, f_red, steps = sample_spectral_cdfs(cfg, n)
+    per_x = _cdf_statistics(cfg, n, f_def, f_red)
     variance_bound = esd_bounds(n, kappa, 0.0)[0]
     tail_bounds = [esd_bounds(n, kappa, t)[1] for t in ts]
     tail_warning = reps < TAIL_MIN_REPLICATES
 
-    per_x = []
     verdicts = []
     tail_rows = []
-    for ix, x in enumerate(xs):
-        col = f_def[:, ix]
-        col_red = f_red[:, ix]
-        mean = float(np.mean(col))
-        mean_red = float(np.mean(col_red))
-        se_mean = float(np.std(col, ddof=1) / np.sqrt(reps)) if reps >= 2 else 0.0
-        se_mean_red = float(np.std(col_red, ddof=1) / np.sqrt(reps)) if reps >= 2 else 0.0
-        var, se_var = _variance_stats(col)
-        ratio = n * var / math.log(n)
-        dev = np.abs(col - mean)
-        tails = []
-        for it, t in enumerate(ts):
-            freq = float(np.mean(dev >= t))
-            se_freq = float(np.sqrt(freq * (1.0 - freq) / reps))
-            tails.append({"t": t, "frequency": freq, "stderr": se_freq})
-            status = _allowance_status(freq, se_freq, tail_bounds[it])
-            if tail_warning or reps < 2:
-                status = "inconclusive"
-            verdicts.append(
-                _verdict(f"tail_x={_fmt(x)}_t={_fmt(t)}", status, freq, tail_bounds[it],
-                         "4se-allowance", stderr=se_freq)
-            )
-            tail_rows.append([float(x), t, freq, se_freq, tail_bounds[it]])
-        var_status = (
-            _upper_confidence_status(var, se_var, variance_bound) if reps >= 2 else "inconclusive"
-        )
-        verdicts.append(
-            _verdict(f"variance_x={_fmt(x)}", var_status, var, variance_bound,
-                     "4se-upper-confidence", stderr=se_var)
-        )
-        diff = abs(mean - mean_red)
-        pooled = math.sqrt(se_mean**2 + se_mean_red**2)
-        agree_status = _allowance_status(diff, pooled, 0.0) if reps >= 2 else "inconclusive"
-        verdicts.append(
-            _verdict(f"form_agreement_x={_fmt(x)}", agree_status, diff, 0.0,
-                     "4se-allowance", stderr=pooled)
-        )
-        per_x.append(
-            {
-                "x": float(x),
-                "mean": mean,
-                "mean_stderr": se_mean,
-                "mean_reduced": mean_red,
-                "mean_reduced_stderr": se_mean_red,
-                "variance": var,
-                "variance_stderr": se_var,
-                "scaled_ratio": ratio,
-                "tail": tails,
-            }
-        )
+    for row in per_x:
+        x = row["x"]
+        for tail, bound in zip(row["tail"], tail_bounds):
+            t, freq, se_freq = tail["t"], tail["frequency"], tail["stderr"]
+            verdicts.append(_estimate_verdict(f"tail_x={_fmt(x)}_t={_fmt(t)}", freq, se_freq,
+                                              bound, "4se-allowance", not tail_warning))
+            tail_rows.append([x, t, freq, se_freq, bound])
+        verdicts.append(_estimate_verdict(
+            f"variance_x={_fmt(x)}", row["variance"], row["variance_stderr"], variance_bound,
+            "4se-upper-confidence", reps >= 2))
+        pooled = math.sqrt(row["mean_stderr"]**2 + row["mean_reduced_stderr"]**2)
+        verdicts.append(_estimate_verdict(
+            f"form_agreement_x={_fmt(x)}", abs(row["mean"] - row["mean_reduced"]), pooled, 0.0,
+            "4se-allowance", reps >= 2))
 
     estimates = {"n": n, "per_x": per_x, "tail_resolution_warning": tail_warning}
     bounds = {
@@ -784,69 +783,46 @@ def run_identity_suite(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def run_scaling_study(cfg: ExperimentConfig) -> ExperimentReport:
-    """Matrix experiments across an n grid; checks that n * Var / log n stays
-    below the configured kappa and re-tests tails with the measured kappa."""
+    """The matrix sampler and statistics at every n of the grid; checks that
+    n * Var / log n stays below the configured kappa and re-tests tails with
+    the measured kappa."""
     if cfg.kind != "scaling":
         raise ValueError("run_scaling_study requires kind 'scaling'")
-    sub_reports = [(n, run_matrix_experiment(dataclasses.replace(
-        cfg, kind="matrix", n=n, n_grid=None, step_check=False))) for n in cfg.n_grid]
-
-    kappa_measured = 0.0
-    for n, rep in sub_reports:
-        for row in rep.estimates["per_x"]:
-            kappa_measured = max(kappa_measured, row["scaled_ratio"])
+    per_n = [{"n": n, "per_x": _cdf_statistics(cfg, n, *sample_spectral_cdfs(cfg, n)[:2])}
+             for n in cfg.n_grid]
+    kappa_measured = max([0.0] + [row["scaled_ratio"] for d in per_n for row in d["per_x"]])
+    tail_warning = cfg.replicates < TAIL_MIN_REPLICATES
 
     verdicts = []
     scaling_rows = []
     tail_rows = []
-    per_n = []
-    for n, rep in sub_reports:
+    for d in per_n:
+        n = d["n"]
         logn = math.log(n)
-        for row in rep.estimates["per_x"]:
+        for row in d["per_x"]:
             x = row["x"]
             ratio = row["scaled_ratio"]
             ratio_se = n * row["variance_stderr"] / logn
-            upper = ratio + 4.0 * ratio_se
-            status = (
-                _upper_confidence_status(ratio, ratio_se, cfg.kappa)
-                if cfg.replicates >= 2
-                else "inconclusive"
-            )
-            verdicts.append(
-                _verdict(f"ratio_n={n}_x={_fmt(x)}", status, ratio, cfg.kappa,
-                         "4se-upper-confidence", stderr=ratio_se)
-            )
+            verdicts.append(_estimate_verdict(f"ratio_n={n}_x={_fmt(x)}", ratio, ratio_se,
+                                              cfg.kappa, "4se-upper-confidence",
+                                              cfg.replicates >= 2))
             scaling_rows.append(
-                [n, x, row["variance"], row["variance_stderr"], ratio, upper]
-            )
+                [n, x, row["variance"], row["variance_stderr"], ratio, ratio + 4.0 * ratio_se])
             for tail in row["tail"]:
-                t = tail["t"]
-                if kappa_measured > 0:
-                    bound = esd_bounds(n, kappa_measured, t)[1]
-                else:
-                    bound = 2.0 if t == 0 else 0.0
-                status = _allowance_status(tail["frequency"], tail["stderr"], bound)
-                if cfg.replicates < TAIL_MIN_REPLICATES:
-                    status = "inconclusive"
-                verdicts.append(
-                    _verdict(
-                        f"tail_measured_kappa_n={n}_x={_fmt(x)}_t={_fmt(t)}",
-                        status,
-                        tail["frequency"],
-                        bound,
-                        "4se-allowance",
-                        stderr=tail["stderr"],
-                    )
-                )
-                tail_rows.append([n, x, t, tail["frequency"], tail["stderr"], bound])
-        per_n.append({"n": n, "per_x": rep.estimates["per_x"]})
+                t, freq, se_freq = tail["t"], tail["frequency"], tail["stderr"]
+                bound = (esd_bounds(n, kappa_measured, t)[1] if kappa_measured > 0
+                         else tail_bound(0.0, t))
+                verdicts.append(_estimate_verdict(
+                    f"tail_measured_kappa_n={n}_x={_fmt(x)}_t={_fmt(t)}", freq, se_freq, bound,
+                    "4se-allowance", not tail_warning))
+                tail_rows.append([n, x, t, freq, se_freq, bound])
 
     estimates = {
         "n_grid": list(cfg.n_grid),
         "kappa_configured": cfg.kappa,
         "kappa_measured": kappa_measured,
         "per_n": per_n,
-        "tail_resolution_warning": cfg.replicates < TAIL_MIN_REPLICATES,
+        "tail_resolution_warning": tail_warning,
     }
     bounds = {
         "variance_bounds": [
@@ -939,5 +915,5 @@ def run_bound_calc(A: float, B: float, a: float, b: float, ts) -> ExperimentRepo
     result = concentration_constant(BoundInputs(A, B, a, b))
     tails = [{"t": t, "value": tail_bound(result.constant, t)} for t in ts]
     return ExperimentReport({"command": "bound-calc", "A": A, "B": B, "a": a, "b": b}, {},
-                            {**dataclasses.asdict(result), "tail_bounds": tails}, [],
+                            {**asdict(result), "tail_bounds": tails}, [],
                             report_environment(0, 0))

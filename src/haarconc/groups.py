@@ -17,8 +17,6 @@ import numpy as np
 
 UNITARITY_TOL = 1e-12
 
-LAZY_TRANSPOSITION = "lazy-transposition"
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -75,26 +73,22 @@ def require_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> None:
 
 @dataclass(frozen=True)
 class StepDistribution:
-    """The law of a single walk step on S_n.
+    """The law of a single walk step on S_n: the lazy transposition step.
 
-    ``lazy-transposition`` puts mass 1/n on the identity and 2/n^2 on each
-    transposition (draw i, j independently uniform; i == j is lazy).  The
-    U(n) step, a random reflection, is drawn as arrays by
-    :func:`sample_reflection_step`.
+    It puts mass 1/n on the identity and 2/n^2 on each transposition (draw
+    i, j independently uniform; i == j is lazy).  The U(n) step, a random
+    reflection, is drawn as arrays by :func:`sample_reflection_step`.
     """
 
-    kind: str
     n: int
 
     def __post_init__(self) -> None:
-        if self.kind != LAZY_TRANSPOSITION:
-            raise ValueError(f"unknown step kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
 
     @classmethod
     def lazy_transposition(cls, n: int) -> "StepDistribution":
-        return cls(LAZY_TRANSPOSITION, n)
+        return cls(n)
 
     def support(self) -> Iterator[tuple[Permutation, Fraction]]:
         """Exact (element, mass) pairs."""

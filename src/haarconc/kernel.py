@@ -31,6 +31,8 @@ from .groups import Permutation, StepDistribution
 MAX_DEGREE = 8
 
 CENTERING_TOL = 1e-12
+# Terms of the pair potential series before it gives up.
+PAIR_POTENTIAL_MAX_ITER = 1_000_000
 
 
 class FiniteGroupTable:
@@ -162,9 +164,7 @@ def _check_vector(op: WalkOperator, f) -> np.ndarray:
     return f
 
 
-def pair_potential(
-    op: WalkOperator, f, eps: float = 1e-12, max_iter: int = 1_000_000
-) -> np.ndarray:
+def pair_potential(op: WalkOperator, f, eps: float = 1e-12) -> np.ndarray:
     """h = sum_{k>=0} P^k f, truncated at the first K with max|P^K f| < eps/2.
 
     The remaining tail is geometrically dominated once the sup norm is below
@@ -178,13 +178,14 @@ def pair_potential(
         raise ValueError("eps must be positive")
     h = np.zeros_like(f)
     g = f.copy()
-    for _ in range(max_iter):
+    for _ in range(PAIR_POTENTIAL_MAX_ITER):
         if float(np.max(np.abs(g))) < eps / 2.0:
             return h
         h += g
         g = op.apply(g)
     raise RuntimeError(
-        f"pair potential series did not meet the truncation criterion within {max_iter} iterations"
+        "pair potential series did not meet the truncation criterion within "
+        f"{PAIR_POTENTIAL_MAX_ITER} iterations"
     )
 
 

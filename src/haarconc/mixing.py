@@ -272,11 +272,7 @@ def _group_bytes(n: int, reps: int) -> int:
 
 
 def unitary_mixing_diagnostic(
-    n: int,
-    k_max: int,
-    reps: int,
-    rng: np.random.Generator,
-    floor: Optional[float] = None,
+    n: int, k_max: int, reps: int, rng: np.random.Generator
 ) -> MixingDiagnostic:
     """Monte Carlo trace-moment curve for the reflection walk on U(n).
 
@@ -324,11 +320,10 @@ def unitary_mixing_diagnostic(
     moments = np.concatenate(([float(n * n)], acc[0, 0]))
     stderrs = np.concatenate(([0.0], np.sqrt(acc[0, 1] / (reps - 1)) / np.sqrt(reps)))
     deviations = np.abs(moments - 1.0)
-    if floor is None:
-        floor = max(1e-12, 2.0 * float(np.median(stderrs[1:])))
     note = "PROXY: fit of |E|Tr W_k|^2 - 1|, not a total-variation envelope"
     try:
-        fit = fit_decay(deviations, floor=floor)
+        # Fit only above twice the median standard error: below it is noise.
+        fit = fit_decay(deviations, floor=max(1e-12, 2.0 * float(np.median(stderrs[1:]))))
     except ValueError:
         fit = None
         note += " (no usable fit window)"

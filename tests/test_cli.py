@@ -129,6 +129,25 @@ class TestArgumentHandling:
         assert f"config key '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, body, key, text", [
+        ("matrix", {"n": 8, "x_grid": [0.1234567, 0.1234568], "t_grid": [0.05, 0.06]},
+         "x_grid", "0.123457"),
+        ("matrix", {"n": 8, "t_grid": [0.05, 0.05]}, "t_grid", "0.05"),
+        ("scaling", {"n_grid": [8, 8]}, "n_grid", "8"),
+    ])
+    def test_grid_entries_that_print_alike_refused(self, tmp_path, capsys, command, body,
+                                                   key, text):
+        # Verdict names print grid values with %g; two entries that print
+        # alike gave several verdicts one name, so a failed verdict could not
+        # say which entry failed.
+        path = write_config(tmp_path, "cfg.json",
+                            {"kind": command, "seed": 0, "replicates": 20, **body})
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"config key '{key}' has two entries that both print as '{text}'" in err
+        assert not out.exists()
+
     def test_kind_must_match_command(self, tmp_path, capsys):
         path = write_config(tmp_path, "cfg.json", MATRIX_CFG)
         code = main(["finite-group", "--config", path, "--out", str(tmp_path / "out")])
@@ -231,7 +250,7 @@ class TestExperimentCommands:
             assert not out_dir.exists()
 
     def test_matrix_size_cap_refused(self, tmp_path, capsys, monkeypatch):
-        def no_work(cfg):
+        def no_work(cfg, n):
             raise AssertionError("an oversized config reached the replicates")
 
         monkeypatch.setattr(experiments, "sample_spectral_cdfs", no_work)

@@ -205,7 +205,7 @@ class TestConfigValidation:
         raw = {"kind": kind, "seed": data.draw(st.integers(0, 2**32))}
         if kind == "scaling":
             raw["n_grid"] = data.draw(
-                st.lists(st.integers(2, 32), min_size=1, max_size=3))
+                st.lists(st.integers(2, 32), min_size=1, max_size=3, unique=True))
         else:
             cap = {"matrix": 64, "finite-group": 8, "identity-suite": 8}[kind]
             raw["n"] = data.draw(st.integers(2, cap))
@@ -219,6 +219,37 @@ class TestConfigValidation:
         again = ExperimentConfig.from_dict(canonical)
         assert again == cfg
         assert again.to_dict() == canonical
+
+
+class TestEstimateVerdict:
+    """The one 4-standard-error rule, at exactly representable values:
+    se = 0.25, so 4 se = 1."""
+
+    @staticmethod
+    def status(observed, threshold, policy, conclusive=True) -> str:
+        verdict = experiments._estimate_verdict("v", observed, 0.25, threshold, policy,
+                                                conclusive)
+        assert verdict["policy"] == policy and verdict["stderr"] == 0.25
+        return verdict["status"]
+
+    def test_upper_confidence_bands(self):
+        policy = "4se-upper-confidence"
+        assert self.status(1.0, 2.0, policy) == "pass"  # observed + 4 se = threshold
+        assert self.status(np.nextafter(1.0, 0.0), 2.0, policy) == "pass"
+        assert self.status(2.0, 2.0, policy) == "inconclusive"
+        assert self.status(3.0, 2.0, policy) == "inconclusive"  # observed - 4 se = threshold
+        assert self.status(np.nextafter(3.0, 4.0), 2.0, policy) == "fail"
+
+    def test_allowance_bands(self):
+        policy = "4se-allowance"
+        assert self.status(0.0, 2.0, policy) == "pass"
+        assert self.status(3.0, 2.0, policy) == "pass"  # observed = threshold + 4 se
+        assert self.status(np.nextafter(3.0, 4.0), 2.0, policy) == "fail"
+
+    @pytest.mark.parametrize("policy", ["4se-allowance", "4se-upper-confidence"])
+    def test_inconclusive_when_the_sample_cannot_decide(self, policy):
+        for observed in (0.0, 10.0):
+            assert self.status(observed, 2.0, policy, conclusive=False) == "inconclusive"
 
 
 class TestMatrixExperiment:
@@ -288,7 +319,7 @@ class TestReflectionStepExperiment:
 
     def test_requires_step_check(self):
         cfg = matrix_config()
-        assert sample_spectral_cdfs(cfg)[2] is None
+        assert sample_spectral_cdfs(cfg, cfg.n)[2] is None
         report = run_matrix_experiment(cfg)
         assert "step_check" not in report.estimates
         assert "step_check" not in report.bounds
@@ -418,7 +449,7 @@ class TestChunkedEngine:
             # The reflection drawn after X leaves U, V and X as they were.
             for step_check in (False, True):
                 f_def, f_red, _ = sample_spectral_cdfs(
-                    matrix_config(replicates=reps, step_check=step_check, **common))
+                    matrix_config(replicates=reps, step_check=step_check, **common), n)
                 assert np.array_equal(f_def, want_def[:reps])
                 assert np.array_equal(f_red, want_red[:reps])
 
@@ -429,7 +460,7 @@ class TestChunkedEngine:
         want_ranks, want_gaps = oracle_steps(matrix_config(replicates=counts[-1], **common))
         for reps in counts:
             cfg = matrix_config(replicates=reps, **common)
-            _, _, (ranks, gaps) = sample_spectral_cdfs(cfg)
+            _, _, (ranks, gaps) = sample_spectral_cdfs(cfg, cfg.n)
             assert np.array_equal(ranks, want_ranks[:reps])
             assert np.array_equal(gaps, want_gaps[:reps])
             step = run_matrix_experiment(cfg).estimates["step_check"]
@@ -489,7 +520,7 @@ class TestChunkedEngine:
             expected.clear()
             cfg = matrix_config(n=n, replicates=2 * experiments.chunk_size(n) + 1,
                                 spectrum_N="uniform_grid", step_check=True)
-            _, _, (ranks, _) = sample_spectral_cdfs(cfg)
+            _, _, (ranks, _) = sample_spectral_cdfs(cfg, cfg.n)
             assert np.array_equal(ranks, np.concatenate(expected))
 
     def test_step_check_hermitises_each_product_once(self, monkeypatch):
@@ -506,7 +537,7 @@ class TestChunkedEngine:
 
         monkeypatch.setattr(hermitian, "hermitian_parts", counted)
         monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
-        sample_spectral_cdfs(matrix_config(n=n, replicates=reps, step_check=True))
+        sample_spectral_cdfs(matrix_config(n=n, replicates=reps, step_check=True), n)
         assert calls[0] == 4 * chunks
 
 
@@ -580,7 +611,7 @@ class TestWorkerProcesses:
         runs = []
         for count in (1, 2, 3):
             forks = use_workers(monkeypatch, count)
-            f_def, f_red, (ranks, gaps) = sample_spectral_cdfs(cfg)
+            f_def, f_red, (ranks, gaps) = sample_spectral_cdfs(cfg, cfg.n)
             assert len(forks) == min(count, chunks) - 1
             runs.append((f_def, f_red, ranks, gaps))
         for run in runs[1:]:
@@ -598,7 +629,7 @@ class TestWorkerProcesses:
         for count, reps in ((1, 3 * chunk), (3, chunk)):
             monkeypatch.setattr(workers, "usable_cpus", lambda: count)
             monkeypatch.setattr(os, "fork", no_fork)
-            f_def, _, _ = sample_spectral_cdfs(matrix_config(n=n, replicates=reps))
+            f_def, _, _ = sample_spectral_cdfs(matrix_config(n=n, replicates=reps), n)
             assert f_def.shape == (reps, 5)
 
     def test_results_outlive_the_next_run(self, monkeypatch):
@@ -649,7 +680,7 @@ class TestWorkerProcesses:
         assert arrays > chunk_bytes
         monkeypatch.setattr(workers, "BYTES_BUDGET", arrays + 2 * chunk_bytes)
         assert len(experiments._matrix_plan(cfg, 8).slices) == 2
-        sample_spectral_cdfs(cfg)
+        sample_spectral_cdfs(cfg, cfg.n)
         assert len(forks) == 1
 
     @pytest.mark.parametrize("n", [8, 32, 64, 128])
@@ -660,10 +691,10 @@ class TestWorkerProcesses:
         cfg = matrix_config(n=n, replicates=experiments.chunk_size(n), step_check=True,
                             spectrum_N="uniform_grid")
         plan = experiments._matrix_plan(cfg, n)
-        sample_spectral_cdfs(cfg)
+        sample_spectral_cdfs(cfg, cfg.n)
         tracemalloc.start()
         try:
-            sample_spectral_cdfs(cfg)
+            sample_spectral_cdfs(cfg, cfg.n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -698,16 +729,16 @@ class TestWorkerProcesses:
             with monkeypatch.context() as m:
                 for var, value in env.items():
                     m.setenv(var, value)
-                sample_spectral_cdfs(matrix_config(n=64, replicates=8))
+                sample_spectral_cdfs(matrix_config(n=64, replicates=8), 64)
             assert len(forks) == count - 1, env
 
     def test_other_platforms_run_inline(self, monkeypatch):
         cfg = matrix_config(n=7, replicates=3 * experiments.chunk_size(7), step_check=True)
         use_workers(monkeypatch, 1)
-        want = sample_spectral_cdfs(cfg)
+        want = sample_spectral_cdfs(cfg, cfg.n)
         forks = use_workers(monkeypatch, 3)
         monkeypatch.setattr(workers.platform, "system", lambda: "Darwin")
-        got = sample_spectral_cdfs(cfg)
+        got = sample_spectral_cdfs(cfg, cfg.n)
         assert forks == []
         for a, b in zip((*got[:2], *got[2]), (*want[:2], *want[2])):
             assert np.array_equal(a, b)
@@ -719,7 +750,7 @@ class TestWorkerProcesses:
         chunk = experiments.chunk_size(n)
         cfg = matrix_config(n=n, replicates=2 * chunk + 5, step_check=True)
         use_workers(monkeypatch, 1)
-        want = sample_spectral_cdfs(cfg)
+        want = sample_spectral_cdfs(cfg, cfg.n)
         forks = use_workers(monkeypatch, 3)
         counted_fork = os.fork
 
@@ -732,7 +763,7 @@ class TestWorkerProcesses:
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", fork_once)
-        got = sample_spectral_cdfs(cfg)
+        got = sample_spectral_cdfs(cfg, cfg.n)
         assert len(forks) == 1
         for a, b in zip((*got[:2], *got[2]), (*want[:2], *want[2])):
             assert np.array_equal(a, b)
@@ -743,7 +774,7 @@ class TestWorkerProcesses:
             forks.clear()
             monkeypatch.setattr(os, "fork", fork)
             with pytest.raises(GuaranteeViolation, match=f"at replicate {chunk + 1} "):
-                sample_spectral_cdfs(cfg)
+                sample_spectral_cdfs(cfg, cfg.n)
 
     def test_unreadable_error_raises_and_reaps_every_child(self, monkeypatch):
         n = 7
@@ -760,7 +791,7 @@ class TestWorkerProcesses:
         cfg = matrix_config(n=n, replicates=2 * chunk + 5, step_check=True)
         with pytest.raises(RuntimeError, match=rf"replicates {chunk}\.\.{2 * chunk - 1} "
                                                "sent an error that could not be read"):
-            sample_spectral_cdfs(cfg)
+            sample_spectral_cdfs(cfg, cfg.n)
         assert len(forks) == 2
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -776,7 +807,7 @@ class TestWorkerProcesses:
         plant_step_defects(monkeypatch, [target, 2 * chunk + 1])
         cfg = matrix_config(n=n, replicates=2 * chunk + 5, step_check=True)
         with pytest.raises(GuaranteeViolation, match=f"at replicate {target} "):
-            sample_spectral_cdfs(cfg)
+            sample_spectral_cdfs(cfg, cfg.n)
         assert len(forks) == count - 1
 
     def test_earliest_slice_wins_over_the_first_to_fail(self, monkeypatch):
@@ -789,7 +820,7 @@ class TestWorkerProcesses:
         plant_step_defects(monkeypatch, [reps // 2 - 1, reps // 2])
         cfg = matrix_config(n=n, replicates=reps, step_check=True)
         with pytest.raises(GuaranteeViolation, match=f"at replicate {reps // 2 - 1} "):
-            sample_spectral_cdfs(cfg)
+            sample_spectral_cdfs(cfg, cfg.n)
         assert len(forks) == 1
 
     def test_dead_child_raises(self, monkeypatch):
@@ -810,7 +841,7 @@ class TestWorkerProcesses:
         cfg = matrix_config(n=n, replicates=2 * chunk + 5, step_check=True)
         with pytest.raises(RuntimeError,
                            match=rf"replicates {chunk}\.\.{2 * chunk + 4} exited with status 3"):
-            sample_spectral_cdfs(cfg)
+            sample_spectral_cdfs(cfg, cfg.n)
 
 
 class TestFiniteGroupExperiment:
@@ -956,6 +987,22 @@ class TestScalingStudy:
         assert report.estimates["kappa_measured"] == 0.0
         for row in report.curves["scaling"]["rows"]:
             assert row[2] == 0.0  # variance column
+
+    def test_zero_measured_kappa_gives_the_zero_constant_tail_bound(self):
+        # With kappa_measured = 0 the measured-kappa tail bound is
+        # tail_bound(0, t): vacuous (2) at t = 0 and 0 for t > 0.
+        cfg = ExperimentConfig.from_dict(
+            {"kind": "scaling", "n_grid": [4, 6], "seed": 2, "replicates": 500,
+             "spectrum_M": "zero", "spectrum_N": "zero", "x_grid": [0.0],
+             "t_grid": [0.0, 0.05]}
+        )
+        report = run_scaling_study(cfg)
+        assert report.estimates["kappa_measured"] == 0.0
+        rows = report.curves["tails"]["rows"]
+        assert [row[2] for row in rows] == [0.0, 0.05] * 2
+        assert [row[-1] for row in rows] == [2.0, 0.0] * 2
+        tails = [v for v in report.verdicts if v["name"].startswith("tail_measured_kappa_")]
+        assert [(v["threshold"], v["status"]) for v in tails] == [(2.0, "pass"), (0.0, "pass")] * 2
 
 
 class TestRunExperiment:

@@ -379,10 +379,6 @@ class TestHaarPermutation:
 
 
 class TestStepDistribution:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            StepDistribution("gaussian", 3)
-
     def test_lazy_masses_sum_to_one_exactly(self):
         for n in (2, 3, 5, 7):
             dist = StepDistribution.lazy_transposition(n)
