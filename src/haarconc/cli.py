@@ -24,6 +24,7 @@ from .experiments import (
     run_bound_calc,
     run_experiment,
     run_mixing_curve,
+    _fmt,
 )
 
 _EXPERIMENT_COMMANDS = ("matrix", "finite-group", "identity-suite", "scaling")
@@ -102,7 +103,7 @@ def _run_bound_calc(args) -> ExperimentReport:
     print(f"C = {report.bounds['constant']:.10g}")
     print(f"variance bound = {report.bounds['variance_bound']:.10g}")
     for tail in report.bounds["tail_bounds"]:
-        print(f"tail bound at t={tail['t']:g}: {tail['value']:.10g}")
+        print(f"tail bound at t={_fmt(tail['t'])}: {tail['value']:.10g}")
     return report
 
 

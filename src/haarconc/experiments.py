@@ -271,13 +271,7 @@ class ExperimentConfig:
             else:
                 fields["k_max"] = 25 * fields["n"]
         for key in ("n_grid", "x_grid", "t_grid"):
-            # Verdict names print grid values with _fmt, so two entries that
-            # print alike would give two verdicts one name.
-            names = [_fmt(v) for v in fields.get(key) or ()]
-            clash = next((name for i, name in enumerate(names) if name in names[:i]), None)
-            if clash is not None:
-                raise ValueError(f"config key '{key}' has two entries that both print as "
-                                 f"{clash!r} in verdict names")
+            _require_distinct(f"config key '{key}'", fields.get(key) or (), "verdict names")
         cfg = ExperimentConfig(**fields)
         if kind in ("matrix", "scaling"):
             for n in cfg.n_grid or (cfg.n,):
@@ -406,6 +400,14 @@ def _estimate_verdict(name, observed, stderr, threshold, policy, conclusive) -> 
 
 def _fmt(x: float) -> str:
     return f"{x:g}"
+
+
+def _require_distinct(what: str, values, where: str) -> None:
+    """Refuse two `values` that print alike with _fmt: `where` would repeat."""
+    names = [_fmt(v) for v in values]
+    clash = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if clash is not None:
+        raise ValueError(f"{what} has two entries that both print as {clash!r} in {where}")
 
 
 def chunk_size(n: int) -> int:
@@ -912,6 +914,7 @@ def run_mixing_curve(
 def run_bound_calc(A: float, B: float, a: float, b: float, ts) -> ExperimentReport:
     """The concentration constant C for sup|f| <= A, step seminorm <= B and
     TV envelope a e^(-b k), with the tail bound at each t in ts."""
+    _require_distinct("--t", ts, "tail bound lines")
     result = concentration_constant(BoundInputs(A, B, a, b))
     tails = [{"t": t, "value": tail_bound(result.constant, t)} for t in ts]
     return ExperimentReport({"command": "bound-calc", "A": A, "B": B, "a": a, "b": b}, {},

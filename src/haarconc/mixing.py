@@ -9,11 +9,11 @@ noise floor.  For U(n), where no exact curve is available, a trace-moment
 diagnostic provides a PROXY decay rate.
 
 The U(n) diagnostic simulates its walks walk-major: the walks are split
-into groups of _GROUP_BYTES of walk matrices, and each group takes all of
-its steps on its own generator, seeded from the caller's generator through a
-SeedSequence.  Within a group, steps run in blocks of _BLOCK_STEPS; the
-product Y_s ... Y_1 of a block's reflections has the compact WY form
-I - U T U^H (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989),
+into groups of _GROUP_BYTES of working set, and each group takes all of its
+steps on its own generator, seeded from the caller's generator through a
+SeedSequence.  Within a group, steps run in blocks of _BLOCK_STEPS, drawn
+in one call; the product Y_s ... Y_1 of a block's reflections has the WY
+form I - U T U^H (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989),
 with U = [u_1 ... u_s] and T lower triangular, so a block costs two BLAS-3
 products per walk instead of s rank-one updates, applied in place.  The
 groups run on the forked workers of haarconc.workers, under one
@@ -35,7 +35,7 @@ from .kernel import WalkOperator
 
 # Steps whose reflection parameters are drawn before the walks take them.
 _BLOCK_STEPS = 8
-# Bytes of walk matrices in one walk group: 256 walks at n = 32.
+# Working set of one walk group, _walk_bytes per walk: 106 walks at n = 32.
 _GROUP_BYTES = 4 * 1024 * 1024
 # Memory of one curve point from the walk to the report (peak RSS grew by
 # 218 B a point for S_3, by 247 B for U(2) besides its units' moments).
@@ -226,35 +226,44 @@ def _walk_group(n: int, k_max: int, m: int, seed, acc: np.ndarray, count: int) -
     acc (shape (2, k_max)) holds the moments of |Tr W_k|^2, k = 1 .. k_max,
     over the `count` walks of the unit before this group; the group's own,
     taken two-pass at the end of each block, are merged in.  Steps run in
-    blocks of s <= _BLOCK_STEPS: the parameters (u, phi) of every walk of the
-    group are drawn one step at a time, then the group takes the whole block
-    as one rank-s update W <- W - U (T (U^H W)), where I - U T U^H is the
-    compact WY form of the block's product; the traces after each step of
-    the block come from the s x s matrix U^H W U.
+    blocks of s <= _BLOCK_STEPS: the s m parameters (u, phi) of a block are
+    drawn in one _sample_reflection_batch call, walk-major (draw i s + j is
+    step j of walk i), then the group takes the whole block as one rank-s
+    update W <- W - U (T (U^H W)), where I - U T U^H is the compact WY form
+    of the block's product; the traces after each step of the block come
+    from the s x s matrix U^H W U.  The next block draws after `del u`.
     """
     rng = np.random.default_rng(seed)
-    w = np.broadcast_to(np.eye(n, dtype=np.complex128), (m, n, n)).copy()
+    w = np.zeros((m, n, n), dtype=np.complex128)
+    w.reshape(m, n * n)[:, :: n + 1] = 1.0
     traces = np.empty((_BLOCK_STEPS, m), dtype=np.complex128)
-    u = np.empty((m, n, _BLOCK_STEPS), dtype=np.complex128)
     u_h, uhw, rows = (np.empty((m, _BLOCK_STEPS, n), dtype=np.complex128) for _ in range(3))
-    phi = np.empty((m, _BLOCK_STEPS))
     for first in range(1, k_max + 1, _BLOCK_STEPS):
         steps = min(_BLOCK_STEPS, k_max + 1 - first)
-        for j in range(steps):
-            u[:, :, j], phi[:, j] = _sample_reflection_batch(n, m, rng)
-        block_u = u[:, :, :steps]
-        np.conjugate(block_u.transpose(0, 2, 1), out=u_h[:, :steps])
-        c = 1.0 - np.exp(1j * phi[:, :steps])
-        _reflect_block(w, block_u, u_h[:, :steps], c, traces[:steps], uhw[:, :steps], rows)
+        u, phi = _sample_reflection_batch(n, m * steps, rng)
+        np.conjugate(u.reshape(m, steps, n), out=u_h[:, :steps])
+        u = u.reshape(m, steps, n).transpose(0, 2, 1)
+        c = 1.0 - np.exp(1j * phi.reshape(m, steps))
+        _reflect_block(w, u, u_h[:, :steps], c, traces[:steps], uhw[:, :steps], rows)
+        del u
         sq = np.abs(traces[:steps]) ** 2
         mean = sq.mean(axis=1)
         _merge(acc[:, first - 1 : first + steps - 1], count, m, mean,
                np.sum((sq - mean[:, None]) ** 2, axis=1))
 
 
+def _walk_bytes(n: int) -> int:
+    """Working set of one walk of a group, (n^2 + 5sn + 2s^2 + 3s) 16 B: W,
+    four s x n buffers (one the block's draws), the draws' norm temporary
+    (numpy elides a second above 256 KiB; below, the idle ufunc buffers of
+    _group_bytes are larger), s x s factors and s-vectors."""
+    s = _BLOCK_STEPS
+    return (n * n + 5 * s * n + 2 * s * s + 3 * s) * 16
+
+
 def _group_size(n: int) -> int:
-    """Walks per walk group: _GROUP_BYTES of walk matrices, at least one walk."""
-    return max(1, _GROUP_BYTES // (n * n * np.dtype(np.complex128).itemsize))
+    """Walks per walk group: _GROUP_BYTES of working set, at least one walk."""
+    return max(1, _GROUP_BYTES // _walk_bytes(n))
 
 
 def _unit_size(n: int) -> int:
@@ -263,12 +272,9 @@ def _unit_size(n: int) -> int:
 
 
 def _group_bytes(n: int, reps: int) -> int:
-    """Working set of one group of m walks in s-step blocks, m (n^2 + 4sn +
-    3s^2 + 3s + 3n) 16 B: per walk the walk matrix, four s x n buffers, a
-    block's s x s factors, the s-vectors that outlive it and a step's draw;
-    and three ufunc buffers, which numpy takes for the in-place band update."""
-    m, s = min(_group_size(n), reps), _BLOCK_STEPS
-    return m * (n * n + 4 * s * n + 3 * s * s + 3 * s + 3 * n) * 16 + 3 * np.getbufsize() * 16
+    """Working set of one group of m walks: m _walk_bytes(n), and three
+    ufunc buffers, which numpy takes for the in-place band update."""
+    return min(_group_size(n), reps) * _walk_bytes(n) + 3 * np.getbufsize() * 16
 
 
 def unitary_mixing_diagnostic(
@@ -281,7 +287,7 @@ def unitary_mixing_diagnostic(
     standard error.  The fitted decay of |m(k) - 1| is labeled PROXY: it is
     not a total-variation envelope.
 
-    The walks are split into groups of _GROUP_BYTES of walk matrices; each
+    The walks are split into groups of _GROUP_BYTES of working set; each
     group g takes all k_max steps on its own generator, seeded by
     SeedSequence(entropy, spawn_key=(g,)), where entropy is two 63-bit
     integers drawn from `rng`: child g of SeedSequence(entropy).spawn, made

@@ -197,6 +197,18 @@ class TestBoundCalc:
         assert main(["bound-calc", "--A", "1", "--B", "3", "--a", "1", "--b", "1"]) == 1
         assert main(["bound-calc", "--A", "-1", "--B", "1", "--a", "1", "--b", "1"]) == 1
 
+    @pytest.mark.parametrize("second", ["0.1", "0.10000001"])
+    def test_t_values_that_print_alike_refused(self, tmp_path, capsys, second):
+        # Each t prints its tail line with %g, so two that print alike gave
+        # two lines with one label.
+        out = tmp_path / "bc"
+        assert main(["bound-calc", "--A", "1", "--B", "0.1", "--a", "1", "--b", "0.5",
+                     "--t", "0.1", "--t", second, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "--t has two entries that both print as '0.1'" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_nan_t_refused(self, tmp_path, capsys):
         out = tmp_path / "bc"
         assert main(["bound-calc", "--A", "1", "--B", "1", "--a", "1", "--b", "1",
@@ -429,7 +441,7 @@ class TestMixingCurveCommand:
     @pytest.mark.usefixtures("worker_time_limit")
     def test_unitary_curve_is_the_same_on_any_worker_count(self, tmp_path, capsys, monkeypatch):
         # Five walk groups of 250 walks and one of 100.
-        monkeypatch.setattr(mixing, "_GROUP_BYTES", 250 * 8 * 8 * 16)
+        monkeypatch.setattr(mixing, "_GROUP_BYTES", 250 * mixing._walk_bytes(8))
         curves = []
         for count in (1, 2, 3):
             forks = use_workers(monkeypatch, count)
@@ -666,7 +678,7 @@ class TestForkedWorkers:
     def test_no_thread_is_alive_at_any_fork(self, argv, config, expected, tmp_path, capsys,
                                             monkeypatch):
         # Four walk groups of 250 walks at n = 8.
-        monkeypatch.setattr(mixing, "_GROUP_BYTES", 250 * 8 * 8 * 16)
+        monkeypatch.setattr(mixing, "_GROUP_BYTES", 250 * mixing._walk_bytes(8))
         forks = use_workers(monkeypatch, 3)
         counted_fork = os.fork
 

@@ -582,6 +582,25 @@ def use_workers(monkeypatch, count: int) -> list:
     return forks
 
 
+def record_range(path, items: range) -> None:
+    """Append `items` to the log at `path` as one line, in one os.write on an
+    O_APPEND descriptor, so the lines of forked workers do not interleave."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o600)
+    try:
+        os.write(fd, f"{items.start} {items.stop}\n".encode())
+    finally:
+        os.close(fd)
+
+
+def recorded_items(path) -> list:
+    """Every item of every range that record_range logged at `path`, sorted."""
+    items = []
+    for line in path.read_text().splitlines():
+        lo, hi = map(int, line.split())
+        items.extend(range(lo, hi))
+    return sorted(items)
+
+
 @pytest.fixture
 def worker_time_limit():
     """Fail a test whose worker processes run past 60 s: a child that never
@@ -618,6 +637,29 @@ class TestWorkerProcesses:
             for got, want in zip(run, runs[0]):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_every_replicate_runs_once(self, cpus, monkeypatch, tmp_path):
+        # Six chunks, each recorded by the worker that runs it.  A chunk run
+        # twice, as by two overlapping slices, writes the same rows again, so
+        # no result shows it; this record does.
+        log = tmp_path / "chunks"
+        real_run = workers.run
+
+        def recorded_run(plan, work):
+            def recorded_work(chunks, out):
+                for rows in chunks:
+                    record_range(log, rows)
+                work(chunks, out)
+            return real_run(plan, recorded_work)
+
+        monkeypatch.setattr(workers, "run", recorded_run)
+        forks = use_workers(monkeypatch, cpus)
+        n = 7
+        cfg = matrix_config(n=n, replicates=5 * experiments.chunk_size(n) + 3)
+        sample_spectral_cdfs(cfg, n)
+        assert len(forks) == cpus - 1
+        assert recorded_items(log) == list(range(cfg.replicates))
 
     def test_one_worker_or_one_chunk_never_forks(self, monkeypatch):
         def no_fork():

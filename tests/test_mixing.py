@@ -28,7 +28,12 @@ from haarconc.mixing import (
 )
 
 
-from test_experiments import use_workers, worker_time_limit  # noqa: F401 (fixture)
+from test_experiments import (  # noqa: F401 (fixture)
+    record_range,
+    recorded_items,
+    use_workers,
+    worker_time_limit,
+)
 from test_kernel import dense_kernel
 
 
@@ -57,6 +62,14 @@ def walk_law(op, k: int) -> np.ndarray:
     """The exact walk law at step k, as exact_tv_curve keeps it for a
     target that no distance meets."""
     return exact_tv_curve(op, k, law_below=-1.0).law
+
+
+def walk_bytes(n: int) -> int:
+    """One walk's working set in a walk group, b(n) = (n^2 + 5sn + 2s^2 +
+    3s) 16 B for blocks of s steps: the walk matrix, four s x n buffers, the
+    draws' norm temporary, a block's s x s factors and its s-vectors."""
+    s = _BLOCK_STEPS
+    return (n * n + 5 * s * n + 2 * s * s + 3 * s) * 16
 
 
 def walk_groups(n: int, reps: int) -> list:
@@ -133,6 +146,14 @@ def reflect(w: np.ndarray, u: np.ndarray, c: np.ndarray, traces: np.ndarray) -> 
                    np.empty((w.shape[0], _BLOCK_STEPS, w.shape[2]), dtype=np.complex128))
 
 
+def block_draws(n: int, m: int, steps: int, rng: np.random.Generator):
+    """u (m, n, steps) and phi (m, steps) of one block of m walks, from one
+    _sample_reflection_batch call of m * steps draws: draw i * steps + j is
+    step j of walk i."""
+    u, phi = _sample_reflection_batch(n, m * steps, rng)
+    return u.reshape(m, steps, n).transpose(0, 2, 1), phi.reshape(m, steps)
+
+
 def block_walk(n: int, k_max: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """|Tr W_k|^2 of m walks stepped together, one block reflector of up to
     _BLOCK_STEPS steps at a time, on the whole stack."""
@@ -140,11 +161,9 @@ def block_walk(n: int, k_max: int, m: int, rng: np.random.Generator) -> np.ndarr
     sq = np.empty((k_max, m))
     for first in range(0, k_max, _BLOCK_STEPS):
         steps = min(_BLOCK_STEPS, k_max - first)
-        draws = [_sample_reflection_batch(n, m, rng) for _ in range(steps)]
-        u = np.stack([d[0] for d in draws], axis=2)
-        c = np.stack([1.0 - np.exp(1j * d[1]) for d in draws], axis=1)
+        u, phi = block_draws(n, m, steps, rng)
         traces = np.empty((steps, m), dtype=np.complex128)
-        reflect(w, u, c, traces)
+        reflect(w, u, 1.0 - np.exp(1j * phi), traces)
         sq[first : first + steps] = np.abs(traces) ** 2
     return sq
 
@@ -152,11 +171,14 @@ def block_walk(n: int, k_max: int, m: int, rng: np.random.Generator) -> np.ndarr
 def einsum_walk(n: int, k_max: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """|Tr W_k|^2 of m walks stepped together one reflection at a time, as
     the walk was first written: an einsum for u* W and a fresh outer
-    product."""
+    product.  The reflections are drawn a block of _BLOCK_STEPS at a time,
+    as the diagnostic draws them."""
     w = np.broadcast_to(np.eye(n, dtype=np.complex128), (m, n, n)).copy()
     sq = np.empty((k_max, m))
     for k in range(k_max):
-        u, phi = _sample_reflection_batch(n, m, rng)
+        if k % _BLOCK_STEPS == 0:
+            block_u, block_phi = block_draws(n, m, min(_BLOCK_STEPS, k_max - k), rng)
+        u, phi = block_u[:, :, k % _BLOCK_STEPS], block_phi[:, k % _BLOCK_STEPS]
         uw = np.einsum("ri,rij->rj", u.conj(), w)
         w -= (1.0 - np.exp(1j * phi))[:, None, None] * u[:, :, None] * uw[:, None, :]
         sq[k] = np.abs(np.trace(w, axis1=1, axis2=2)) ** 2
@@ -455,9 +477,9 @@ class TestUnitaryMixingDiagnostic:
 
     # Group sizes in walks (None: the default budget):
     # (5, 11, 1001, 300): groups 300, 300, 300 and a partial 101, blocks of 8
-    # and a partial 3; (32, 9, 1000, None): 256, 256, 256 and 232, blocks of
-    # 8 and 1; (3, 8, 1000, 1000): one group ending exactly at reps, one
-    # full block; (2, 3, 1000, 0): one walk per group, units of 64 groups and
+    # and a partial 3; (32, 9, 1000, None): nine of 106 and a partial 46,
+    # blocks of 8 and 1; (3, 8, 1000, 1000): one group ending exactly at
+    # reps, one full block; (2, 3, 1000, 0): one walk per group, units of 64 groups and
     # a partial unit of 40.  The reference walks each group on its own stream
     # with the whole group at once and reduces the units in order, so the
     # schedule and the worker processes must not change a bit.
@@ -468,7 +490,7 @@ class TestUnitaryMixingDiagnostic:
     )
     def test_blocked_walk_equals_reference_walk(self, n, k_max, reps, walks, monkeypatch):
         if walks is not None:
-            monkeypatch.setattr(mixing, "_GROUP_BYTES", walks * n * n * 16)
+            monkeypatch.setattr(mixing, "_GROUP_BYTES", walks * walk_bytes(n))
         rng = np.random.default_rng(2024)
         d = unitary_mixing_diagnostic(n, k_max, reps, rng)
         ref_rng = np.random.default_rng(2024)
@@ -504,11 +526,45 @@ class TestWalkGroups:
     @pytest.mark.parametrize("n,reps", [(2, 1000), (5, 1001), (32, 1000), (32, 4000), (700, 1000)])
     def test_groups_tile_the_walks(self, n, reps):
         groups = walk_groups(n, reps)
-        size = max(1, mixing._GROUP_BYTES // (n * n * 16))
+        size = max(1, mixing._GROUP_BYTES // walk_bytes(n))
         assert groups[0].start == 0 and groups[-1].stop == reps
         assert all(a.stop == b.start for a, b in zip(groups, groups[1:]))
         assert all(len(walks) == size for walks in groups[:-1])
         assert 1 <= len(groups[-1]) <= size
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256])
+    def test_a_group_holds_the_group_budget(self, n):
+        # The whole working set of a group fits _GROUP_BYTES, not its walk
+        # matrices alone: sized by those, a group at n = 2 held 65 536 walks
+        # and about 300 MB.
+        assert mixing._group_bytes(n, 10**6) <= mixing._GROUP_BYTES + 3 * np.getbufsize() * 16
+
+    def test_small_walks_run_on_every_cpu(self, monkeypatch):
+        # 20 000 walks at n = 2 are 19 groups on two CPUs; sized by their
+        # walk matrices alone they were one group, and one CPU idled.
+        use_workers(monkeypatch, 2)
+        assert len(walk_plan(monkeypatch, 2, 128, 20000).slices) == 2
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_every_walk_runs_once(self, cpus, monkeypatch, tmp_path):
+        # Eleven groups of 100 walks and one of 30, a unit each, each
+        # recorded by the worker that runs it: a group run twice or never,
+        # as by overlapping or short slices, shows here whatever the moments
+        # read.
+        log = tmp_path / "walks"
+        real_group = mixing._walk_group
+
+        def recorded_group(n, k_max, m, seed, acc, count):
+            lo = 100 * seed.spawn_key[0]
+            record_range(log, range(lo, lo + m))
+            real_group(n, k_max, m, seed, acc, count)
+
+        monkeypatch.setattr(mixing, "_GROUP_BYTES", 100 * walk_bytes(4))
+        monkeypatch.setattr(mixing, "_walk_group", recorded_group)
+        forks = use_workers(monkeypatch, cpus)
+        unitary_mixing_diagnostic(4, 3, 1130, np.random.default_rng(0))
+        assert len(forks) == cpus - 1
+        assert recorded_items(log) == list(range(1130))
 
     def test_group_streams_differ(self, monkeypatch):
         # 1000 groups of one walk each: group g is seeded by child g of the
@@ -539,7 +595,7 @@ class TestWalkGroups:
 
     def test_same_result_on_any_worker_count(self, monkeypatch):
         # 7 groups: six of 150 walks and one of 100.
-        monkeypatch.setattr(mixing, "_GROUP_BYTES", 150 * 8 * 8 * 16)
+        monkeypatch.setattr(mixing, "_GROUP_BYTES", 150 * walk_bytes(8))
         results = {}
         for count in (1, 2, 3):
             forks = use_workers(monkeypatch, count)
@@ -553,7 +609,7 @@ class TestWalkGroups:
     def test_more_workers_than_cores_on_the_fork_path(self, monkeypatch):
         # 40 groups of 25 walks in 14 units of up to three groups, on 8
         # forked workers: a lost or misplaced unit would change the moments.
-        monkeypatch.setattr(mixing, "_GROUP_BYTES", 25 * 4 * 4 * 16)
+        monkeypatch.setattr(mixing, "_GROUP_BYTES", 25 * walk_bytes(4))
         use_workers(monkeypatch, 1)
         want = unitary_mixing_diagnostic(4, 9, 1000, np.random.default_rng(3))
         forks = use_workers(monkeypatch, 8)
@@ -567,7 +623,7 @@ class TestWalkGroups:
         # the moments and the curve: the estimate holds two groups in
         # flight, and the run forks once.
         n, k_max, reps = 8, 6, 1250
-        monkeypatch.setattr(mixing, "_GROUP_BYTES", 250 * n * n * 16)
+        monkeypatch.setattr(mixing, "_GROUP_BYTES", 250 * walk_bytes(n))
         group = mixing._group_bytes(n, reps)
         forks = use_workers(monkeypatch, 3)
         # Five units of one group each, and the curve's rows.
@@ -578,12 +634,14 @@ class TestWalkGroups:
         assert estimate == (len(forks) + 1) * group + moments
         assert len(forks) == 1
 
-    @pytest.mark.parametrize("n", [5, 32, 64, 100, 200])
+    @pytest.mark.parametrize("n", [2, 5, 32, 64, 100, 200, 256])
     def test_group_bytes_bound_the_traced_peak(self, n):
-        # One group's walk matrices, its four s x n buffers, its s x s
-        # factors, the s-vectors that outlive a block, a step's draw and the
-        # band update's ufunc buffers; a leftover group-sized buffer would
-        # add n^2 per walk.
+        # One group's walk matrices, its four s x n buffers, the norm
+        # temporary of a block's draws, its s x s factors, its s-vectors and
+        # the band update's ufunc buffers.  A leftover group-sized buffer
+        # would add n^2 per walk; the previous block's draws kept through the
+        # next draw add s n per walk (past the band at n = 100), and an
+        # identity copied into the walks n^2 per group (at n = 256).
         m, k_max = mixing._group_size(n), 3 * _BLOCK_STEPS
         acc = np.zeros((2, k_max))
         tracemalloc.start()
