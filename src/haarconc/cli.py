@@ -25,9 +25,8 @@ from .experiments import (
     run_experiment,
     run_mixing_curve,
     _fmt,
+    _KINDS,
 )
-
-_EXPERIMENT_COMMANDS = ("matrix", "finite-group", "identity-suite", "scaling")
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -62,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in _EXPERIMENT_COMMANDS:
+    for name in _KINDS:
         p = sub.add_parser(name, help=f"run the {name} experiment from a JSON config")
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", default="out", help="output directory (default: out)")

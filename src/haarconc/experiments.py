@@ -37,14 +37,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, hermitian, workers
+from . import __version__, workers
 from .bounds import BoundInputs, concentration_constant, esd_bounds, tail_bound
-from .groups import (
-    StepDistribution,
-    _sample_reflection_batch,
-    haar_unitaries,
-    reflection_matrices,
-)
+from .groups import haar_unitaries, reflection_matrices, sample_reflection_step
 from .hermitian import _hermitian_rank, cdf_counts, conjugate_stack, sup_cdf_distance
 from .kernel import MAX_DEGREE, check_identities, step_seminorm, walk_operator
 from .mixing import (
@@ -64,12 +59,6 @@ STEP_RANK_LIMIT = 3
 # Byte budget of one chunk's unitaries: three complex n x n matrices per
 # replicate.  Larger chunks ran no faster and raised peak memory.
 CHUNK_BYTES = 256 * 1024
-# Memory of a matrix run: one replicate, step check included, holds about
-# 16 complex n x n matrices at a time (peak RSS grew by 21 / 69 / 256 MB at
-# n = 256 / 512 / 1024).  Every worker holds one chunk beside the CDF arrays
-# (_matrix_plan); MAX_MATRIX_N is the largest n whose one-replicate chunk
-# fits workers.BYTES_BUDGET, so a larger n is refused up front.
-MAX_MATRIX_N = 2047
 # Bytes a finite-group replicate holds while its element is drawn: a uniform
 # draw and the element's index (traced peak: 16.2 B per replicate at
 # 4 million replicates).
@@ -127,8 +116,7 @@ def resolve_spectrum(source, n: int) -> np.ndarray:
     return arr
 
 
-def _require_int(data: dict, key: str, minimum: int, maximum: Optional[int] = None) -> int:
-    value = data[key]
+def _require_int(value, key: str, minimum: int, maximum: Optional[int] = None) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"config key '{key}' must be an integer")
     value = int(value)
@@ -211,11 +199,11 @@ class ExperimentConfig:
                 raise ValueError(f"config key '{key}' is not allowed for kind '{kind}'")
         if "seed" not in data:
             raise ValueError("missing required config key 'seed' (no ambient randomness)")
-        seed = _require_int(data, "seed", 0)
+        seed = _require_int(data["seed"], "seed", 0)
 
         fields: dict = {"kind": kind, "seed": seed}
         if "replicates" in data:
-            fields["replicates"] = _require_int(data, "replicates", 1)
+            fields["replicates"] = _require_int(data["replicates"], "replicates", 1)
         else:
             fields["replicates"] = _DEFAULT_REPLICATES[kind]
 
@@ -225,20 +213,12 @@ class ExperimentConfig:
             grid = data["n_grid"]
             if not isinstance(grid, (list, tuple)) or len(grid) == 0:
                 raise ValueError("config key 'n_grid' must be a nonempty array of integers")
-            parsed = []
-            for item in grid:
-                if (isinstance(item, bool) or not isinstance(item, (int, np.integer))
-                        or not 2 <= item <= MAX_MATRIX_N):
-                    raise ValueError(
-                        f"config key 'n_grid' entries must be integers in range 2..{MAX_MATRIX_N}"
-                        f" (got {item!r})")
-                parsed.append(int(item))
-            fields["n_grid"] = tuple(parsed)
+            fields["n_grid"] = tuple(_require_int(item, "n_grid", 2) for item in grid)
         else:
             if "n" not in data:
                 raise ValueError(f"missing required config key 'n' for kind '{kind}'")
-            cap = MAX_MATRIX_N if kind == "matrix" else MAX_DEGREE
-            fields["n"] = _require_int(data, "n", 2, cap)
+            cap = None if kind == "matrix" else MAX_DEGREE
+            fields["n"] = _require_int(data["n"], "n", 2, cap)
 
         if kind in ("matrix", "scaling"):
             fields["spectrum_M"] = _parse_spectrum(data, "spectrum_M", kind, fields.get("n"))
@@ -267,7 +247,7 @@ class ExperimentConfig:
             fields["step_check"] = step_check
         if kind == "finite-group":
             if "k_max" in data:
-                fields["k_max"] = _require_int(data, "k_max", 1)
+                fields["k_max"] = _require_int(data["k_max"], "k_max", 1)
             else:
                 fields["k_max"] = 25 * fields["n"]
         for key in ("n_grid", "x_grid", "t_grid"):
@@ -446,11 +426,13 @@ def _check_steps(h_red, eig_red, w, y, diag_n, rows) -> tuple[np.ndarray, np.nda
 
 
 def _matrix_plan(cfg: ExperimentConfig, n: int) -> workers.Plan:
-    """The workers.plan of a matrix run at n (each n of a scaling run): a
-    chunk holds about 16 complex n x n matrices per replicate (MAX_MATRIX_N),
-    and the shared arrays hold F_H and the reduced form's F per replicate and
-    x point, and with step_check each replicate's step rank and CDF gap.
-    A scaling run's refusal names the n that is over the budget."""
+    """The workers.plan of a matrix run at n (each n of a scaling run), and
+    the only size limit of a U(n) run: a chunk holds about 16 complex n x n
+    matrices per replicate, step check included (peak RSS grew by 21 / 69 /
+    256 MB at n = 256 / 512 / 1024), so n >= 2048 is refused even at one
+    replicate.  The shared arrays hold F_H and the reduced form's F per
+    replicate and x point, and with step_check each replicate's step rank
+    and CDF gap.  A scaling run's refusal names the n that is over the budget."""
     reps, chunk = cfg.replicates, chunk_size(n)
     at = f" at n = {n}" if cfg.kind == "scaling" else ""
     layouts = [((reps, len(cfg.x_grid)), np.float64)] * 2
@@ -488,8 +470,7 @@ def _haar_conjugates(z: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     lam = spectrum[-1]
     if k == 0:
         return np.broadcast_to(lam * np.eye(n, dtype=np.complex128), z.shape)
-    u = haar_unitaries(z[..., :k])
-    h = hermitian.hermitian_parts((u * (spectrum[:k] - lam)) @ np.conj(np.swapaxes(u, -1, -2)))
+    h = conjugate_stack(haar_unitaries(z[..., :k]), spectrum[:k] - lam)
     diagonal = np.arange(n)
     h[..., diagonal, diagonal] += lam
     return h
@@ -533,8 +514,7 @@ def sample_spectral_cdfs(
                 rng = child_rng(cfg.seed, "matrix", r)
                 parts[i] = rng.standard_normal((3, 2, n, n))
                 if cfg.step_check:
-                    u_row, phi_row = _sample_reflection_batch(n, 1, rng)
-                    refl_u[i], refl_phi[i] = u_row[0], phi_row[0]
+                    refl_u[i], refl_phi[i] = sample_reflection_step(n, rng)
             z *= 1.0 / np.sqrt(2.0)
             # One QR stack per factor: a single (3, chunk, n, n) stack ran slower.
             h = _haar_conjugates(z[0], spec_m) + _haar_conjugates(z[1], spec_n)
@@ -648,10 +628,18 @@ def run_matrix_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def _lazy_walk(n: int, k_max: int, law_below: Optional[float] = None):
     """The lazy-transposition walk operator on S_n, its exact TV curve up to
     k_max (keeping the law at the first step with TV <= `law_below`, if
-    given) and the certified envelope of that curve."""
-    op = walk_operator(n, StepDistribution.lazy_transposition(n))
+    given) and the certified envelope of that curve.  Refuses n < 3 before
+    the walk, and a k_max too short to fit the envelope."""
+    if n < 3:
+        raise ValueError(f"n = {n} has no S_n envelope: for n <= 2 the walk is uniform after "
+                         "at most one step, so there is no decay to fit; n must be at least 3")
+    op = walk_operator(n)
     curve = exact_tv_curve(op, k_max, law_below)
-    return op, curve, fit_decay(curve)
+    try:
+        return op, curve, fit_decay(curve)
+    except ValueError as exc:
+        raise ValueError(
+            f"k_max = {k_max} is too short to fit the S_{n} envelope: {exc}") from None
 
 
 def run_finite_group_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -752,7 +740,7 @@ def run_identity_suite(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.kind != "identity-suite":
         raise ValueError("run_identity_suite requires kind 'identity-suite'")
     n = cfg.n
-    op = walk_operator(n, StepDistribution.lazy_transposition(n))
+    op = walk_operator(n)
     rows = []
     for i in range(cfg.replicates):
         f = child_rng(cfg.seed, "identity-f", i).standard_normal(op.size)

@@ -23,7 +23,7 @@ class Permutation:
     """A permutation of {0, ..., n-1} stored as its image tuple.
 
     ``mapping[i]`` is the image of ``i``.  Composition follows map
-    application: ``compose(g1, g2)(i) == g1.mapping[g2.mapping[i]]``.
+    application: ``compose(g1, g2).mapping[i] == g1.mapping[g2.mapping[i]]``.
     """
 
     mapping: tuple[int, ...]
@@ -49,9 +49,6 @@ class Permutation:
         m[i], m[j] = m[j], m[i]
         return Permutation(tuple(m))
 
-    def __call__(self, i: int) -> int:
-        return self.mapping[i]
-
 
 def unitarity_defects(u: np.ndarray) -> np.ndarray:
     """max|U* U - I| of every matrix in a (..., n, n) stack."""
@@ -76,7 +73,8 @@ class StepDistribution:
     """The law of a single walk step on S_n: the lazy transposition step.
 
     It puts mass 1/n on the identity and 2/n^2 on each transposition (draw
-    i, j independently uniform; i == j is lazy).  The U(n) step, a random
+    i, j independently uniform; i == j is lazy); kernel.walk_operator(n)
+    takes its maps and masses from `support`.  The U(n) step, a random
     reflection, is drawn as arrays by :func:`sample_reflection_step`.
     """
 
@@ -85,10 +83,6 @@ class StepDistribution:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be at least 1")
-
-    @classmethod
-    def lazy_transposition(cls, n: int) -> "StepDistribution":
-        return cls(n)
 
     def support(self) -> Iterator[tuple[Permutation, Fraction]]:
         """Exact (element, mass) pairs."""

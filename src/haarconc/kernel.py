@@ -86,11 +86,12 @@ class FiniteGroupTable:
 
 @dataclass(frozen=True)
 class WalkOperator:
-    """The walk as index maps: ``actions[j]`` (np.intp) is the left action of
-    the j-th support element of the step, ``masses[j]`` its probability."""
+    """The lazy-transposition walk on S_n as index maps, built by
+    walk_operator(n): ``actions[j]`` (np.intp) is the left action of the
+    j-th support element of StepDistribution(n), ``masses[j]`` its
+    probability."""
 
     table: FiniteGroupTable
-    step: StepDistribution
     actions: np.ndarray
     masses: np.ndarray
 
@@ -133,18 +134,15 @@ class IdentityReport:
     truncation_eps: float
 
 
-def walk_operator(n: int, step: StepDistribution) -> WalkOperator:
-    """The walk operator of a finite step law on S_n, n <= MAX_DEGREE.
+def walk_operator(n: int) -> WalkOperator:
+    """The walk operator of the lazy transposition step StepDistribution(n)
+    on S_n; FiniteGroupTable refuses n > MAX_DEGREE before any enumeration.
 
     Checks that the masses sum to 1 within 1e-14 and that every map is an
     involution.
     """
-    if step.n != n:
-        raise ValueError("step degree does not match n")
-    if n > MAX_DEGREE:
-        raise ValueError(f"exact walk operator limited to degree {MAX_DEGREE}")
     table = FiniteGroupTable(n)
-    support = list(step.support())
+    support = list(StepDistribution(n).support())
     actions = np.stack([table.left_action(y) for y, _ in support])
     masses = np.array([float(mass) for _, mass in support])
     mass_defect = abs(float(np.sum(masses)) - 1.0)
@@ -154,7 +152,7 @@ def walk_operator(n: int, step: StepDistribution) -> WalkOperator:
     for (y, _), action in zip(support, actions):
         if not np.array_equal(action[action], cols):
             raise AssertionError(f"step element {y.mapping} is not an involution")
-    return WalkOperator(table, step, actions, masses)
+    return WalkOperator(table, actions, masses)
 
 
 def _check_vector(op: WalkOperator, f) -> np.ndarray:

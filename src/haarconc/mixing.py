@@ -329,7 +329,7 @@ def unitary_mixing_diagnostic(
     note = "PROXY: fit of |E|Tr W_k|^2 - 1|, not a total-variation envelope"
     try:
         # Fit only above twice the median standard error: below it is noise.
-        fit = fit_decay(deviations, floor=max(1e-12, 2.0 * float(np.median(stderrs[1:]))))
+        fit = fit_decay(deviations, floor=max(FIT_FLOOR, 2.0 * float(np.median(stderrs[1:]))))
     except ValueError:
         fit = None
         note += " (no usable fit window)"

@@ -23,7 +23,6 @@ from haarconc.experiments import (
     run_scaling_study,
 )
 from haarconc.groups import (
-    StepDistribution,
     reflection_matrices,
     sample_haar_unitary,
     sample_reflection_step,
@@ -175,13 +174,13 @@ def test_criterion_6_tails_with_measured_kappa(capsys, scaling_run):
 
 def test_criterion_7_mixing_exactness(capsys):
     with criterion(capsys, 7, "exact TV values, monotone curves, exact fit recovery"):
-        curve3 = exact_tv_curve(walk_operator(3, StepDistribution.lazy_transposition(3)), 5)
+        curve3 = exact_tv_curve(walk_operator(3), 5)
         assert abs(curve3.values[1] - 1.0 / 3.0) <= 1e-14
         for n in (3, 4, 5, 6):
-            curve = exact_tv_curve(walk_operator(n, StepDistribution.lazy_transposition(n)), 30)
+            curve = exact_tv_curve(walk_operator(n), 30)
             assert float(np.max(np.diff(curve.values))) <= 1e-14
         k = math.ceil(6 * math.log(6))
-        curve6 = exact_tv_curve(walk_operator(6, StepDistribution.lazy_transposition(6)), k)
+        curve6 = exact_tv_curve(walk_operator(6), k)
         assert curve6.values[k] < 0.5
         synthetic = TVCurve(np.minimum(0.8 * np.exp(-0.7 * np.arange(40)), 1.0))
         fit = fit_decay(synthetic)
@@ -209,7 +208,7 @@ def test_criterion_8_sampler_validity(capsys):
                 assert float(np.max(np.abs(got - want))) <= 1e-10
 
         for n in (3, 4, 5):
-            p = operator_matrix(walk_operator(n, StepDistribution.lazy_transposition(n)))
+            p = operator_matrix(walk_operator(n))
             assert np.array_equal(p, p.T)
             assert np.array_equal(p, dense_kernel(n))
 

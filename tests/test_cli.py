@@ -17,7 +17,6 @@ import haarconc
 from haarconc import cli, experiments, kernel, mixing, workers
 from haarconc.cli import main, parse_config
 from haarconc.experiments import ExperimentReport
-from haarconc.groups import StepDistribution
 
 from test_experiments import use_workers, worker_time_limit  # noqa: F401 (fixture)
 
@@ -261,18 +260,47 @@ class TestExperimentCommands:
             assert "2..8" in capsys.readouterr().err
             assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["finite-group", "mixing-curve"])
+    @pytest.mark.parametrize("n, k_max, message", [
+        # The S_2 walk is uniform after one step: its curve has no point
+        # strictly between 0 and 1/2 to fit.
+        (2, None, "n = 2 has no S_n envelope: for n <= 2 the walk is uniform after at most "
+                  "one step, so there is no decay to fit; n must be at least 3"),
+        (5, 4, "k_max = 4 is too short to fit the S_5 envelope: need at least 3 curve "
+               "points strictly between floor and 0.5"),
+        (5, 2, "k_max = 2 is too short to fit the S_5 envelope"),
+    ])
+    def test_walk_without_an_envelope_refused(self, command, n, k_max, message,
+                                              tmp_path, capsys):
+        out_dir = tmp_path / command
+        if command == "finite-group":
+            body = {"kind": command, "n": n, "seed": 0, "replicates": 100}
+            if k_max is not None:
+                body["k_max"] = k_max
+            args = ["--config", write_config(tmp_path, "cfg.json", body)]
+        else:
+            args = ["--group", "sn", "--n", str(n)]
+            if k_max is not None:
+                args += ["--k-max", str(k_max)]
+        assert main([command, *args, "--out", str(out_dir)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_matrix_size_cap_refused(self, tmp_path, capsys, monkeypatch):
+        # The memory plan is the only size limit: n = 2048 does not fit even
+        # at one replicate, and a grid is refused at the n that does not fit.
         def no_work(cfg, n):
             raise AssertionError("an oversized config reached the replicates")
 
         monkeypatch.setattr(experiments, "sample_spectral_cdfs", no_work)
-        big = experiments.MAX_MATRIX_N + 1
-        for command, body in (("matrix", {"n": big}), ("scaling", {"n_grid": [8, big]})):
+        for command, body, run in (
+                ("matrix", {"n": 2048, "replicates": 1}, "a matrix run of 1 replicates"),
+                ("scaling", {"n_grid": [8, 4096]}, "a scaling run of 1000 replicates at n = 4096")):
             path = write_config(tmp_path, f"{command}.json",
                                 {"kind": command, "seed": 0, **body})
             out_dir = tmp_path / command
             assert main([command, "--config", path, "--out", str(out_dir)]) == 1
-            assert f"2..{experiments.MAX_MATRIX_N}" in capsys.readouterr().err
+            assert f"{run} needs an estimated" in capsys.readouterr().err
             assert not out_dir.exists()
 
     @pytest.mark.parametrize("command, body, estimate", [
@@ -506,9 +534,9 @@ class TestSharedReportPath:
         calls = []
         build = kernel.walk_operator
 
-        def counting(n, step):
+        def counting(n):
             calls.append(n)
-            return build(n, step)
+            return build(n)
 
         for module in (kernel, experiments, mixing):
             monkeypatch.setattr(module, "walk_operator", counting, raising=False)
@@ -524,7 +552,7 @@ class TestSharedReportPath:
         # The walk's floating-point fixed point: the first step whose law
         # equals the law before it.
         apply = kernel.WalkOperator.apply
-        op = kernel.walk_operator(5, StepDistribution.lazy_transposition(5))
+        op = kernel.walk_operator(5)
         law = np.zeros(op.size)
         law[op.table.identity_index] = 1.0
         for fixed in range(1, 126):

@@ -703,13 +703,13 @@ class TestWorkerProcesses:
             assert isinstance(base.obj, mmap.mmap)
 
     def test_workers_fit_the_memory_budget(self, monkeypatch):
-        # MAX_MATRIX_N is the largest n whose one-replicate chunk fits the
+        # n = 2047 is the largest n whose one-replicate chunk fits the
         # budget beside the CDF arrays of 1000 replicates.
         use_workers(monkeypatch, 1)
         assert experiments._matrix_plan(matrix_config(replicates=1000),
-                                        experiments.MAX_MATRIX_N).estimate <= workers.BYTES_BUDGET
+                                        2047).estimate <= workers.BYTES_BUDGET
         with pytest.raises(ValueError, match="needs an estimated"):
-            experiments._matrix_plan(matrix_config(replicates=1), experiments.MAX_MATRIX_N + 1)
+            experiments._matrix_plan(matrix_config(replicates=1), 2048)
         # Three CPUs and six chunks, with a budget that fits the CDF arrays
         # (at 200 x points, larger than a chunk) and two chunks beside them:
         # two workers run, so the run forks once.

@@ -27,14 +27,14 @@ from haarconc.mixing import exact_tv_curve
 
 
 def lazy_kernel(n: int) -> WalkOperator:
-    return walk_operator(n, StepDistribution.lazy_transposition(n))
+    return walk_operator(n)
 
 
 def dense_kernel(n: int) -> np.ndarray:
     """P(x, z) = q(z x^-1) for the lazy-transposition step, in lexicographic
     order, from compose and invert alone."""
     elements = [Permutation(p) for p in itertools.permutations(range(n))]
-    masses = {y: float(q) for y, q in StepDistribution.lazy_transposition(n).support()}
+    masses = {y: float(q) for y, q in StepDistribution(n).support()}
     p = np.zeros((len(elements), len(elements)))
     for ix, x in enumerate(elements):
         x_inv = invert(x)
@@ -235,14 +235,10 @@ class TestBuildExactKernel:
         with pytest.raises(AssertionError, match="sum to 1"):
             lazy_kernel(4)
 
-    def test_rejects_degree_mismatch(self):
-        with pytest.raises(ValueError):
-            walk_operator(4, StepDistribution.lazy_transposition(3))
-
     def test_degree_cap(self):
         assert lazy_kernel(8).size == 40320
         with pytest.raises(ValueError):
-            walk_operator(9, StepDistribution.lazy_transposition(9))
+            walk_operator(9)
 
 
 class TestStackedGather:
@@ -256,7 +252,7 @@ class TestStackedGather:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_actions_equal_the_lehmer_ranks(self, n):
         kern = lazy_kernel(n)
-        for (y, _), action in zip(kern.step.support(), kern.actions):
+        for (y, _), action in zip(StepDistribution(n).support(), kern.actions):
             assert np.array_equal(action, lehmer_ranks(np.asarray(y.mapping)[kern.table.mappings]))
 
     def test_random_vectors_match_the_per_map_loop(self):
@@ -490,9 +486,7 @@ class TestStructuralIdentities:
 
     def test_iterate_sup_norm_bounded_by_tv(self):
         # |P^k f| <= 2 sup|f| d_TV(walk at k, uniform) for centered f.
-        n = 4
-        step = StepDistribution.lazy_transposition(n)
-        kern = walk_operator(n, step)
+        kern = walk_operator(4)
         curve = exact_tv_curve(kern, 20)
         rng = np.random.default_rng(9)
         f = centered(rng, kern.size)

@@ -37,15 +37,11 @@ from test_experiments import (  # noqa: F401 (fixture)
 from test_kernel import dense_kernel
 
 
-def lazy(n: int) -> StepDistribution:
-    return StepDistribution.lazy_transposition(n)
-
-
 def scatter_laws(n: int, k_max: int) -> list:
     """Laws of Y_1 ... Y_k for k = 0 .. k_max by scatter convolution: each
     step pushes the mass at x to y o x, one support element y at a time."""
     table = FiniteGroupTable(n)
-    support = [(table.left_action(y), float(mass)) for y, mass in lazy(n).support()]
+    support = [(table.left_action(y), float(mass)) for y, mass in StepDistribution(n).support()]
     law = np.zeros(table.size)
     law[table.identity_index] = 1.0
     laws = [law]
@@ -209,21 +205,21 @@ class TestExactWalkLaw:
     """The law exact_tv_curve keeps, the one finite-group samples from."""
 
     def test_step_zero_is_point_mass_at_identity(self):
-        law = walk_law(walk_operator(3, lazy(3)), 0)
+        law = walk_law(walk_operator(3), 0)
         table = FiniteGroupTable(3)
         expected = np.zeros(6)
         expected[table.identity_index] = 1.0
         assert np.array_equal(law, expected)
 
     def test_step_one_equals_step_masses(self):
-        law = walk_law(walk_operator(3, lazy(3)), 1)
+        law = walk_law(walk_operator(3), 1)
         table = FiniteGroupTable(3)
-        for perm, mass in lazy(3).support():
+        for perm, mass in StepDistribution(3).support():
             assert law[table.rank(perm)] == pytest.approx(float(mass), abs=1e-16)
 
     def test_is_probability_vector(self):
         for k in (0, 1, 5, 12):
-            law = walk_law(walk_operator(4, lazy(4)), k)
+            law = walk_law(walk_operator(4), k)
             assert np.all(law >= 0.0)
             assert abs(law.sum() - 1.0) <= 1e-13
 
@@ -235,7 +231,7 @@ class TestExactWalkLaw:
         row = np.zeros(p.shape[0])
         row[0] = 1.0
         for k in range(8):
-            law = walk_law(walk_operator(n, lazy(n)), k)
+            law = walk_law(walk_operator(n), k)
             assert float(np.max(np.abs(law - row))) <= 1e-13
             row = row @ p
 
@@ -244,33 +240,33 @@ class TestExactWalkLaw:
             k_max = 3 * n
             laws = scatter_laws(n, k_max)
             for k in (0, 1, n, k_max):
-                assert np.array_equal(walk_law(walk_operator(n, lazy(n)), k), laws[k])
+                assert np.array_equal(walk_law(walk_operator(n), k), laws[k])
 
 
 class TestExactTVCurve:
     def test_initial_distance(self):
         for n in (2, 3, 5):
-            curve = exact_tv_curve(walk_operator(n, lazy(n)), 0)
+            curve = exact_tv_curve(walk_operator(n), 0)
             assert curve.values[0] == pytest.approx(1.0 - 1.0 / math.factorial(n), abs=1e-15)
 
     def test_one_step_hand_value_on_s3(self):
         # Half of |1/3 - 1/6| + 3|2/9 - 1/6| + 2|0 - 1/6| = 1/3.
-        curve = exact_tv_curve(walk_operator(3, lazy(3)), 1)
+        curve = exact_tv_curve(walk_operator(3), 1)
         assert abs(curve.values[1] - 1.0 / 3.0) <= 1e-14
 
     def test_mixes_below_target_on_s3(self):
-        curve = exact_tv_curve(walk_operator(3, lazy(3)), 20)
+        curve = exact_tv_curve(walk_operator(3), 20)
         assert curve.values[-1] <= 1e-6
 
     def test_non_increasing(self):
         for n in (3, 4, 5, 6):
-            curve = exact_tv_curve(walk_operator(n, lazy(n)), 30)
+            curve = exact_tv_curve(walk_operator(n), 30)
             diffs = np.diff(curve.values)
             assert float(np.max(diffs)) <= 1e-14
 
     def test_half_n_log_n_scale_on_s6(self):
         k = math.ceil(6 * math.log(6))
-        curve = exact_tv_curve(walk_operator(6, lazy(6)), k)
+        curve = exact_tv_curve(walk_operator(6), k)
         assert curve.values[k] < 0.5
 
     def test_bit_equal_to_scatter_convolution(self):
@@ -278,18 +274,18 @@ class TestExactTVCurve:
             k_max = 25 * n
             uniform = 1.0 / math.factorial(n)
             want = [0.5 * float(np.sum(np.abs(law - uniform))) for law in scatter_laws(n, k_max)]
-            assert np.array_equal(exact_tv_curve(walk_operator(n, lazy(n)), k_max).values, np.array(want))
+            assert np.array_equal(exact_tv_curve(walk_operator(n), k_max).values, np.array(want))
 
     @pytest.mark.parametrize("target", [1.0, 1e-6])
     def test_keeps_law_at_first_step_below_target(self, target):
-        op = walk_operator(5, lazy(5))
+        op = walk_operator(5)
         curve = exact_tv_curve(op, 125, law_below=target)
         k = int(np.nonzero(curve.values <= target)[0][0])
         assert curve.law_step == k
         assert np.array_equal(curve.law, walk_law(op, k))
 
     def test_keeps_last_law_when_target_is_not_reached(self):
-        op = walk_operator(4, lazy(4))
+        op = walk_operator(4)
         curve = exact_tv_curve(op, 5, law_below=1e-6)
         assert curve.values[-1] > 1e-6
         assert curve.law_step == 5
@@ -302,7 +298,7 @@ class TestExactTVCurve:
         # n = 4); a walk that applies the operator at every k must read the
         # same values and keep the same law.
         for n in range(2, 8):
-            op = walk_operator(n, lazy(n))
+            op = walk_operator(n)
             k_max = steps_per_degree * n
             law = np.zeros(op.size)
             law[op.table.identity_index] = 1.0
@@ -319,13 +315,13 @@ class TestExactTVCurve:
             assert np.array_equal(curve.law, kept[1])
 
     def test_keeps_no_law_without_target(self):
-        curve = exact_tv_curve(walk_operator(3, lazy(3)), 4)
+        curve = exact_tv_curve(walk_operator(3), 4)
         assert curve.law_step is None and curve.law is None
 
     def test_degree_cap(self):
-        assert len(exact_tv_curve(walk_operator(8, lazy(8)), 2)) == 3
+        assert len(exact_tv_curve(walk_operator(8), 2)) == 3
         with pytest.raises(ValueError):
-            exact_tv_curve(walk_operator(9, lazy(9)), 5)
+            exact_tv_curve(walk_operator(9), 5)
 
 
 class TestFitDecay:
@@ -339,7 +335,7 @@ class TestFitDecay:
         assert fit.residual <= 1e-9
 
     def test_envelope_dominates_lazy_walk_curve(self):
-        curve = exact_tv_curve(walk_operator(4, lazy(4)), 60)
+        curve = exact_tv_curve(walk_operator(4), 60)
         fit = fit_decay(curve)
         assert fit.b > 0
         ks = np.arange(len(curve))
