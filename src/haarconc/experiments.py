@@ -218,7 +218,8 @@ class ExperimentConfig:
             if "n" not in data:
                 raise ValueError(f"missing required config key 'n' for kind '{kind}'")
             cap = None if kind == "matrix" else MAX_DEGREE
-            fields["n"] = _require_int(data["n"], "n", 2, cap)
+            least = 3 if kind == "finite-group" else 2
+            fields["n"] = _require_int(data["n"], "n", least, cap)
 
         if kind in ("matrix", "scaling"):
             fields["spectrum_M"] = _parse_spectrum(data, "spectrum_M", kind, fields.get("n"))

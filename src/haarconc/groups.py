@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -171,17 +171,21 @@ def reflection_matrices(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def _sample_reflection_batch(
-    n: int, count: int, rng: np.random.Generator
+    n: int, count: int, rng: np.random.Generator, out: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized draw of `count` reflection parameters (u rows, phi values).
-    u's real, then imaginary parts go into the float view of its array, as in
-    complex_ginibre.  cos(phi/2) is the first coordinate of a uniform point on
-    the sphere in R^{n+1}, so (1 + cos(phi/2))/2 ~ Beta(n/2, n/2)."""
-    u = np.empty((count, n), dtype=np.complex128)
-    parts = u.view(np.float64).reshape(count, n, 2)
-    parts[..., 0] = rng.standard_normal((count, n))
-    parts[..., 1] = rng.standard_normal((count, n))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u is the first count n entries of the complex buffer `out`, or a new
+    array.  The normals go straight into its float view, row by row, each
+    coordinate's real part next to its imaginary part; each row is then
+    divided by the root of its sum of squares over that view.  cos(phi/2) is
+    the first coordinate of a uniform point on the sphere in R^{n+1}, so
+    (1 + cos(phi/2))/2 ~ Beta(n/2, n/2), drawn after all of u."""
+    if out is None:
+        out = np.empty(count * n, dtype=np.complex128)
+    u = out[: count * n].reshape(count, n)
+    parts = u.view(np.float64)
+    rng.standard_normal(out=parts)
+    parts /= np.sqrt(np.einsum("ij,ij->i", parts, parts))[:, None]
     return u, 2.0 * np.arccos(2.0 * rng.beta(n / 2, n / 2, count) - 1.0)
 
 

@@ -15,11 +15,11 @@ SeedSequence.  Within a group, steps run in blocks of _BLOCK_STEPS, drawn
 in one call; the product Y_s ... Y_1 of a block's reflections has the WY
 form I - U T U^H (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989),
 with U = [u_1 ... u_s] and T lower triangular, so a block costs two BLAS-3
-products per walk instead of s rank-one updates, applied in place.  The
-groups run on the forked workers of haarconc.workers, under one
-workers.plan like the matrix chunks.  Each unit of groups streams the mean
-of |Tr W_k|^2 and the sum of squared deviations per k, so memory grows with
-reps only by those moments.
+products per walk instead of s rank-one updates, applied in place on
+contiguous tiles of whole walks.  The groups run on the forked workers of
+haarconc.workers, under one workers.plan like the matrix chunks.  Each unit
+of groups streams the mean of |Tr W_k|^2 and the sum of squared deviations
+per k, so memory grows with reps only by those moments.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .kernel import WalkOperator
 
 # Steps whose reflection parameters are drawn before the walks take them.
 _BLOCK_STEPS = 8
-# Working set of one walk group, _walk_bytes per walk: 106 walks at n = 32.
+# Working set of one walk group, _walk_bytes per walk: 117 walks at n = 32.
 _GROUP_BYTES = 4 * 1024 * 1024
 # Memory of one curve point from the walk to the report (peak RSS grew by
 # 218 B a point for S_3, by 247 B for U(2) besides its units' moments).
@@ -197,8 +197,11 @@ def _reflect_block(w, u, u_h, c, traces, uhw, rows) -> None:
     (shape (s, m)) receives Tr W after step j + 1: with M = U^H W and
     G = M U, Tr(Y_{j+1} ... Y_1 W) is Tr W minus the prefix sum over a <= j
     of sum_b T[a, b] G[b, a].  M goes into `uhw` (the shape of `u_h`), then
-    T M over `u_h`, and W - U (T M) is taken a band of _BLOCK_STEPS rows at
-    a time through `rows` (shape (m, _BLOCK_STEPS, n)).
+    T M over `u_h`, and W - U (T M) is taken one contiguous tile at a time
+    through `rows`, whose cells (rows.size // n rows of n entries) hold a
+    tile: whole walks when they hold at least one walk, else a band of rows
+    of one walk.  A contiguous tile takes its subtraction without ufunc
+    buffers.
     """
     t = _wy_factor(u_h @ u, c)
     np.matmul(u_h, w, out=uhw)
@@ -206,9 +209,15 @@ def _reflect_block(w, u, u_h, c, traces, uhw, rows) -> None:
     steps = np.cumsum(np.einsum("wab,wba->wa", t, g), axis=1)
     traces[:] = (np.trace(w, axis1=1, axis2=2)[:, None] - steps).T
     tuhw = np.matmul(t, uhw, out=u_h)
-    for lo in range(0, w.shape[1], _BLOCK_STEPS):
-        band = w[:, lo : lo + _BLOCK_STEPS]
-        band -= np.matmul(u[:, lo : lo + _BLOCK_STEPS], tuhw, out=rows[:, : band.shape[1]])
+    m, n = w.shape[:2]
+    cells = rows.size // n
+    walks = max(1, cells // n)
+    band = min(n, cells // walks)
+    for lo in range(0, m, walks):
+        for top in range(0, n, band):
+            tile = w[lo : lo + walks, top : top + band]
+            tile -= np.matmul(u[lo : lo + walks, top : top + band], tuhw[lo : lo + walks],
+                              out=rows.reshape(-1)[: tile.size].reshape(tile.shape))
 
 
 def _merge(acc: np.ndarray, count: int, size: int, mean: np.ndarray, m2: np.ndarray) -> None:
@@ -227,25 +236,29 @@ def _walk_group(n: int, k_max: int, m: int, seed, acc: np.ndarray, count: int) -
     over the `count` walks of the unit before this group; the group's own,
     taken two-pass at the end of each block, are merged in.  Steps run in
     blocks of s <= _BLOCK_STEPS: the s m parameters (u, phi) of a block are
-    drawn in one _sample_reflection_batch call, walk-major (draw i s + j is
-    step j of walk i), then the group takes the whole block as one rank-s
-    update W <- W - U (T (U^H W)), where I - U T U^H is the compact WY form
-    of the block's product; the traces after each step of the block come
-    from the s x s matrix U^H W U.  The next block draws after `del u`.
+    drawn in one _sample_reflection_batch call into the group's draw buffer,
+    walk-major (draw i s + j is step j of walk i), then the group takes the
+    whole block as one rank-s update W <- W - U (T (U^H W)), where
+    I - U T U^H is the compact WY form of the block's product; the traces
+    after each step of the block come from the s x s matrix U^H W U.  The
+    four s m x n buffers are made once per group, so no block allocates one
+    (a fresh draw array each block let the heap's layout move peak RSS by
+    2 MB with the length of the command line).
     """
     rng = np.random.default_rng(seed)
     w = np.zeros((m, n, n), dtype=np.complex128)
     w.reshape(m, n * n)[:, :: n + 1] = 1.0
     traces = np.empty((_BLOCK_STEPS, m), dtype=np.complex128)
-    u_h, uhw, rows = (np.empty((m, _BLOCK_STEPS, n), dtype=np.complex128) for _ in range(3))
+    draws, u_h, uhw, rows = (np.empty(m * _BLOCK_STEPS * n, dtype=np.complex128)
+                             for _ in range(4))
     for first in range(1, k_max + 1, _BLOCK_STEPS):
         steps = min(_BLOCK_STEPS, k_max + 1 - first)
-        u, phi = _sample_reflection_batch(n, m * steps, rng)
-        np.conjugate(u.reshape(m, steps, n), out=u_h[:, :steps])
-        u = u.reshape(m, steps, n).transpose(0, 2, 1)
+        block = (m, steps, n)
+        u, phi = _sample_reflection_batch(n, m * steps, rng, draws)
+        u_hb = np.conjugate(u.reshape(block), out=u_h[: u.size].reshape(block))
         c = 1.0 - np.exp(1j * phi.reshape(m, steps))
-        _reflect_block(w, u, u_h[:, :steps], c, traces[:steps], uhw[:, :steps], rows)
-        del u
+        _reflect_block(w, u.reshape(block).transpose(0, 2, 1), u_hb, c, traces[:steps],
+                       uhw[: u.size].reshape(block), rows)
         sq = np.abs(traces[:steps]) ** 2
         mean = sq.mean(axis=1)
         _merge(acc[:, first - 1 : first + steps - 1], count, m, mean,
@@ -253,12 +266,13 @@ def _walk_group(n: int, k_max: int, m: int, seed, acc: np.ndarray, count: int) -
 
 
 def _walk_bytes(n: int) -> int:
-    """Working set of one walk of a group, (n^2 + 5sn + 2s^2 + 3s) 16 B: W,
-    four s x n buffers (one the block's draws), the draws' norm temporary
-    (numpy elides a second above 256 KiB; below, the idle ufunc buffers of
-    _group_bytes are larger), s x s factors and s-vectors."""
+    """Working set of one walk of a group, (n^2 + 4sn + 2s^2 + 6s) 16 B: W,
+    four s x n buffers (the block's draws, U^H, U^H W and the rows of the
+    update's tiles), a block's s x s factors and its s-vectors, as traced by
+    tracemalloc.  The draws' norms and the tile update take no n-sized
+    temporary."""
     s = _BLOCK_STEPS
-    return (n * n + 5 * s * n + 2 * s * s + 3 * s) * 16
+    return (n * n + 4 * s * n + 2 * s * s + 6 * s) * 16
 
 
 def _group_size(n: int) -> int:
@@ -272,9 +286,11 @@ def _unit_size(n: int) -> int:
 
 
 def _group_bytes(n: int, reps: int) -> int:
-    """Working set of one group of m walks: m _walk_bytes(n), and three
-    ufunc buffers, which numpy takes for the in-place band update."""
-    return min(_group_size(n), reps) * _walk_bytes(n) + 3 * np.getbufsize() * 16
+    """Working set of one group of m walks: m _walk_bytes(n), the float
+    ufunc buffer that numpy takes to divide a block's draws by their norms,
+    and 16 KiB for the group's generator and the headers of its arrays
+    (about 5 KB traced)."""
+    return min(_group_size(n), reps) * _walk_bytes(n) + np.getbufsize() * 8 + 16 * 1024
 
 
 def unitary_mixing_diagnostic(

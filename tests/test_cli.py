@@ -252,13 +252,28 @@ class TestExperimentCommands:
         assert (out_dir / "tails.csv").exists()
 
     def test_degree_nine_refused(self, tmp_path, capsys):
-        for command in ("finite-group", "identity-suite"):
+        for command, degrees in (("finite-group", "3..8"), ("identity-suite", "2..8")):
             path = write_config(tmp_path, f"{command}.json",
                                 {"kind": command, "n": 9, "seed": 0})
             out_dir = tmp_path / command
             assert main([command, "--config", path, "--out", str(out_dir)]) == 1
-            assert "2..8" in capsys.readouterr().err
+            assert f"must be in range {degrees} (got 9)" in capsys.readouterr().err
             assert not out_dir.exists()
+
+    def test_degree_two_refused_as_the_config_is_read(self, tmp_path, capsys, monkeypatch):
+        # finite-group needs the S_n envelope, which n = 2 lacks; the
+        # identity suite runs on S_2.
+        def no_walk(*args):
+            raise AssertionError("n = 2 reached the walk")
+
+        monkeypatch.setattr(experiments, "_lazy_walk", no_walk)
+        path = write_config(tmp_path, "fg.json", {"kind": "finite-group", "n": 2, "seed": 0})
+        out_dir = tmp_path / "fg"
+        assert main(["finite-group", "--config", path, "--out", str(out_dir)]) == 1
+        assert "config key 'n' must be in range 3..8 (got 2)" in capsys.readouterr().err
+        assert not out_dir.exists()
+        path = write_config(tmp_path, "ids.json", {"kind": "identity-suite", "n": 2, "seed": 0})
+        assert main(["identity-suite", "--config", path, "--out", str(tmp_path / "ids")]) == 0
 
     @pytest.mark.parametrize("command", ["finite-group", "mixing-curve"])
     @pytest.mark.parametrize("n, k_max, message", [
@@ -273,6 +288,9 @@ class TestExperimentCommands:
     def test_walk_without_an_envelope_refused(self, command, n, k_max, message,
                                               tmp_path, capsys):
         out_dir = tmp_path / command
+        if command == "finite-group" and n == 2:
+            # finite-group refuses n = 2 as it reads its config, before the walk.
+            message = "config key 'n' must be in range 3..8 (got 2)"
         if command == "finite-group":
             body = {"kind": command, "n": n, "seed": 0, "replicates": 100}
             if k_max is not None:

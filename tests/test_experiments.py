@@ -207,8 +207,8 @@ class TestConfigValidation:
             raw["n_grid"] = data.draw(
                 st.lists(st.integers(2, 32), min_size=1, max_size=3, unique=True))
         else:
-            cap = {"matrix": 64, "finite-group": 8, "identity-suite": 8}[kind]
-            raw["n"] = data.draw(st.integers(2, cap))
+            low, cap = {"matrix": (2, 64), "finite-group": (3, 8), "identity-suite": (2, 8)}[kind]
+            raw["n"] = data.draw(st.integers(low, cap))
         if data.draw(st.booleans()):
             raw["replicates"] = data.draw(st.integers(1, 500))
         if kind in ("matrix", "scaling") and data.draw(st.booleans()):

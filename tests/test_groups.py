@@ -72,6 +72,21 @@ def one_thread_thin_mismatches():
     return {int(n): ks for n, ks in json.loads(done.stdout).items()}
 
 
+def sphere_moment_gap(u: np.ndarray) -> float:
+    """Largest distance, in standard errors over the rows of u, of a
+    coordinate's |u_j|^2, |u_j|^4, u_j or u_j^2 (real and imaginary parts)
+    from its value on the unit sphere of C^n.  A moment that does not vary
+    from row to row is as far as its mean is from its value: 0 or infinite."""
+    n = u.shape[1]
+    sq = np.abs(u) ** 2
+    moments = ((sq, 1.0 / n), (sq**2, 2.0 / (n * (n + 1))), (u.real, 0.0), (u.imag, 0.0),
+               ((u * u).real, 0.0), ((u * u).imag, 0.0))
+    gaps = [np.abs(v.mean(axis=0) - want)
+            / np.maximum(v.std(axis=0, ddof=1) / math.sqrt(len(v)), np.finfo(float).tiny)
+            for v, want in moments]
+    return float(np.max(gaps))
+
+
 def cycle(*images) -> Permutation:
     return Permutation(tuple(images))
 
@@ -305,6 +320,18 @@ class TestReflectionStep:
             vals = cos**power
             se = vals.std(ddof=1) / math.sqrt(reps)
             assert abs(vals.mean() - want) <= 5.0 * se, (power, vals.mean(), want, se)
+
+    @pytest.mark.parametrize("n", [2, 5, 32])
+    def test_vector_moments_of_the_complex_sphere(self, n):
+        # A uniform point of the unit sphere in C^n has E|u_j|^2 = 1/n,
+        # E|u_j|^4 = 2/(n(n+1)) and, being circularly symmetric,
+        # E u_j = E u_j^2 = 0.  A real sampler has E u_j^2 = 1/n, and one
+        # whose imaginary part repeats its real part E u_j^2 = i/n.
+        u, _ = _sample_reflection_batch(n, 20_000, np.random.default_rng(60 + n))
+        assert sphere_moment_gap(u) <= 4.0
+        for plant in (u.real + 0j, u.real + 1j * u.real):
+            plant /= np.linalg.norm(plant, axis=1, keepdims=True)
+            assert sphere_moment_gap(plant) > 4.0
 
     def test_inverse_has_same_trace_law(self):
         # Y and Y^{-1} = Y* should have identically distributed Re Tr;

@@ -2,13 +2,18 @@
 the U(n) walk, and the trace-moment mixing diagnostic on U(n)."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import haarconc
 from haarconc.groups import (
     StepDistribution,
     _sample_reflection_batch,
@@ -61,11 +66,37 @@ def walk_law(op, k: int) -> np.ndarray:
 
 
 def walk_bytes(n: int) -> int:
-    """One walk's working set in a walk group, b(n) = (n^2 + 5sn + 2s^2 +
-    3s) 16 B for blocks of s steps: the walk matrix, four s x n buffers, the
-    draws' norm temporary, a block's s x s factors and its s-vectors."""
+    """One walk's working set in a walk group, b(n) = (n^2 + 4sn + 2s^2 +
+    6s) 16 B for blocks of s steps: the walk matrix, four s x n buffers (the
+    block's draws among them), its s x s factors and its s-vectors."""
     s = _BLOCK_STEPS
-    return (n * n + 5 * s * n + 2 * s * s + 3 * s) * 16
+    return (n * n + 4 * s * n + 2 * s * s + 6 * s) * 16
+
+
+# The traced peak of a fresh interpreter's first full walk group at n =
+# argv[1], over 3 _BLOCK_STEPS steps.  The caller's generator has imported
+# numpy.random before any group, and the seed is made before the group runs.
+FIRST_GROUP_PEAK = """
+import sys, tracemalloc
+import numpy as np
+from haarconc import mixing
+n = int(sys.argv[1])
+k_max = 3 * mixing._BLOCK_STEPS
+acc, seed = np.zeros((2, k_max)), np.random.SeedSequence(n)
+tracemalloc.start()
+mixing._walk_group(n, k_max, mixing._group_size(n), seed, acc, 0)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def first_group_peak(n: int) -> int:
+    """FIRST_GROUP_PEAK(n) in a child process: bytes."""
+    src = str(Path(haarconc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", FIRST_GROUP_PEAK, str(n)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return int(done.stdout)
 
 
 def walk_groups(n: int, reps: int) -> list:
@@ -136,7 +167,8 @@ def conj_transpose(u: np.ndarray) -> np.ndarray:
 
 
 def reflect(w: np.ndarray, u: np.ndarray, c: np.ndarray, traces: np.ndarray) -> None:
-    """_reflect_block on fresh buffers: U^H, U^H W and one band of rows."""
+    """_reflect_block on fresh buffers: U^H, U^H W and the rows of its tiles,
+    as many as _walk_group gives it (_BLOCK_STEPS per walk)."""
     u_h = conj_transpose(u)
     _reflect_block(w, u, u_h, c, traces, np.empty_like(u_h),
                    np.empty((w.shape[0], _BLOCK_STEPS, w.shape[2]), dtype=np.complex128))
@@ -386,8 +418,16 @@ def block_parameters(n: int, s: int, walks: int, seed: int):
     return u, phi, 1.0 - np.exp(1j * phi)
 
 
+# Matrix orders n of TestBlockReflector, 6 walks each: the rows of
+# _BLOCK_STEPS per walk hold tiles of 48 // n walks, one partial tile of all
+# six at n = 2, 3 and 5, tiles of 4 and a partial 2 at n = 12, and tiles of
+# one walk at n = 32; at n = 64 and 100 they hold bands of 48 rows of one
+# walk, the last band partial.
+REFLECTOR_NS = [2, 3, 5, 12, 32, 64, 100]
+
+
 class TestBlockReflector:
-    @pytest.mark.parametrize("n", [2, 3, 5, 32])
+    @pytest.mark.parametrize("n", REFLECTOR_NS)
     @pytest.mark.parametrize("s", range(1, _BLOCK_STEPS + 1))
     def test_equals_dense_product_of_reflections(self, n, s):
         walks = 6
@@ -400,7 +440,7 @@ class TestBlockReflector:
             dense = reflection_matrices(u[:, :, j], phi[:, j]) @ dense
         assert float(np.max(np.abs(w - dense))) <= 1e-13
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 32])
+    @pytest.mark.parametrize("n", REFLECTOR_NS)
     @pytest.mark.parametrize("s", range(1, _BLOCK_STEPS + 1))
     def test_prefix_traces_equal_one_step_walk(self, n, s):
         walks = 6
@@ -473,7 +513,7 @@ class TestUnitaryMixingDiagnostic:
 
     # Group sizes in walks (None: the default budget):
     # (5, 11, 1001, 300): groups 300, 300, 300 and a partial 101, blocks of 8
-    # and a partial 3; (32, 9, 1000, None): nine of 106 and a partial 46,
+    # and a partial 3; (32, 9, 1000, None): eight of 117 and a partial 64,
     # blocks of 8 and 1; (3, 8, 1000, 1000): one group ending exactly at
     # reps, one full block; (2, 3, 1000, 0): one walk per group, units of 64 groups and
     # a partial unit of 40.  The reference walks each group on its own stream
@@ -532,8 +572,10 @@ class TestWalkGroups:
     def test_a_group_holds_the_group_budget(self, n):
         # The whole working set of a group fits _GROUP_BYTES, not its walk
         # matrices alone: sized by those, a group at n = 2 held 65 536 walks
-        # and about 300 MB.
-        assert mixing._group_bytes(n, 10**6) <= mixing._GROUP_BYTES + 3 * np.getbufsize() * 16
+        # and about 300 MB.  Beside the walks a group holds the draws'
+        # division buffer and 16 KiB for its generator and array headers.
+        fixed = np.getbufsize() * 8 + 16 * 1024
+        assert mixing._group_bytes(n, 10**6) <= mixing._GROUP_BYTES + fixed
 
     def test_small_walks_run_on_every_cpu(self, monkeypatch):
         # 20 000 walks at n = 2 are 19 groups on two CPUs; sized by their
@@ -632,21 +674,13 @@ class TestWalkGroups:
 
     @pytest.mark.parametrize("n", [2, 5, 32, 64, 100, 200, 256])
     def test_group_bytes_bound_the_traced_peak(self, n):
-        # One group's walk matrices, its four s x n buffers, the norm
-        # temporary of a block's draws, its s x s factors, its s-vectors and
-        # the band update's ufunc buffers.  A leftover group-sized buffer
-        # would add n^2 per walk; the previous block's draws kept through the
-        # next draw add s n per walk (past the band at n = 100), and an
-        # identity copied into the walks n^2 per group (at n = 256).
-        m, k_max = mixing._group_size(n), 3 * _BLOCK_STEPS
-        acc = np.zeros((2, k_max))
-        tracemalloc.start()
-        try:
-            mixing._walk_group(n, k_max, m, np.random.SeedSequence(n), acc, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 0.8 <= peak / mixing._group_bytes(n, m) <= 1.0
+        # One group's walk matrices, its four s x n buffers, a block's s x s
+        # factors and s-vectors, the draws' division buffer and the group's
+        # generator, traced in a fresh interpreter, as a worker's first group
+        # runs.  A leftover group-sized buffer would add n^2 per walk; a
+        # fresh draw array per block kept through the next draw s n per walk,
+        # and an identity copied into the walks n^2 per group (at n = 256).
+        assert 0.8 <= first_group_peak(n) / mixing._group_bytes(n, mixing._group_size(n)) <= 1.0
 
     @pytest.mark.parametrize("cpus", [1, 2, 16])
     def test_walk_memory_does_not_grow_with_the_walks(self, cpus, monkeypatch):
