@@ -6,7 +6,8 @@ four), calls one runner from experiments, writes report.json plus flat
 CSV curves into --out (bound-calc only when --out is given) and prints one
 verdict summary line, "N pass / N fail / N inconclusive".  Exit codes,
 the same for every command: 0 all hard checks pass and no verdict fails,
-1 usage or config error, 2 a guarantee or a verdict failed.
+1 usage or config error, or a forked worker that died or sent an error
+that could not be read (WorkerError), 2 a guarantee or a verdict failed.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .experiments import (
     _fmt,
     _KINDS,
 )
+from .workers import WorkerError
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -143,7 +145,7 @@ def main(argv=None) -> int:
     except GuaranteeViolation as exc:
         print(f"hard assertion failed: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(report.verdict_summary())

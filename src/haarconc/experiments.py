@@ -495,9 +495,10 @@ def sample_spectral_cdfs(
     moves the replicate's own reduced form: H' = Y W Y* + N with W = X M X*,
     so it needs no Haar draw of its own.  A step whose rank exceeds
     STEP_RANK_LIMIT or whose CDF gap exceeds 3/n raises GuaranteeViolation.
-    The chunks run on the workers of workers.run under _matrix_plan; a
-    replicate's draws and arithmetic do not depend on which worker runs it,
-    so neither do the results.
+    The chunks run under _matrix_plan on the workers of workers.run, each
+    of which claims the next unclaimed chunk; a replicate's draws and
+    arithmetic depend on its index only, not on which worker claims its
+    chunk or when, so neither do the results.
     """
     xs = np.asarray(cfg.x_grid)
     spec_m = resolve_spectrum(cfg.spectrum_M, n)

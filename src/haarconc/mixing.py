@@ -16,8 +16,9 @@ in one call; the product Y_s ... Y_1 of a block's reflections has the WY
 form I - U T U^H (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989),
 with U = [u_1 ... u_s] and T lower triangular, so a block costs two BLAS-3
 products per walk instead of s rank-one updates, applied in place on
-contiguous tiles of whole walks.  The groups run on the forked workers of
-haarconc.workers, under one workers.plan like the matrix chunks.  Each unit
+contiguous tiles of whole walks.  The groups run in units on the forked
+workers of haarconc.workers, under one workers.plan like the matrix chunks:
+each worker claims the next unclaimed unit until none is left.  Each unit
 of groups streams the mean of |Tr W_k|^2 and the sum of squared deviations
 per k, so memory grows with reps only by those moments.
 """
@@ -308,13 +309,14 @@ def unitary_mixing_diagnostic(
     SeedSequence(entropy, spawn_key=(g,)), where entropy is two 63-bit
     integers drawn from `rng`: child g of SeedSequence(entropy).spawn, made
     only when the group starts, so no seed list grows with reps.  It runs in
-    units of whole groups (_unit_size) on the forked workers of workers.run.
-    Each unit keeps the mean of |Tr W_k|^2 over its walks and the sum of
-    squared deviations from it, and the units are merged in index order
-    (_merge), so the result depends on (n, k_max, reps, rng) only, never on
-    the worker count.  The run's workers.plan counts one group per worker
-    (_group_bytes), the units' moments and CURVE_POINT_BYTES per curve
-    point, and refuses a walk above the memory budget before any draw.
+    units of whole groups (_unit_size), which the forked workers of
+    workers.run claim one at a time in index order.  Each unit keeps the
+    mean of |Tr W_k|^2 over its walks and the sum of squared deviations from
+    it, and the units are merged in index order (_merge), so the result
+    depends on (n, k_max, reps, rng) only, never on the worker count or on
+    which worker claims a unit.  The run's workers.plan counts one group per
+    worker (_group_bytes), the units' moments and CURVE_POINT_BYTES per
+    curve point, and refuses a walk above the memory budget before any draw.
     """
     if n < 2:
         raise ValueError("n must be at least 2")

@@ -3,7 +3,8 @@ matrix replicate chunks and the reflection walk's groups.  Each loop is a
 list of items (ranges of replicates) that write their own rows or columns
 of shared arrays, so the arrays depend neither on the worker count nor on
 which worker runs an item.  plan picks the workers and the memory estimate
-from the same numbers, and run forks exactly the planned slices.
+from the same numbers, and run starts the planned workers, each of which
+claims the next unclaimed item until none is left.
 """
 
 from __future__ import annotations
@@ -16,6 +17,11 @@ import platform
 from typing import NamedTuple
 
 import numpy as np
+
+try:
+    import fcntl
+except ImportError:  # Windows, where every run has one worker and takes no lock
+    fcntl = None
 
 # Memory budget of one run: the workers' items together, the shared arrays
 # and what else the caller holds that grows with the run (plan).
@@ -69,12 +75,18 @@ def layout_bytes(layouts: list) -> int:
 
 
 class Plan(NamedTuple):
-    """A run that fits BYTES_BUDGET: its items in contiguous slices, one per
-    worker, the layouts of its shared arrays, and its estimated bytes."""
+    """A run that fits BYTES_BUDGET: its items (consecutive ranges of
+    replicates), the number of workers that claim them, the layouts of its
+    shared arrays, and its estimated bytes."""
 
-    slices: list
+    items: list
+    workers: int
     layouts: list
     estimate: int
+
+
+class WorkerError(RuntimeError):
+    """A forked worker died, or sent an error that could not be read."""
 
 
 def require_budget(run: str, estimate: int) -> None:
@@ -105,71 +117,116 @@ def plan(count: int, size: int, layouts: list, item_bytes: int, run: str, extra:
                              (BYTES_BUDGET - fixed) // item_bytes))
     estimate = workers * item_bytes + fixed
     require_budget(run, estimate)
-    units, bounds = ranges(count, size), [items * i // workers for i in range(workers + 1)]
-    return Plan([units[lo:hi] for lo, hi in zip(bounds, bounds[1:])], layouts, estimate)
+    return Plan(ranges(count, size), workers, layouts, estimate)
 
 
 def run(plan: Plan, work) -> list[np.ndarray]:
-    """Run work(slice, out) over the slices of `plan` into fresh arrays of
+    """Run work([item], out) for every item of `plan` into fresh arrays of
     its layouts, and return the arrays.
 
-    The calling process runs slices[0], and each other slice runs in a child
-    made with os.fork, which leaves with os._exit; a slice that gets no
-    child (os.fork or os.pipe failed) runs in the calling process after
-    slices[0].  All of them write into one anonymous shared mmap; the
-    returned arrays are views of it, which keep it mapped while they live,
-    and every run maps its own.  A child sends its exception back pickled
-    through a pipe.  The error of the earliest failing slice is raised, so
-    a violation names the first violating replicate; a child that dies
-    without one (killed, out of memory) or whose error cannot be unpickled
-    raises RuntimeError naming its replicates.
+    The calling process is one of the plan's workers, and each other one is
+    a child made with os.fork, which leaves with os._exit; a worker that
+    gets no child (os.fork or os.pipe failed) is not started, and the others
+    run its share.  Each worker claims the next unclaimed item, in index
+    order, until none is left, so a slow worker runs fewer items and the run
+    waits for it at most one item.  The claims count in shared memory under
+    an fcntl.lockf lock on a memfd, which the kernel drops if its holder
+    dies.  All items write into one anonymous shared mmap; the returned
+    arrays are views of it, which keep it mapped while they live, and every
+    run maps its own.
+
+    A worker whose item fails stops claiming, and the others stop after
+    their current item.  Every item below the failing one was claimed
+    before it and runs to its end, so the error of the lowest failing item
+    is raised, and a violation names the first violating replicate.  A
+    child sends its exception back pickled through a pipe; a child that
+    dies without one (killed, out of memory) or whose error cannot be
+    unpickled raises WorkerError naming the replicates of the item it held.
     """
-    slices = plan.slices
-    shared = mmap.mmap(-1, max(1, layout_bytes(plan.layouts)))
-    out, offset = [], 0
+    items, workers = plan.items, plan.workers
+    shared = mmap.mmap(-1, 8 * (2 + workers) + layout_bytes(plan.layouts))
+    # The next unclaimed item, the failure flag, and the item each worker holds.
+    state = np.frombuffer(shared, np.int64, 2 + workers)
+    state[2:] = -1
+    out, offset = [], state.nbytes
     for shape, dtype in plan.layouts:
         out.append(np.frombuffer(shared, dtype, math.prod(shape), offset).reshape(shape))
         offset += out[-1].nbytes
-    own, children, errors = [0], [], []
+    lock = os.memfd_create("haarconc-claims") if workers > 1 else None
+    children, errors = [], []
     try:
-        for k in range(1, len(slices)):
+        for w in range(1, workers):
             try:
-                children.append((k, *_fork(slices[k], out, work)))
-            except OSError:  # no process or pipe to spare: run the rest here
-                own += range(k, len(slices))
+                children.append((w, *_fork(w, items, work, out, state, lock)))
+            except OSError:  # no process or pipe to spare: the others claim its share
                 break
-        for k in own:
-            try:
-                work(slices[k], out)
-            except Exception as exc:
-                errors.append((k, exc))
-                break
+        try:
+            _run_claims(0, items, work, out, state, lock)
+        except Exception as exc:
+            errors.append((_held(state, 0, items), exc))
     finally:
         reaped = []
-        for k, pid, read_fd in children:
+        for w, pid, read_fd in children:
             with os.fdopen(read_fd, "rb") as pipe:
                 sent = pipe.read()
-            reaped.append((k, sent, os.waitpid(pid, 0)[1]))
-    for k, sent, status in reaped:
-        replicates = f"replicates {slices[k][0].start}..{slices[k][-1].stop - 1}"
+            reaped.append((w, sent, os.waitpid(pid, 0)[1]))
+        if lock is not None:
+            os.close(lock)
+    for w, sent, status in reaped:
+        k = _held(state, w, items)
+        worker = (f"the worker for replicates {items[k].start}..{items[k].stop - 1}"
+                  if k < len(items) else "a worker that held no item")
         if sent:
             try:
                 errors.append((k, pickle.loads(sent)))
             except Exception as exc:
-                errors.append((k, RuntimeError(
-                    f"the worker for {replicates} sent an error that could not be "
-                    f"read ({type(exc).__name__}: {exc})")))
+                errors.append((k, WorkerError(
+                    f"{worker} sent an error that could not be read "
+                    f"({type(exc).__name__}: {exc})")))
         elif status:
-            errors.append((k, RuntimeError(
-                f"the worker for {replicates} exited with status "
-                f"{os.waitstatus_to_exitcode(status)}")))
+            errors.append((k, WorkerError(
+                f"{worker} exited with status {os.waitstatus_to_exitcode(status)}")))
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
     return out
 
 
-def _fork(part, out, work) -> tuple[int, int]:
-    """Fork a child that runs work(part, out) and writes its pickled
+def _held(state, w: int, items: list) -> int:
+    """The item worker w held when it stopped, len(items) for none."""
+    k = int(state[2 + w])
+    return k if k >= 0 else len(items)
+
+
+def _claim(w: int, count: int, state, lock) -> int:
+    """Claim the next of `count` items for worker w, and record it as the
+    item w holds; -1 when none is left or a worker failed."""
+    if lock is not None:
+        fcntl.lockf(lock, fcntl.LOCK_EX)
+    try:
+        k = int(state[0])
+        if state[1] or k >= count:
+            return -1
+        state[2 + w], state[0] = k, k + 1
+        return k
+    finally:
+        if lock is not None:
+            fcntl.lockf(lock, fcntl.LOCK_UN)
+
+
+def _run_claims(w: int, items: list, work, out, state, lock) -> None:
+    """Run the items that worker w claims until none is left; an item that
+    fails raises, with w still holding it, after it sets the failure flag."""
+    while (k := _claim(w, len(items), state, lock)) >= 0:
+        try:
+            work(items[k:k + 1], out)
+        except BaseException:
+            state[1] = 1
+            raise
+        state[2 + w] = -1
+
+
+def _fork(w: int, items: list, work, out, state, lock) -> tuple[int, int]:
+    """Fork a child that runs the claims of worker w and writes its pickled
     exception, if any, to a pipe; returns the child's pid and the pipe's
     read end.  Raises OSError, leaving no child, if os.pipe or os.fork
     fails."""
@@ -185,7 +242,7 @@ def _fork(part, out, work) -> tuple[int, int]:
         try:
             os.close(read_fd)
             try:
-                work(part, out)
+                _run_claims(w, items, work, out, state, lock)
                 code = 0
             except BaseException as exc:  # sent to the parent, which raises it
                 with os.fdopen(write_fd, "wb") as pipe:

@@ -740,6 +740,27 @@ class TestForkedWorkers:
         assert main([*argv, "--out", str(tmp_path / "out")]) == 0
         assert len(forks) == expected
 
+    def test_dead_worker_exits_1_with_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # Each forked worker exits with status 137 (as when the kernel's OOM
+        # killer stops it) before it claims a chunk: one error line, no
+        # traceback, exit code 1 and no report.
+        use_workers(monkeypatch, 3)
+        counted_fork = os.fork
+
+        def dying_fork():
+            pid = counted_fork()
+            if pid == 0:
+                os._exit(137)
+            return pid
+
+        monkeypatch.setattr(os, "fork", dying_fork)
+        path = write_config(tmp_path, "cfg.json", {"kind": "matrix", "n": 8, "seed": 1,
+                                                   "replicates": 300, "step_check": True})
+        assert main(["matrix", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: a worker that held no item exited with status 137\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestDeterminism:
     def test_reports_byte_identical_modulo_runtime(self, tmp_path, capsys):

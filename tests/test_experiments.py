@@ -1,6 +1,7 @@
 """Tests for experiment configs, pipelines, hard guarantees, and
 reproducibility of the reports."""
 
+import contextlib
 import copy
 import errno
 import json
@@ -8,6 +9,7 @@ import math
 import mmap
 import os
 import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -566,6 +568,16 @@ class Unrebuildable(Exception):
         super().__init__(first)
 
 
+class LoggedOnPickling(Exception):
+    """An item's failure that logs the item's range when a child pickles
+    it, which it does only after its failed item has set the failure flag.
+    Its args are the log's path and the range."""
+
+    def __reduce__(self):
+        record_range(*self.args)
+        return type(self), self.args
+
+
 def use_workers(monkeypatch, count: int) -> list:
     """Let runs use `count` worker processes, with one BLAS thread each;
     returns the list that each os.fork call of the run appends to."""
@@ -601,6 +613,25 @@ def recorded_items(path) -> list:
     return sorted(items)
 
 
+def recorded_ranges(path) -> list:
+    """The ranges that record_range logged at `path`, in the order logged."""
+    if not path.exists():
+        return []
+    return [range(*map(int, line.split())) for line in path.read_text().splitlines()]
+
+
+def wait_for_a_child(log, parent: int) -> None:
+    """In the process `parent`, wait until a forked worker has logged an item
+    at `log` with record_range; elsewhere return at once.  A parent that
+    waits so on its first item leaves at least one item to a child,
+    whichever worker claims first."""
+    deadline = time.monotonic() + 30
+    while os.getpid() == parent and not recorded_ranges(log):
+        if time.monotonic() > deadline:
+            raise TimeoutError("no forked worker claimed an item within 30 s")
+        time.sleep(0.001)
+
+
 @pytest.fixture
 def worker_time_limit():
     """Fail a test whose worker processes run past 60 s: a child that never
@@ -617,8 +648,9 @@ def worker_time_limit():
 
 @pytest.mark.usefixtures("worker_time_limit")
 class TestWorkerProcesses:
-    # Slices are contiguous runs of chunks: with c chunks and w workers,
-    # worker i runs chunks [c i // w, c (i + 1) // w).
+    # Each worker claims the next unclaimed chunk until none is left, so
+    # which worker runs a chunk is up to the scheduler; a test that needs a
+    # child to run one holds the parent with wait_for_a_child.
 
     @pytest.mark.parametrize("n", [2, 7, 64])
     def test_results_equal_across_worker_counts(self, n, monkeypatch):
@@ -685,6 +717,10 @@ class TestWorkerProcesses:
                 for rows in part:
                     out[0][rows.start:rows.stop] = offset + np.arange(rows.start, rows.stop)
                     out[1][rows.start:rows.stop] = os.getpid()
+                    # Two items: each worker holds its first until the other
+                    # has written, so the parent and the child write one each.
+                    while not np.any((out[1] > 0) & (out[1] != os.getpid())):
+                        time.sleep(0.001)
             return work
 
         plan = workers.plan(6, 3, layouts, 1, "a test run")
@@ -721,7 +757,7 @@ class TestWorkerProcesses:
         chunk_bytes = (three.estimate - arrays) // 3
         assert arrays > chunk_bytes
         monkeypatch.setattr(workers, "BYTES_BUDGET", arrays + 2 * chunk_bytes)
-        assert len(experiments._matrix_plan(cfg, 8).slices) == 2
+        assert experiments._matrix_plan(cfg, 8).workers == 2
         sample_spectral_cdfs(cfg, cfg.n)
         assert len(forks) == 1
 
@@ -785,9 +821,10 @@ class TestWorkerProcesses:
         for a, b in zip((*got[:2], *got[2]), (*want[:2], *want[2])):
             assert np.array_equal(a, b)
 
-    def test_failed_fork_runs_the_slice_inline(self, monkeypatch):
-        # Three workers over three chunks: the first fork succeeds, the
-        # second fails, so the calling process runs slices 0 and 2.
+    def test_failed_fork_leaves_its_share_to_the_started_workers(self, monkeypatch, tmp_path):
+        # Three workers over three chunks: the first fork succeeds and the
+        # second fails, so the calling process and one child claim every
+        # chunk between them.
         n = 7
         chunk = experiments.chunk_size(n)
         cfg = matrix_config(n=n, replicates=2 * chunk + 5, step_check=True)
@@ -804,13 +841,22 @@ class TestWorkerProcesses:
         def no_fork():
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
+        log = tmp_path / "chunks"
+        real = experiments._check_steps
+
+        def recorded(h_red, eig_red, w, y, diag_n, rows):
+            record_range(log, rows)
+            return real(h_red, eig_red, w, y, diag_n, rows)
+
+        monkeypatch.setattr(experiments, "_check_steps", recorded)
         monkeypatch.setattr(os, "fork", fork_once)
         got = sample_spectral_cdfs(cfg, cfg.n)
         assert len(forks) == 1
+        assert recorded_items(log) == list(range(cfg.replicates))
         for a, b in zip((*got[:2], *got[2]), (*want[:2], *want[2])):
             assert np.array_equal(a, b)
-        # The child's violation (slice 1) still beats the parent's (slice 2),
-        # and with no child at all the parent runs the slices in order.
+        # The lowest violation wins whichever worker runs it, and with no
+        # child at all the calling process claims every chunk in order.
         plant_step_defects(monkeypatch, [chunk + 1, 2 * chunk + 1])
         for fork in (fork_once, no_fork):
             forks.clear()
@@ -818,72 +864,222 @@ class TestWorkerProcesses:
             with pytest.raises(GuaranteeViolation, match=f"at replicate {chunk + 1} "):
                 sample_spectral_cdfs(cfg, cfg.n)
 
-    def test_unreadable_error_raises_and_reaps_every_child(self, monkeypatch):
+    def test_unreadable_error_raises_and_reaps_every_child(self, monkeypatch, tmp_path):
+        # Every child fails its first chunk with an error that cannot be
+        # unpickled; the parent waits until one has, so the lowest such
+        # chunk is named, as the replicates its worker held.
         n = 7
         chunk = experiments.chunk_size(n)
+        parent, log = os.getpid(), tmp_path / "chunks"
         real = experiments._check_steps
 
         def unreadable_in_children(h_red, eig_red, w, y, diag_n, rows):
-            if rows.start >= chunk:
+            if os.getpid() != parent:
+                record_range(log, rows)
                 raise Unrebuildable("cannot", "unpickle")
+            wait_for_a_child(log, parent)
             return real(h_red, eig_red, w, y, diag_n, rows)
 
         forks = use_workers(monkeypatch, 3)
         monkeypatch.setattr(experiments, "_check_steps", unreadable_in_children)
         cfg = matrix_config(n=n, replicates=2 * chunk + 5, step_check=True)
-        with pytest.raises(RuntimeError, match=rf"replicates {chunk}\.\.{2 * chunk - 1} "
-                                               "sent an error that could not be read"):
+        with pytest.raises(workers.WorkerError,
+                           match=r"replicates (\d+)\.\.(\d+) sent an error that could not be "
+                                 r"read \(TypeError: ") as raised:
             sample_spectral_cdfs(cfg, cfg.n)
+        first = min(recorded_ranges(log), key=lambda rows: rows.start)
+        assert f"replicates {first.start}..{first.stop - 1} " in str(raised.value)
         assert len(forks) == 2
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("count", [2, 3])
-    def test_violation_in_a_child_names_its_replicate(self, count, monkeypatch):
-        # 3 chunks of n = 7: the target sits in the second one, which a
-        # child runs.
+    def test_violation_in_a_child_names_its_replicate(self, count, monkeypatch, tmp_path):
+        # A child's step check fails at the second replicate of each chunk
+        # it runs, and the parent waits until one has: the violation comes
+        # back through the pipe and names that replicate of the lowest such
+        # chunk.
         n = 7
         chunk = experiments.chunk_size(n)
-        target = chunk + 2
+        parent, log = os.getpid(), tmp_path / "chunks"
+        real = experiments._check_steps
+
+        def violate_in_children(h_red, eig_red, w, y, diag_n, rows):
+            if os.getpid() == parent:
+                wait_for_a_child(log, parent)
+                return real(h_red, eig_red, w, y, diag_n, rows)
+            record_range(log, rows)
+            y = y.copy()
+            y[1] = sample_haar_unitary(n, np.random.default_rng(rows[1]))
+            return real(h_red, eig_red, w, y, diag_n, rows)
+
         forks = use_workers(monkeypatch, count)
-        plant_step_defects(monkeypatch, [target, 2 * chunk + 1])
+        monkeypatch.setattr(experiments, "_check_steps", violate_in_children)
         cfg = matrix_config(n=n, replicates=2 * chunk + 5, step_check=True)
-        with pytest.raises(GuaranteeViolation, match=f"at replicate {target} "):
+        with pytest.raises(GuaranteeViolation) as raised:
             sample_spectral_cdfs(cfg, cfg.n)
+        first = min(recorded_ranges(log), key=lambda rows: rows.start)
+        assert f"at replicate {first.start + 1} " in str(raised.value)
         assert len(forks) == count - 1
 
-    def test_earliest_slice_wins_over_the_first_to_fail(self, monkeypatch):
-        # One replicate per chunk at n = 64: the child fails on its first
-        # chunk, long before the parent reaches the end of its own slice,
-        # yet the parent's replicate comes first and is the one named.
+    def test_lowest_failing_item_wins_over_the_first_to_fail(self, monkeypatch, tmp_path):
+        # One replicate per chunk at n = 64.  Replicate 3 fails 0.5 s after
+        # its chunk starts, replicate 4 at once: the worker that is not
+        # held by replicate 3 claims replicate 4 and fails first, yet the
+        # lower replicate is the one named.
         n, reps = 64, 24
         assert experiments.chunk_size(n) == 1
+        log = tmp_path / "failures"
         forks = use_workers(monkeypatch, 2)
-        plant_step_defects(monkeypatch, [reps // 2 - 1, reps // 2])
+        plant_step_defects(monkeypatch, [3, 4])
+        planted = experiments._check_steps
+
+        def check(h_red, eig_red, w, y, diag_n, rows):
+            if rows.start == 3:
+                time.sleep(0.5)
+            try:
+                return planted(h_red, eig_red, w, y, diag_n, rows)
+            except GuaranteeViolation:
+                record_range(log, rows)
+                raise
+
+        monkeypatch.setattr(experiments, "_check_steps", check)
         cfg = matrix_config(n=n, replicates=reps, step_check=True)
-        with pytest.raises(GuaranteeViolation, match=f"at replicate {reps // 2 - 1} "):
+        with pytest.raises(GuaranteeViolation, match="at replicate 3 "):
             sample_spectral_cdfs(cfg, cfg.n)
+        assert [rows.start for rows in recorded_ranges(log)] == [4, 3]
         assert len(forks) == 1
 
-    def test_dead_child_raises(self, monkeypatch):
+    def test_dead_child_raises(self, monkeypatch, tmp_path):
+        # The child dies in its first chunk, which the parent waits for: the
+        # error names the replicates of that chunk.
         n = 7
         chunk = experiments.chunk_size(n)
-        parent = os.getpid()
+        parent, log = os.getpid(), tmp_path / "chunks"
         real = experiments._check_steps
 
         def die_in_child(h_red, eig_red, w, y, diag_n, rows):
-            if rows.start >= chunk:
-                if os.getpid() == parent:
-                    raise AssertionError("the second slice ran in the parent")
+            if os.getpid() != parent:
+                record_range(log, rows)
                 os._exit(3)
+            wait_for_a_child(log, parent)
             return real(h_red, eig_red, w, y, diag_n, rows)
 
         use_workers(monkeypatch, 2)
         monkeypatch.setattr(experiments, "_check_steps", die_in_child)
         cfg = matrix_config(n=n, replicates=2 * chunk + 5, step_check=True)
-        with pytest.raises(RuntimeError,
-                           match=rf"replicates {chunk}\.\.{2 * chunk + 4} exited with status 3"):
+        with pytest.raises(workers.WorkerError) as raised:
             sample_spectral_cdfs(cfg, cfg.n)
+        held, = recorded_ranges(log)
+        assert str(raised.value) == (
+            f"the worker for replicates {held.start}..{held.stop - 1} exited with status 3")
+        assert isinstance(raised.value, RuntimeError)
+
+    def test_a_failure_stops_the_other_workers_after_their_current_item(self, tmp_path):
+        # The child fails its first item; the parent holds its own first
+        # item, if it claims one before the child fails, until the child
+        # has set the failure flag, and then claims no other of the 30.
+        plan = workers.Plan(workers.ranges(30, 1), 2, [((30,), np.float64)], 0)
+        parent, failed, ran = os.getpid(), tmp_path / "failed", tmp_path / "ran"
+
+        def work(part, out):
+            for rows in part:
+                if os.getpid() != parent:
+                    raise LoggedOnPickling(failed, rows)
+                wait_for_a_child(failed, parent)
+                record_range(ran, rows)
+
+        with pytest.raises(LoggedOnPickling) as raised:
+            workers.run(plan, work)
+        assert recorded_ranges(failed) == [raised.value.args[1]]
+        assert len(recorded_ranges(ran)) <= 1
+
+    def test_slow_worker_claims_fewer_items(self):
+        # Two workers over 40 one-replicate items; the child sleeps 0.2 s on
+        # each item it claims, the parent not at all.  The parent claims the
+        # next item whenever it is free, so the child gets only the items it
+        # claims while the parent runs its few microseconds an item; fixed
+        # halves would give it 20.
+        plan = workers.Plan(workers.ranges(40, 1), 2, [((40,), np.dtype(int))], 0)
+        parent = os.getpid()
+
+        def work(part, out):
+            for rows in part:
+                if os.getpid() != parent:
+                    time.sleep(0.2)
+                out[0][rows.start:rows.stop] = os.getpid()
+
+        pids, = workers.run(plan, work)
+        assert np.count_nonzero(pids == parent) >= 38
+        assert np.all(pids > 0)
+
+    def test_worker_killed_holding_the_claim_lock_does_not_hang(self, monkeypatch):
+        # Each child is killed as soon as it holds the claim lock.  The
+        # kernel drops the lock with the child, so the parent claims every
+        # item, and the dead child, which held no item, is reported.  A lock
+        # that outlived its holder would block the parent for good: after
+        # 10 s the children are killed and the test fails.
+        plan = workers.Plan(workers.ranges(12, 2), 3, [((12,), np.float64)], 0)
+        parent, real_lockf, real_fork, pids = os.getpid(), workers.fcntl.lockf, os.fork, []
+
+        def lockf(fd, cmd, *args):
+            real_lockf(fd, cmd, *args)
+            if cmd == workers.fcntl.LOCK_EX and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        def recorded_fork():
+            pids.append(real_fork())
+            return pids[-1]
+
+        def work(part, out):
+            for rows in part:
+                out[0][rows.start:rows.stop] = 1.0
+
+        def expire(signum, frame):
+            for pid in pids:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            raise TimeoutError("the run still waited for its claim lock after 10 s")
+
+        monkeypatch.setattr(workers.fcntl, "lockf", lockf)
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(10)
+        try:
+            with pytest.raises(workers.WorkerError, match="a worker that held no item exited "
+                                                          f"with status -{int(signal.SIGKILL)}"):
+                workers.run(plan, work)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(pids) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_runs_leave_no_descriptor_or_child_behind(self):
+        # 50 runs of three workers, every other one failing in some worker:
+        # afterwards no pipe or memfd is left open and no child unreaped.
+        plan = workers.Plan(workers.ranges(9, 1), 3, [((9,), np.float64)], 0)
+        before = sorted(os.listdir("/proc/self/fd"))
+
+        def work_failing_at(bad):
+            def work(part, out):
+                for rows in part:
+                    if rows.start == bad:
+                        raise ValueError(f"item {bad}")
+                    out[0][rows.start:rows.stop] = rows.start
+            return work
+
+        for i in range(50):
+            if i % 2:
+                with pytest.raises(ValueError, match=f"item {i % 9}"):
+                    workers.run(plan, work_failing_at(i % 9))
+            else:
+                values, = workers.run(plan, work_failing_at(-1))
+                assert np.array_equal(values, np.arange(9.0))
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestFiniteGroupExperiment:

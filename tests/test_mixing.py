@@ -36,7 +36,9 @@ from haarconc.mixing import (
 from test_experiments import (  # noqa: F401 (fixture)
     record_range,
     recorded_items,
+    recorded_ranges,
     use_workers,
+    wait_for_a_child,
     worker_time_limit,
 )
 from test_kernel import dense_kernel
@@ -581,7 +583,7 @@ class TestWalkGroups:
         # 20 000 walks at n = 2 are 19 groups on two CPUs; sized by their
         # walk matrices alone they were one group, and one CPU idled.
         use_workers(monkeypatch, 2)
-        assert len(walk_plan(monkeypatch, 2, 128, 20000).slices) == 2
+        assert walk_plan(monkeypatch, 2, 128, 20000).workers == 2
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_every_walk_runs_once(self, cpus, monkeypatch, tmp_path):
@@ -603,6 +605,31 @@ class TestWalkGroups:
         unitary_mixing_diagnostic(4, 3, 1130, np.random.default_rng(0))
         assert len(forks) == cpus - 1
         assert recorded_items(log) == list(range(1130))
+
+    def test_dead_worker_names_the_walks_it_held(self, monkeypatch, tmp_path):
+        # Four units of 250 walks at n = 8.  The child dies in the first
+        # group it runs, which the parent waits for: the error names the
+        # walks of the unit the child held.
+        monkeypatch.setattr(mixing, "_GROUP_BYTES", 250 * walk_bytes(8))
+        parent, log = os.getpid(), tmp_path / "walks"
+        real_group = mixing._walk_group
+
+        def die_in_child(n, k_max, m, seed, acc, count):
+            lo = 250 * seed.spawn_key[0]
+            if os.getpid() != parent:
+                record_range(log, range(lo, lo + m))
+                os._exit(9)
+            wait_for_a_child(log, parent)
+            real_group(n, k_max, m, seed, acc, count)
+
+        monkeypatch.setattr(mixing, "_walk_group", die_in_child)
+        use_workers(monkeypatch, 2)
+        assert mixing._unit_size(8) == 250
+        with pytest.raises(workers.WorkerError) as raised:
+            unitary_mixing_diagnostic(8, 4, 1000, np.random.default_rng(0))
+        held, = recorded_ranges(log)
+        assert str(raised.value) == (
+            f"the worker for replicates {held.start}..{held.stop - 1} exited with status 9")
 
     def test_group_streams_differ(self, monkeypatch):
         # 1000 groups of one walk each: group g is seeded by child g of the
