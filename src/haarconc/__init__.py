@@ -41,7 +41,6 @@ from .mixing import (
 from .experiments import (
     ExperimentConfig,
     ExperimentReport,
-    GuaranteeViolation,
     child_rng,
     resolve_spectrum,
     run_experiment,
@@ -58,7 +57,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "FiniteGroupTable",
-    "GuaranteeViolation",
     "IdentityReport",
     "MixingDiagnostic",
     "Permutation",

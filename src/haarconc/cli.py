@@ -4,10 +4,11 @@ Commands: matrix | finite-group | identity-suite | scaling | mixing-curve |
 bound-calc.  Each command parses its arguments (a JSON config for the first
 four), calls one runner from experiments, writes report.json plus flat
 CSV curves into --out (bound-calc only when --out is given) and prints one
-verdict summary line, "N pass / N fail / N inconclusive".  Exit codes,
-the same for every command: 0 all hard checks pass and no verdict fails,
-1 usage or config error, or a forked worker that died or sent an error
-that could not be read (WorkerError), 2 a guarantee or a verdict failed.
+verdict summary line, "N pass / N fail / N inconclusive".  Every check,
+exact or statistical, is a verdict in the report.  Exit codes, the same for
+every command: 0 no verdict fails, 1 usage or config error, or a forked
+worker that died or sent an error that could not be read (WorkerError),
+2 a verdict failed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from pathlib import Path
 from .experiments import (
     ExperimentConfig,
     ExperimentReport,
-    GuaranteeViolation,
     run_bound_calc,
     run_experiment,
     run_mixing_curve,
@@ -31,8 +31,9 @@ from .experiments import (
 from .workers import WorkerError
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Load and validate a JSON experiment config."""
+def parse_config(path, **overrides) -> ExperimentConfig:
+    """Load a JSON experiment config, set the `overrides` that are not None
+    in it, and validate the result."""
     p = Path(path)
     if not p.is_file():
         raise ValueError(f"config file not found: {path}")
@@ -40,6 +41,8 @@ def parse_config(path) -> ExperimentConfig:
         data = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from None
+    if isinstance(data, dict):
+        data.update((key, value) for key, value in overrides.items() if value is not None)
     return ExperimentConfig.from_dict(data)
 
 
@@ -109,18 +112,11 @@ def _run_bound_calc(args) -> ExperimentReport:
 
 
 def _run_experiment_command(args) -> ExperimentReport:
-    cfg = parse_config(args.config)
+    cfg = parse_config(args.config, seed=args.seed, replicates=args.replicates)
     if cfg.kind != args.command:
         raise ValueError(
             f"config kind '{cfg.kind}' does not match command '{args.command}'"
         )
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.replicates is not None:
-        overrides["replicates"] = args.replicates
-    if overrides:
-        cfg = ExperimentConfig.from_dict({**cfg.to_dict(), **overrides})
     if args.threads < 1:
         raise ValueError("--threads must be at least 1")
     return run_experiment(cfg)
@@ -142,9 +138,6 @@ def main(argv=None) -> int:
         if args.out is not None:
             write_report(report, args.out)
             print(f"report written to {args.out}")
-    except GuaranteeViolation as exc:
-        print(f"hard assertion failed: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,11 +17,11 @@ small LAPACK calls no faster than one), one per CPU that one BLAS call may
 use, so a BLAS left to use every CPU runs the chunks inline, under the
 _matrix_plan that also refuses a config above the memory budget.  A
 replicate's result depends on its index only, so reports do not depend on
-the worker count.  Checks come in two kinds: exact guarantees are hard
-assertions (violation raises GuaranteeViolation), statistical comparisons
-are verdicts that never raise, all made by _estimate_verdict under one
-4-standard-error rule.  The reports of all six CLI commands are assembled
-here.
+the worker count.  Every check is a verdict that the report records,
+failed or not: an exact check by _exact_verdict, which fails on any value
+that breaks its limit and names the first, a statistical comparison by
+_estimate_verdict under one 4-standard-error rule.  The reports of all six
+CLI commands are assembled here.
 """
 
 from __future__ import annotations
@@ -63,10 +63,6 @@ CHUNK_BYTES = 256 * 1024
 # draw and the element's index (traced peak: 16.2 B per replicate at
 # 4 million replicates).
 FINITE_GROUP_REPLICATE_BYTES = 16
-
-
-class GuaranteeViolation(RuntimeError):
-    """A mathematically guaranteed check failed; this is a defect, not noise."""
 
 
 _KINDS = ("matrix", "finite-group", "identity-suite", "scaling")
@@ -346,17 +342,9 @@ def _k_curve(**columns) -> dict:
     return {"header": ["k", *columns], "rows": rows}
 
 
-def _verdict(name, status, observed, threshold, policy, stderr=None) -> dict:
-    out = {
-        "name": name,
-        "status": status,
-        "observed": float(observed),
-        "threshold": float(threshold),
-        "policy": policy,
-    }
-    if stderr is not None:
-        out["stderr"] = float(stderr)
-    return out
+def _verdict(name, status, observed, threshold, policy, **extra) -> dict:
+    return {"name": name, "status": status, "observed": float(observed),
+            "threshold": float(threshold), "policy": policy, **extra}
 
 
 def _estimate_verdict(name, observed, stderr, threshold, policy, conclusive) -> dict:
@@ -376,7 +364,18 @@ def _estimate_verdict(name, observed, stderr, threshold, policy, conclusive) -> 
         status = "pass"
     else:
         status = "fail" if observed - 4.0 * stderr > threshold else "inconclusive"
-    return _verdict(name, status, observed, threshold, policy, stderr)
+    return _verdict(name, status, observed, threshold, policy, stderr=float(stderr))
+
+
+def _exact_verdict(name, observed, threshold, violations) -> dict:
+    """The one rule of every exact verdict: "fail" when `violations`, the
+    places where a value the run holds breaks its limit, in the run's order,
+    has any, "pass" otherwise.  A failing verdict names the first in
+    "first_violation", a key that only it carries."""
+    first = next(iter(violations), None)
+    if first is None:
+        return _verdict(name, "pass", observed, threshold, "exact")
+    return _verdict(name, "fail", observed, threshold, "exact", first_violation=first)
 
 
 def _fmt(x: float) -> str:
@@ -397,33 +396,17 @@ def chunk_size(n: int) -> int:
     return max(1, CHUNK_BYTES // (3 * n * n * np.dtype(np.complex128).itemsize))
 
 
-def _check_steps(h_red, eig_red, w, y, diag_n, rows) -> tuple[np.ndarray, np.ndarray]:
+def _check_steps(h_red, eig_red, w, y, diag_n) -> tuple[np.ndarray, np.ndarray]:
     """Rank of H - H' and sup |F_H - F_H'| for one chunk, where H = W + N is
     the reduced form and H' = Y W Y* + N its image after one reflection step.
     Both come out of conjugate_stack plus a real diagonal, so they are exactly
     hermitian and their difference needs no second hermitisation.
-
-    Raises GuaranteeViolation, naming the global replicate, at the first
-    replicate whose rank exceeds STEP_RANK_LIMIT or whose gap exceeds 3/n.
     """
-    n = h_red.shape[-1]
     h_prime = conjugate_stack(y, w) + diag_n
-    ranks, gaps = np.broadcast_arrays(
+    return np.broadcast_arrays(
         _hermitian_rank(h_red - h_prime),
         sup_cdf_distance(eig_red, np.linalg.eigvalsh(h_prime)),
     )
-    bad = np.flatnonzero((ranks > STEP_RANK_LIMIT) | (gaps > 3.0 / n + FLOAT_SLACK))
-    if bad.size:
-        i = bad[0]
-        if ranks[i] > STEP_RANK_LIMIT:
-            raise GuaranteeViolation(
-                f"step perturbation rank {ranks[i]} > {STEP_RANK_LIMIT} "
-                f"at replicate {rows[i]} (n={n})"
-            )
-        raise GuaranteeViolation(
-            f"step CDF gap {gaps[i]:.6e} > 3/n + {FLOAT_SLACK} at replicate {rows[i]} (n={n})"
-        )
-    return ranks, gaps
 
 
 def _matrix_plan(cfg: ExperimentConfig, n: int) -> workers.Plan:
@@ -493,43 +476,40 @@ def sample_spectral_cdfs(
     spectrum needs are factored (_haar_conjugates): the first n // 2 for
     two_point at n >= 3, none for zero, all n for uniform_grid.  The step
     moves the replicate's own reduced form: H' = Y W Y* + N with W = X M X*,
-    so it needs no Haar draw of its own.  A step whose rank exceeds
-    STEP_RANK_LIMIT or whose CDF gap exceeds 3/n raises GuaranteeViolation.
-    The chunks run under _matrix_plan on the workers of workers.run, each
-    of which claims the next unclaimed chunk; a replicate's draws and
-    arithmetic depend on its index only, not on which worker claims its
-    chunk or when, so neither do the results.
+    so it needs no Haar draw of its own.  The chunks run under _matrix_plan
+    on the workers of workers.run, each of which claims the next unclaimed
+    chunk; a replicate's draws and arithmetic depend on its index only, not
+    on which worker claims its chunk or when, so neither do the results.
     """
     xs = np.asarray(cfg.x_grid)
     spec_m = resolve_spectrum(cfg.spectrum_M, n)
     spec_n = resolve_spectrum(cfg.spectrum_N, n)
     diag_n = np.diag(spec_n)
 
-    def work(chunks, out) -> None:
+    def work(rows, out) -> None:
         f_def, f_red, *steps = out
-        for rows in chunks:
-            z = np.empty((3, len(rows), n, n), dtype=np.complex128)
-            parts = z.view(np.float64).reshape(3, len(rows), n, n, 2).transpose(1, 0, 4, 2, 3)
-            refl_u = np.empty((len(rows), n), dtype=np.complex128)
-            refl_phi = np.empty(len(rows))
-            for i, r in enumerate(rows):
-                rng = child_rng(cfg.seed, "matrix", r)
-                parts[i] = rng.standard_normal((3, 2, n, n))
-                if cfg.step_check:
-                    refl_u[i], refl_phi[i] = sample_reflection_step(n, rng)
-            z *= 1.0 / np.sqrt(2.0)
-            # One QR stack per factor: a single (3, chunk, n, n) stack ran slower.
-            h = _haar_conjugates(z[0], spec_m) + _haar_conjugates(z[1], spec_n)
-            w = _haar_conjugates(z[2], spec_m)
-            h_red = w + diag_n
-            eig_red = np.linalg.eigvalsh(h_red)
-            f_def[rows.start:rows.stop] = cdf_counts(np.linalg.eigvalsh(h), xs) / n
-            f_red[rows.start:rows.stop] = cdf_counts(eig_red, xs) / n
+        z = np.empty((3, len(rows), n, n), dtype=np.complex128)
+        parts = z.view(np.float64).reshape(3, len(rows), n, n, 2).transpose(1, 0, 4, 2, 3)
+        refl_u = np.empty((len(rows), n), dtype=np.complex128)
+        refl_phi = np.empty(len(rows))
+        for i, r in enumerate(rows):
+            rng = child_rng(cfg.seed, "matrix", r)
+            parts[i] = rng.standard_normal((3, 2, n, n))
             if cfg.step_check:
-                y = reflection_matrices(refl_u, refl_phi)
-                ranks, gaps = steps
-                ranks[rows.start:rows.stop], gaps[rows.start:rows.stop] = _check_steps(
-                    h_red, eig_red, w, y, diag_n, rows)
+                refl_u[i], refl_phi[i] = sample_reflection_step(n, rng)
+        z *= 1.0 / np.sqrt(2.0)
+        # One QR stack per factor: a single (3, chunk, n, n) stack ran slower.
+        h = _haar_conjugates(z[0], spec_m) + _haar_conjugates(z[1], spec_n)
+        w = _haar_conjugates(z[2], spec_m)
+        h_red = w + diag_n
+        eig_red = np.linalg.eigvalsh(h_red)
+        f_def[rows.start:rows.stop] = cdf_counts(np.linalg.eigvalsh(h), xs) / n
+        f_red[rows.start:rows.stop] = cdf_counts(eig_red, xs) / n
+        if cfg.step_check:
+            y = reflection_matrices(refl_u, refl_phi)
+            ranks, gaps = steps
+            ranks[rows.start:rows.stop], gaps[rows.start:rows.stop] = _check_steps(
+                h_red, eig_red, w, y, diag_n)
 
     f_def, f_red, *steps = workers.run(_matrix_plan(cfg, n), work)
     return f_def, f_red, tuple(steps) if cfg.step_check else None
@@ -572,9 +552,10 @@ def _cdf_statistics(cfg: ExperimentConfig, n: int, f_def: np.ndarray,
 def run_matrix_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Sample H = U M U* + V N V* (and the reduced form X M X* + N), estimate
     the spectral CDF mean/variance/tails on the x grid, and compare against
-    the kappa-scaled bounds.  With step_check, also report the hard checks
-    on one reflection step of every replicate's reduced form: rank(H - H')
-    <= 3 and sup |F_H - F_H'| <= 3/n."""
+    the kappa-scaled bounds.  With step_check, also give the exact verdicts
+    on one reflection step of every replicate's reduced form, rank(H - H')
+    <= 3 and sup |F_H - F_H'| <= 3/n, which name the first replicate that
+    breaks them."""
     if cfg.kind != "matrix":
         raise ValueError("run_matrix_experiment requires kind 'matrix'")
     n, reps, kappa, ts = cfg.n, cfg.replicates, cfg.kappa, list(cfg.t_grid)
@@ -615,8 +596,12 @@ def run_matrix_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         estimates["step_check"] = {"n": n, "replicates": reps, "max_rank": max_rank,
                                    "max_cdf_gap": max_gap}
         bounds["step_check"] = {"rank_limit": STEP_RANK_LIMIT, "cdf_gap_limit": gap_limit}
-        verdicts.append(_verdict("step_rank_le_3", "pass", max_rank, STEP_RANK_LIMIT, "exact"))
-        verdicts.append(_verdict("step_cdf_gap_le_3_over_n", "pass", max_gap, gap_limit, "exact"))
+        verdicts.append(_exact_verdict(
+            "step_rank_le_3", max_rank, STEP_RANK_LIMIT,
+            ({"replicate": int(r)} for r in np.flatnonzero(ranks > STEP_RANK_LIMIT))))
+        verdicts.append(_exact_verdict(
+            "step_cdf_gap_le_3_over_n", max_gap, gap_limit,
+            ({"replicate": int(r)} for r in np.flatnonzero(gaps > gap_limit))))
     curves = {
         "tails": {
             "header": ["x", "t", "frequency", "stderr", "bound"],
@@ -646,7 +631,8 @@ def _lazy_walk(n: int, k_max: int, law_below: Optional[float] = None):
 
 def run_finite_group_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Exact certification on S_n: certified TV envelope, exact norms and
-    variance per test function, hard Var <= C/2 and tail checks."""
+    variance per test function, and exact verdicts on Var <= C/2 and on the
+    tails, which name the first function (and t) that breaks them."""
     if cfg.kind != "finite-group":
         raise ValueError("run_finite_group_experiment requires kind 'finite-group'")
     n = cfg.n
@@ -672,16 +658,14 @@ def run_finite_group_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     max_var_margin = 0.0
     max_tail_excess = -math.inf
     default_tail = []
+    variance_violations, tail_violations = [], []
     for label, f in functions:
         sup_norm = float(np.max(np.abs(f)))
         step_norm = step_seminorm(op, f)
         variance = float(np.var(f))
         result = concentration_constant(BoundInputs(sup_norm, step_norm, fit.a, fit.b))
         if variance > result.variance_bound * (1.0 + FLOAT_SLACK):
-            raise GuaranteeViolation(
-                f"exact variance {variance:.6e} exceeds C/2 = {result.variance_bound:.6e} "
-                f"for f '{label}' on S_{n}"
-            )
+            variance_violations.append({"f": label})
         margin = variance / result.variance_bound
         max_var_margin = max(max_var_margin, margin)
         dev = np.abs(f)
@@ -689,12 +673,8 @@ def run_finite_group_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             bound = tail_bound(result.constant, t)
             freq = float(np.sum(hits[dev >= t]) / cfg.replicates)
             exact_prob = float(np.mean(dev >= t))
-            for value, src in ((freq, "sampled"), (exact_prob, "exact")):
-                if value > bound + FLOAT_SLACK:
-                    raise GuaranteeViolation(
-                        f"{src} tail {value:.6e} exceeds bound {bound:.6e} at t={t} "
-                        f"for f '{label}' on S_{n}"
-                    )
+            if freq > bound + FLOAT_SLACK or exact_prob > bound + FLOAT_SLACK:
+                tail_violations.append({"f": label, "t": t})
             max_tail_excess = max(max_tail_excess, freq - bound, exact_prob - bound)
             if label == "default":
                 default_tail.append(
@@ -722,8 +702,8 @@ def run_finite_group_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     }
     bounds = {"envelope": _envelope(fit), "default_constant": rows[0]["constant"]}
     verdicts = [
-        _verdict("variance_le_half_constant", "pass", max_var_margin, 1.0, "exact"),
-        _verdict("tails_le_bound", "pass", max_tail_excess, FLOAT_SLACK, "exact"),
+        _exact_verdict("variance_le_half_constant", max_var_margin, 1.0, variance_violations),
+        _exact_verdict("tails_le_bound", max_tail_excess, FLOAT_SLACK, tail_violations),
     ]
     curves = {
         "tv_curve": _k_curve(value=curve.values),
@@ -738,7 +718,9 @@ def run_finite_group_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def run_identity_suite(cfg: ExperimentConfig) -> ExperimentReport:
-    """Exact pair identities on S_n (n <= MAX_DEGREE) for random centered functions."""
+    """Exact pair identities on S_n (n <= MAX_DEGREE) for random centered
+    functions, with one exact verdict that names the first function whose
+    residual breaks IDENTITY_RESIDUAL_LIMIT."""
     if cfg.kind != "identity-suite":
         raise ValueError("run_identity_suite requires kind 'identity-suite'")
     n = cfg.n
@@ -752,10 +734,6 @@ def run_identity_suite(cfg: ExperimentConfig) -> ExperimentReport:
     max_cond = max(r[1] for r in rows)
     max_var = max(r[2] for r in rows)
     worst = max(max_cond, max_var)
-    if worst > IDENTITY_RESIDUAL_LIMIT:
-        raise GuaranteeViolation(
-            f"pair identity residual {worst:.3e} exceeds {IDENTITY_RESIDUAL_LIMIT} on S_{n}"
-        )
     estimates = {
         "n": n,
         "functions": cfg.replicates,
@@ -763,7 +741,9 @@ def run_identity_suite(cfg: ExperimentConfig) -> ExperimentReport:
         "max_variance_residual": max_var,
     }
     bounds = {"residual_limit": IDENTITY_RESIDUAL_LIMIT}
-    verdicts = [_verdict("identity_residuals", "pass", worst, IDENTITY_RESIDUAL_LIMIT, "exact")]
+    verdicts = [_exact_verdict(
+        "identity_residuals", worst, IDENTITY_RESIDUAL_LIMIT,
+        ({"f_index": i} for i, cond, var in rows if max(cond, var) > IDENTITY_RESIDUAL_LIMIT))]
     curves = {
         "residuals": {
             "header": ["f_index", "conditional_mean_residual", "variance_residual"],
@@ -860,15 +840,16 @@ def run_mixing_curve(
         k_max = 25 * n if k_max is None else k_max
         workers.require_budget(f"an S_{n} walk of {k_max} steps", CURVE_POINT_BYTES * (k_max + 1))
         _, curve, fit = _lazy_walk(n, k_max)
-        ks = np.arange(len(curve))
-        certified = curve.values > FIT_FLOOR
-        ratio = float(np.max(curve.values[certified] * np.exp(fit.b * ks[certified]) / fit.a))
-        status = "pass" if ratio <= 1.0 + FLOAT_SLACK else "fail"
+        ks = np.flatnonzero(curve.values > FIT_FLOOR)
+        ratios = curve.values[ks] * np.exp(fit.b * ks) / fit.a
+        envelope = _exact_verdict(
+            "envelope_dominates_certified_range", float(np.max(ratios)), 1.0,
+            ({"k": int(k)} for k in ks[ratios > 1.0 + FLOAT_SLACK]))
         return ExperimentReport(
             config_echo={"command": "mixing-curve", "group": "sn", "n": n, "k_max": k_max},
             estimates={"final_tv": float(curve.values[-1])},
             bounds={"envelope": _envelope(fit)},
-            verdicts=[_verdict("envelope_dominates_certified_range", status, ratio, 1.0, "exact")],
+            verdicts=[envelope],
             environment=report_environment(seed, 0),
             curves={"mixing_curve": _k_curve(value=curve.values)},
         )

@@ -331,12 +331,11 @@ def unitary_mixing_diagnostic(
                         (k_max + 1) * CURVE_POINT_BYTES)
     entropy = rng.integers(2**63, size=2).tolist()
 
-    def work(part, out) -> None:
-        for walks in part:
-            for lo in range(walks.start, walks.stop, size):
-                seed = np.random.SeedSequence(entropy, spawn_key=(lo // size,))
-                _walk_group(n, k_max, min(size, walks.stop - lo), seed,
-                            out[0][lo // unit], lo - walks.start)
+    def work(walks, out) -> None:
+        for lo in range(walks.start, walks.stop, size):
+            seed = np.random.SeedSequence(entropy, spawn_key=(lo // size,))
+            _walk_group(n, k_max, min(size, walks.stop - lo), seed,
+                        out[0][lo // unit], lo - walks.start)
 
     acc, = workers.run(plan, work)
     for i in range(1, len(acc)):

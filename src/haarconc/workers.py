@@ -121,7 +121,7 @@ def plan(count: int, size: int, layouts: list, item_bytes: int, run: str, extra:
 
 
 def run(plan: Plan, work) -> list[np.ndarray]:
-    """Run work([item], out) for every item of `plan` into fresh arrays of
+    """Run work(item, out) for every item of `plan` into fresh arrays of
     its layouts, and return the arrays.
 
     The calling process is one of the plan's workers, and each other one is
@@ -129,19 +129,20 @@ def run(plan: Plan, work) -> list[np.ndarray]:
     gets no child (os.fork or os.pipe failed) is not started, and the others
     run its share.  Each worker claims the next unclaimed item, in index
     order, until none is left, so a slow worker runs fewer items and the run
-    waits for it at most one item.  The claims count in shared memory under
-    an fcntl.lockf lock on a memfd, which the kernel drops if its holder
-    dies.  All items write into one anonymous shared mmap; the returned
+    waits for it at most one item; a child whose parent is gone (killed)
+    claims none after its current item.  The claims count in shared memory
+    under an fcntl.lockf lock on a memfd, which the kernel drops if its
+    holder dies.  All items write into one anonymous shared mmap; the returned
     arrays are views of it, which keep it mapped while they live, and every
     run maps its own.
 
     A worker whose item fails stops claiming, and the others stop after
     their current item.  Every item below the failing one was claimed
-    before it and runs to its end, so the error of the lowest failing item
-    is raised, and a violation names the first violating replicate.  A
-    child sends its exception back pickled through a pipe; a child that
-    dies without one (killed, out of memory) or whose error cannot be
-    unpickled raises WorkerError naming the replicates of the item it held.
+    before it and runs to its end, so the error raised is that of the
+    lowest failing item.  A child sends its exception back pickled through
+    a pipe; a child that dies without one (killed, out of memory) or whose
+    error cannot be unpickled raises WorkerError naming the replicates of
+    the item it held.
     """
     items, workers = plan.items, plan.workers
     shared = mmap.mmap(-1, 8 * (2 + workers) + layout_bytes(plan.layouts))
@@ -213,12 +214,14 @@ def _claim(w: int, count: int, state, lock) -> int:
             fcntl.lockf(lock, fcntl.LOCK_UN)
 
 
-def _run_claims(w: int, items: list, work, out, state, lock) -> None:
-    """Run the items that worker w claims until none is left; an item that
+def _run_claims(w: int, items: list, work, out, state, lock, parent=None) -> None:
+    """Run the items that worker w claims until none is left, or, in a child
+    forked by the process `parent`, until that process is gone; an item that
     fails raises, with w still holding it, after it sets the failure flag."""
-    while (k := _claim(w, len(items), state, lock)) >= 0:
+    while ((parent is None or os.getppid() == parent)
+           and (k := _claim(w, len(items), state, lock)) >= 0):
         try:
-            work(items[k:k + 1], out)
+            work(items[k], out)
         except BaseException:
             state[1] = 1
             raise
@@ -226,11 +229,12 @@ def _run_claims(w: int, items: list, work, out, state, lock) -> None:
 
 
 def _fork(w: int, items: list, work, out, state, lock) -> tuple[int, int]:
-    """Fork a child that runs the claims of worker w and writes its pickled
-    exception, if any, to a pipe; returns the child's pid and the pipe's
-    read end.  Raises OSError, leaving no child, if os.pipe or os.fork
-    fails."""
+    """Fork a child that runs the claims of worker w, while the calling
+    process lives, and writes its pickled exception, if any, to a pipe;
+    returns the child's pid and the pipe's read end.  Raises OSError,
+    leaving no child, if os.pipe or os.fork fails."""
     read_fd, write_fd = os.pipe()
+    parent = os.getpid()
     try:
         pid = os.fork()
     except OSError:
@@ -242,7 +246,7 @@ def _fork(w: int, items: list, work, out, state, lock) -> tuple[int, int]:
         try:
             os.close(read_fd)
             try:
-                _run_claims(w, items, work, out, state, lock)
+                _run_claims(w, items, work, out, state, lock, parent)
                 code = 0
             except BaseException as exc:  # sent to the parent, which raises it
                 with os.fdopen(write_fd, "wb") as pipe:

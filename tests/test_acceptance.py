@@ -37,6 +37,7 @@ from haarconc.kernel import walk_operator
 from haarconc.mixing import TVCurve, exact_tv_curve, fit_decay
 
 from test_bounds import parameter_grid, partial_sum_oracle
+from test_experiments import use_workers
 from test_kernel import dense_kernel, operator_matrix
 
 
@@ -94,7 +95,6 @@ def test_criterion_2_certified_concentration(capsys):
             cfg = ExperimentConfig.from_dict(
                 {"kind": "finite-group", "n": n, "seed": 202, "replicates": 10_000}
             )
-            # Any violated certificate raises GuaranteeViolation inside.
             report = run_finite_group_experiment(cfg)
             functions = report.estimates["functions"]
             assert len(functions) >= 21
@@ -142,8 +142,11 @@ def test_criterion_4_rank_and_cdf_gap(capsys):
             {"kind": "matrix", "n": 8, "seed": 404, "replicates": 200,
              "step_check": True}
         )
-        step = run_matrix_experiment(cfg).estimates["step_check"]
-        assert step["max_rank"] <= 3
+        report = run_matrix_experiment(cfg)
+        assert report.estimates["step_check"]["max_rank"] <= 3
+        steps = [v for v in report.verdicts if v["name"].startswith("step_")]
+        assert [(v["name"], v["status"]) for v in steps] == [
+            ("step_rank_le_3", "pass"), ("step_cdf_gap_le_3_over_n", "pass")]
         assert time.perf_counter() - start < 60.0
 
 
@@ -213,8 +216,8 @@ def test_criterion_8_sampler_validity(capsys):
             assert np.array_equal(p, dense_kernel(n))
 
 
-def test_criterion_9_deterministic_reports(capsys, tmp_path):
-    with criterion(capsys, 9, "byte-identical reports across runs and thread counts"):
+def test_criterion_9_deterministic_reports(capsys, tmp_path, monkeypatch):
+    with criterion(capsys, 9, "byte-identical reports across runs and worker counts"):
         config = {
             "kind": "matrix",
             "n": 6,
@@ -226,17 +229,18 @@ def test_criterion_9_deterministic_reports(capsys, tmp_path):
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
+        # One worker twice, then the two that three usable CPUs give the
+        # run's two chunks.
         outs = [tmp_path / name for name in ("a", "b", "c")]
-        assert main(["matrix", "--config", str(cfg_path), "--out", str(outs[0]),
-                     "--threads", "1"]) == 0
-        assert main(["matrix", "--config", str(cfg_path), "--out", str(outs[1]),
-                     "--threads", "1"]) == 0
-        assert main(["matrix", "--config", str(cfg_path), "--out", str(outs[2]),
-                     "--threads", "8"]) == 0
+        for out, cpus in zip(outs, (1, 1, 3)):
+            forks = use_workers(monkeypatch, cpus)
+            assert main(["matrix", "--config", str(cfg_path), "--out", str(out)]) == 0
+            assert len(forks) == (cpus > 1)
 
         def canonical(out_dir):
             payload = json.loads((out_dir / "report.json").read_text())
-            payload["environment"].pop("runtime_seconds")
+            for key in ("runtime_seconds", "usable_cpus"):
+                payload["environment"].pop(key)
             return json.dumps(payload, sort_keys=True)
 
         base = canonical(outs[0])

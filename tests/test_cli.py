@@ -2,6 +2,7 @@
 report emission."""
 
 import dataclasses
+import itertools
 import json
 import os
 import platform
@@ -70,6 +71,38 @@ MATRIX_CFG = {
     "x_grid": [0.0, 0.5],
     "t_grid": [0.05, 0.1],
 }
+FINITE_GROUP_CFG = {"kind": "finite-group", "n": 4, "seed": 1, "replicates": 1500, "k_max": 80}
+
+
+def plant_at(monkeypatch, name: str, index: int, change) -> None:
+    """Pass the result of call `index` (from 0) of experiments.`name`
+    through change(result); the other calls run as they are."""
+    real, calls = getattr(experiments, name), itertools.count()
+
+    def planted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return change(result) if next(calls) == index else result
+
+    monkeypatch.setattr(experiments, name, planted)
+
+
+def failed_exact_verdict(tmp_path, capsys, argv: list, config, name: str) -> dict:
+    """Run one command, which must exit 2 with the exact verdict `name` as
+    its one failed verdict: named on stderr, written in the report and
+    counted on the summary line.  Returns that verdict as written."""
+    out_dir = tmp_path / "out"
+    if config is not None:
+        argv = [*argv, "--config", write_config(tmp_path, "cfg.json", config)]
+    assert main([*argv, "--out", str(out_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"failed verdicts: {name}\n"
+    verdicts = load_report(out_dir)["verdicts"]
+    assert [v["name"] for v in verdicts if v["status"] == "fail"] == [name]
+    counts = [sum(v["status"] == s for v in verdicts) for s in ("pass", "fail", "inconclusive")]
+    assert out.splitlines()[-1] == "{} pass / {} fail / {} inconclusive".format(*counts)
+    verdict, = (v for v in verdicts if v["name"] == name)
+    assert verdict["policy"] == "exact"
+    return verdict
 
 
 class TestParseConfig:
@@ -428,6 +461,25 @@ class TestExperimentCommands:
         assert payload["config_echo"]["seed"] == 99
         assert payload["config_echo"]["replicates"] == 37
 
+    def test_replicate_override_applies_before_the_budget(self, tmp_path, capsys):
+        # The file alone asks for 10^8 replicates, above the memory budget.
+        path = write_config(tmp_path, "big.json", {**MATRIX_CFG, "replicates": 10**8})
+        out_dir = tmp_path / "small"
+        assert main(["matrix", "--config", path, "--out", str(out_dir),
+                     "--replicates", "10"]) == 0
+        assert load_report(out_dir)["config_echo"]["replicates"] == 10
+
+    def test_seed_override_fills_a_missing_seed(self, tmp_path, capsys):
+        unseeded = {key: value for key, value in MATRIX_CFG.items() if key != "seed"}
+        path = write_config(tmp_path, "unseeded.json", unseeded)
+        seeded, want = tmp_path / "seeded", tmp_path / "want"
+        assert main(["matrix", "--config", path, "--out", str(seeded), "--seed", "3"]) == 0
+        assert main(["matrix", "--config", write_config(tmp_path, "cfg.json", MATRIX_CFG),
+                     "--out", str(want)]) == 0
+        assert report_without_runtime(seeded) == report_without_runtime(want)
+        assert main(["matrix", "--config", path, "--out", str(tmp_path / "none")]) == 1
+        assert "missing required config key 'seed'" in capsys.readouterr().err
+
     def test_statistical_failure_exits_two(self, tmp_path, capsys):
         path = write_config(tmp_path, "cfg.json",
                             {**MATRIX_CFG, "x_grid": [0.5], "kappa": 1e-8})
@@ -441,12 +493,38 @@ class TestExperimentCommands:
         assert (out_dir / "report.json").exists()
 
     def test_hard_violation_exits_two(self, tmp_path, capsys, monkeypatch):
-        path = write_config(tmp_path, "cfg.json",
-                            {**MATRIX_CFG, "replicates": 5, "step_check": True})
-        monkeypatch.setattr(experiments, "_hermitian_rank", lambda *a, **k: 7)
-        code = main(["matrix", "--config", path, "--out", str(tmp_path / "hv")])
-        assert code == 2
-        assert "hard assertion failed" in capsys.readouterr().err
+        # The step of replicate 2 of 5 (one chunk) has rank 7.
+        plant_at(monkeypatch, "_hermitian_rank", 0,
+                 lambda ranks: np.where(np.arange(len(ranks)) == 2, 7, ranks))
+        verdict = failed_exact_verdict(tmp_path, capsys, ["matrix"],
+                                       {**MATRIX_CFG, "replicates": 5, "step_check": True},
+                                       "step_rank_le_3")
+        assert verdict["observed"] == 7.0
+        assert verdict["first_violation"] == {"replicate": 2}
+
+    @pytest.mark.parametrize("argv, config, name, call, change, verdict, first", [
+        # The CDF gap of replicate 3 of 5 (one chunk) is 1.
+        (["matrix"], {**MATRIX_CFG, "replicates": 5, "step_check": True},
+         "sup_cdf_distance", 0, lambda gaps: np.where(np.arange(len(gaps)) == 3, 1.0, gaps),
+         "step_cdf_gap_le_3_over_n", {"replicate": 3}),
+        # C/2 of the third function, random_1, shrinks a millionfold.
+        (["finite-group"], FINITE_GROUP_CFG, "concentration_constant", 2,
+         lambda result: dataclasses.replace(result, variance_bound=result.variance_bound / 1e6),
+         "variance_le_half_constant", {"f": "random_1"}),
+        # The eighth tail bound, random_0's at its third t, is -1.
+        (["finite-group"], FINITE_GROUP_CFG, "tail_bound", 7, lambda bound: -1.0,
+         "tails_le_bound", {"f": "random_0", "t": 0.2}),
+        # The variance residual of function 3 grows by 1e-6.
+        (["identity-suite"], {"kind": "identity-suite", "n": 3, "seed": 7, "replicates": 5},
+         "check_identities", 3,
+         lambda r: dataclasses.replace(r, variance_residual=r.variance_residual + 1e-6),
+         "identity_residuals", {"f_index": 3}),
+    ], ids=["step-gap", "finite-group-variance", "finite-group-tails", "identity-residuals"])
+    def test_planted_defect_fails_its_exact_verdict(self, tmp_path, capsys, monkeypatch, argv,
+                                                    config, name, call, change, verdict, first):
+        plant_at(monkeypatch, name, call, change)
+        written = failed_exact_verdict(tmp_path, capsys, argv, config, verdict)
+        assert written["first_violation"] == first
 
 
 class TestMixingCurveCommand:
@@ -628,12 +706,17 @@ class TestSharedReportPath:
             return dataclasses.replace(fit, a=float(np.exp(intercept)))
 
         monkeypatch.setattr(experiments, "fit_decay", uninflated)
-        out_dir = tmp_path / "sn"
-        assert main(["mixing-curve", "--group", "sn", "--n", "6", "--out", str(out_dir)]) == 2
-        assert "envelope_dominates_certified_range" in capsys.readouterr().err
-        (verdict,) = load_report(out_dir)["verdicts"]
-        assert verdict["status"] == "fail"
+        verdict = failed_exact_verdict(tmp_path, capsys, ["mixing-curve", "--group", "sn",
+                                                          "--n", "6"], None,
+                                       "envelope_dominates_certified_range")
         assert verdict["observed"] > 1.0 + experiments.FLOAT_SLACK
+        # The first k of the certified range that the envelope misses.
+        envelope = load_report(tmp_path / "out")["bounds"]["envelope"]
+        rows = (tmp_path / "out" / "mixing_curve.csv").read_text().splitlines()[1:]
+        missed = [k for k, value in (map(float, row.split(",")) for row in rows)
+                  if value > mixing.FIT_FLOOR
+                  and value * np.exp(envelope["b"] * k) / envelope["a"] > 1.0 + 1e-12]
+        assert verdict["first_violation"] == {"k": int(missed[0])}
 
     @pytest.mark.parametrize("runner, argv", [
         ("run_bound_calc", ["bound-calc", "--A", "1", "--B", "1", "--a", "1", "--b", "1"]),

@@ -1,4 +1,4 @@
-"""Tests for experiment configs, pipelines, hard guarantees, and
+"""Tests for experiment configs, pipelines, exact verdicts, and
 reproducibility of the reports."""
 
 import contextlib
@@ -9,19 +9,22 @@ import math
 import mmap
 import os
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import haarconc
 from haarconc import experiments
 from haarconc.experiments import (
     ExperimentConfig,
     ExperimentReport,
-    GuaranteeViolation,
     child_rng,
     resolve_spectrum,
     run_experiment,
@@ -344,18 +347,36 @@ class TestReflectionStepExperiment:
             assert [v["name"] for v in report.verdicts[-2:]] == [
                 "step_rank_le_3", "step_cdf_gap_le_3_over_n"]
             assert {v["status"] for v in report.verdicts[-2:]} == {"pass"}
+            assert not any("first_violation" in v for v in report.verdicts)
 
-    def test_rank_violation_raises(self, monkeypatch):
-        cfg = matrix_config(n=4, replicates=3, step_check=True)
-        monkeypatch.setattr(experiments, "_hermitian_rank", lambda *a, **k: 5)
-        with pytest.raises(GuaranteeViolation, match="rank"):
-            run_matrix_experiment(cfg)
+    # One chunk of four replicates, whose rank or gap is planted at
+    # replicates 1 and 3 only: the verdict fails and names replicate 1.
 
-    def test_gap_violation_raises(self, monkeypatch):
-        cfg = matrix_config(n=4, replicates=3, step_check=True)
-        monkeypatch.setattr(experiments, "sup_cdf_distance", lambda *a, **k: 1.0)
-        with pytest.raises(GuaranteeViolation, match="gap"):
-            run_matrix_experiment(cfg)
+    def test_rank_violation_fails_the_verdict(self, monkeypatch):
+        cfg = matrix_config(n=4, replicates=4, step_check=True)
+        real = experiments._hermitian_rank
+        monkeypatch.setattr(experiments, "_hermitian_rank",
+                            lambda d: np.where(np.arange(len(d)) % 2, 5, real(d)))
+        report = run_matrix_experiment(cfg)
+        rank, gap = report.verdicts[-2:]
+        assert rank == {"name": "step_rank_le_3", "status": "fail", "observed": 5.0,
+                        "threshold": 3.0, "policy": "exact",
+                        "first_violation": {"replicate": 1}}
+        assert gap["status"] == "pass" and "first_violation" not in gap
+        assert report.has_failure()
+
+    def test_gap_violation_fails_the_verdict(self, monkeypatch):
+        cfg = matrix_config(n=4, replicates=4, step_check=True)
+        real = experiments.sup_cdf_distance
+        monkeypatch.setattr(experiments, "sup_cdf_distance",
+                            lambda a, b: np.where(np.arange(len(a)) % 2, 1.0, real(a, b)))
+        report = run_matrix_experiment(cfg)
+        rank, gap = report.verdicts[-2:]
+        assert gap == {"name": "step_cdf_gap_le_3_over_n", "status": "fail", "observed": 1.0,
+                       "threshold": 0.75 + 1e-12, "policy": "exact",
+                       "first_violation": {"replicate": 1}}
+        assert rank["status"] == "pass" and "first_violation" not in rank
+        assert report.has_failure()
 
     def test_merged_into_matrix_report(self):
         cfg = matrix_config(n=4, replicates=60, step_check=True)
@@ -469,14 +490,22 @@ class TestChunkedEngine:
             assert step["max_rank"] == max(want_ranks[:reps])
             assert step["max_cdf_gap"] == max(want_gaps[:reps])
 
+    @pytest.mark.usefixtures("worker_time_limit")
     def test_violation_names_the_global_replicate(self, monkeypatch):
+        # Defects in the second and third chunks: the verdict names the
+        # first, by its index in the run, on any worker count.
         n = 7
         chunk = experiments.chunk_size(n)
         target = chunk + 2
-        plant_step_defects(monkeypatch, [target])
+        plant_step_defects(monkeypatch, [target, 2 * chunk + 1])
         cfg = matrix_config(n=n, replicates=2 * chunk + 5, step_check=True)
-        with pytest.raises(GuaranteeViolation, match=f"at replicate {target} "):
-            run_matrix_experiment(cfg)
+        for count in (1, 2, 3):
+            forks = use_workers(monkeypatch, count)
+            rank = run_matrix_experiment(cfg).verdicts[-2]
+            assert len(forks) == count - 1
+            assert rank["name"] == "step_rank_le_3"
+            assert rank["status"] == "fail"
+            assert rank["first_violation"] == {"replicate": target}
 
     def test_step_check_reuses_the_replicate_draws(self, monkeypatch):
         # One generator per replicate and one Haar stack per factor and
@@ -511,10 +540,10 @@ class TestChunkedEngine:
         real = experiments._check_steps
         expected = []
 
-        def check_both_paths(h_red, eig_red, w, y, diag_n, rows):
+        def check_both_paths(h_red, eig_red, w, y, diag_n):
             h_prime = conjugate_stack(y, w) + diag_n
             expected.append(_hermitian_rank(hermitian_parts(h_red) - hermitian_parts(h_prime)))
-            return real(h_red, eig_red, w, y, diag_n, rows)
+            return real(h_red, eig_red, w, y, diag_n)
 
         monkeypatch.setattr(experiments, "_check_steps", check_both_paths)
         monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
@@ -543,22 +572,36 @@ class TestChunkedEngine:
         assert calls[0] == 4 * chunks
 
 
+def on_each_item(monkeypatch, before) -> None:
+    """Call before(item) ahead of each item of every workers.run, in the
+    worker process that runs the item."""
+    real_run = workers.run
+
+    def run(plan, work):
+        def each(item, out):
+            before(item)
+            work(item, out)
+        return real_run(plan, each)
+
+    monkeypatch.setattr(workers, "run", run)
+
+
 def plant_step_defects(monkeypatch, targets) -> None:
     """Give each target replicate a step by a Haar unitary in place of its
-    reflection, so H - H' has full rank.  The plant is keyed on the global
-    rows that _check_steps receives, so it fires in whichever worker process
-    runs the replicate."""
-    real = experiments._check_steps
+    reflection, so H - H' has full rank.  The plant replaces the reflections
+    that a chunk draws, keyed on the chunk's replicates, so it fires in
+    whichever worker process runs the replicate."""
+    held, real = [], experiments.reflection_matrices
 
-    def check(h_red, eig_red, w, y, diag_n, rows):
-        y = y.copy()
-        for r in targets:
-            if r in rows:
-                y[rows.index(r)] = sample_haar_unitary(
-                    h_red.shape[-1], np.random.default_rng(r))
-        return real(h_red, eig_red, w, y, diag_n, rows)
+    def planted(u, phi):
+        y = real(u, phi)
+        for i, r in enumerate(held[-1]):
+            if r in targets:
+                y[i] = sample_haar_unitary(u.shape[-1], np.random.default_rng(r))
+        return y
 
-    monkeypatch.setattr(experiments, "_check_steps", check)
+    on_each_item(monkeypatch, held.append)
+    monkeypatch.setattr(experiments, "reflection_matrices", planted)
 
 
 class Unrebuildable(Exception):
@@ -632,6 +675,39 @@ def wait_for_a_child(log, parent: int) -> None:
         time.sleep(0.001)
 
 
+# A run of two workers over 600 items of 0.2 s each, whose items log the pid
+# of the worker that runs them to the file named by the first argument.
+SLOW_RUN = """
+import os, sys, time
+import numpy as np
+from haarconc import workers
+
+def work(rows, out):
+    fd = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o600)
+    try:
+        os.write(fd, f"{os.getpid()}\\n".encode())
+    finally:
+        os.close(fd)
+    time.sleep(0.2)
+
+workers.run(workers.Plan(workers.ranges(600, 1), 2, [((600,), np.float64)], 0), work)
+"""
+
+
+def logged_pids(path) -> set:
+    """The pids that SLOW_RUN's items logged at `path`."""
+    return set(map(int, path.read_text().split())) if path.exists() else set()
+
+
+def is_running(pid: int) -> bool:
+    """Whether process `pid` exists and is not a zombie waiting to be reaped."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
 @pytest.fixture
 def worker_time_limit():
     """Fail a test whose worker processes run past 60 s: a child that never
@@ -676,16 +752,7 @@ class TestWorkerProcesses:
         # twice, as by two overlapping slices, writes the same rows again, so
         # no result shows it; this record does.
         log = tmp_path / "chunks"
-        real_run = workers.run
-
-        def recorded_run(plan, work):
-            def recorded_work(chunks, out):
-                for rows in chunks:
-                    record_range(log, rows)
-                work(chunks, out)
-            return real_run(plan, recorded_work)
-
-        monkeypatch.setattr(workers, "run", recorded_run)
+        on_each_item(monkeypatch, lambda rows: record_range(log, rows))
         forks = use_workers(monkeypatch, cpus)
         n = 7
         cfg = matrix_config(n=n, replicates=5 * experiments.chunk_size(n) + 3)
@@ -713,14 +780,13 @@ class TestWorkerProcesses:
         layouts = [((6,), np.float64), ((6,), np.dtype(int))]
 
         def fill(offset):
-            def work(part, out):
-                for rows in part:
-                    out[0][rows.start:rows.stop] = offset + np.arange(rows.start, rows.stop)
-                    out[1][rows.start:rows.stop] = os.getpid()
-                    # Two items: each worker holds its first until the other
-                    # has written, so the parent and the child write one each.
-                    while not np.any((out[1] > 0) & (out[1] != os.getpid())):
-                        time.sleep(0.001)
+            def work(rows, out):
+                out[0][rows.start:rows.stop] = offset + np.arange(rows.start, rows.stop)
+                out[1][rows.start:rows.stop] = os.getpid()
+                # Two items: each worker holds its first until the other has
+                # written, so the parent and the child write one each.
+                while not np.any((out[1] > 0) & (out[1] != os.getpid())):
+                    time.sleep(0.001)
             return work
 
         plan = workers.plan(6, 3, layouts, 1, "a test run")
@@ -842,26 +908,26 @@ class TestWorkerProcesses:
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
         log = tmp_path / "chunks"
-        real = experiments._check_steps
-
-        def recorded(h_red, eig_red, w, y, diag_n, rows):
-            record_range(log, rows)
-            return real(h_red, eig_red, w, y, diag_n, rows)
-
-        monkeypatch.setattr(experiments, "_check_steps", recorded)
+        on_each_item(monkeypatch, lambda rows: record_range(log, rows))
         monkeypatch.setattr(os, "fork", fork_once)
         got = sample_spectral_cdfs(cfg, cfg.n)
         assert len(forks) == 1
         assert recorded_items(log) == list(range(cfg.replicates))
         for a, b in zip((*got[:2], *got[2]), (*want[:2], *want[2])):
             assert np.array_equal(a, b)
-        # The lowest violation wins whichever worker runs it, and with no
-        # child at all the calling process claims every chunk in order.
-        plant_step_defects(monkeypatch, [chunk + 1, 2 * chunk + 1])
+        # The error of the lowest failing chunk wins whichever worker runs
+        # it, and with no child at all the calling process claims every
+        # chunk in order.
+
+        def fail_after_the_first(rows):
+            if rows.start > 0:
+                raise ValueError(f"chunk at {rows.start}")
+
+        on_each_item(monkeypatch, fail_after_the_first)
         for fork in (fork_once, no_fork):
             forks.clear()
             monkeypatch.setattr(os, "fork", fork)
-            with pytest.raises(GuaranteeViolation, match=f"at replicate {chunk + 1} "):
+            with pytest.raises(ValueError, match=f"^chunk at {chunk}$"):
                 sample_spectral_cdfs(cfg, cfg.n)
 
     def test_unreadable_error_raises_and_reaps_every_child(self, monkeypatch, tmp_path):
@@ -871,17 +937,15 @@ class TestWorkerProcesses:
         n = 7
         chunk = experiments.chunk_size(n)
         parent, log = os.getpid(), tmp_path / "chunks"
-        real = experiments._check_steps
 
-        def unreadable_in_children(h_red, eig_red, w, y, diag_n, rows):
+        def unreadable_in_children(rows):
             if os.getpid() != parent:
                 record_range(log, rows)
                 raise Unrebuildable("cannot", "unpickle")
             wait_for_a_child(log, parent)
-            return real(h_red, eig_red, w, y, diag_n, rows)
 
         forks = use_workers(monkeypatch, 3)
-        monkeypatch.setattr(experiments, "_check_steps", unreadable_in_children)
+        on_each_item(monkeypatch, unreadable_in_children)
         cfg = matrix_config(n=n, replicates=2 * chunk + 5, step_check=True)
         with pytest.raises(workers.WorkerError,
                            match=r"replicates (\d+)\.\.(\d+) sent an error that could not be "
@@ -895,60 +959,54 @@ class TestWorkerProcesses:
 
     @pytest.mark.parametrize("count", [2, 3])
     def test_violation_in_a_child_names_its_replicate(self, count, monkeypatch, tmp_path):
-        # A child's step check fails at the second replicate of each chunk
-        # it runs, and the parent waits until one has: the violation comes
-        # back through the pipe and names that replicate of the lowest such
-        # chunk.
+        # The step fails at the second replicate of every chunk.  With
+        # `count` workers the parent holds its first chunk until a child
+        # has run one, so children run chunks: their defects reach the
+        # shared ranks, and the verdict names replicate 1, as on one worker.
         n = 7
         chunk = experiments.chunk_size(n)
-        parent, log = os.getpid(), tmp_path / "chunks"
-        real = experiments._check_steps
-
-        def violate_in_children(h_red, eig_red, w, y, diag_n, rows):
-            if os.getpid() == parent:
-                wait_for_a_child(log, parent)
-                return real(h_red, eig_red, w, y, diag_n, rows)
-            record_range(log, rows)
-            y = y.copy()
-            y[1] = sample_haar_unitary(n, np.random.default_rng(rows[1]))
-            return real(h_red, eig_red, w, y, diag_n, rows)
-
-        forks = use_workers(monkeypatch, count)
-        monkeypatch.setattr(experiments, "_check_steps", violate_in_children)
         cfg = matrix_config(n=n, replicates=2 * chunk + 5, step_check=True)
-        with pytest.raises(GuaranteeViolation) as raised:
-            sample_spectral_cdfs(cfg, cfg.n)
-        first = min(recorded_ranges(log), key=lambda rows: rows.start)
-        assert f"at replicate {first.start + 1} " in str(raised.value)
-        assert len(forks) == count - 1
+        targets = list(range(1, cfg.replicates, chunk))
+        parent, log = os.getpid(), tmp_path / "chunks"
+        plant_step_defects(monkeypatch, targets)
 
-    def test_lowest_failing_item_wins_over_the_first_to_fail(self, monkeypatch, tmp_path):
-        # One replicate per chunk at n = 64.  Replicate 3 fails 0.5 s after
-        # its chunk starts, replicate 4 at once: the worker that is not
-        # held by replicate 3 claims replicate 4 and fails first, yet the
-        # lower replicate is the one named.
-        n, reps = 64, 24
-        assert experiments.chunk_size(n) == 1
+        def child_runs_first(rows):
+            if os.getpid() != parent:
+                record_range(log, rows)
+            elif forks:
+                wait_for_a_child(log, parent)
+
+        on_each_item(monkeypatch, child_runs_first)
+        verdicts = []
+        for workers_count in (1, count):
+            forks = use_workers(monkeypatch, workers_count)
+            _, _, (ranks, _) = sample_spectral_cdfs(cfg, cfg.n)
+            assert np.flatnonzero(ranks > 3).tolist() == targets
+            verdicts.append(run_matrix_experiment(cfg).verdicts[-2])
+            assert len(forks) == 2 * (workers_count - 1)
+        assert recorded_ranges(log)
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0]["status"] == "fail"
+        assert verdicts[0]["first_violation"] == {"replicate": 1}
+
+    def test_lowest_failing_item_wins_over_the_first_to_fail(self, tmp_path):
+        # Two workers over 24 one-replicate items.  Item 3 fails 0.5 s after
+        # it starts, item 4 at once: the worker that is not held by item 3
+        # claims item 4 and fails first, yet the lower item's error is the
+        # one raised.
+        plan = workers.Plan(workers.ranges(24, 1), 2, [((24,), np.float64)], 0)
         log = tmp_path / "failures"
-        forks = use_workers(monkeypatch, 2)
-        plant_step_defects(monkeypatch, [3, 4])
-        planted = experiments._check_steps
 
-        def check(h_red, eig_red, w, y, diag_n, rows):
+        def work(rows, out):
             if rows.start == 3:
                 time.sleep(0.5)
-            try:
-                return planted(h_red, eig_red, w, y, diag_n, rows)
-            except GuaranteeViolation:
+            if rows.start in (3, 4):
                 record_range(log, rows)
-                raise
+                raise ValueError(f"item {rows.start}")
 
-        monkeypatch.setattr(experiments, "_check_steps", check)
-        cfg = matrix_config(n=n, replicates=reps, step_check=True)
-        with pytest.raises(GuaranteeViolation, match="at replicate 3 "):
-            sample_spectral_cdfs(cfg, cfg.n)
+        with pytest.raises(ValueError, match="^item 3$"):
+            workers.run(plan, work)
         assert [rows.start for rows in recorded_ranges(log)] == [4, 3]
-        assert len(forks) == 1
 
     def test_dead_child_raises(self, monkeypatch, tmp_path):
         # The child dies in its first chunk, which the parent waits for: the
@@ -956,17 +1014,15 @@ class TestWorkerProcesses:
         n = 7
         chunk = experiments.chunk_size(n)
         parent, log = os.getpid(), tmp_path / "chunks"
-        real = experiments._check_steps
 
-        def die_in_child(h_red, eig_red, w, y, diag_n, rows):
+        def die_in_child(rows):
             if os.getpid() != parent:
                 record_range(log, rows)
                 os._exit(3)
             wait_for_a_child(log, parent)
-            return real(h_red, eig_red, w, y, diag_n, rows)
 
         use_workers(monkeypatch, 2)
-        monkeypatch.setattr(experiments, "_check_steps", die_in_child)
+        on_each_item(monkeypatch, die_in_child)
         cfg = matrix_config(n=n, replicates=2 * chunk + 5, step_check=True)
         with pytest.raises(workers.WorkerError) as raised:
             sample_spectral_cdfs(cfg, cfg.n)
@@ -982,12 +1038,11 @@ class TestWorkerProcesses:
         plan = workers.Plan(workers.ranges(30, 1), 2, [((30,), np.float64)], 0)
         parent, failed, ran = os.getpid(), tmp_path / "failed", tmp_path / "ran"
 
-        def work(part, out):
-            for rows in part:
-                if os.getpid() != parent:
-                    raise LoggedOnPickling(failed, rows)
-                wait_for_a_child(failed, parent)
-                record_range(ran, rows)
+        def work(rows, out):
+            if os.getpid() != parent:
+                raise LoggedOnPickling(failed, rows)
+            wait_for_a_child(failed, parent)
+            record_range(ran, rows)
 
         with pytest.raises(LoggedOnPickling) as raised:
             workers.run(plan, work)
@@ -1003,11 +1058,10 @@ class TestWorkerProcesses:
         plan = workers.Plan(workers.ranges(40, 1), 2, [((40,), np.dtype(int))], 0)
         parent = os.getpid()
 
-        def work(part, out):
-            for rows in part:
-                if os.getpid() != parent:
-                    time.sleep(0.2)
-                out[0][rows.start:rows.stop] = os.getpid()
+        def work(rows, out):
+            if os.getpid() != parent:
+                time.sleep(0.2)
+            out[0][rows.start:rows.stop] = os.getpid()
 
         pids, = workers.run(plan, work)
         assert np.count_nonzero(pids == parent) >= 38
@@ -1031,9 +1085,8 @@ class TestWorkerProcesses:
             pids.append(real_fork())
             return pids[-1]
 
-        def work(part, out):
-            for rows in part:
-                out[0][rows.start:rows.stop] = 1.0
+        def work(rows, out):
+            out[0][rows.start:rows.stop] = 1.0
 
         def expire(signum, frame):
             for pid in pids:
@@ -1056,6 +1109,36 @@ class TestWorkerProcesses:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_killed_run_leaves_no_worker_running(self, tmp_path):
+        # SLOW_RUN is killed once its child has logged an item.  The child
+        # finds its parent gone after its current item and claims no other,
+        # so it is gone within five item times, not the minute that the
+        # items left would take it.  Every logged pid is killed at the end.
+        log = tmp_path / "pids"
+        src = str(Path(haarconc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.Popen([sys.executable, "-c", SLOW_RUN, str(log)], env=env)
+        try:
+            deadline = time.monotonic() + 30
+            while not logged_pids(log) - {run.pid}:
+                assert time.monotonic() < deadline, "no forked worker logged an item in 30 s"
+                time.sleep(0.01)
+            run.kill()
+            run.wait()
+            child, = logged_pids(log) - {run.pid}
+            deadline = time.monotonic() + 1.0
+            while is_running(child):
+                assert time.monotonic() < deadline, "the worker outlived its run by 1 s"
+                time.sleep(0.01)
+        finally:
+            run.kill()
+            run.wait()
+            for pid in logged_pids(log):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+
     def test_runs_leave_no_descriptor_or_child_behind(self):
         # 50 runs of three workers, every other one failing in some worker:
         # afterwards no pipe or memfd is left open and no child unreaped.
@@ -1063,11 +1146,10 @@ class TestWorkerProcesses:
         before = sorted(os.listdir("/proc/self/fd"))
 
         def work_failing_at(bad):
-            def work(part, out):
-                for rows in part:
-                    if rows.start == bad:
-                        raise ValueError(f"item {bad}")
-                    out[0][rows.start:rows.stop] = rows.start
+            def work(rows, out):
+                if rows.start == bad:
+                    raise ValueError(f"item {bad}")
+                out[0][rows.start:rows.stop] = rows.start
             return work
 
         for i in range(50):
