@@ -21,7 +21,9 @@ the worker count.  Every check is a verdict that the report records,
 failed or not: an exact check by _exact_verdict, which fails on any value
 that breaks its limit and names the first, a statistical comparison by
 _estimate_verdict under one 4-standard-error rule.  The reports of all six
-CLI commands are assembled here.
+CLI commands are assembled here, and every config is parsed and echoed by
+one key table, _KEYS, which gives per key the default of each kind that
+takes it, or "required", and the key's parser.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import __version__, workers
 from .bounds import BoundInputs, concentration_constant, esd_bounds, tail_bound
-from .groups import haar_unitaries, reflection_matrices, sample_reflection_step
+from .groups import complex_ginibre, haar_unitaries, reflection_matrices, sample_reflection_step
 from .hermitian import _hermitian_rank, cdf_counts, conjugate_stack, sup_cdf_distance
 from .kernel import MAX_DEGREE, check_identities, step_seminorm, walk_operator
 from .mixing import (
@@ -66,30 +68,10 @@ FINITE_GROUP_REPLICATE_BYTES = 16
 
 
 _KINDS = ("matrix", "finite-group", "identity-suite", "scaling")
-
-_ALLOWED_KEYS = {
-    "matrix": ("kind", "n", "spectrum_M", "spectrum_N", "x_grid", "replicates",
-               "seed", "kappa", "t_grid", "step_check"),
-    "scaling": ("kind", "n_grid", "spectrum_M", "spectrum_N", "x_grid", "replicates",
-                "seed", "kappa", "t_grid"),
-    "finite-group": ("kind", "n", "replicates", "seed", "t_grid", "k_max"),
-    "identity-suite": ("kind", "n", "replicates", "seed"),
-}
-_ALL_KEYS = frozenset(k for keys in _ALLOWED_KEYS.values() for k in keys)
-
 _SPECTRUM_NAMES = ("two_point", "uniform_grid", "zero")
-_DEFAULT_X_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
-_DEFAULT_T_GRID = {
-    "matrix": (0.005, 0.01, 0.02, 0.05, 0.1),
-    "scaling": (0.005, 0.01, 0.02, 0.05, 0.1),
-    "finite-group": (0.05, 0.1, 0.2, 0.4, 0.8),
-}
-_DEFAULT_REPLICATES = {
-    "matrix": 1000,
-    "scaling": 1000,
-    "finite-group": 10000,
-    "identity-suite": 50,
-}
+# The least n with an S_n envelope: for n <= 2 the lazy walk is uniform
+# after at most one step, so there is no decay to fit.
+MIN_ENVELOPE_DEGREE = 3
 
 
 def child_rng(master_seed: int, label: str, index: int) -> np.random.Generator:
@@ -122,8 +104,7 @@ def _require_int(value, key: str, minimum: int, maximum: Optional[int] = None) -
     return value
 
 
-def _require_float_list(data: dict, key: str, minimum: Optional[float] = None) -> tuple[float, ...]:
-    value = data[key]
+def _require_float_list(value, key: str, minimum: Optional[float] = None) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or len(value) == 0:
         raise ValueError(f"config key '{key}' must be a nonempty array of numbers")
     out = []
@@ -139,28 +120,93 @@ def _require_float_list(data: dict, key: str, minimum: Optional[float] = None) -
     return tuple(out)
 
 
-def _parse_spectrum(data: dict, key: str, kind: str, n: Optional[int]):
-    value = data.get(key, "two_point")
+def _parse_n(value, key: str, fields: dict) -> int:
+    kind = fields["kind"]  # the memory plan is the only cap of a matrix run's n
+    least = MIN_ENVELOPE_DEGREE if kind == "finite-group" else 2
+    return _require_int(value, key, least, None if kind == "matrix" else MAX_DEGREE)
+
+
+def _parse_n_grid(value, key: str, fields: dict) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)) or len(value) == 0:
+        raise ValueError(f"config key '{key}' must be a nonempty array of integers")
+    return tuple(_require_int(item, key, 2) for item in value)
+
+
+def _parse_spectrum(value, key: str, fields: dict):
     if isinstance(value, str):
         if value not in _SPECTRUM_NAMES:
             raise ValueError(
                 f"config key '{key}' must be one of {list(_SPECTRUM_NAMES)} or an explicit array"
             )
         return value
-    if kind == "scaling":
+    if fields["kind"] == "scaling":
         raise ValueError(
             f"config key '{key}' must be a generator name for kind 'scaling' "
             "(an explicit list cannot match every n in n_grid)"
         )
-    spectrum = _require_float_list(data, key)
+    spectrum, n = _require_float_list(value, key), fields["n"]
     if len(spectrum) != n:
         raise ValueError(f"config key '{key}' must have length n={n} (got {len(spectrum)})")
     return spectrum
 
 
+def _parse_kappa(value, key: str, fields: dict) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"config key '{key}' must be a positive number")
+    value = float(value)
+    if not 0 < value < math.inf:
+        raise ValueError(f"config key '{key}' must be a positive finite number (got {value})")
+    return value
+
+
+def _parse_bool(value, key: str, fields: dict) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"config key '{key}' must be a boolean")
+    return value
+
+
+def _int_from(minimum: int):
+    return lambda value, key, fields: _require_int(value, key, minimum)
+
+
+def _numbers_from(minimum: Optional[float]):
+    return lambda value, key, fields: _require_float_list(value, key, minimum)
+
+
+REQUIRED, ABSENT = "required", "-"
+_X_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
+_UN_T_GRID = (0.005, 0.01, 0.02, 0.05, 0.1)
+_SN_T_GRID = (0.05, 0.1, 0.2, 0.4, 0.8)
+
+# The config rules, as in the README's "Config keys by kind": every key but
+# `kind`, in the order from_dict parses them, with one cell per kind of _KINDS,
+# REQUIRED, ABSENT or the default (a callable of the keys parsed before), and
+# the key's parser of (value, key, the keys parsed before).
+_KEYS = {
+    #              matrix       finite-group  identity-suite  scaling
+    "seed":       (REQUIRED,    REQUIRED,     REQUIRED,       REQUIRED,    _int_from(0)),
+    "replicates": (1000,        10000,        50,             1000,        _int_from(1)),
+    "n_grid":     (ABSENT,      ABSENT,       ABSENT,         REQUIRED,    _parse_n_grid),
+    "n":          (REQUIRED,    REQUIRED,     REQUIRED,       ABSENT,      _parse_n),
+    "spectrum_M": ("two_point", ABSENT,       ABSENT,         "two_point", _parse_spectrum),
+    "spectrum_N": ("two_point", ABSENT,       ABSENT,         "two_point", _parse_spectrum),
+    "x_grid":     (_X_GRID,     ABSENT,       ABSENT,         _X_GRID,     _numbers_from(None)),
+    "kappa":      (1.0,         ABSENT,       ABSENT,         1.0,         _parse_kappa),
+    "t_grid":     (_UN_T_GRID,  _SN_T_GRID,   ABSENT,         _UN_T_GRID,  _numbers_from(0.0)),
+    "step_check": (False,       ABSENT,       ABSENT,         ABSENT,      _parse_bool),
+    "k_max":      (ABSENT,      lambda fields: 25 * fields["n"], ABSENT, ABSENT, _int_from(1)),
+}
+
+
+# {key: (default, parser)} of the keys of _KEYS that each kind takes.
+_TAKEN = {kind: {key: (row[i], row[-1]) for key, row in _KEYS.items() if row[i] != ABSENT}
+          for i, kind in enumerate(_KINDS)}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated, canonicalized experiment configuration.
+    """Validated, canonicalized experiment configuration; from_dict parses
+    it and to_dict writes it by the one key table, _KEYS.
 
     Spectra are either a generator name ("two_point" | "uniform_grid" |
     "zero") or an explicit tuple of finite eigenvalues.
@@ -184,69 +230,23 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
         for key in data:
-            if key not in _ALL_KEYS:
+            if key != "kind" and key not in _KEYS:
                 raise ValueError(f"unknown config key '{key}'")
         kind = data.get("kind")
         if kind not in _KINDS:
             raise ValueError(f"config key 'kind' must be one of {list(_KINDS)} (got {kind!r})")
-        allowed = _ALLOWED_KEYS[kind]
         for key in data:
-            if key not in allowed:
+            if key != "kind" and key not in _TAKEN[kind]:
                 raise ValueError(f"config key '{key}' is not allowed for kind '{kind}'")
-        if "seed" not in data:
-            raise ValueError("missing required config key 'seed' (no ambient randomness)")
-        seed = _require_int(data["seed"], "seed", 0)
-
-        fields: dict = {"kind": kind, "seed": seed}
-        if "replicates" in data:
-            fields["replicates"] = _require_int(data["replicates"], "replicates", 1)
-        else:
-            fields["replicates"] = _DEFAULT_REPLICATES[kind]
-
-        if kind == "scaling":
-            if "n_grid" not in data:
-                raise ValueError("missing required config key 'n_grid' for kind 'scaling'")
-            grid = data["n_grid"]
-            if not isinstance(grid, (list, tuple)) or len(grid) == 0:
-                raise ValueError("config key 'n_grid' must be a nonempty array of integers")
-            fields["n_grid"] = tuple(_require_int(item, "n_grid", 2) for item in grid)
-        else:
-            if "n" not in data:
-                raise ValueError(f"missing required config key 'n' for kind '{kind}'")
-            cap = None if kind == "matrix" else MAX_DEGREE
-            least = 3 if kind == "finite-group" else 2
-            fields["n"] = _require_int(data["n"], "n", least, cap)
-
-        if kind in ("matrix", "scaling"):
-            fields["spectrum_M"] = _parse_spectrum(data, "spectrum_M", kind, fields.get("n"))
-            fields["spectrum_N"] = _parse_spectrum(data, "spectrum_N", kind, fields.get("n"))
-            fields["x_grid"] = (
-                _require_float_list(data, "x_grid") if "x_grid" in data else _DEFAULT_X_GRID
-            )
-            kappa = data.get("kappa", 1.0)
-            if isinstance(kappa, bool) or not isinstance(kappa, (int, float, np.integer, np.floating)):
-                raise ValueError("config key 'kappa' must be a positive number")
-            kappa = float(kappa)
-            if not 0 < kappa < math.inf:
-                raise ValueError(
-                    f"config key 'kappa' must be a positive finite number (got {kappa})")
-            fields["kappa"] = kappa
-        if kind in ("matrix", "scaling", "finite-group"):
-            fields["t_grid"] = (
-                _require_float_list(data, "t_grid", minimum=0.0)
-                if "t_grid" in data
-                else _DEFAULT_T_GRID[kind]
-            )
-        if kind == "matrix":
-            step_check = data.get("step_check", False)
-            if not isinstance(step_check, bool):
-                raise ValueError("config key 'step_check' must be a boolean")
-            fields["step_check"] = step_check
-        if kind == "finite-group":
-            if "k_max" in data:
-                fields["k_max"] = _require_int(data["k_max"], "k_max", 1)
+        fields: dict = {"kind": kind}
+        for key, (default, parse) in _TAKEN[kind].items():
+            if key in data:
+                fields[key] = parse(data[key], key, fields)
+            elif default == REQUIRED:
+                why = "(no ambient randomness)" if key == "seed" else f"for kind '{kind}'"
+                raise ValueError(f"missing required config key '{key}' {why}")
             else:
-                fields["k_max"] = 25 * fields["n"]
+                fields[key] = default(fields) if callable(default) else default
         for key in ("n_grid", "x_grid", "t_grid"):
             _require_distinct(f"config key '{key}'", fields.get(key) or (), "verdict names")
         cfg = ExperimentConfig(**fields)
@@ -260,9 +260,9 @@ class ExperimentConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        """Canonical JSON form: every key allowed for the kind, defaults filled."""
-        out: dict = {}
-        for key in _ALLOWED_KEYS[self.kind]:
+        """Canonical JSON form: every key the kind takes, defaults filled."""
+        out: dict = {"kind": self.kind}
+        for key in _TAKEN[self.kind]:
             value = getattr(self, key)
             if isinstance(value, tuple):
                 value = list(value)
@@ -469,9 +469,8 @@ def sample_spectral_cdfs(
     the per-replicate rank and CDF gap of one reflection step (None
     without it).
 
-    Replicate r draws the whole n x n Gaussian matrices of U, V, X, each
-    real parts first, in one standard_normal call (the bits of three
-    complex_ginibre draws) from child_rng(seed, "matrix", r), and with
+    Replicate r draws the whole n x n Gaussian matrices of U, V, X in one
+    complex_ginibre call from child_rng(seed, "matrix", r), and with
     step_check one reflection (u, phi) after them, but only the columns a
     spectrum needs are factored (_haar_conjugates): the first n // 2 for
     two_point at n >= 3, none for zero, all n for uniform_grid.  The step
@@ -489,15 +488,13 @@ def sample_spectral_cdfs(
     def work(rows, out) -> None:
         f_def, f_red, *steps = out
         z = np.empty((3, len(rows), n, n), dtype=np.complex128)
-        parts = z.view(np.float64).reshape(3, len(rows), n, n, 2).transpose(1, 0, 4, 2, 3)
         refl_u = np.empty((len(rows), n), dtype=np.complex128)
         refl_phi = np.empty(len(rows))
         for i, r in enumerate(rows):
             rng = child_rng(cfg.seed, "matrix", r)
-            parts[i] = rng.standard_normal((3, 2, n, n))
+            complex_ginibre(n, rng, z[:, i])
             if cfg.step_check:
                 refl_u[i], refl_phi[i] = sample_reflection_step(n, rng)
-        z *= 1.0 / np.sqrt(2.0)
         # One QR stack per factor: a single (3, chunk, n, n) stack ran slower.
         h = _haar_conjugates(z[0], spec_m) + _haar_conjugates(z[1], spec_n)
         w = _haar_conjugates(z[2], spec_m)
@@ -615,11 +612,13 @@ def run_matrix_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def _lazy_walk(n: int, k_max: int, law_below: Optional[float] = None):
     """The lazy-transposition walk operator on S_n, its exact TV curve up to
     k_max (keeping the law at the first step with TV <= `law_below`, if
-    given) and the certified envelope of that curve.  Refuses n < 3 before
-    the walk, and a k_max too short to fit the envelope."""
-    if n < 3:
-        raise ValueError(f"n = {n} has no S_n envelope: for n <= 2 the walk is uniform after "
-                         "at most one step, so there is no decay to fit; n must be at least 3")
+    given) and the certified envelope of that curve.  Refuses n below
+    MIN_ENVELOPE_DEGREE before the walk, and a k_max too short to fit the
+    envelope."""
+    if n < MIN_ENVELOPE_DEGREE:
+        raise ValueError(f"n = {n} has no S_n envelope: for n <= {MIN_ENVELOPE_DEGREE - 1} the "
+                         "walk is uniform after at most one step, so there is no decay to fit; "
+                         f"n must be at least {MIN_ENVELOPE_DEGREE}")
     op = walk_operator(n)
     curve = exact_tv_curve(op, k_max, law_below)
     try:
@@ -729,7 +728,7 @@ def run_identity_suite(cfg: ExperimentConfig) -> ExperimentReport:
     for i in range(cfg.replicates):
         f = child_rng(cfg.seed, "identity-f", i).standard_normal(op.size)
         f -= f.mean()
-        report = check_identities(op, f, eps=1e-12)
+        report = check_identities(op, f)
         rows.append([i, report.conditional_mean_residual, report.variance_residual])
     max_cond = max(r[1] for r in rows)
     max_var = max(r[2] for r in rows)

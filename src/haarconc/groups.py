@@ -56,16 +56,15 @@ def unitarity_defects(u: np.ndarray) -> np.ndarray:
     return np.max(np.abs(gram - np.eye(u.shape[-1])), axis=(-2, -1))
 
 
-def require_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> None:
+def require_unitary(u: np.ndarray) -> None:
     """Raise ValueError unless every matrix of the stack has unitarity defect
-    at most ``tol``; a NaN defect fails."""
+    at most UNITARITY_TOL; a NaN defect fails."""
     defects = np.reshape(unitarity_defects(u), -1)
-    bad = np.flatnonzero(~(defects <= tol))
+    bad = np.flatnonzero(~(defects <= UNITARITY_TOL))
     if bad.size:
         where = f" (slice {bad[0]})" if u.ndim > 2 else ""
-        raise ValueError(
-            f"matrix is not unitary{where}: defect {defects[bad[0]]:.3e} exceeds {tol:.1e}"
-        )
+        raise ValueError(f"matrix is not unitary{where}: defect {defects[bad[0]]:.3e} "
+                         f"exceeds {UNITARITY_TOL:.1e}")
 
 
 @dataclass(frozen=True)
@@ -112,19 +111,20 @@ def invert(g: Permutation) -> Permutation:
     return Permutation(tuple(inv))
 
 
-def complex_ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
-    """An n x n matrix of i.i.d. standard complex Gaussians; the real parts
-    are drawn before the imaginary parts.
+def complex_ginibre(n: int, rng: np.random.Generator,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """An n x n matrix of i.i.d. standard complex Gaussians, or `out`, a
+    (..., n, n) complex stack, filled with them.
 
-    Both draws go straight into the float view of the result, which is then
+    One standard_normal call draws, matrix by matrix, the real parts before
+    the imaginary parts, into the float view of the result, which is then
     scaled by 1/sqrt(2): the bits of (re + 1j * im) / sqrt(2), since numpy
     divides a complex by a real through the reciprocal, without its complex
     temporaries.
     """
-    z = np.empty((n, n), dtype=np.complex128)
-    parts = z.view(np.float64).reshape(n, n, 2)
-    parts[..., 0] = rng.standard_normal((n, n))
-    parts[..., 1] = rng.standard_normal((n, n))
+    z = np.empty((n, n), dtype=np.complex128) if out is None else out
+    parts = np.moveaxis(z[..., None].view(np.float64), -1, -3)
+    parts[...] = rng.standard_normal(parts.shape)
     z *= 1.0 / np.sqrt(2.0)
     return z
 

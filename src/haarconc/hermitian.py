@@ -15,16 +15,16 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 
 
-def hermitian_parts(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitian_parts(a: np.ndarray) -> np.ndarray:
     """(A + A*) / 2 for every matrix A of a (..., n, n) stack.
 
     Raises ValueError if any A has hermiticity defect max|A - A*| above
-    ``tol * max(1, max|A|)``, or a NaN defect.
+    ``HERMITICITY_TOL * max(1, max|A|)``, or a NaN defect.
     """
     ah = np.conj(np.swapaxes(a, -1, -2))
     defects = np.reshape(np.max(np.abs(a - ah), axis=(-2, -1), initial=0.0), -1)
     scales = np.reshape(np.max(np.abs(a), axis=(-2, -1), initial=1.0), -1)
-    bad = np.flatnonzero(~(defects <= tol * scales))
+    bad = np.flatnonzero(~(defects <= HERMITICITY_TOL * scales))
     if bad.size:
         where = f" (slice {bad[0]})" if a.ndim > 2 else ""
         raise ValueError(

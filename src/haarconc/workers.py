@@ -14,6 +14,9 @@ import mmap
 import os
 import pickle
 import platform
+import select
+import signal
+import time
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +30,8 @@ except ImportError:  # Windows, where every run has one worker and takes no lock
 # and what else the caller holds that grows with the run (plan).
 BYTES_BUDGET = 1024**3
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Seconds a failed run gives its children to finish their items before it kills them.
+GRACE_SECONDS = 2.0
 
 
 def usable_cpus() -> int:
@@ -137,12 +142,13 @@ def run(plan: Plan, work) -> list[np.ndarray]:
     run maps its own.
 
     A worker whose item fails stops claiming, and the others stop after
-    their current item.  Every item below the failing one was claimed
-    before it and runs to its end, so the error raised is that of the
-    lowest failing item.  A child sends its exception back pickled through
-    a pipe; a child that dies without one (killed, out of memory) or whose
-    error cannot be unpickled raises WorkerError naming the replicates of
-    the item it held.
+    their current item, or are killed GRACE_SECONDS after the failure.
+    Every item below the failing one was claimed before it, so the error
+    raised is that of the lowest failing item.  A child sends its exception
+    back pickled through a pipe; a child that dies without one (killed, out
+    of memory) or whose error cannot be unpickled raises WorkerError naming
+    the replicates of the item it held.  An exception that is no item's
+    error (a signal handler's) fails the run too, and is raised as it is.
     """
     items, workers = plan.items, plan.workers
     shared = mmap.mmap(-1, 8 * (2 + workers) + layout_bytes(plan.layouts))
@@ -154,42 +160,73 @@ def run(plan: Plan, work) -> list[np.ndarray]:
         out.append(np.frombuffer(shared, dtype, math.prod(shape), offset).reshape(shape))
         offset += out[-1].nbytes
     lock = os.memfd_create("haarconc-claims") if workers > 1 else None
-    children, errors = [], []
+    # Each child's (w, pid, pipe, what it sent), and the pipes not yet at their end.
+    children, pipes, errors = [], {}, []
     try:
         for w in range(1, workers):
             try:
-                children.append((w, *_fork(w, items, work, out, state, lock)))
+                pid, read_fd = _fork(w, items, work, out, state, lock)
             except OSError:  # no process or pipe to spare: the others claim its share
                 break
+            pipes[read_fd] = bytearray()
+            children.append((w, pid, read_fd, pipes[read_fd]))
         try:
             _run_claims(0, items, work, out, state, lock)
         except Exception as exc:
             errors.append((_held(state, 0, items), exc))
+        _drain(pipes, state)
+    except BaseException:
+        state[1] = 1
+        _drain(pipes, state)
+        raise
     finally:
-        reaped = []
-        for w, pid, read_fd in children:
-            with os.fdopen(read_fd, "rb") as pipe:
-                sent = pipe.read()
-            reaped.append((w, sent, os.waitpid(pid, 0)[1]))
+        for w, pid, read_fd, sent in children:
+            if read_fd in pipes:  # still running GRACE_SECONDS after the run failed
+                os.kill(pid, signal.SIGKILL)
+            os.close(read_fd)
+            status, k = os.waitpid(pid, 0)[1], _held(state, w, items)
+            worker = (f"the worker for replicates {items[k].start}..{items[k].stop - 1}"
+                      if k < len(items) else "a worker that held no item")
+            if read_fd in pipes:  # ranks after every error that a worker sent
+                errors.append((len(items) + 1, WorkerError(
+                    f"{worker} was killed {GRACE_SECONDS:g} s after the run failed")))
+            elif sent:
+                try:
+                    errors.append((k, pickle.loads(sent)))
+                except Exception as exc:
+                    errors.append((k, WorkerError(
+                        f"{worker} sent an error that could not be read "
+                        f"({type(exc).__name__}: {exc})")))
+            elif status:
+                errors.append((k, WorkerError(
+                    f"{worker} exited with status {os.waitstatus_to_exitcode(status)}")))
         if lock is not None:
             os.close(lock)
-    for w, sent, status in reaped:
-        k = _held(state, w, items)
-        worker = (f"the worker for replicates {items[k].start}..{items[k].stop - 1}"
-                  if k < len(items) else "a worker that held no item")
-        if sent:
-            try:
-                errors.append((k, pickle.loads(sent)))
-            except Exception as exc:
-                errors.append((k, WorkerError(
-                    f"{worker} sent an error that could not be read "
-                    f"({type(exc).__name__}: {exc})")))
-        elif status:
-            errors.append((k, WorkerError(
-                f"{worker} exited with status {os.waitstatus_to_exitcode(status)}")))
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
     return out
+
+
+def _drain(pipes: dict, state) -> None:
+    """Read each pipe into its buffer, pipes[pipe], and drop it at its end
+    (its child has exited): with no limit until the failure flag is set,
+    and then for at most GRACE_SECONDS."""
+    poller, deadline = select.poll(), None
+    for fd in pipes:
+        poller.register(fd, select.POLLIN)
+    while pipes:
+        if deadline is None and state[1]:
+            deadline = time.monotonic() + GRACE_SECONDS
+        wait = None if deadline is None else max(0.0, deadline - time.monotonic()) * 1000
+        ready = poller.poll(wait)
+        if not ready:
+            return
+        for fd, _ in ready:
+            data = os.read(fd, 1 << 16)
+            pipes[fd] += data
+            if not data:
+                poller.unregister(fd)
+                del pipes[fd]
 
 
 def _held(state, w: int, items: list) -> int:

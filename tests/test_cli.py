@@ -9,17 +9,15 @@ import platform
 import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import haarconc
 from haarconc import cli, experiments, kernel, mixing, workers
 from haarconc.cli import main, parse_config
 from haarconc.experiments import ExperimentReport
 
-from test_experiments import use_workers, worker_time_limit  # noqa: F401 (fixture)
+from test_experiments import package_env, use_workers, worker_time_limit  # noqa: F401 (fixture)
 
 
 def write_config(tmp_path, name, data) -> str:
@@ -53,10 +51,7 @@ print(code, tracemalloc.get_traced_memory()[1])
 def bounded_main(args: list) -> tuple[int, int, str]:
     """BOUNDED_MAIN(args) in a child with one BLAS thread: its exit code,
     its traced peak in bytes, and its stderr."""
-    src = str(Path(haarconc.__file__).resolve().parents[1])
-    env = dict(os.environ, **{var: "1" for var in workers.BLAS_THREAD_VARS})
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", BOUNDED_MAIN, *args], env=env,
+    done = subprocess.run([sys.executable, "-c", BOUNDED_MAIN, *args], env=package_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.stdout, done.stderr[-1000:]
     code, peak = (int(word) for word in done.stdout.split())
@@ -846,16 +841,23 @@ class TestForkedWorkers:
 
 
 class TestDeterminism:
-    def test_reports_byte_identical_modulo_runtime(self, tmp_path, capsys):
-        path = write_config(tmp_path, "cfg.json", MATRIX_CFG)
+    def test_reports_byte_identical_modulo_runtime(self, tmp_path, capsys, monkeypatch):
+        # Three chunks: two runs on one worker, the second with --threads,
+        # which changes nothing, then one on the three workers that three
+        # usable CPUs give, the one run that forks.  The reports differ only
+        # in runtime_seconds and usable_cpus.
+        config = {**MATRIX_CFG, "replicates": 3 * experiments.chunk_size(MATRIX_CFG["n"])}
+        path = write_config(tmp_path, "cfg.json", config)
         dirs = [tmp_path / "a", tmp_path / "b", tmp_path / "c"]
-        assert main(["matrix", "--config", path, "--out", str(dirs[0])]) == 0
-        assert main(["matrix", "--config", path, "--out", str(dirs[1])]) == 0
-        assert main(["matrix", "--config", path, "--out", str(dirs[2]),
-                     "--threads", "8"]) == 0
-        base = report_without_runtime(dirs[0])
-        assert report_without_runtime(dirs[1]) == base
-        assert report_without_runtime(dirs[2]) == base
+        reports = []
+        for out, extra, cpus in zip(dirs, ([], ["--threads", "8"], []), (1, 1, 3)):
+            forks = use_workers(monkeypatch, cpus)
+            assert main(["matrix", "--config", path, "--out", str(out), *extra]) == 0
+            assert len(forks) == cpus - 1
+            reports.append(report_without_runtime(out))
+            reports[-1]["environment"].pop("usable_cpus")
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
         csv_bytes = (dirs[0] / "tails.csv").read_bytes()
         assert (dirs[1] / "tails.csv").read_bytes() == csv_bytes
         assert (dirs[2] / "tails.csv").read_bytes() == csv_bytes

@@ -8,6 +8,7 @@ import json
 import math
 import mmap
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -201,6 +202,19 @@ class TestConfigValidation:
             "kind", "n", "spectrum_M", "spectrum_N", "x_grid",
             "replicates", "seed", "kappa", "t_grid", "step_check",
         }
+
+    def test_readme_key_table_is_the_config_table(self):
+        # The README's "Config keys by kind": a row per key or keys, a
+        # column per kind, "-" where the kind refuses the key.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("Config keys by kind", 1)[1].split("\n\n", 2)[1]
+        header, _, *rows = ([cell.strip() for cell in line.strip("|").split("|")]
+                            for line in table.splitlines())
+        refused = {key: {kind for kind, cell in zip(header[1:], cells) if cell == "-"}
+                   for first, *cells in rows for key in re.findall(r"`(\w+)`", first)}
+        assert refused == {
+            key: {kind for kind, cell in zip(experiments._KINDS, row) if cell == experiments.ABSENT}
+            for key, row in experiments._KEYS.items()}
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -694,6 +708,53 @@ workers.run(workers.Plan(workers.ranges(600, 1), 2, [((600,), np.float64)], 0), 
 """
 
 
+# A run of two workers over two items, whose child sleeps for good in its
+# item, and an alarm that raises TimeoutError in the parent after 0.5 s,
+# while it holds its own item (first argument "claims") or waits for the
+# child ("wait").  Prints the seconds from the alarm until run raised, 1 if
+# the child held its item by then, and "reaped" if no child is left.
+HUNG_CHILD = """
+import mmap, os, signal, sys, time
+import numpy as np
+from haarconc import workers
+
+parent, held = os.getpid(), mmap.mmap(-1, 1)
+
+def work(rows, out):
+    if os.getpid() != parent:
+        held[0] = 1
+        while True:
+            time.sleep(1)
+    while not held[0] or sys.argv[1] == "claims":
+        time.sleep(0.001)
+
+def expire(signum, frame):
+    raise TimeoutError("alarm")
+
+signal.signal(signal.SIGALRM, expire)
+start = time.monotonic()
+signal.setitimer(signal.ITIMER_REAL, 0.5)
+try:
+    workers.run(workers.Plan(workers.ranges(2, 1), 2, [((2,), np.float64)], 0), work)
+except TimeoutError:
+    print(time.monotonic() - start - 0.5, held[0])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("reaped")
+"""
+
+
+def package_env() -> dict:
+    """The environment of a child Python that imports this checkout's
+    package, with one BLAS thread, so that it starts no thread before it
+    forks."""
+    src = str(Path(haarconc.__file__).resolve().parents[1])
+    env = dict(os.environ, **{var: "1" for var in workers.BLAS_THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def logged_pids(path) -> set:
     """The pids that SLOW_RUN's items logged at `path`."""
     return set(map(int, path.read_text().split())) if path.exists() else set()
@@ -710,8 +771,9 @@ def is_running(pid: int) -> bool:
 
 @pytest.fixture
 def worker_time_limit():
-    """Fail a test whose worker processes run past 60 s: a child that never
-    exits would block the parent's waitpid."""
+    """Fail a test whose worker processes run past 60 s: the alarm's
+    TimeoutError fails the run, which kills its children that are left
+    workers.GRACE_SECONDS later."""
     def expire(signum, frame):
         raise TimeoutError("the worker processes did not finish within 60 s")
 
@@ -1116,10 +1178,7 @@ class TestWorkerProcesses:
         # so it is gone within five item times, not the minute that the
         # items left would take it.  Every logged pid is killed at the end.
         log = tmp_path / "pids"
-        src = str(Path(haarconc.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.Popen([sys.executable, "-c", SLOW_RUN, str(log)], env=env)
+        run = subprocess.Popen([sys.executable, "-c", SLOW_RUN, str(log)], env=package_env())
         try:
             deadline = time.monotonic() + 30
             while not logged_pids(log) - {run.pid}:
@@ -1138,6 +1197,26 @@ class TestWorkerProcesses:
             for pid in logged_pids(log):
                 with contextlib.suppress(ProcessLookupError):
                     os.kill(pid, signal.SIGKILL)
+
+    @pytest.mark.parametrize("where", ["claims", "wait"])
+    def test_hung_child_is_killed_after_the_grace_period(self, where):
+        # HUNG_CHILD's alarm must end its run within GRACE_SECONDS plus 1 s,
+        # with no child left.  A run that waits for the hung child instead
+        # hits the hard timeout, which kills every process of the script's
+        # own session, forked workers included.
+        args = [sys.executable, "-W", "error::DeprecationWarning", "-c", HUNG_CHILD, where]
+        script = subprocess.Popen(args, env=package_env(), stdout=subprocess.PIPE, text=True,
+                                  start_new_session=True)
+        try:
+            out, _ = script.communicate(timeout=workers.GRACE_SECONDS + 30)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(script.pid, signal.SIGKILL)
+            script.wait()
+        took, held, reaped = out.split()
+        assert float(took) <= workers.GRACE_SECONDS + 1.0
+        assert held == "1"
+        assert reaped == "reaped"
 
     def test_runs_leave_no_descriptor_or_child_behind(self):
         # 50 runs of three workers, every other one failing in some worker:

@@ -2,19 +2,15 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import haarconc
-from haarconc import workers
 from haarconc.groups import (
     Permutation,
     StepDistribution,
@@ -31,6 +27,8 @@ from haarconc.groups import (
     unitarity_defects,
 )
 from haarconc.kernel import walk_operator
+
+from test_experiments import package_env
 
 # 99.9% chi-square quantiles for df = 5 and df = 23 (frequency sanity checks).
 CHI2_999 = {5: 20.515, 23: 49.728}
@@ -64,11 +62,9 @@ def one_thread_thin_mismatches():
     updates differently (from n = 97 on with two OpenBLAS 0.3.31 threads),
     and its thread count is fixed when the library loads.
     """
-    src = str(Path(haarconc.__file__).resolve().parents[1])
-    env = dict(os.environ, **{var: "1" for var in workers.BLAS_THREAD_VARS})
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", THIN_MISMATCHES, *map(str, STACK_NS)],
-                          env=env, capture_output=True, text=True, timeout=120, check=True)
+                          env=package_env(), capture_output=True, text=True, timeout=120,
+                          check=True)
     return {int(n): ks for n, ks in json.loads(done.stdout).items()}
 
 
