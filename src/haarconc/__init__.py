@@ -12,7 +12,6 @@ from .bounds import (
 )
 from .groups import (
     Permutation,
-    StepDistribution,
     compose,
     invert,
     sample_haar_permutation,
@@ -60,7 +59,6 @@ __all__ = [
     "IdentityReport",
     "MixingDiagnostic",
     "Permutation",
-    "StepDistribution",
     "TVCurve",
     "WalkOperator",
     "check_identities",

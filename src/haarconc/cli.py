@@ -129,6 +129,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
+        if (getattr(args, "seed", None) or 0) < 0:
+            raise ValueError(f"--seed must be at least 0 (got {args.seed})")
         if args.command == "bound-calc":
             report = _run_bound_calc(args)
         elif args.command == "mixing-curve":

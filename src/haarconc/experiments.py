@@ -72,6 +72,8 @@ _SPECTRUM_NAMES = ("two_point", "uniform_grid", "zero")
 # The least n with an S_n envelope: for n <= 2 the lazy walk is uniform
 # after at most one step, so there is no decay to fit.
 MIN_ENVELOPE_DEGREE = 3
+# The default length of the S_n walk of finite-group and mixing-curve: 25 n.
+SN_STEPS_PER_DEGREE = 25
 
 
 def child_rng(master_seed: int, label: str, index: int) -> np.random.Generator:
@@ -194,7 +196,8 @@ _KEYS = {
     "kappa":      (1.0,         ABSENT,       ABSENT,         1.0,         _parse_kappa),
     "t_grid":     (_UN_T_GRID,  _SN_T_GRID,   ABSENT,         _UN_T_GRID,  _numbers_from(0.0)),
     "step_check": (False,       ABSENT,       ABSENT,         ABSENT,      _parse_bool),
-    "k_max":      (ABSENT,      lambda fields: 25 * fields["n"], ABSENT, ABSENT, _int_from(1)),
+    "k_max":      (ABSENT,      lambda fields: SN_STEPS_PER_DEGREE * fields["n"], ABSENT, ABSENT,
+                   _int_from(1)),
 }
 
 
@@ -832,11 +835,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def run_mixing_curve(
     group: str, n: int, k_max: Optional[int], seed: int, replicates: int
 ) -> ExperimentReport:
-    """Walk mixing up to k_max steps (None: 25 n for "sn", 4 n for "un").
+    """Walk mixing up to k_max steps (None: SN_STEPS_PER_DEGREE n for "sn", 4 n for "un").
     "sn": exact TV curve and certified envelope, checked against every value
     above FIT_FLOOR; "un": Monte Carlo trace moments with a PROXY envelope."""
     if group == "sn":
-        k_max = 25 * n if k_max is None else k_max
+        k_max = SN_STEPS_PER_DEGREE * n if k_max is None else k_max
         workers.require_budget(f"an S_{n} walk of {k_max} steps", CURVE_POINT_BYTES * (k_max + 1))
         _, curve, fit = _lazy_walk(n, k_max)
         ks = np.flatnonzero(curve.values > FIT_FLOOR)

@@ -1,17 +1,16 @@
-"""Permutations and the step law of S_n, and array samplers for U(n).
+"""Permutations, and the Haar and step samplers of U(n) as arrays.
 
-Two families of random walk steps are provided: lazy random transpositions on
-S_n and random complex reflections on U(n), drawn as (u, phi) and built into
-matrices by reflection_matrices.  Both step laws are symmetric
-(Y and Y^-1 agree in law) and constant on conjugacy classes, which is what the
-downstream variance machinery requires.
+The lazy transposition step on S_n is defined in kernel.walk_operator, which
+builds its maps; the random complex reflection step on U(n) is drawn here as
+(u, phi) and built into matrices by reflection_matrices.  Both step laws are
+symmetric (Y and Y^-1 agree in law) and constant on conjugacy classes, which
+is what the downstream variance machinery requires.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -65,31 +64,6 @@ def require_unitary(u: np.ndarray) -> None:
         where = f" (slice {bad[0]})" if u.ndim > 2 else ""
         raise ValueError(f"matrix is not unitary{where}: defect {defects[bad[0]]:.3e} "
                          f"exceeds {UNITARITY_TOL:.1e}")
-
-
-@dataclass(frozen=True)
-class StepDistribution:
-    """The law of a single walk step on S_n: the lazy transposition step.
-
-    It puts mass 1/n on the identity and 2/n^2 on each transposition (draw
-    i, j independently uniform; i == j is lazy); kernel.walk_operator(n)
-    takes its maps and masses from `support`.  The U(n) step, a random
-    reflection, is drawn as arrays by :func:`sample_reflection_step`.
-    """
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-
-    def support(self) -> Iterator[tuple[Permutation, Fraction]]:
-        """Exact (element, mass) pairs."""
-        n = self.n
-        yield Permutation.identity(n), Fraction(1, n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                yield Permutation.transposition(n, i, j), Fraction(2, n * n)
 
 
 def compose(g1: Permutation, g2: Permutation) -> Permutation:

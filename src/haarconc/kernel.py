@@ -1,9 +1,10 @@
-"""The exact walk operator of a finite-group random walk and its pair identities.
+"""The exact S_n walk operator and its pair identities.
 
 For a step law Y on a finite group G the walk moves x -> Yx, so the kernel is
 P(x, z) = P{Y = z x^-1}, and (P f)(x) = sum_y q(y) f(yx).  The walk operator
 stores that sum as one left-action index map per support element y with its
-mass q(y), never as a |G| x |G| matrix.  With a symmetric step made of
+mass q(y), never as a |G| x |G| matrix; walk_operator defines the S_n step
+and builds those maps from the group table.  With a symmetric step made of
 involutions, P is exactly symmetric (the uniform measure makes (X, YX) an
 exchangeable pair), so the same gather also advances the walk law.
 One application is one stacked gather f[L_y] for every y at once, scaled by
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Permutation, StepDistribution
+from .groups import Permutation
 
 # One cap for the table, the walk operator and the S_n configs: at n = 8 the
 # table is 40320 elements and the operator's maps take 9.4 MB.
@@ -72,13 +73,6 @@ class FiniteGroupTable:
             raise ValueError(f"not an element of S_{self.n}: {key!r}")
         return int(self._ranks(np.array([key]))[0])
 
-    def left_action(self, perm: Permutation) -> np.ndarray:
-        """Index map L with L[rank(g)] = rank(perm o g) for every g, as np.intp,
-        the index type np.take uses without a conversion."""
-        if perm.n != self.n:
-            raise ValueError("degree mismatch")
-        return self._ranks(np.asarray(perm.mapping)[self.mappings])
-
     def fixed_point_counts(self) -> np.ndarray:
         """Number of fixed points of each element, in table order."""
         return np.sum(self.mappings == np.arange(self.n), axis=1)
@@ -87,9 +81,9 @@ class FiniteGroupTable:
 @dataclass(frozen=True)
 class WalkOperator:
     """The lazy-transposition walk on S_n as index maps, built by
-    walk_operator(n): ``actions[j]`` (np.intp) is the left action of the
-    j-th support element of StepDistribution(n), ``masses[j]`` its
-    probability."""
+    walk_operator(n), where the step is defined: ``actions[r]`` (np.intp)
+    is L with L[rank(g)] = rank(y o g) for the r-th support element y, and
+    ``masses[r]`` is its probability."""
 
     table: FiniteGroupTable
     actions: np.ndarray
@@ -135,23 +129,31 @@ class IdentityReport:
 
 
 def walk_operator(n: int) -> WalkOperator:
-    """The walk operator of the lazy transposition step StepDistribution(n)
-    on S_n; FiniteGroupTable refuses n > MAX_DEGREE before any enumeration.
+    """The walk operator of the lazy transposition step on S_n, defined here:
+    draw i, j independently uniform in {0, ..., n-1} and move x -> (i j) x,
+    so the identity has mass 1/n and each transposition (i j), taken i < j
+    in lexicographic order, 2/n^2.  FiniteGroupTable refuses n > MAX_DEGREE
+    before any enumeration.
 
     Checks that the masses sum to 1 within 1e-14 and that every map is an
     involution.
     """
     table = FiniteGroupTable(n)
-    support = list(StepDistribution(n).support())
-    actions = np.stack([table.left_action(y) for y, _ in support])
-    masses = np.array([float(mass) for _, mass in support])
+    pairs = list(itertools.combinations(range(n), 2))
+    masses = np.array([1.0 / n] + [2.0 / (n * n)] * len(pairs))
     mass_defect = abs(float(np.sum(masses)) - 1.0)
     if mass_defect > 1e-14:
         raise AssertionError(f"step masses sum to 1 within 1e-14 (defect {mass_defect:.3e})")
-    cols = np.arange(table.size)
-    for (y, _), action in zip(support, actions):
-        if not np.array_equal(action[action], cols):
-            raise AssertionError(f"step element {y.mapping} is not an involution")
+    actions = np.empty((len(masses), table.size), dtype=np.intp)
+    actions[0] = np.arange(table.size)
+    # (i j) o g has g's images with the values i and j swapped; one map at a
+    # time, as the images of every map at once would take 74 MB at n = 8.
+    for action, (i, j) in zip(actions[1:], pairs):
+        swap = np.arange(n)
+        swap[[i, j]] = j, i
+        action[:] = table._ranks(swap[table.mappings])
+        if not np.array_equal(action[action], actions[0]):
+            raise AssertionError(f"the map of ({i} {j}) is not an involution")
     return WalkOperator(table, actions, masses)
 
 

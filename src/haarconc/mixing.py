@@ -97,12 +97,6 @@ class MixingDiagnostic:
     note: str
 
 
-def _point_mass(op: WalkOperator) -> np.ndarray:
-    law = np.zeros(op.size)
-    law[op.table.identity_index] = 1.0
-    return law
-
-
 def exact_tv_curve(op: WalkOperator, k_max: int, law_below: Optional[float] = None) -> TVCurve:
     """d_TV(k) for k = 0 .. k_max, exact up to float summation.
 
@@ -120,7 +114,8 @@ def exact_tv_curve(op: WalkOperator, k_max: int, law_below: Optional[float] = No
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     uniform = 1.0 / op.size
-    law = _point_mass(op)
+    law = np.zeros(op.size)
+    law[op.table.identity_index] = 1.0
     values = np.empty(k_max + 1)
     kept = ()
     for k in range(k_max + 1):

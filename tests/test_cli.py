@@ -180,6 +180,20 @@ class TestArgumentHandling:
         code = main(["finite-group", "--config", path, "--out", str(tmp_path / "out")])
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["mixing-curve", "--group", "sn", "--n", "4"],
+        ["mixing-curve", "--group", "un", "--n", "4", "--k-max", "2"],
+        ["identity-suite", "--config", "cfg.json"],
+    ])
+    def test_negative_seed_refused(self, tmp_path, capsys, monkeypatch, argv):
+        # The S_n curve ignores the seed, and used to run and record -1.
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, "cfg.json", {"kind": "identity-suite", "n": 3, "seed": 0})
+        out = tmp_path / "out"
+        assert main([*argv, "--seed", "-1", "--out", str(out)]) == 1
+        assert "--seed must be at least 0 (got -1)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_thread_count(self, tmp_path, capsys):
         path = write_config(tmp_path, "cfg.json", MATRIX_CFG)
         code = main(["matrix", "--config", path, "--out", str(tmp_path / "out"),
@@ -523,6 +537,13 @@ class TestExperimentCommands:
 
 
 class TestMixingCurveCommand:
+    def test_sn_default_k_max_is_the_finite_group_default(self, tmp_path, capsys):
+        out_dir = tmp_path / "sn"
+        assert main(["mixing-curve", "--group", "sn", "--n", "5", "--out", str(out_dir)]) == 0
+        default = experiments.ExperimentConfig.from_dict(
+            {"kind": "finite-group", "n": 5, "seed": 0})
+        assert load_report(out_dir)["config_echo"]["k_max"] == default.k_max == 125
+
     def test_symmetric_group_curve(self, tmp_path, capsys):
         out_dir = tmp_path / "sn"
         code = main(["mixing-curve", "--group", "sn", "--n", "4", "--k-max", "40",

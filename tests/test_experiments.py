@@ -1283,6 +1283,19 @@ class TestFiniteGroupExperiment:
             assert envelope["a"] > 0 and envelope["b"] > 0
             assert report.estimates["tv_at_k_star"] <= experiments.WALK_TV_TARGET
 
+    def test_tails_sample_at_k_max_when_the_curve_misses_the_target(self):
+        # The tails sample the exact law at the first k with d_TV <=
+        # WALK_TV_TARGET, or at k_max when the curve never gets there.
+        short = run_finite_group_experiment(ExperimentConfig.from_dict(
+            {"kind": "finite-group", "n": 5, "seed": 0, "k_max": 20}))
+        assert short.estimates["k_star"] == 20
+        assert short.estimates["tv_at_k_star"] > experiments.WALK_TV_TARGET
+        assert short.curves["tv_curve"]["rows"][-1] == [20, short.estimates["tv_at_k_star"]]
+        default = run_finite_group_experiment(ExperimentConfig.from_dict(
+            {"kind": "finite-group", "n": 5, "seed": 0}))
+        assert default.estimates["k_star"] < default.config_echo["k_max"] == 125
+        assert default.estimates["tv_at_k_star"] <= experiments.WALK_TV_TARGET
+
     def test_curve_payloads(self):
         cfg = ExperimentConfig.from_dict(
             {"kind": "finite-group", "n": 4, "seed": 1, "replicates": 1500, "k_max": 80}

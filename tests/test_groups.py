@@ -1,5 +1,6 @@
-"""Tests for group elements, step distributions, and Haar samplers."""
+"""Tests for group elements, the step laws, and Haar samplers."""
 
+import itertools
 import json
 import math
 import subprocess
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 from haarconc.groups import (
     Permutation,
-    StepDistribution,
     _sample_reflection_batch,
     complex_ginibre,
     compose,
@@ -29,6 +29,7 @@ from haarconc.groups import (
 from haarconc.kernel import walk_operator
 
 from test_experiments import package_env
+from test_kernel import lazy_step_law, operator_step_law
 
 # 99.9% chi-square quantiles for df = 5 and df = 23 (frequency sanity checks).
 CHI2_999 = {5: 20.515, 23: 49.728}
@@ -402,31 +403,36 @@ class TestHaarPermutation:
 
 
 class TestStepDistribution:
+    """The lazy step law as walk_operator stores it, read off its maps and
+    masses, against the law from the step's definition."""
+
     def test_lazy_masses_sum_to_one_exactly(self):
         for n in (2, 3, 5, 7):
-            dist = StepDistribution(n)
-            total = sum(mass for _, mass in dist.support())
-            assert total == Fraction(1)
+            law = lazy_step_law(n)
+            assert sum(law.values()) == Fraction(1)
+            # The same elements in the same order, each mass the exact one
+            # rounded once.
+            got = operator_step_law(walk_operator(n))
+            assert list(got) == list(law)
+            assert list(got.values()) == [float(q) for q in law.values()]
 
     def test_lazy_mass_values(self):
-        dist = StepDistribution(3)
-        masses = {perm.mapping: mass for perm, mass in dist.support()}
-        assert masses[(0, 1, 2)] == Fraction(1, 3)
+        masses = {perm.mapping: mass
+                  for perm, mass in operator_step_law(walk_operator(3)).items()}
+        assert masses[(0, 1, 2)] == 1 / 3
         transpositions = [m for key, m in masses.items() if key != (0, 1, 2)]
         assert len(transpositions) == 3
-        assert all(m == Fraction(2, 9) for m in transpositions)
+        assert all(m == 2 / 9 for m in transpositions)
 
     def test_lazy_support_closed_under_inversion(self):
         # The step law is symmetric: the mass function is invariant under
         # group inversion, element by element.
-        dist = StepDistribution(4)
-        masses = {perm: mass for perm, mass in dist.support()}
+        masses = operator_step_law(walk_operator(4))
         for perm, mass in masses.items():
             assert masses[invert(perm)] == mass
 
     def test_lazy_support_conjugation_invariant(self):
-        dist = StepDistribution(4)
-        masses = {perm: mass for perm, mass in dist.support()}
+        masses = operator_step_law(walk_operator(4))
         g = Permutation((1, 2, 3, 0))
         for perm, mass in masses.items():
             conj = compose(compose(g, perm), invert(g))
@@ -453,7 +459,8 @@ class TestSampleStep:
         assert len(masses) == 4
 
     def test_lazy_output_is_involution(self):
-        for g, _ in StepDistribution(5).support():
+        for i, j in itertools.product(range(5), repeat=2):
+            g = Permutation.transposition(5, i, j)
             assert compose(g, g) == Permutation.identity(5)
         op = walk_operator(5)
         cols = np.arange(op.size)

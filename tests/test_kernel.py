@@ -1,19 +1,22 @@
 """Tests for the exact walk operator on S_n: enumeration, kernel powers, the
 telescoped pair function, and the exact variance/mean identities.
 
-The dense kernel P(x, z) = q(z x^-1) is built here, from compose and invert
-over a plain itertools enumeration, as an oracle for the operator."""
+The step law q is built here from its definition, and the dense kernel
+P(x, z) = q(z x^-1) from it with compose and invert over a plain itertools
+enumeration, as oracles for the operator."""
 
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haarconc.groups import Permutation, StepDistribution, compose, invert
+from haarconc import kernel
+from haarconc.groups import Permutation, compose, invert
 from haarconc.kernel import (
     FiniteGroupTable,
     WalkOperator,
@@ -30,11 +33,30 @@ def lazy_kernel(n: int) -> WalkOperator:
     return walk_operator(n)
 
 
+def lazy_step_law(n: int) -> dict:
+    """The exact law of the lazy transposition step from its definition:
+    draw i and j independently uniform and take the transposition (i j), the
+    identity when i == j.  Keys come in the walk operator's support order:
+    the identity, then (i j) for i < j in lexicographic order."""
+    law = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        y = Permutation.transposition(n, i, j)
+        law[y] = law.get(y, 0) + Fraction(1, n * n)
+    return law
+
+
+def operator_step_law(op: WalkOperator) -> dict:
+    """The step law as the walk operator stores it: the element of each map,
+    which takes the identity to it, with the map's mass."""
+    return {unrank(op.table, int(action[op.table.identity_index])): float(mass)
+            for action, mass in zip(op.actions, op.masses)}
+
+
 def dense_kernel(n: int) -> np.ndarray:
     """P(x, z) = q(z x^-1) for the lazy-transposition step, in lexicographic
-    order, from compose and invert alone."""
+    order, from lazy_step_law, compose and invert alone."""
     elements = [Permutation(p) for p in itertools.permutations(range(n))]
-    masses = {y: float(q) for y, q in StepDistribution(n).support()}
+    masses = {y: float(q) for y, q in lazy_step_law(n).items()}
     p = np.zeros((len(elements), len(elements)))
     for ix, x in enumerate(elements):
         x_inv = invert(x)
@@ -150,25 +172,25 @@ class TestFiniteGroupTable:
         with pytest.raises(ValueError):
             table.rank((0, 0, 1))
 
+    # The walk operator's maps are the left actions of the step elements,
+    # L[rank(g)] = rank(y o g), ranked by the table.
+
     def test_left_action_matches_compose(self):
-        table = FiniteGroupTable(4)
-        g = Permutation((2, 0, 3, 1))
-        action = table.left_action(g)
-        for idx in range(table.size):
-            assert unrank(table, int(action[idx])) == compose(g, unrank(table, idx))
+        op = walk_operator(4)
+        for y, action in zip(lazy_step_law(4), op.actions):
+            for idx in range(op.size):
+                assert int(action[idx]) == op.table.rank(compose(y, unrank(op.table, idx)))
 
     def test_left_action_matches_compose_at_degree_eight(self):
-        table = FiniteGroupTable(8)
-        g = Permutation((3, 7, 0, 5, 1, 6, 2, 4))
-        action = table.left_action(g)
-        assert action.dtype == np.intp
-        for idx in range(0, table.size, 997):
-            assert unrank(table, int(action[idx])) == compose(g, unrank(table, idx))
+        op = walk_operator(8)
+        assert op.actions.dtype == np.intp
+        for y, action in zip(lazy_step_law(8), op.actions):
+            for idx in range(0, op.size, 997):
+                assert int(action[idx]) == op.table.rank(compose(y, unrank(op.table, idx)))
 
     def test_left_action_is_a_bijection(self):
-        table = FiniteGroupTable(4)
-        action = table.left_action(Permutation.transposition(4, 1, 2))
-        assert sorted(action.tolist()) == list(range(24))
+        for action in walk_operator(4).actions:
+            assert sorted(action.tolist()) == list(range(24))
 
     def test_fixed_point_counts(self):
         table = FiniteGroupTable(3)
@@ -217,22 +239,20 @@ class TestBuildExactKernel:
             assert float(np.max(np.abs(kern.apply(f) - p @ f))) <= 1e-15
 
     def test_rejects_non_involution(self, monkeypatch):
-        cycle = Permutation((1, 2, 0))
-        monkeypatch.setattr(
-            StepDistribution, "support", lambda self: iter([(cycle, Fraction(1))])
-        )
-        with pytest.raises(AssertionError, match="involution"):
+        # Ranks that shift every element one row on: a cycle, not an involution.
+        monkeypatch.setattr(FiniteGroupTable, "_ranks",
+                            lambda self, images: np.roll(np.arange(len(images)), 1))
+        with pytest.raises(AssertionError, match=r"the map of \(0 1\) is not an involution"):
             lazy_kernel(3)
 
     def test_rejects_masses_off_one(self, monkeypatch):
-        support = StepDistribution.support
+        # A transposition pair listed twice carries 2/n^2 too much mass.
+        def repeated(items, r):
+            return [*itertools.combinations(items, r), (0, 1)]
 
-        def heavy(self):
-            for y, mass in support(self):
-                yield y, mass * Fraction(1_000_000_001, 1_000_000_000)
-
-        monkeypatch.setattr(StepDistribution, "support", heavy)
-        with pytest.raises(AssertionError, match="sum to 1"):
+        monkeypatch.setattr(kernel, "itertools", SimpleNamespace(
+            permutations=itertools.permutations, combinations=repeated))
+        with pytest.raises(AssertionError, match=r"sum to 1 within 1e-14 \(defect 1.250e-01\)"):
             lazy_kernel(4)
 
     def test_degree_cap(self):
@@ -252,7 +272,7 @@ class TestStackedGather:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_actions_equal_the_lehmer_ranks(self, n):
         kern = lazy_kernel(n)
-        for (y, _), action in zip(StepDistribution(n).support(), kern.actions):
+        for y, action in zip(lazy_step_law(n), kern.actions):
             assert np.array_equal(action, lehmer_ranks(np.asarray(y.mapping)[kern.table.mappings]))
 
     def test_random_vectors_match_the_per_map_loop(self):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import haarconc
 from haarconc.groups import (
-    StepDistribution,
     _sample_reflection_batch,
     haar_unitaries,
     reflection_matrices,
@@ -41,14 +40,16 @@ from test_experiments import (  # noqa: F401 (fixture)
     wait_for_a_child,
     worker_time_limit,
 )
-from test_kernel import dense_kernel
+from test_kernel import dense_kernel, lazy_step_law, lehmer_ranks
 
 
 def scatter_laws(n: int, k_max: int) -> list:
     """Laws of Y_1 ... Y_k for k = 0 .. k_max by scatter convolution: each
-    step pushes the mass at x to y o x, one support element y at a time."""
+    step pushes the mass at x to y o x, one support element y at a time,
+    with y o x ranked from the Lehmer code's definition."""
     table = FiniteGroupTable(n)
-    support = [(table.left_action(y), float(mass)) for y, mass in StepDistribution(n).support()]
+    support = [(lehmer_ranks(np.asarray(y.mapping)[table.mappings]), float(mass))
+               for y, mass in lazy_step_law(n).items()]
     law = np.zeros(table.size)
     law[table.identity_index] = 1.0
     laws = [law]
@@ -248,7 +249,7 @@ class TestExactWalkLaw:
     def test_step_one_equals_step_masses(self):
         law = walk_law(walk_operator(3), 1)
         table = FiniteGroupTable(3)
-        for perm, mass in StepDistribution(3).support():
+        for perm, mass in lazy_step_law(3).items():
             assert law[table.rank(perm)] == pytest.approx(float(mass), abs=1e-16)
 
     def test_is_probability_vector(self):
