@@ -60,7 +60,8 @@ class BoundResult:
 
 
 def concentration_constant(inputs: BoundInputs) -> BoundResult:
-    """Evaluate C = (B^2/b) [ (log(4aA/B))_+ + b/(1 - e^(-b)) ]."""
+    """Evaluate C = (B^2/b) [ (log(4aA/B))_+ + b/(1 - e^(-b)) ]; refuse the
+    finite inputs that overflow C or the crossover (b = 1e-320, say)."""
     a_sup = inputs.sup_bound
     b_step = inputs.step_bound
     ratio = 4.0 * inputs.tv_prefactor * a_sup / b_step
@@ -70,6 +71,9 @@ def concentration_constant(inputs: BoundInputs) -> BoundResult:
     geom_term = rate / (-math.expm1(-rate))
     constant = (b_step * b_step / rate) * (log_term + geom_term)
     crossover = log_term / rate
+    if not (math.isfinite(constant) and math.isfinite(crossover)):
+        raise ValueError(f"C = {constant!r} and crossover {crossover!r} are not finite at A = "
+                         f"{a_sup!r}, B = {b_step!r}, a = {inputs.tv_prefactor!r}, b = {rate!r}")
     return BoundResult(
         constant=constant,
         variance_bound=constant / 2.0,

@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mixing-curve", help="total-variation / moment decay curves")
     p.add_argument("--group", choices=("sn", "un"), default="sn",
-                   help="sn: exact S_n TV curve; un: U(n) trace-moment proxy")
+                   help="sn: exact S_n TV curve; un: U(n) trace moments against their exact curve")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k-max", type=int, default=None, dest="k_max")
     p.add_argument("--seed", type=int, default=0, help="master seed (used by un)")

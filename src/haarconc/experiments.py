@@ -20,10 +20,11 @@ replicate's result depends on its index only, so reports do not depend on
 the worker count.  Every check is a verdict that the report records,
 failed or not: an exact check by _exact_verdict, which fails on any value
 that breaks its limit and names the first, a statistical comparison by
-_estimate_verdict under one 4-standard-error rule.  The reports of all six
-CLI commands are assembled here, and every config is parsed and echoed by
-one key table, _KEYS, which gives per key the default of each kind that
-takes it, or "required", and the key's parser.
+_estimate_verdict under one 4-standard-error rule, and the U(n) walk's
+moments by their distance from the exact curve in standard errors.  The
+reports of all six CLI commands are assembled here, and every config is
+parsed and echoed by one key table, _KEYS, which gives per key the default
+of each kind that takes it, or "required", and the key's parser.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ WALK_TV_TARGET = 1e-6
 IDENTITY_RESIDUAL_LIMIT = 1e-9
 FLOAT_SLACK = 1e-12
 STEP_RANK_LIMIT = 3
+# Standard errors by which a U(n) walk moment may miss the exact curve.
+MOMENT_Z_LIMIT = 5.0
 # Byte budget of one chunk's unitaries: three complex n x n matrices per
 # replicate.  Larger chunks ran no faster and raised peak memory.
 CHUNK_BYTES = 256 * 1024
@@ -340,8 +343,10 @@ def _envelope(fit) -> dict:
 
 
 def _k_curve(**columns) -> dict:
-    """A CSV curve with one row per walk step k and the given value columns."""
-    rows = [[k, *map(float, row)] for k, row in enumerate(zip(*columns.values()))]
+    """A CSV curve with one row per walk step k and the given value columns.
+    Each row is a list made from a tuple, which sizes it exactly: a starred
+    list display over-allocates it to 8 slots, 48 B more for a row of 2."""
+    rows = [list((k, *map(float, row))) for k, row in enumerate(zip(*columns.values()))]
     return {"header": ["k", *columns], "rows": rows}
 
 
@@ -837,7 +842,8 @@ def run_mixing_curve(
 ) -> ExperimentReport:
     """Walk mixing up to k_max steps (None: SN_STEPS_PER_DEGREE n for "sn", 4 n for "un").
     "sn": exact TV curve and certified envelope, checked against every value
-    above FIT_FLOOR; "un": Monte Carlo trace moments with a PROXY envelope."""
+    above FIT_FLOOR; "un": Monte Carlo trace moments, each checked against the
+    exact 1 + (n^2 - 1) e^(-b k), b = 2 log((n + 1)/(n - 1))."""
     if group == "sn":
         k_max = SN_STEPS_PER_DEGREE * n if k_max is None else k_max
         workers.require_budget(f"an S_{n} walk of {k_max} steps", CURVE_POINT_BYTES * (k_max + 1))
@@ -859,27 +865,21 @@ def run_mixing_curve(
         raise ValueError(f"group must be 'sn' or 'un' (got {group!r})")
     k_max = 4 * n if k_max is None else k_max
     diag = unitary_mixing_diagnostic(n, k_max, replicates, child_rng(seed, "unitary-mixing", 0))
-    bounds = {}
-    if diag.fit is not None:
-        # kappa implied by treating the PROXY (a, b) as a TV envelope for
-        # the spectral CDF function class (A = 1, B = 3/n); labeled, not
-        # certified.
-        res = concentration_constant(BoundInputs(1.0, 3.0 / n, diag.fit.a, diag.fit.b))
-        bounds = {
-            "proxy_envelope": _envelope(diag.fit),
-            "proxy_constant": res.constant,
-            "proxy_kappa": n * res.constant / (2.0 * math.log(n)),
-            "note": diag.note,
-        }
+    rate = 2.0 * math.log((n + 1) / (n - 1))
+    exact = 1.0 + (n * n - 1) * ((n - 1) / (n + 1)) ** (2 * np.arange(k_max + 1))
+    worst = np.max(np.abs(diag.moments[1:] - exact[1:]) / diag.stderrs[1:])
+    status = "fail" if worst > MOMENT_Z_LIMIT else "pass"
     return ExperimentReport(
         config_echo={"command": "mixing-curve", "group": "un", "n": n, "k_max": k_max,
                      "replicates": replicates, "seed": seed},
         estimates={"moment_at_0": float(diag.moments[0]),
-                   "moment_at_k_max": float(diag.moments[-1]), "note": diag.note},
-        bounds=bounds,
-        verdicts=[],
+                   "moment_at_k_max": float(diag.moments[-1]), "exact_rate": rate,
+                   "exact_moment_at_k_max": float(exact[-1])},
+        bounds={},
+        verdicts=[_verdict("moments_within_5se_of_exact", status, worst, MOMENT_Z_LIMIT,
+                           "5se-every-k")],
         environment=report_environment(seed, replicates),
-        curves={"mixing_curve": _k_curve(value=diag.moments, stderr=diag.stderrs)},
+        curves={"mixing_curve": _k_curve(value=diag.moments, stderr=diag.stderrs, exact=exact)},
     )
 
 

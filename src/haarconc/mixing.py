@@ -5,8 +5,8 @@ to the point mass at the identity.
 fit_decay turns a computed curve into a certified envelope a * e^(-b k):
 the rate is a least-squares fit on the log curve, after which the prefactor
 is inflated until the envelope dominates every computed point above the
-noise floor.  For U(n), where no exact curve is available, a trace-moment
-diagnostic provides a PROXY decay rate.
+noise floor.  The U(n) trace moment E|Tr W_k|^2 has a closed form (Porod,
+PTRF 104, 1996), so its Monte Carlo diagnostic is a cross-check of the walk.
 
 The U(n) diagnostic simulates its walks walk-major: the walks are split
 into groups of _GROUP_BYTES of working set, and each group takes all of its
@@ -39,7 +39,7 @@ _BLOCK_STEPS = 8
 # Working set of one walk group, _walk_bytes per walk: 117 walks at n = 32.
 _GROUP_BYTES = 4 * 1024 * 1024
 # Memory of one curve point from the walk to the report (peak RSS grew by
-# 218 B a point for S_3, by 247 B for U(2) besides its units' moments).
+# 161 B a point for S_3, by 247 B for U(2) besides its units' moments).
 CURVE_POINT_BYTES = 256
 # Curve values at or below this are float noise: fit_decay neither fits nor
 # certifies them.
@@ -84,17 +84,12 @@ class DecayFit:
 
 @dataclass(frozen=True)
 class MixingDiagnostic:
-    """Monte Carlo moment curve m(k) = E|Tr(Y_1 ... Y_k)|^2 with a PROXY fit.
-
-    m(0) = n^2 and m(k) -> 1 (the Haar value) as the walk mixes; the decay of
-    |m(k) - 1| tracks mixing but is not a total-variation bound.
-    """
+    """Monte Carlo moment curve m(k) = E|Tr(Y_1 ... Y_k)|^2 and its standard
+    errors, k = 0 .. k_max: m(0) = n^2 and m(k) -> 1, the Haar value, as the
+    walk mixes."""
 
     moments: np.ndarray
     stderrs: np.ndarray
-    deviations: np.ndarray
-    fit: Optional[DecayFit]
-    note: str
 
 
 def exact_tv_curve(op: WalkOperator, k_max: int, law_below: Optional[float] = None) -> TVCurve:
@@ -133,12 +128,12 @@ def exact_tv_curve(op: WalkOperator, k_max: int, law_below: Optional[float] = No
     return TVCurve(values, *kept)
 
 
-def fit_decay(curve, floor: float = FIT_FLOOR) -> DecayFit:
+def fit_decay(curve) -> DecayFit:
     """Certified exponential envelope for a decaying curve.
 
     The rate comes from a least-squares line on log(values) over the window
-    where values lie strictly inside (floor, 0.5); the prefactor is then
-    raised until a * e^(-b k) >= value(k) for every k with value(k) > floor.
+    where values lie strictly inside (FIT_FLOOR, 0.5); the prefactor is then
+    raised until a * e^(-b k) >= value(k) wherever value(k) > FIT_FLOOR.
 
     Both the window and the prefactor rest on the values just above the
     floor, where the rounding of an exact curve is large in relative terms,
@@ -150,10 +145,8 @@ def fit_decay(curve, floor: float = FIT_FLOOR) -> DecayFit:
     planned for ROADMAP item 4, would not depend on these values.
     """
     values = np.asarray(curve.values if isinstance(curve, TVCurve) else curve, dtype=float)
-    if floor < 0:
-        raise ValueError("floor must be nonnegative")
     ks = np.arange(values.size)
-    window = (values > floor) & (values < 0.5)
+    window = (values > FIT_FLOOR) & (values < 0.5)
     if int(np.sum(window)) < 3:
         raise ValueError("need at least 3 curve points strictly between floor and 0.5")
     slope, intercept = np.polyfit(ks[window], np.log(values[window]), 1)
@@ -161,7 +154,7 @@ def fit_decay(curve, floor: float = FIT_FLOOR) -> DecayFit:
     if b <= 0:
         raise ValueError("curve does not decay: fitted rate is not positive")
     residual = float(np.max(np.abs(np.log(values[window]) - (intercept + slope * ks[window]))))
-    certified = values > floor
+    certified = values > FIT_FLOOR
     a = max(float(np.exp(intercept)), float(np.max(values[certified] * np.exp(b * ks[certified]))))
     tau = float(np.log(a) / b)
     lo, hi = int(ks[window][0]), int(ks[window][-1])
@@ -296,8 +289,8 @@ def unitary_mixing_diagnostic(
 
     Simulates `reps` independent walks W_k = Y_k ... Y_1 for k_max steps,
     Y = I - (1 - e^{i phi}) u u*, and records m(k) = E|Tr W_k|^2 with its
-    standard error.  The fitted decay of |m(k) - 1| is labeled PROXY: it is
-    not a total-variation envelope.
+    standard error, an estimate of the exact curve
+    1 + (n^2 - 1)((n - 1)/(n + 1))^(2k).
 
     The walks are split into groups of _GROUP_BYTES of working set; each
     group g takes all k_max steps on its own generator, seeded by
@@ -337,13 +330,5 @@ def unitary_mixing_diagnostic(
         _merge(acc[0], i * unit, min(unit, reps - i * unit), *acc[i])
     moments = np.concatenate(([float(n * n)], acc[0, 0]))
     stderrs = np.concatenate(([0.0], np.sqrt(acc[0, 1] / (reps - 1)) / np.sqrt(reps)))
-    deviations = np.abs(moments - 1.0)
-    note = "PROXY: fit of |E|Tr W_k|^2 - 1|, not a total-variation envelope"
-    try:
-        # Fit only above twice the median standard error: below it is noise.
-        fit = fit_decay(deviations, floor=max(FIT_FLOOR, 2.0 * float(np.median(stderrs[1:]))))
-    except ValueError:
-        fit = None
-        note += " (no usable fit window)"
-    return MixingDiagnostic(moments, stderrs, deviations, fit, note)
+    return MixingDiagnostic(moments, stderrs)
 

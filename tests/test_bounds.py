@@ -2,6 +2,7 @@
 specialization, and the step size of the spectral CDF on U(n)."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,15 @@ class TestBoundInputs:
         assert inputs.step_bound == 2.0
 
 
+# Finite (A, B, a, b) whose constant or crossover overflows: B^2/b and
+# log(4aA/B)/b above the float range, or 4aA/B itself.
+OVERFLOWING_INPUTS = [
+    (1.0, 1.0, 1.0, 1e-320),
+    (1.0, 1.0, 1e308, 1e-300),
+    (1e308, 1e-300, 1e308, 1.0),
+]
+
+
 class TestConcentrationConstant:
     def test_unit_inputs(self):
         result = concentration_constant(BoundInputs(1.0, 1.0, 1.0, 1.0))
@@ -103,6 +113,13 @@ class TestConcentrationConstant:
         # With 4aA/B = 1 and b large, b/(1 - e^{-b}) ~ b collapses C to B^2.
         result = concentration_constant(BoundInputs(1.0, 2.0, 0.5, 50.0))
         assert result.constant == pytest.approx(4.0, rel=1e-6)
+
+    @pytest.mark.parametrize("A,B,a,b", OVERFLOWING_INPUTS)
+    def test_overflow_is_refused(self, A, B, a, b):
+        # Finite inputs whose C or crossover overflows: int(ceil(inf)) raised
+        # an OverflowError, which the CLI printed as a traceback.
+        with pytest.raises(ValueError, match=re.escape(f"not finite at A = {A!r}, B = {B!r}")):
+            concentration_constant(BoundInputs(A, B, a, b))
 
     def test_crossover_step_is_ceiling(self):
         result = concentration_constant(BoundInputs(1.0, 1.0, 1.0, 1.0))

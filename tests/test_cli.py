@@ -17,7 +17,9 @@ from haarconc import cli, experiments, kernel, mixing, workers
 from haarconc.cli import main, parse_config
 from haarconc.experiments import ExperimentReport
 
+from test_bounds import OVERFLOWING_INPUTS
 from test_experiments import package_env, use_workers, worker_time_limit  # noqa: F401 (fixture)
+from test_mixing import exact_trace_moment
 
 
 def write_config(tmp_path, name, data) -> str:
@@ -237,6 +239,18 @@ class TestBoundCalc:
     def test_invalid_inputs(self, capsys):
         assert main(["bound-calc", "--A", "1", "--B", "3", "--a", "1", "--b", "1"]) == 1
         assert main(["bound-calc", "--A", "-1", "--B", "1", "--a", "1", "--b", "1"]) == 1
+
+    @pytest.mark.parametrize("A,B,a,b", OVERFLOWING_INPUTS)
+    def test_overflowing_constant_is_one_error_line(self, tmp_path, capsys, A, B, a, b):
+        out = tmp_path / "bc"
+        assert main(["bound-calc", "--A", repr(A), "--B", repr(B), "--a", repr(a),
+                     "--b", repr(b), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: C = ")
+        assert f"are not finite at A = {A!r}" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("second", ["0.1", "0.10000001"])
     def test_t_values_that_print_alike_refused(self, tmp_path, capsys, second):
@@ -571,12 +585,43 @@ class TestMixingCurveCommand:
         assert code == 0
         payload = load_report(out_dir)
         assert payload["estimates"]["moment_at_0"] == 64.0
-        assert "PROXY" in payload["estimates"]["note"]
-        assert payload["bounds"]["proxy_kappa"] > 0
+        assert payload["estimates"]["exact_rate"] == pytest.approx(2.0 * np.log(9.0 / 7.0),
+                                                                   rel=1e-14)
         lines = (out_dir / "mixing_curve.csv").read_text().splitlines()
-        assert lines[0] == "k,value,stderr"
+        assert lines[0] == "k,value,stderr,exact"
         assert len(lines) == 34
+        rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+        np.testing.assert_allclose(rows[:, 3], exact_trace_moment(8, np.arange(33)),
+                                   rtol=1e-12, atol=0.0)
+        assert payload["estimates"]["exact_moment_at_k_max"] == rows[-1, 3]
+        z = np.abs(rows[1:, 1] - rows[1:, 3]) / rows[1:, 2]
+        verdict, = payload["verdicts"]
+        assert verdict["name"] == "moments_within_5se_of_exact"
+        assert (verdict["status"], verdict["threshold"], verdict["policy"]) == (
+            "pass", 5.0, "5se-every-k")
+        assert verdict["observed"] == pytest.approx(float(np.max(z)), rel=1e-12)
         assert payload["environment"]["runtime_seconds"] > 0
+
+    def test_unitary_walk_off_the_exact_curve_fails(self, tmp_path, capsys, monkeypatch):
+        # Halving every angle phi slows the walk: its moments sit far above
+        # the exact curve, by 138 standard errors at this seed.
+        sample = mixing._sample_reflection_batch
+
+        def half_angles(*args):
+            u, phi = sample(*args)
+            return u, phi / 2.0
+
+        monkeypatch.setattr(mixing, "_sample_reflection_batch", half_angles)
+        out_dir = tmp_path / "un"
+        code = main(["mixing-curve", "--group", "un", "--n", "8", "--k-max", "32",
+                     "--replicates", "2000", "--seed", "0", "--out", str(out_dir)])
+        assert code == 2
+        verdict, = load_report(out_dir)["verdicts"]
+        assert verdict["status"] == "fail"
+        assert verdict["observed"] > 5.0
+        captured = capsys.readouterr()
+        assert "0 pass / 1 fail / 0 inconclusive" in captured.out
+        assert "failed verdicts: moments_within_5se_of_exact" in captured.err
 
     @pytest.mark.usefixtures("worker_time_limit")
     def test_unitary_curve_is_the_same_on_any_worker_count(self, tmp_path, capsys, monkeypatch):
@@ -594,13 +639,17 @@ class TestMixingCurveCommand:
         assert curves[2] == curves[0]
 
     def test_unitary_without_fit_window(self, tmp_path, capsys):
+        # Three steps leave no window to fit a decay in; the exact curve
+        # needs none.
         out_dir = tmp_path / "un_small"
         code = main(["mixing-curve", "--group", "un", "--n", "4", "--k-max", "3",
                      "--replicates", "1000", "--seed", "1", "--out", str(out_dir)])
         assert code == 0
         payload = load_report(out_dir)
         assert payload["bounds"] == {}
-        assert "no usable fit window" in payload["estimates"]["note"]
+        assert payload["estimates"]["exact_moment_at_k_max"] == pytest.approx(
+            float(exact_trace_moment(4, np.array(3))), rel=1e-12)
+        assert [v["status"] for v in payload["verdicts"]] == ["pass"]
 
     def test_walk_over_the_memory_budget_refused(self, tmp_path, capsys, monkeypatch):
         def no_work(*args):

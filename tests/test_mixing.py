@@ -392,10 +392,6 @@ class TestFitDecay:
         with pytest.raises(ValueError):
             fit_decay(vals)
 
-    def test_negative_floor(self):
-        with pytest.raises(ValueError):
-            fit_decay(np.array([0.4, 0.2, 0.1, 0.05]), floor=-1.0)
-
     def test_window_excludes_plateau(self):
         vals = np.concatenate([np.full(5, 0.9), 0.4 * np.exp(-0.3 * np.arange(30))])
         fit = fit_decay(vals)
@@ -476,24 +472,8 @@ class TestUnitaryMixingDiagnostic:
         d = unitary_mixing_diagnostic(8, 40, 3000, np.random.default_rng(0))
         assert abs(d.moments[-1] - 1.0) <= 4.0 * d.stderrs[-1]
         # Decay is visible well above the noise floor.
-        assert d.deviations[20] < d.deviations[5] < d.deviations[1]
-
-    def test_fit_is_labeled_proxy(self):
-        d = unitary_mixing_diagnostic(8, 40, 3000, np.random.default_rng(0))
-        assert "PROXY" in d.note
-        assert d.fit is not None
-        assert d.fit.b > 0
-        assert d.fit.window[1] - d.fit.window[0] >= 2
-        # The certified prefactor covers the exact k=0 deviation n^2 - 1.
-        assert d.fit.a >= d.deviations[0] * (1.0 - 1e-12)
-        lo, hi = d.fit.window
-        for k in range(lo, hi + 1):
-            assert d.fit.a * math.exp(-d.fit.b * k) >= d.deviations[k] * (1.0 - 1e-9)
-
-    def test_no_window_case_is_flagged(self):
-        d = unitary_mixing_diagnostic(4, 3, 1000, np.random.default_rng(1))
-        assert d.fit is None
-        assert "no usable fit window" in d.note
+        deviations = d.moments - 1.0
+        assert deviations[20] < deviations[5] < deviations[1]
 
     def test_determinism(self):
         d1 = unitary_mixing_diagnostic(5, 6, 1200, np.random.default_rng(42))
@@ -670,7 +650,6 @@ class TestWalkGroups:
         for count in (2, 3):
             assert np.array_equal(results[count].moments, results[1].moments)
             assert np.array_equal(results[count].stderrs, results[1].stderrs)
-            assert np.array_equal(results[count].deviations, results[1].deviations)
 
     def test_more_workers_than_cores_on_the_fork_path(self, monkeypatch):
         # 40 groups of 25 walks in 14 units of up to three groups, on 8
