@@ -43,10 +43,6 @@ from .experiments import (
     child_rng,
     resolve_spectrum,
     run_experiment,
-    run_finite_group_experiment,
-    run_identity_suite,
-    run_matrix_experiment,
-    run_scaling_study,
 )
 
 __all__ = [
@@ -73,10 +69,6 @@ __all__ = [
     "pair_potential",
     "resolve_spectrum",
     "run_experiment",
-    "run_finite_group_experiment",
-    "run_identity_suite",
-    "run_matrix_experiment",
-    "run_scaling_study",
     "sample_haar_permutation",
     "sample_haar_unitary",
     "sample_reflection_step",

@@ -91,8 +91,8 @@ def tail_bound(constant: float, t: float) -> float:
     """
     if not constant >= 0:
         raise ValueError(f"constant must be nonnegative (got {constant!r})")
-    if not t >= 0:
-        raise ValueError(f"t must be nonnegative (got {t!r})")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be nonnegative and finite (got {t!r})")
     if t == 0:
         return 2.0
     if constant == 0:

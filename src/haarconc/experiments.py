@@ -15,16 +15,16 @@ sampled reduced form, so the step check needs no Haar draw of its own.  The
 chunks go to the forked workers of haarconc.workers (two threads ran these
 small LAPACK calls no faster than one), one per CPU that one BLAS call may
 use, so a BLAS left to use every CPU runs the chunks inline, under the
-_matrix_plan that also refuses a config above the memory budget.  A
+_matrix_plan that also refuses, first, a run above the memory budget.  A
 replicate's result depends on its index only, so reports do not depend on
 the worker count.  Every check is a verdict that the report records,
 failed or not: an exact check by _exact_verdict, which fails on any value
 that breaks its limit and names the first, a statistical comparison by
 _estimate_verdict under one 4-standard-error rule, and the U(n) walk's
 moments by their distance from the exact curve in standard errors.  The
-reports of all six CLI commands are assembled here, and every config is
-parsed and echoed by one key table, _KEYS, which gives per key the default
-of each kind that takes it, or "required", and the key's parser.
+reports of all six CLI commands are assembled here, a config's by
+run_experiment alone, and every config is parsed and echoed by one key table,
+_KEYS: per key, each kind's default or "required", and the key's parser.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ _TAKEN = {kind: {key: (row[i], row[-1]) for key, row in _KEYS.items() if row[i] 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated, canonicalized experiment configuration; from_dict parses
-    it and to_dict writes it by the one key table, _KEYS.
+    it by key rules only and to_dict writes it, both by one key table, _KEYS.
 
     Spectra are either a generator name ("two_point" | "uniform_grid" |
     "zero") or an explicit tuple of finite eigenvalues.
@@ -255,15 +255,7 @@ class ExperimentConfig:
                 fields[key] = default(fields) if callable(default) else default
         for key in ("n_grid", "x_grid", "t_grid"):
             _require_distinct(f"config key '{key}'", fields.get(key) or (), "verdict names")
-        cfg = ExperimentConfig(**fields)
-        if kind in ("matrix", "scaling"):
-            for n in cfg.n_grid or (cfg.n,):
-                _matrix_plan(cfg, n)
-        elif kind == "finite-group":
-            workers.require_budget(
-                f"a finite-group run of {cfg.replicates} replicates and {cfg.k_max} steps",
-                FINITE_GROUP_REPLICATE_BYTES * cfg.replicates + CURVE_POINT_BYTES * (cfg.k_max + 1))
-        return cfg
+        return ExperimentConfig(**fields)
 
     def to_dict(self) -> dict:
         """Canonical JSON form: every key the kind takes, defaults filled."""
@@ -424,7 +416,8 @@ def _matrix_plan(cfg: ExperimentConfig, n: int) -> workers.Plan:
     256 MB at n = 256 / 512 / 1024), so n >= 2048 is refused even at one
     replicate.  The shared arrays hold F_H and the reduced form's F per
     replicate and x point, and with step_check each replicate's step rank
-    and CDF gap.  A scaling run's refusal names the n that is over the budget."""
+    and CDF gap.  It is made before any allocation, for a scaling run at
+    every n before the first runs, and a scaling refusal names its n."""
     reps, chunk = cfg.replicates, chunk_size(n)
     at = f" at n = {n}" if cfg.kind == "scaling" else ""
     layouts = [((reps, len(cfg.x_grid)), np.float64)] * 2
@@ -488,6 +481,7 @@ def sample_spectral_cdfs(
     chunk; a replicate's draws and arithmetic depend on its index only, not
     on which worker claims its chunk or when, so neither do the results.
     """
+    plan = _matrix_plan(cfg, n)
     xs = np.asarray(cfg.x_grid)
     spec_m = resolve_spectrum(cfg.spectrum_M, n)
     spec_n = resolve_spectrum(cfg.spectrum_N, n)
@@ -516,7 +510,7 @@ def sample_spectral_cdfs(
             ranks[rows.start:rows.stop], gaps[rows.start:rows.stop] = _check_steps(
                 h_red, eig_red, w, y, diag_n)
 
-    f_def, f_red, *steps = workers.run(_matrix_plan(cfg, n), work)
+    f_def, f_red, *steps = workers.run(plan, work)
     return f_def, f_red, tuple(steps) if cfg.step_check else None
 
 
@@ -554,15 +548,13 @@ def _cdf_statistics(cfg: ExperimentConfig, n: int, f_def: np.ndarray,
     return per_x
 
 
-def run_matrix_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_matrix(cfg: ExperimentConfig) -> tuple:
     """Sample H = U M U* + V N V* (and the reduced form X M X* + N), estimate
     the spectral CDF mean/variance/tails on the x grid, and compare against
     the kappa-scaled bounds.  With step_check, also give the exact verdicts
     on one reflection step of every replicate's reduced form, rank(H - H')
     <= 3 and sup |F_H - F_H'| <= 3/n, which name the first replicate that
-    breaks them."""
-    if cfg.kind != "matrix":
-        raise ValueError("run_matrix_experiment requires kind 'matrix'")
+    breaks them.  Returns (estimates, bounds, verdicts, curves)."""
     n, reps, kappa, ts = cfg.n, cfg.replicates, cfg.kappa, list(cfg.t_grid)
     f_def, f_red, steps = sample_spectral_cdfs(cfg, n)
     per_x = _cdf_statistics(cfg, n, f_def, f_red)
@@ -613,8 +605,7 @@ def run_matrix_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             "rows": tail_rows,
         }
     }
-    return ExperimentReport(cfg.to_dict(), estimates, bounds, verdicts,
-                            report_environment(cfg.seed, cfg.replicates), curves)
+    return estimates, bounds, verdicts, curves
 
 
 def _lazy_walk(n: int, k_max: int, law_below: Optional[float] = None):
@@ -636,13 +627,15 @@ def _lazy_walk(n: int, k_max: int, law_below: Optional[float] = None):
             f"k_max = {k_max} is too short to fit the S_{n} envelope: {exc}") from None
 
 
-def run_finite_group_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Exact certification on S_n: certified TV envelope, exact norms and
-    variance per test function, and exact verdicts on Var <= C/2 and on the
-    tails, which name the first function (and t) that breaks them."""
-    if cfg.kind != "finite-group":
-        raise ValueError("run_finite_group_experiment requires kind 'finite-group'")
+def _run_finite_group(cfg: ExperimentConfig) -> tuple:
+    """Exact certification on S_n, after its memory check: certified TV
+    envelope, exact norms and variance per test function, and exact verdicts
+    on Var <= C/2 and on the tails, which name the first function (and t)
+    that breaks them.  Returns (estimates, bounds, verdicts, curves)."""
     n = cfg.n
+    workers.require_budget(
+        f"a finite-group run of {cfg.replicates} replicates and {cfg.k_max} steps",
+        FINITE_GROUP_REPLICATE_BYTES * cfg.replicates + CURVE_POINT_BYTES * (cfg.k_max + 1))
     op, curve, fit = _lazy_walk(n, cfg.k_max, WALK_TV_TARGET)
     size = op.size
 
@@ -720,16 +713,13 @@ def run_finite_group_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                      for d in default_tail],
         },
     }
-    return ExperimentReport(cfg.to_dict(), estimates, bounds, verdicts,
-                            report_environment(cfg.seed, cfg.replicates), curves)
+    return estimates, bounds, verdicts, curves
 
 
-def run_identity_suite(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_identities(cfg: ExperimentConfig) -> tuple:
     """Exact pair identities on S_n (n <= MAX_DEGREE) for random centered
-    functions, with one exact verdict that names the first function whose
-    residual breaks IDENTITY_RESIDUAL_LIMIT."""
-    if cfg.kind != "identity-suite":
-        raise ValueError("run_identity_suite requires kind 'identity-suite'")
+    functions, and one exact verdict naming the first whose residual breaks
+    IDENTITY_RESIDUAL_LIMIT.  Returns (estimates, bounds, verdicts, curves)."""
     n = cfg.n
     op = walk_operator(n)
     rows = []
@@ -757,16 +747,16 @@ def run_identity_suite(cfg: ExperimentConfig) -> ExperimentReport:
             "rows": rows,
         }
     }
-    return ExperimentReport(cfg.to_dict(), estimates, bounds, verdicts,
-                            report_environment(cfg.seed, cfg.replicates), curves)
+    return estimates, bounds, verdicts, curves
 
 
-def run_scaling_study(cfg: ExperimentConfig) -> ExperimentReport:
-    """The matrix sampler and statistics at every n of the grid; checks that
-    n * Var / log n stays below the configured kappa and re-tests tails with
-    the measured kappa."""
-    if cfg.kind != "scaling":
-        raise ValueError("run_scaling_study requires kind 'scaling'")
+def _run_scaling(cfg: ExperimentConfig) -> tuple:
+    """The matrix sampler and statistics at every n of the grid, all planned
+    before the first runs; checks that n * Var / log n stays below the
+    configured kappa and re-tests tails with the measured kappa.  Returns
+    (estimates, bounds, verdicts, curves)."""
+    for n in cfg.n_grid:
+        _matrix_plan(cfg, n)
     per_n = [{"n": n, "per_x": _cdf_statistics(cfg, n, *sample_spectral_cdfs(cfg, n)[:2])}
              for n in cfg.n_grid]
     kappa_measured = max([0.0] + [row["scaled_ratio"] for d in per_n for row in d["per_x"]])
@@ -818,22 +808,24 @@ def run_scaling_study(cfg: ExperimentConfig) -> ExperimentReport:
             "rows": tail_rows,
         },
     }
-    return ExperimentReport(cfg.to_dict(), estimates, bounds, verdicts,
-                            report_environment(cfg.seed, cfg.replicates), curves)
+    return estimates, bounds, verdicts, curves
 
 
 _RUNNERS = {
-    "matrix": run_matrix_experiment,
-    "finite-group": run_finite_group_experiment,
-    "identity-suite": run_identity_suite,
-    "scaling": run_scaling_study,
+    "matrix": _run_matrix,
+    "finite-group": _run_finite_group,
+    "identity-suite": _run_identities,
+    "scaling": _run_scaling,
 }
 
 
 @_timed
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Run the runner for cfg.kind."""
-    return _RUNNERS[cfg.kind](cfg)
+    """Run a config, the one entry of every kind: the report of what the
+    runner of cfg.kind returns, with the config echo and the environment."""
+    estimates, bounds, verdicts, curves = _RUNNERS[cfg.kind](cfg)
+    return ExperimentReport(cfg.to_dict(), estimates, bounds, verdicts,
+                            report_environment(cfg.seed, cfg.replicates), curves)
 
 
 @_timed

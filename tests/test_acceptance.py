@@ -14,14 +14,7 @@ import pytest
 
 from haarconc.bounds import BoundInputs, concentration_constant
 from haarconc.cli import main
-from haarconc.experiments import (
-    ExperimentConfig,
-    child_rng,
-    run_finite_group_experiment,
-    run_identity_suite,
-    run_matrix_experiment,
-    run_scaling_study,
-)
+from haarconc.experiments import ExperimentConfig, child_rng, run_experiment
 from haarconc.groups import (
     reflection_matrices,
     sample_haar_unitary,
@@ -69,7 +62,7 @@ def scaling_run():
         }
     )
     start = time.perf_counter()
-    report = run_scaling_study(cfg)
+    report = run_experiment(cfg)
     elapsed = time.perf_counter() - start
     return report, elapsed
 
@@ -81,7 +74,7 @@ def test_criterion_1_identity_suite(capsys):
             cfg = ExperimentConfig.from_dict(
                 {"kind": "identity-suite", "n": n, "seed": 101, "replicates": 50}
             )
-            report = run_identity_suite(cfg)
+            report = run_experiment(cfg)
             assert report.estimates["max_conditional_mean_residual"] <= 1e-9
             assert report.estimates["max_variance_residual"] <= 1e-9
             assert {v["status"] for v in report.verdicts} == {"pass"}
@@ -95,7 +88,7 @@ def test_criterion_2_certified_concentration(capsys):
             cfg = ExperimentConfig.from_dict(
                 {"kind": "finite-group", "n": n, "seed": 202, "replicates": 10_000}
             )
-            report = run_finite_group_experiment(cfg)
+            report = run_experiment(cfg)
             functions = report.estimates["functions"]
             assert len(functions) >= 21
             for row in functions:
@@ -142,7 +135,7 @@ def test_criterion_4_rank_and_cdf_gap(capsys):
             {"kind": "matrix", "n": 8, "seed": 404, "replicates": 200,
              "step_check": True}
         )
-        report = run_matrix_experiment(cfg)
+        report = run_experiment(cfg)
         assert report.estimates["step_check"]["max_rank"] <= 3
         steps = [v for v in report.verdicts if v["name"].startswith("step_")]
         assert [(v["name"], v["status"]) for v in steps] == [

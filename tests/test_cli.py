@@ -265,11 +265,15 @@ class TestBoundCalc:
         assert not out.exists()
 
     def test_nan_t_refused(self, tmp_path, capsys):
-        out = tmp_path / "bc"
-        assert main(["bound-calc", "--A", "1", "--B", "1", "--a", "1", "--b", "1",
-                     "--t", "0.5", "--t", "nan", "--out", str(out)]) == 1
-        assert "t must be nonnegative" in capsys.readouterr().err
-        assert not out.exists()
+        # An infinite t would write "t": Infinity, which is not JSON.
+        for t in ("nan", "inf"):
+            out = tmp_path / t
+            assert main(["bound-calc", "--A", "1", "--B", "1", "--a", "1", "--b", "1",
+                         "--t", "0.5", "--t", t, "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert f"t must be nonnegative and finite (got {t})" in captured.err
+            assert captured.out == ""
+            assert not out.exists()
 
 
 class TestExperimentCommands:
@@ -363,10 +367,10 @@ class TestExperimentCommands:
     def test_matrix_size_cap_refused(self, tmp_path, capsys, monkeypatch):
         # The memory plan is the only size limit: n = 2048 does not fit even
         # at one replicate, and a grid is refused at the n that does not fit.
-        def no_work(cfg, n):
+        def no_work(plan, work):
             raise AssertionError("an oversized config reached the replicates")
 
-        monkeypatch.setattr(experiments, "sample_spectral_cdfs", no_work)
+        monkeypatch.setattr(experiments.workers, "run", no_work)
         for command, body, run in (
                 ("matrix", {"n": 2048, "replicates": 1}, "a matrix run of 1 replicates"),
                 ("scaling", {"n_grid": [8, 4096]}, "a scaling run of 1000 replicates at n = 4096")):
@@ -397,7 +401,7 @@ class TestExperimentCommands:
         def no_work(*args):
             raise AssertionError("an oversized config reached the work")
 
-        monkeypatch.setattr(experiments, "sample_spectral_cdfs", no_work)
+        monkeypatch.setattr(experiments.workers, "run", no_work)
         monkeypatch.setattr(experiments, "walk_operator", no_work)
         use_workers(monkeypatch, 1)
         path = write_config(tmp_path, "cfg.json", {"kind": command, "seed": 0, **body})
@@ -417,7 +421,7 @@ class TestExperimentCommands:
         def no_work(*args):
             raise AssertionError("an oversized config reached the work")
 
-        monkeypatch.setattr(experiments, "sample_spectral_cdfs", no_work)
+        monkeypatch.setattr(experiments.workers, "run", no_work)
         use_workers(monkeypatch, 1)
         path = write_config(tmp_path, "cfg.json",
                             {"kind": command, "seed": 0, "replicates": 20000, **body})
@@ -433,7 +437,7 @@ class TestExperimentCommands:
         def no_work(*args):
             raise AssertionError("an oversized config reached the work")
 
-        monkeypatch.setattr(experiments, "sample_spectral_cdfs", no_work)
+        monkeypatch.setattr(experiments.workers, "run", no_work)
         use_workers(monkeypatch, 2)
         n, reps = 64, 1000
         chunk = experiments.chunk_size(n) * 16 * n * n * 16

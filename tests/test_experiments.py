@@ -29,11 +29,7 @@ from haarconc.experiments import (
     child_rng,
     resolve_spectrum,
     run_experiment,
-    run_finite_group_experiment,
-    run_identity_suite,
-    run_matrix_experiment,
     run_mixing_curve,
-    run_scaling_study,
     sample_spectral_cdfs,
 )
 from haarconc import hermitian, kernel, workers
@@ -275,7 +271,7 @@ class TestMatrixExperiment:
     def test_zero_matrices_are_deterministic(self):
         cfg = matrix_config(n=4, replicates=600, spectrum_M="zero", spectrum_N="zero",
                             x_grid=[-0.5, 0.0, 0.5])
-        report = run_matrix_experiment(cfg)
+        report = run_experiment(cfg)
         for row in report.estimates["per_x"]:
             assert row["variance"] == 0.0
             expected = 0.0 if row["x"] < 0 else 1.0
@@ -285,7 +281,7 @@ class TestMatrixExperiment:
 
     def test_report_structure_and_verdicts(self):
         cfg = matrix_config(replicates=600)
-        report = run_matrix_experiment(cfg)
+        report = run_experiment(cfg)
         assert set(report.to_json_dict()) == REPORT_KEYS
         assert report.config_echo == cfg.to_dict()
         n_x, n_t = len(cfg.x_grid), len(cfg.t_grid)
@@ -303,7 +299,7 @@ class TestMatrixExperiment:
 
     def test_variance_well_below_reference_bound(self):
         cfg = matrix_config(replicates=600)
-        report = run_matrix_experiment(cfg)
+        report = run_experiment(cfg)
         bound = report.bounds["variance_bound"]
         assert bound == pytest.approx(math.log(8.0) / 8.0, rel=1e-12)
         for row in report.estimates["per_x"]:
@@ -311,26 +307,11 @@ class TestMatrixExperiment:
 
     def test_small_replicates_mark_tails_inconclusive(self):
         cfg = matrix_config(replicates=50)
-        report = run_matrix_experiment(cfg)
+        report = run_experiment(cfg)
         assert report.estimates["tail_resolution_warning"]
         tail_status = {v["status"] for v in report.verdicts if v["name"].startswith("tail_")}
         assert tail_status == {"inconclusive"}
         assert not report.has_failure()
-
-    def test_kind_checked(self):
-        cfg = ExperimentConfig.from_dict({"kind": "identity-suite", "n": 3, "seed": 0})
-        with pytest.raises(ValueError):
-            run_matrix_experiment(cfg)
-
-    def test_threads_do_not_change_results(self):
-        # The runners take no thread count; `--threads` stops at the CLI.
-        cfg = matrix_config(replicates=120)
-        with pytest.raises(TypeError):
-            run_matrix_experiment(cfg, threads=8)
-        one = run_matrix_experiment(cfg)
-        again = run_matrix_experiment(cfg)
-        assert one.to_json_dict() == again.to_json_dict()
-        assert one.curves == again.curves
 
 
 class TestReflectionStepExperiment:
@@ -339,7 +320,7 @@ class TestReflectionStepExperiment:
     def test_requires_step_check(self):
         cfg = matrix_config()
         assert sample_spectral_cdfs(cfg, cfg.n)[2] is None
-        report = run_matrix_experiment(cfg)
+        report = run_experiment(cfg)
         assert "step_check" not in report.estimates
         assert "step_check" not in report.bounds
         assert not any(v["name"].startswith("step_") for v in report.verdicts)
@@ -347,7 +328,7 @@ class TestReflectionStepExperiment:
     def test_hard_guarantees_hold(self):
         for n in (4, 8):
             cfg = matrix_config(n=n, replicates=150, step_check=True)
-            report = run_matrix_experiment(cfg)
+            report = run_experiment(cfg)
             step = report.estimates["step_check"]
             assert step["max_rank"] <= 3
             assert step["max_cdf_gap"] <= 3.0 / n + 1e-12
@@ -371,7 +352,7 @@ class TestReflectionStepExperiment:
         real = experiments._hermitian_rank
         monkeypatch.setattr(experiments, "_hermitian_rank",
                             lambda d: np.where(np.arange(len(d)) % 2, 5, real(d)))
-        report = run_matrix_experiment(cfg)
+        report = run_experiment(cfg)
         rank, gap = report.verdicts[-2:]
         assert rank == {"name": "step_rank_le_3", "status": "fail", "observed": 5.0,
                         "threshold": 3.0, "policy": "exact",
@@ -384,7 +365,7 @@ class TestReflectionStepExperiment:
         real = experiments.sup_cdf_distance
         monkeypatch.setattr(experiments, "sup_cdf_distance",
                             lambda a, b: np.where(np.arange(len(a)) % 2, 1.0, real(a, b)))
-        report = run_matrix_experiment(cfg)
+        report = run_experiment(cfg)
         rank, gap = report.verdicts[-2:]
         assert gap == {"name": "step_cdf_gap_le_3_over_n", "status": "fail", "observed": 1.0,
                        "threshold": 0.75 + 1e-12, "policy": "exact",
@@ -500,7 +481,7 @@ class TestChunkedEngine:
             _, _, (ranks, gaps) = sample_spectral_cdfs(cfg, cfg.n)
             assert np.array_equal(ranks, want_ranks[:reps])
             assert np.array_equal(gaps, want_gaps[:reps])
-            step = run_matrix_experiment(cfg).estimates["step_check"]
+            step = run_experiment(cfg).estimates["step_check"]
             assert step["max_rank"] == max(want_ranks[:reps])
             assert step["max_cdf_gap"] == max(want_gaps[:reps])
 
@@ -515,7 +496,7 @@ class TestChunkedEngine:
         cfg = matrix_config(n=n, replicates=2 * chunk + 5, step_check=True)
         for count in (1, 2, 3):
             forks = use_workers(monkeypatch, count)
-            rank = run_matrix_experiment(cfg).verdicts[-2]
+            rank = run_experiment(cfg).verdicts[-2]
             assert len(forks) == count - 1
             assert rank["name"] == "step_rank_le_3"
             assert rank["status"] == "fail"
@@ -1044,7 +1025,7 @@ class TestWorkerProcesses:
             forks = use_workers(monkeypatch, workers_count)
             _, _, (ranks, _) = sample_spectral_cdfs(cfg, cfg.n)
             assert np.flatnonzero(ranks > 3).tolist() == targets
-            verdicts.append(run_matrix_experiment(cfg).verdicts[-2])
+            verdicts.append(run_experiment(cfg).verdicts[-2])
             assert len(forks) == 2 * (workers_count - 1)
         assert recorded_ranges(log)
         assert verdicts[0] == verdicts[1]
@@ -1252,7 +1233,7 @@ class TestFiniteGroupExperiment:
             {"kind": "finite-group", "n": 4, "seed": 0, "replicates": reps})
         tracemalloc.start()
         try:
-            run_finite_group_experiment(cfg)
+            run_experiment(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1263,7 +1244,7 @@ class TestFiniteGroupExperiment:
         cfg = ExperimentConfig.from_dict(
             {"kind": "finite-group", "n": 5, "seed": 3, "replicates": 2000}
         )
-        report = run_finite_group_experiment(cfg)
+        report = run_experiment(cfg)
         default = report.estimates["functions"][0]
         assert default["label"] == "default"
         # Fixed-point count has variance 1, so the 1/n-scaled version has 1/n^2.
@@ -1275,7 +1256,7 @@ class TestFiniteGroupExperiment:
             cfg = ExperimentConfig.from_dict(
                 {"kind": "finite-group", "n": n, "seed": 1, "replicates": 2000}
             )
-            report = run_finite_group_experiment(cfg)
+            report = run_experiment(cfg)
             assert {v["status"] for v in report.verdicts} == {"pass"}
             assert len(report.estimates["functions"]) == 1 + experiments.FINITE_GROUP_TEST_FUNCTIONS
             assert report.estimates["max_variance_margin"] <= 1.0
@@ -1286,12 +1267,12 @@ class TestFiniteGroupExperiment:
     def test_tails_sample_at_k_max_when_the_curve_misses_the_target(self):
         # The tails sample the exact law at the first k with d_TV <=
         # WALK_TV_TARGET, or at k_max when the curve never gets there.
-        short = run_finite_group_experiment(ExperimentConfig.from_dict(
+        short = run_experiment(ExperimentConfig.from_dict(
             {"kind": "finite-group", "n": 5, "seed": 0, "k_max": 20}))
         assert short.estimates["k_star"] == 20
         assert short.estimates["tv_at_k_star"] > experiments.WALK_TV_TARGET
         assert short.curves["tv_curve"]["rows"][-1] == [20, short.estimates["tv_at_k_star"]]
-        default = run_finite_group_experiment(ExperimentConfig.from_dict(
+        default = run_experiment(ExperimentConfig.from_dict(
             {"kind": "finite-group", "n": 5, "seed": 0}))
         assert default.estimates["k_star"] < default.config_echo["k_max"] == 125
         assert default.estimates["tv_at_k_star"] <= experiments.WALK_TV_TARGET
@@ -1300,7 +1281,7 @@ class TestFiniteGroupExperiment:
         cfg = ExperimentConfig.from_dict(
             {"kind": "finite-group", "n": 4, "seed": 1, "replicates": 1500, "k_max": 80}
         )
-        report = run_finite_group_experiment(cfg)
+        report = run_experiment(cfg)
         assert len(report.curves["tv_curve"]["rows"]) == 81
         assert len(report.curves["tails"]["rows"]) == len(cfg.t_grid)
         for _, freq, exact_prob, bound in report.curves["tails"]["rows"]:
@@ -1311,7 +1292,7 @@ class TestFiniteGroupExperiment:
         cfg = ExperimentConfig.from_dict(
             {"kind": "finite-group", "n": 8, "seed": 2, "replicates": 1000}
         )
-        report = run_finite_group_experiment(cfg)
+        report = run_experiment(cfg)
         assert report.estimates["group_order"] == 40320
         assert {v["status"] for v in report.verdicts} == {"pass"}
         assert report.estimates["tv_at_k_star"] <= experiments.WALK_TV_TARGET
@@ -1322,7 +1303,7 @@ class TestIdentitySuite:
         cfg = ExperimentConfig.from_dict(
             {"kind": "identity-suite", "n": 3, "seed": 5, "replicates": 50}
         )
-        report = run_identity_suite(cfg)
+        report = run_experiment(cfg)
         assert report.estimates["max_conditional_mean_residual"] <= 1e-9
         assert report.estimates["max_variance_residual"] <= 1e-9
         assert len(report.curves["residuals"]["rows"]) == 50
@@ -1332,14 +1313,14 @@ class TestIdentitySuite:
         cfg = ExperimentConfig.from_dict(
             {"kind": "identity-suite", "n": 4, "seed": 5, "replicates": 20}
         )
-        report = run_identity_suite(cfg)
+        report = run_experiment(cfg)
         assert not report.has_failure()
 
     def test_on_s6(self):
         cfg = ExperimentConfig.from_dict(
             {"kind": "identity-suite", "n": 6, "seed": 5, "replicates": 5}
         )
-        report = run_identity_suite(cfg)
+        report = run_experiment(cfg)
         assert report.estimates["max_conditional_mean_residual"] <= 1e-9
         assert report.estimates["max_variance_residual"] <= 1e-9
         assert {v["status"] for v in report.verdicts} == {"pass"}
@@ -1353,7 +1334,7 @@ class TestScalingStudy:
             {"kind": "scaling", "n_grid": [4, 8], "seed": 2, "replicates": 400,
              "x_grid": [0.5]}
         )
-        report = run_scaling_study(cfg)
+        report = run_experiment(cfg)
         assert report.estimates["n_grid"] == [4, 8]
         assert report.estimates["kappa_measured"] > 0
         assert len(report.estimates["per_n"]) == 2
@@ -1376,7 +1357,7 @@ class TestScalingStudy:
             {"kind": "scaling", "n_grid": [4, 8], "seed": 2, "replicates": 200,
              "x_grid": [0.0]}
         )
-        report = run_scaling_study(cfg)
+        report = run_experiment(cfg)
         assert report.estimates["kappa_measured"] == 0.0
         assert not report.has_failure()
 
@@ -1386,8 +1367,8 @@ class TestScalingStudy:
             {"kind": "scaling", "n_grid": [6], **common}
         )
         matrix = ExperimentConfig.from_dict({"kind": "matrix", "n": 6, **common})
-        s_report = run_scaling_study(scaling)
-        m_report = run_matrix_experiment(matrix)
+        s_report = run_experiment(scaling)
+        m_report = run_experiment(matrix)
         assert s_report.estimates["per_n"][0]["per_x"] == m_report.estimates["per_x"]
 
     def test_zero_spectra_give_zero_ratio(self):
@@ -1395,7 +1376,7 @@ class TestScalingStudy:
             {"kind": "scaling", "n_grid": [4, 6], "seed": 2, "replicates": 100,
              "spectrum_M": "zero", "spectrum_N": "zero", "x_grid": [0.0, 0.5]}
         )
-        report = run_scaling_study(cfg)
+        report = run_experiment(cfg)
         assert report.estimates["kappa_measured"] == 0.0
         for row in report.curves["scaling"]["rows"]:
             assert row[2] == 0.0  # variance column
@@ -1408,7 +1389,7 @@ class TestScalingStudy:
              "spectrum_M": "zero", "spectrum_N": "zero", "x_grid": [0.0],
              "t_grid": [0.0, 0.05]}
         )
-        report = run_scaling_study(cfg)
+        report = run_experiment(cfg)
         assert report.estimates["kappa_measured"] == 0.0
         rows = report.curves["tails"]["rows"]
         assert [row[2] for row in rows] == [0.0, 0.05] * 2
@@ -1442,6 +1423,29 @@ class TestRunExperiment:
         first = run_experiment(cfg)
         second = run_experiment(cfg)
         assert strip_runtime(first) == strip_runtime(second)
+
+    @pytest.mark.parametrize("body, message", [
+        ({"kind": "matrix", "n": 4096, "replicates": 1},
+         "a matrix run of 1 replicates needs an estimated 4,096.0 MiB"),
+        ({"kind": "scaling", "n_grid": [64, 2047], "replicates": 20000},
+         "a scaling run of 20000 replicates at n = 2047 needs an estimated 1,024.5 MiB"),
+        ({"kind": "finite-group", "n": 7, "replicates": 10**8},
+         "a finite-group run of 100000000 replicates and 175 steps needs an estimated"),
+    ])
+    def test_oversized_configs_parse_and_are_refused_before_any_work(self, body, message,
+                                                                     monkeypatch):
+        # Parsing checks keys only; each run refuses its memory where it
+        # plans it, before the replicates or the walk.
+        def no_work(*args):
+            raise AssertionError("an oversized config reached the work")
+
+        cfg = ExperimentConfig.from_dict({"seed": 0, **body})
+        monkeypatch.setattr(workers, "run", no_work)
+        monkeypatch.setattr(experiments, "walk_operator", no_work)
+        use_workers(monkeypatch, 1)
+        with pytest.raises(ValueError, match="above the 1,024 MiB memory budget") as refusal:
+            run_experiment(cfg)
+        assert message in str(refusal.value)
 
     def test_mixing_curve_rejects_unknown_group(self):
         with pytest.raises(ValueError, match="group"):
