@@ -77,14 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accepted for compatibility (>= 1); it changes neither "
                             "speed nor results")
 
-    p = sub.add_parser("mixing-curve", help="total-variation / moment decay curves")
-    p.add_argument("--group", choices=("sn", "un"), default="sn",
-                   help="sn: exact S_n TV curve; un: U(n) trace moments against their exact curve")
+    p = sub.add_parser("mixing-curve", help="U(n) walk trace moments against their exact curve")
+    p.add_argument("--group", choices=("un",), default="un",
+                   help="un, the only group (the S_n curve is finite-group's tv_curve.csv)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k-max", type=int, default=None, dest="k_max")
-    p.add_argument("--seed", type=int, default=0, help="master seed (used by un)")
+    p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--replicates", type=int, default=4000,
-                   help="Monte Carlo walks for un (default 4000)")
+                   help="Monte Carlo walks (default 4000)")
     p.add_argument("--out", default="out")
 
     p = sub.add_parser("bound-calc", help="evaluate the concentration constant")
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_mixing_curve(args) -> ExperimentReport:
-    return run_mixing_curve(args.group, args.n, args.k_max, args.seed, args.replicates)
+    return run_mixing_curve(args.n, args.k_max, args.seed, args.replicates)
 
 
 def _run_bound_calc(args) -> ExperimentReport:

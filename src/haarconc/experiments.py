@@ -45,13 +45,7 @@ from .bounds import BoundInputs, concentration_constant, esd_bounds, tail_bound
 from .groups import complex_ginibre, haar_unitaries, reflection_matrices, sample_reflection_step
 from .hermitian import _hermitian_rank, cdf_counts, conjugate_stack, sup_cdf_distance
 from .kernel import MAX_DEGREE, check_identities, step_seminorm, walk_operator
-from .mixing import (
-    CURVE_POINT_BYTES,
-    FIT_FLOOR,
-    exact_tv_curve,
-    fit_decay,
-    unitary_mixing_diagnostic,
-)
+from .mixing import CURVE_POINT_BYTES, exact_tv_curve, fit_decay, unitary_mixing_diagnostic
 
 TAIL_MIN_REPLICATES = 500
 FINITE_GROUP_TEST_FUNCTIONS = 20
@@ -68,6 +62,9 @@ CHUNK_BYTES = 256 * 1024
 # draw and the element's index (traced peak: 16.2 B per replicate at
 # 4 million replicates).
 FINITE_GROUP_REPLICATE_BYTES = 16
+# Bytes an identity-suite replicate holds: its residual row (traced peak:
+# 168 B per replicate, peak RSS 193 B, from 20 000 to 200 000 at n = 2).
+IDENTITY_REPLICATE_BYTES = 200
 
 
 _KINDS = ("matrix", "finite-group", "identity-suite", "scaling")
@@ -75,7 +72,7 @@ _SPECTRUM_NAMES = ("two_point", "uniform_grid", "zero")
 # The least n with an S_n envelope: for n <= 2 the lazy walk is uniform
 # after at most one step, so there is no decay to fit.
 MIN_ENVELOPE_DEGREE = 3
-# The default length of the S_n walk of finite-group and mixing-curve: 25 n.
+# The default length of the S_n walk of finite-group: 25 n.
 SN_STEPS_PER_DEGREE = 25
 
 
@@ -327,11 +324,6 @@ def _timed(runner):
         return report
 
     return timed
-
-
-def _envelope(fit) -> dict:
-    return {"a": fit.a, "b": fit.b, "tau": fit.tau, "window": list(fit.window),
-            "residual": fit.residual}
 
 
 def _k_curve(**columns) -> dict:
@@ -608,35 +600,25 @@ def _run_matrix(cfg: ExperimentConfig) -> tuple:
     return estimates, bounds, verdicts, curves
 
 
-def _lazy_walk(n: int, k_max: int, law_below: Optional[float] = None):
-    """The lazy-transposition walk operator on S_n, its exact TV curve up to
-    k_max (keeping the law at the first step with TV <= `law_below`, if
-    given) and the certified envelope of that curve.  Refuses n below
-    MIN_ENVELOPE_DEGREE before the walk, and a k_max too short to fit the
-    envelope."""
-    if n < MIN_ENVELOPE_DEGREE:
-        raise ValueError(f"n = {n} has no S_n envelope: for n <= {MIN_ENVELOPE_DEGREE - 1} the "
-                         "walk is uniform after at most one step, so there is no decay to fit; "
-                         f"n must be at least {MIN_ENVELOPE_DEGREE}")
-    op = walk_operator(n)
-    curve = exact_tv_curve(op, k_max, law_below)
-    try:
-        return op, curve, fit_decay(curve)
-    except ValueError as exc:
-        raise ValueError(
-            f"k_max = {k_max} is too short to fit the S_{n} envelope: {exc}") from None
-
-
 def _run_finite_group(cfg: ExperimentConfig) -> tuple:
-    """Exact certification on S_n, after its memory check: certified TV
-    envelope, exact norms and variance per test function, and exact verdicts
-    on Var <= C/2 and on the tails, which name the first function (and t)
-    that breaks them.  Returns (estimates, bounds, verdicts, curves)."""
+    """Exact certification on S_n, after its memory check: the exact TV
+    curve of the lazy-transposition walk up to k_max (the package's one S_n
+    curve, tv_curve.csv) with its certified envelope, exact norms and
+    variance per test function, and exact verdicts on Var <= C/2 and on the
+    tails, which name the first function (and t) that breaks them.  A k_max
+    too short to fit the envelope is refused.  Returns (estimates, bounds,
+    verdicts, curves)."""
     n = cfg.n
     workers.require_budget(
         f"a finite-group run of {cfg.replicates} replicates and {cfg.k_max} steps",
         FINITE_GROUP_REPLICATE_BYTES * cfg.replicates + CURVE_POINT_BYTES * (cfg.k_max + 1))
-    op, curve, fit = _lazy_walk(n, cfg.k_max, WALK_TV_TARGET)
+    op = walk_operator(n)
+    curve = exact_tv_curve(op, cfg.k_max, WALK_TV_TARGET)
+    try:
+        fit = fit_decay(curve)
+    except ValueError as exc:
+        raise ValueError(
+            f"k_max = {cfg.k_max} is too short to fit the S_{n} envelope: {exc}") from None
     size = op.size
 
     k_star = curve.law_step
@@ -700,7 +682,9 @@ def _run_finite_group(cfg: ExperimentConfig) -> tuple:
         "default_tail": default_tail,
         "max_variance_margin": max_var_margin,
     }
-    bounds = {"envelope": _envelope(fit), "default_constant": rows[0]["constant"]}
+    envelope = {"a": fit.a, "b": fit.b, "tau": fit.tau, "window": list(fit.window),
+                "residual": fit.residual}
+    bounds = {"envelope": envelope, "default_constant": rows[0]["constant"]}
     verdicts = [
         _exact_verdict("variance_le_half_constant", max_var_margin, 1.0, variance_violations),
         _exact_verdict("tails_le_bound", max_tail_excess, FLOAT_SLACK, tail_violations),
@@ -719,8 +703,11 @@ def _run_finite_group(cfg: ExperimentConfig) -> tuple:
 def _run_identities(cfg: ExperimentConfig) -> tuple:
     """Exact pair identities on S_n (n <= MAX_DEGREE) for random centered
     functions, and one exact verdict naming the first whose residual breaks
-    IDENTITY_RESIDUAL_LIMIT.  Returns (estimates, bounds, verdicts, curves)."""
+    IDENTITY_RESIDUAL_LIMIT, after its memory check.  Returns (estimates,
+    bounds, verdicts, curves)."""
     n = cfg.n
+    workers.require_budget(f"an identity-suite run of {cfg.replicates} replicates",
+                           IDENTITY_REPLICATE_BYTES * cfg.replicates)
     op = walk_operator(n)
     rows = []
     for i in range(cfg.replicates):
@@ -829,32 +816,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 @_timed
-def run_mixing_curve(
-    group: str, n: int, k_max: Optional[int], seed: int, replicates: int
-) -> ExperimentReport:
-    """Walk mixing up to k_max steps (None: SN_STEPS_PER_DEGREE n for "sn", 4 n for "un").
-    "sn": exact TV curve and certified envelope, checked against every value
-    above FIT_FLOOR; "un": Monte Carlo trace moments, each checked against the
-    exact 1 + (n^2 - 1) e^(-b k), b = 2 log((n + 1)/(n - 1))."""
-    if group == "sn":
-        k_max = SN_STEPS_PER_DEGREE * n if k_max is None else k_max
-        workers.require_budget(f"an S_{n} walk of {k_max} steps", CURVE_POINT_BYTES * (k_max + 1))
-        _, curve, fit = _lazy_walk(n, k_max)
-        ks = np.flatnonzero(curve.values > FIT_FLOOR)
-        ratios = curve.values[ks] * np.exp(fit.b * ks) / fit.a
-        envelope = _exact_verdict(
-            "envelope_dominates_certified_range", float(np.max(ratios)), 1.0,
-            ({"k": int(k)} for k in ks[ratios > 1.0 + FLOAT_SLACK]))
-        return ExperimentReport(
-            config_echo={"command": "mixing-curve", "group": "sn", "n": n, "k_max": k_max},
-            estimates={"final_tv": float(curve.values[-1])},
-            bounds={"envelope": _envelope(fit)},
-            verdicts=[envelope],
-            environment=report_environment(seed, 0),
-            curves={"mixing_curve": _k_curve(value=curve.values)},
-        )
-    if group != "un":
-        raise ValueError(f"group must be 'sn' or 'un' (got {group!r})")
+def run_mixing_curve(n: int, k_max: Optional[int], seed: int, replicates: int) -> ExperimentReport:
+    """The U(n) reflection walk up to k_max steps (None: 4 n): Monte Carlo
+    trace moments, each checked against the exact 1 + (n^2 - 1) e^(-b k),
+    b = 2 log((n + 1)/(n - 1)).  The S_n curve is finite-group's."""
     k_max = 4 * n if k_max is None else k_max
     diag = unitary_mixing_diagnostic(n, k_max, replicates, child_rng(seed, "unitary-mixing", 0))
     rate = 2.0 * math.log((n + 1) / (n - 1))

@@ -88,8 +88,7 @@ def failed_exact_verdict(tmp_path, capsys, argv: list, config, name: str) -> dic
     its one failed verdict: named on stderr, written in the report and
     counted on the summary line.  Returns that verdict as written."""
     out_dir = tmp_path / "out"
-    if config is not None:
-        argv = [*argv, "--config", write_config(tmp_path, "cfg.json", config)]
+    argv = [*argv, "--config", write_config(tmp_path, "cfg.json", config)]
     assert main([*argv, "--out", str(out_dir)]) == 2
     out, err = capsys.readouterr()
     assert err == f"failed verdicts: {name}\n"
@@ -183,12 +182,10 @@ class TestArgumentHandling:
         assert code == 1
 
     @pytest.mark.parametrize("argv", [
-        ["mixing-curve", "--group", "sn", "--n", "4"],
         ["mixing-curve", "--group", "un", "--n", "4", "--k-max", "2"],
         ["identity-suite", "--config", "cfg.json"],
     ])
     def test_negative_seed_refused(self, tmp_path, capsys, monkeypatch, argv):
-        # The S_n curve ignores the seed, and used to run and record -1.
         monkeypatch.chdir(tmp_path)
         write_config(tmp_path, "cfg.json", {"kind": "identity-suite", "n": 3, "seed": 0})
         out = tmp_path / "out"
@@ -308,7 +305,9 @@ class TestExperimentCommands:
         assert main(["finite-group", "--config", path, "--out", str(out_dir)]) == 0
         payload = load_report(out_dir)
         assert payload["bounds"]["envelope"]["b"] > 0
-        assert (out_dir / "tv_curve.csv").exists()
+        lines = (out_dir / "tv_curve.csv").read_text().splitlines()
+        assert lines[0] == "k,value"
+        assert len(lines) == 80 + 2
         assert (out_dir / "tails.csv").exists()
 
     def test_degree_nine_refused(self, tmp_path, capsys):
@@ -326,41 +325,32 @@ class TestExperimentCommands:
         def no_walk(*args):
             raise AssertionError("n = 2 reached the walk")
 
-        monkeypatch.setattr(experiments, "_lazy_walk", no_walk)
         path = write_config(tmp_path, "fg.json", {"kind": "finite-group", "n": 2, "seed": 0})
         out_dir = tmp_path / "fg"
-        assert main(["finite-group", "--config", path, "--out", str(out_dir)]) == 1
+        with monkeypatch.context() as patched:
+            patched.setattr(experiments, "walk_operator", no_walk)
+            assert main(["finite-group", "--config", path, "--out", str(out_dir)]) == 1
         assert "config key 'n' must be in range 3..8 (got 2)" in capsys.readouterr().err
         assert not out_dir.exists()
         path = write_config(tmp_path, "ids.json", {"kind": "identity-suite", "n": 2, "seed": 0})
         assert main(["identity-suite", "--config", path, "--out", str(tmp_path / "ids")]) == 0
 
-    @pytest.mark.parametrize("command", ["finite-group", "mixing-curve"])
     @pytest.mark.parametrize("n, k_max, message", [
-        # The S_2 walk is uniform after one step: its curve has no point
-        # strictly between 0 and 1/2 to fit.
-        (2, None, "n = 2 has no S_n envelope: for n <= 2 the walk is uniform after at most "
-                  "one step, so there is no decay to fit; n must be at least 3"),
+        # The S_2 walk is uniform after one step, so its curve has no point
+        # strictly between 0 and 1/2 to fit: n = 2 is refused as the config
+        # is read, before the walk.
+        (2, None, "config key 'n' must be in range 3..8 (got 2)"),
         (5, 4, "k_max = 4 is too short to fit the S_5 envelope: need at least 3 curve "
                "points strictly between floor and 0.5"),
         (5, 2, "k_max = 2 is too short to fit the S_5 envelope"),
     ])
-    def test_walk_without_an_envelope_refused(self, command, n, k_max, message,
-                                              tmp_path, capsys):
-        out_dir = tmp_path / command
-        if command == "finite-group" and n == 2:
-            # finite-group refuses n = 2 as it reads its config, before the walk.
-            message = "config key 'n' must be in range 3..8 (got 2)"
-        if command == "finite-group":
-            body = {"kind": command, "n": n, "seed": 0, "replicates": 100}
-            if k_max is not None:
-                body["k_max"] = k_max
-            args = ["--config", write_config(tmp_path, "cfg.json", body)]
-        else:
-            args = ["--group", "sn", "--n", str(n)]
-            if k_max is not None:
-                args += ["--k-max", str(k_max)]
-        assert main([command, *args, "--out", str(out_dir)]) == 1
+    def test_walk_without_an_envelope_refused(self, n, k_max, message, tmp_path, capsys):
+        out_dir = tmp_path / "fg"
+        body = {"kind": "finite-group", "n": n, "seed": 0, "replicates": 100}
+        if k_max is not None:
+            body["k_max"] = k_max
+        path = write_config(tmp_path, "cfg.json", body)
+        assert main(["finite-group", "--config", path, "--out", str(out_dir)]) == 1
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
@@ -395,6 +385,8 @@ class TestExperimentCommands:
         # its first n runs.
         ("matrix", {"n": 2047, "replicates": 20000}, "1,024.5 MiB"),
         ("scaling", {"n_grid": [8, 2047], "replicates": 20000}, "1,024.5 MiB"),
+        # IDENTITY_REPLICATE_BYTES per replicate: 20 GB of residual rows.
+        ("identity-suite", {"n": 3, "replicates": 10**8}, "19,073.5 MiB"),
     ])
     def test_replicates_over_the_memory_budget_refused(self, command, body, estimate,
                                                        tmp_path, capsys, monkeypatch):
@@ -403,6 +395,7 @@ class TestExperimentCommands:
 
         monkeypatch.setattr(experiments.workers, "run", no_work)
         monkeypatch.setattr(experiments, "walk_operator", no_work)
+        monkeypatch.setattr(experiments, "check_identities", no_work)
         use_workers(monkeypatch, 1)
         path = write_config(tmp_path, "cfg.json", {"kind": command, "seed": 0, **body})
         out_dir = tmp_path / command
@@ -555,32 +548,28 @@ class TestExperimentCommands:
 
 
 class TestMixingCurveCommand:
-    def test_sn_default_k_max_is_the_finite_group_default(self, tmp_path, capsys):
-        out_dir = tmp_path / "sn"
-        assert main(["mixing-curve", "--group", "sn", "--n", "5", "--out", str(out_dir)]) == 0
-        default = experiments.ExperimentConfig.from_dict(
-            {"kind": "finite-group", "n": 5, "seed": 0})
-        assert load_report(out_dir)["config_echo"]["k_max"] == default.k_max == 125
-
-    def test_symmetric_group_curve(self, tmp_path, capsys):
-        out_dir = tmp_path / "sn"
-        code = main(["mixing-curve", "--group", "sn", "--n", "4", "--k-max", "40",
-                     "--out", str(out_dir)])
-        assert code == 0
-        payload = load_report(out_dir)
-        assert payload["bounds"]["envelope"]["b"] > 0
-        lines = (out_dir / "mixing_curve.csv").read_text().splitlines()
-        assert lines[0] == "k,value"
-        assert len(lines) == 42
-
     def test_report_environment(self, tmp_path, capsys):
-        for group, extra in (("sn", []), ("un", ["--k-max", "2", "--replicates", "1000"])):
-            out_dir = tmp_path / group
-            assert main(["mixing-curve", "--group", group, "--n", "4", *extra,
-                         "--out", str(out_dir)]) == 0
-            environment = load_report(out_dir)["environment"]
-            assert environment["package"].startswith("haarconc ")
-            assert environment["runtime_seconds"] > 0
+        out_dir = tmp_path / "un"
+        assert main(["mixing-curve", "--group", "un", "--n", "4", "--k-max", "2",
+                     "--replicates", "1000", "--out", str(out_dir)]) == 0
+        environment = load_report(out_dir)["environment"]
+        assert environment["package"].startswith("haarconc ")
+        assert environment["runtime_seconds"] > 0
+
+    def test_the_unitary_walk_is_the_only_group(self, tmp_path, capsys):
+        # The S_n curve is finite-group's tv_curve.csv; --group sn is refused
+        # as the arguments are parsed, and the default group is un.
+        out_dir = tmp_path / "sn"
+        assert main(["mixing-curve", "--group", "sn", "--n", "5", "--out", str(out_dir)]) == 1
+        assert "invalid choice: 'sn'" in capsys.readouterr().err
+        assert not out_dir.exists()
+        out_dir = tmp_path / "default"
+        assert main(["mixing-curve", "--n", "4", "--k-max", "2", "--replicates", "1000",
+                     "--out", str(out_dir)]) == 0
+        assert load_report(out_dir)["config_echo"]["group"] == "un"
+        lines = (out_dir / "mixing_curve.csv").read_text().splitlines()
+        assert lines[0] == "k,value,stderr,exact"
+        assert len(lines) == 2 + 2
 
     def test_unitary_group_curve(self, tmp_path, capsys):
         out_dir = tmp_path / "un"
@@ -670,21 +659,18 @@ class TestMixingCurveCommand:
         assert "above the 1,024 MiB memory budget" in err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("group", ["sn", "un"])
-    def test_long_curve_refused_before_the_walk(self, group, tmp_path, capsys, monkeypatch):
+    def test_long_curve_refused_before_the_walk(self, tmp_path, capsys, monkeypatch):
         def no_work(*args):
             raise AssertionError("an oversized curve reached the walk")
 
-        monkeypatch.setattr(experiments, "_lazy_walk", no_work)
         monkeypatch.setattr(mixing, "_walk_group", no_work)
-        out_dir = tmp_path / group
+        out_dir = tmp_path / "un"
         # 10^7 curve points of CURVE_POINT_BYTES each: 2.4 GiB.
-        code = main(["mixing-curve", "--group", group, "--n", "3", "--k-max", str(10**7),
+        code = main(["mixing-curve", "--group", "un", "--n", "3", "--k-max", str(10**7),
                      "--replicates", "1000", "--out", str(out_dir)])
         assert code == 1
         err = capsys.readouterr().err
-        walk = "S_3 walk of" if group == "sn" else "U(3) walk of 1000 replicates and"
-        assert f"{walk} 10000000 steps needs an estimated" in err
+        assert "U(3) walk of 1000 replicates and 10000000 steps needs an estimated" in err
         assert "above the 1,024 MiB memory budget" in err
         assert not out_dir.exists()
 
@@ -709,9 +695,6 @@ class TestSharedReportPath:
                             {"kind": "finite-group", "n": 5, "seed": 0, "replicates": 500})
         assert main(["finite-group", "--config", path, "--out", str(tmp_path / "fg")]) == 0
         assert calls == [5]
-        assert main(["mixing-curve", "--group", "sn", "--n", "5",
-                     "--out", str(tmp_path / "mc")]) == 0
-        assert calls == [5, 5]
 
     def test_finite_group_walks_the_law_once(self, tmp_path, capsys, monkeypatch):
         # The walk's floating-point fixed point: the first step whose law
@@ -739,53 +722,6 @@ class TestSharedReportPath:
         # The TV curve to k_max = 25 n stops at the fixed point; the law at
         # k_star comes from that pass.
         assert len(steps) == fixed
-
-    def test_finite_group_and_mixing_curve_agree(self, tmp_path, capsys):
-        path = write_config(tmp_path, "cfg.json",
-                            {"kind": "finite-group", "n": 5, "seed": 0, "replicates": 500,
-                             "k_max": 90})
-        fg, mc = tmp_path / "fg", tmp_path / "mc"
-        assert main(["finite-group", "--config", path, "--out", str(fg)]) == 0
-        assert main(["mixing-curve", "--group", "sn", "--n", "5", "--k-max", "90",
-                     "--out", str(mc)]) == 0
-        assert load_report(fg)["bounds"]["envelope"] == load_report(mc)["bounds"]["envelope"]
-        fg_rows = (fg / "tv_curve.csv").read_text().splitlines()
-        assert fg_rows == (mc / "mixing_curve.csv").read_text().splitlines()
-        assert len(fg_rows) == 92
-
-    def test_envelope_verdict_passes_on_certified_fit(self, tmp_path, capsys):
-        out_dir = tmp_path / "sn"
-        assert main(["mixing-curve", "--group", "sn", "--n", "6", "--out", str(out_dir)]) == 0
-        (verdict,) = load_report(out_dir)["verdicts"]
-        assert verdict["name"] == "envelope_dominates_certified_range"
-        assert verdict["status"] == "pass"
-        assert verdict["threshold"] == 1.0
-        assert 0.0 < verdict["observed"] <= 1.0 + experiments.FLOAT_SLACK
-
-    def test_envelope_verdict_fails_without_inflation(self, tmp_path, capsys, monkeypatch):
-        fit_decay = experiments.fit_decay
-
-        def uninflated(curve):
-            # The least-squares prefactor e^intercept, before fit_decay
-            # raises it to dominate the curve.
-            fit = fit_decay(curve)
-            ks = np.arange(len(curve))
-            window = (curve.values > mixing.FIT_FLOOR) & (curve.values < 0.5)
-            _, intercept = np.polyfit(ks[window], np.log(curve.values[window]), 1)
-            return dataclasses.replace(fit, a=float(np.exp(intercept)))
-
-        monkeypatch.setattr(experiments, "fit_decay", uninflated)
-        verdict = failed_exact_verdict(tmp_path, capsys, ["mixing-curve", "--group", "sn",
-                                                          "--n", "6"], None,
-                                       "envelope_dominates_certified_range")
-        assert verdict["observed"] > 1.0 + experiments.FLOAT_SLACK
-        # The first k of the certified range that the envelope misses.
-        envelope = load_report(tmp_path / "out")["bounds"]["envelope"]
-        rows = (tmp_path / "out" / "mixing_curve.csv").read_text().splitlines()[1:]
-        missed = [k for k, value in (map(float, row.split(",")) for row in rows)
-                  if value > mixing.FIT_FLOOR
-                  and value * np.exp(envelope["b"] * k) / envelope["a"] > 1.0 + 1e-12]
-        assert verdict["first_violation"] == {"k": int(missed[0])}
 
     @pytest.mark.parametrize("runner, argv", [
         ("run_bound_calc", ["bound-calc", "--A", "1", "--B", "1", "--a", "1", "--b", "1"]),
@@ -816,7 +752,6 @@ EVERY_COMMAND = [
                                         "replicates": 1500, "k_max": 80}, 0),
     ("identity-suite", ["identity-suite"], {"kind": "identity-suite", "n": 3, "seed": 7,
                                             "replicates": 5}, 0),
-    ("mixing-curve-sn", ["mixing-curve", "--group", "sn", "--n", "4"], None, 0),
     ("mixing-curve-un", ["mixing-curve", "--group", "un", "--n", "4", "--k-max", "2",
                          "--replicates", "1000"], None, 0),
     ("bound-calc", ["bound-calc", "--A", "1", "--B", "1", "--a", "1", "--b", "1"], None, 0),

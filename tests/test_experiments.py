@@ -29,7 +29,6 @@ from haarconc.experiments import (
     child_rng,
     resolve_spectrum,
     run_experiment,
-    run_mixing_curve,
     sample_spectral_cdfs,
 )
 from haarconc import hermitian, kernel, workers
@@ -1431,6 +1430,8 @@ class TestRunExperiment:
          "a scaling run of 20000 replicates at n = 2047 needs an estimated 1,024.5 MiB"),
         ({"kind": "finite-group", "n": 7, "replicates": 10**8},
          "a finite-group run of 100000000 replicates and 175 steps needs an estimated"),
+        ({"kind": "identity-suite", "n": 3, "replicates": 10**8},
+         "an identity-suite run of 100000000 replicates needs an estimated 19,073.5 MiB"),
     ])
     def test_oversized_configs_parse_and_are_refused_before_any_work(self, body, message,
                                                                      monkeypatch):
@@ -1442,14 +1443,11 @@ class TestRunExperiment:
         cfg = ExperimentConfig.from_dict({"seed": 0, **body})
         monkeypatch.setattr(workers, "run", no_work)
         monkeypatch.setattr(experiments, "walk_operator", no_work)
+        monkeypatch.setattr(experiments, "check_identities", no_work)
         use_workers(monkeypatch, 1)
         with pytest.raises(ValueError, match="above the 1,024 MiB memory budget") as refusal:
             run_experiment(cfg)
         assert message in str(refusal.value)
-
-    def test_mixing_curve_rejects_unknown_group(self):
-        with pytest.raises(ValueError, match="group"):
-            run_mixing_curve("on", 4, 8, 0, 1000)
 
 
 class TestStackedGatherReports:
