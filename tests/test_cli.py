@@ -571,6 +571,19 @@ class TestMixingCurveCommand:
         assert lines[0] == "k,value,stderr,exact"
         assert len(lines) == 2 + 2
 
+    def test_symmetric_group_curve(self, tmp_path, capsys):
+        # The S_n mixing curve is finite-group's tv_curve.csv: k = 0..k_max
+        # under a k,value header, with the fitted envelope in the report.
+        path = write_config(tmp_path, "sn.json",
+                            {"kind": "finite-group", "n": 4, "seed": 0, "k_max": 40})
+        out_dir = tmp_path / "sn"
+        assert main(["finite-group", "--config", path, "--out", str(out_dir)]) == 0
+        payload = load_report(out_dir)
+        assert payload["bounds"]["envelope"]["b"] > 0
+        lines = (out_dir / "tv_curve.csv").read_text().splitlines()
+        assert lines[0] == "k,value"
+        assert len(lines) == 42
+
     def test_unitary_group_curve(self, tmp_path, capsys):
         out_dir = tmp_path / "un"
         code = main(["mixing-curve", "--group", "un", "--n", "8", "--k-max", "32",
