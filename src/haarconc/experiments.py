@@ -11,11 +11,14 @@ _cdf_statistics turns its replicate rows into the per_x estimates.  A
 spectrum that ends in a run of r >= 2 equal values needs only the first
 n - r columns of its Haar factor, so only those Gaussian columns are
 factored (_haar_conjugates).  The reflection step perturbs the replicate's
-sampled reduced form, so the step check needs no Haar draw of its own.  The
-chunks go to the forked workers of haarconc.workers (two threads ran these
-small LAPACK calls no faster than one), one per CPU that one BLAS call may
-use, so a BLAS left to use every CPU runs the chunks inline, under the
-_matrix_plan that also refuses, first, a run above the memory budget.  A
+sampled reduced form, so the step check needs no Haar draw of its own; it
+applies the reflection as a reflector and certifies the step's rank from a
+2 x 2 compression (_check_steps), so a step costs O(n^2) work plus the one
+eigvalsh of the moved matrix that its CDF gap needs.  The chunks go to the
+forked workers of haarconc.workers (two threads ran these small LAPACK
+calls no faster than one), one per CPU that one BLAS call may use, so a
+BLAS left to use every CPU runs the chunks inline, under the _matrix_plan
+that also refuses, first, a run above the memory budget.  A
 replicate's result depends on its index only, so reports do not depend on
 the worker count.  Every check is a verdict that the report records,
 failed or not: an exact check by _exact_verdict, which fails on any value
@@ -42,8 +45,19 @@ import numpy as np
 
 from . import __version__, workers
 from .bounds import BoundInputs, concentration_constant, esd_bounds, tail_bound
-from .groups import complex_ginibre, haar_unitaries, reflection_matrices, sample_reflection_step
-from .hermitian import _hermitian_rank, cdf_counts, conjugate_stack, sup_cdf_distance
+from .groups import (
+    complex_ginibre,
+    haar_unitaries,
+    reflection_coefficients,
+    sample_reflection_step,
+)
+from .hermitian import (
+    _certified_rank,
+    cdf_counts,
+    conjugate_stack,
+    reflect_stack,
+    sup_cdf_distance,
+)
 from .kernel import MAX_DEGREE, check_identities, step_seminorm, walk_operator
 from .mixing import CURVE_POINT_BYTES, exact_tv_curve, fit_decay, unitary_mixing_diagnostic
 
@@ -388,15 +402,23 @@ def chunk_size(n: int) -> int:
     return max(1, CHUNK_BYTES // (3 * n * n * np.dtype(np.complex128).itemsize))
 
 
-def _check_steps(h_red, eig_red, w, y, diag_n) -> tuple[np.ndarray, np.ndarray]:
+def _check_steps(h_red, eig_red, w, u, phi, diag_n) -> tuple[np.ndarray, np.ndarray]:
     """Rank of H - H' and sup |F_H - F_H'| for one chunk, where H = W + N is
-    the reduced form and H' = Y W Y* + N its image after one reflection step.
-    Both come out of conjugate_stack plus a real diagonal, so they are exactly
-    hermitian and their difference needs no second hermitisation.
+    the reduced form and H' = Y W Y* + N its image after one reflection step
+    Y = I - c u u*, c = 1 - e^{i phi}.
+
+    Y is checked unitary from (u, c) and applied as a reflector
+    (reflect_stack), in O(n^2) per replicate.  H and H' are hermitised
+    conjugates plus a real diagonal, so they are exactly hermitian and their
+    difference needs no second hermitisation.  H - H' has its range in
+    span{u, W u}, so _certified_rank ranks it from a 2 x 2 compression and
+    runs eigvalsh only on a slice it cannot certify; the one eigvalsh per
+    replicate is that of H', for the CDF gap.
     """
-    h_prime = conjugate_stack(y, w) + diag_n
+    h_prime = reflect_stack(u, reflection_coefficients(u, phi), w)
+    h_prime += diag_n
     return np.broadcast_arrays(
-        _hermitian_rank(h_red - h_prime),
+        _certified_rank(h_red - h_prime, u),
         sup_cdf_distance(eig_red, np.linalg.eigvalsh(h_prime)),
     )
 
@@ -468,7 +490,8 @@ def sample_spectral_cdfs(
     spectrum needs are factored (_haar_conjugates): the first n // 2 for
     two_point at n >= 3, none for zero, all n for uniform_grid.  The step
     moves the replicate's own reduced form: H' = Y W Y* + N with W = X M X*,
-    so it needs no Haar draw of its own.  The chunks run under _matrix_plan
+    so it needs no Haar draw of its own, and Y is applied from its (u, phi)
+    without being built (_check_steps).  The chunks run under _matrix_plan
     on the workers of workers.run, each of which claims the next unclaimed
     chunk; a replicate's draws and arithmetic depend on its index only, not
     on which worker claims its chunk or when, so neither do the results.
@@ -497,10 +520,9 @@ def sample_spectral_cdfs(
         f_def[rows.start:rows.stop] = cdf_counts(np.linalg.eigvalsh(h), xs) / n
         f_red[rows.start:rows.stop] = cdf_counts(eig_red, xs) / n
         if cfg.step_check:
-            y = reflection_matrices(refl_u, refl_phi)
             ranks, gaps = steps
             ranks[rows.start:rows.stop], gaps[rows.start:rows.stop] = _check_steps(
-                h_red, eig_red, w, y, diag_n)
+                h_red, eig_red, w, refl_u, refl_phi, diag_n)
 
     f_def, f_red, *steps = workers.run(plan, work)
     return f_def, f_red, tuple(steps) if cfg.step_check else None

@@ -2,7 +2,9 @@
 
 The lazy transposition step on S_n is defined in kernel.walk_operator, which
 builds its maps; the random complex reflection step on U(n) is drawn here as
-(u, phi) and built into matrices by reflection_matrices.  Both step laws are
+(u, phi).  Y = I - c u u* with c = 1 - e^{i phi} is applied as a reflector
+from (u, c), checked unitary by reflection_coefficients without forming Y;
+reflection_matrices builds the dense Y, as a reference.  Both step laws are
 symmetric (Y and Y^-1 agree in law) and constant on conjugacy classes, which
 is what the downstream variance machinery requires.
 """
@@ -55,15 +57,22 @@ def unitarity_defects(u: np.ndarray) -> np.ndarray:
     return np.max(np.abs(gram - np.eye(u.shape[-1])), axis=(-2, -1))
 
 
+def _require_small_defects(defects: np.ndarray, stacked: bool) -> None:
+    """Raise ValueError unless every unitarity defect is at most
+    UNITARITY_TOL, naming the first slice of a stack that misses; a NaN
+    defect fails."""
+    defects = np.reshape(defects, -1)
+    bad = np.flatnonzero(~(defects <= UNITARITY_TOL))
+    if bad.size:
+        where = f" (slice {bad[0]})" if stacked else ""
+        raise ValueError(f"matrix is not unitary{where}: defect {defects[bad[0]]:.3e} "
+                         f"exceeds {UNITARITY_TOL:.1e}")
+
+
 def require_unitary(u: np.ndarray) -> None:
     """Raise ValueError unless every matrix of the stack has unitarity defect
     at most UNITARITY_TOL; a NaN defect fails."""
-    defects = np.reshape(unitarity_defects(u), -1)
-    bad = np.flatnonzero(~(defects <= UNITARITY_TOL))
-    if bad.size:
-        where = f" (slice {bad[0]})" if u.ndim > 2 else ""
-        raise ValueError(f"matrix is not unitary{where}: defect {defects[bad[0]]:.3e} "
-                         f"exceeds {UNITARITY_TOL:.1e}")
+    _require_small_defects(unitarity_defects(u), u.ndim > 2)
 
 
 def compose(g1: Permutation, g2: Permutation) -> Permutation:
@@ -134,9 +143,28 @@ def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return haar_unitaries(complex_ginibre(n, rng))
 
 
+def reflector_defects(u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """max|Y* Y - I| of each Y = I - c u u*, u on the last axis, from (u, c)
+    alone: Y* Y - I = gamma u u* with gamma = |c|^2 |u|^2 - 2 Re c, whose
+    largest entry is |gamma| max_i |u_i|^2."""
+    moduli = np.abs(u) ** 2
+    gamma = np.abs(c) ** 2 * np.sum(moduli, axis=-1) - 2.0 * c.real
+    return np.abs(gamma) * np.max(moduli, axis=-1, initial=0.0)
+
+
+def reflection_coefficients(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """c = 1 - e^{i phi} of each reflection Y = I - c u u* (u on the last
+    axis); raises ValueError, as require_unitary does, if any Y misses
+    unitarity by its reflector_defects."""
+    c = 1.0 - np.exp(1j * phi)
+    _require_small_defects(reflector_defects(u, c), u.ndim > 1)
+    return c
+
+
 def reflection_matrices(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Y = I - (1 - e^{i phi}) u u* for each unit vector u (last axis) and
-    angle phi; raises ValueError if any Y misses unitarity."""
+    angle phi, as dense matrices; raises ValueError if any Y misses
+    unitarity."""
     delta = 1.0 - np.exp(1j * phi)
     outer = u[..., :, None] * np.conj(u)[..., None, :]
     y = np.eye(u.shape[-1], dtype=np.complex128) - delta[..., None, None] * outer
@@ -166,7 +194,9 @@ def _sample_reflection_batch(
 def sample_reflection_step(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.float64]:
     """One reflection step (u, phi): u uniform on the complex unit sphere in
     C^n, phi on [0, 2*pi] with density proportional to sin(phi/2)^(n-1)
-    (one beta draw), independent; reflection_matrices(u, phi) is its matrix Y."""
+    (one beta draw), independent; Y = I - c u u* with
+    c = reflection_coefficients(u, phi) is its matrix, and
+    reflection_matrices(u, phi) builds it."""
     if n < 1:
         raise ValueError("n must be at least 1")
     u, phi = _sample_reflection_batch(n, 1, rng)

@@ -514,7 +514,7 @@ class TestExperimentCommands:
 
     def test_hard_violation_exits_two(self, tmp_path, capsys, monkeypatch):
         # The step of replicate 2 of 5 (one chunk) has rank 7.
-        plant_at(monkeypatch, "_hermitian_rank", 0,
+        plant_at(monkeypatch, "_certified_rank", 0,
                  lambda ranks: np.where(np.arange(len(ranks)) == 2, 7, ranks))
         verdict = failed_exact_verdict(tmp_path, capsys, ["matrix"],
                                        {**MATRIX_CFG, "replicates": 5, "step_check": True},
@@ -657,33 +657,25 @@ class TestMixingCurveCommand:
             float(exact_trace_moment(4, np.array(3))), rel=1e-12)
         assert [v["status"] for v in payload["verdicts"]] == ["pass"]
 
-    def test_walk_over_the_memory_budget_refused(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("n, k_max, replicates", [
+        # (k_max + 1) * CURVE_POINT_BYTES of curve rows alone: 24 GiB.
+        (8, 10**8, 4000),
+        # 10^7 curve points of CURVE_POINT_BYTES each: 2.4 GiB.
+        (3, 10**7, 1000),
+    ], ids=["walk-over-budget", "long-curve"])
+    def test_oversized_walk_refused_before_the_walk(self, tmp_path, capsys, monkeypatch,
+                                                    n, k_max, replicates):
         def no_work(*args):
             raise AssertionError("an oversized walk reached the work")
 
         monkeypatch.setattr(mixing, "_walk_group", no_work)
         out_dir = tmp_path / "un"
-        # (k_max + 1) * CURVE_POINT_BYTES of curve rows alone: 24 GiB.
-        code = main(["mixing-curve", "--group", "un", "--n", "8", "--k-max", str(10**8),
-                     "--replicates", "4000", "--out", str(out_dir)])
+        code = main(["mixing-curve", "--group", "un", "--n", str(n), "--k-max", str(k_max),
+                     "--replicates", str(replicates), "--out", str(out_dir)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "U(8) walk of 4000 replicates and 100000000 steps needs an estimated" in err
-        assert "above the 1,024 MiB memory budget" in err
-        assert not out_dir.exists()
-
-    def test_long_curve_refused_before_the_walk(self, tmp_path, capsys, monkeypatch):
-        def no_work(*args):
-            raise AssertionError("an oversized curve reached the walk")
-
-        monkeypatch.setattr(mixing, "_walk_group", no_work)
-        out_dir = tmp_path / "un"
-        # 10^7 curve points of CURVE_POINT_BYTES each: 2.4 GiB.
-        code = main(["mixing-curve", "--group", "un", "--n", "3", "--k-max", str(10**7),
-                     "--replicates", "1000", "--out", str(out_dir)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "U(3) walk of 1000 replicates and 10000000 steps needs an estimated" in err
+        assert (f"U({n}) walk of {replicates} replicates and {k_max} steps needs an estimated"
+                in err)
         assert "above the 1,024 MiB memory budget" in err
         assert not out_dir.exists()
 

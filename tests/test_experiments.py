@@ -31,7 +31,7 @@ from haarconc.experiments import (
     run_experiment,
     sample_spectral_cdfs,
 )
-from haarconc import hermitian, kernel, workers
+from haarconc import groups, hermitian, kernel, workers
 from haarconc.cli import write_report
 from haarconc.groups import reflection_matrices, sample_haar_unitary, sample_reflection_step
 from haarconc.hermitian import (
@@ -348,9 +348,9 @@ class TestReflectionStepExperiment:
 
     def test_rank_violation_fails_the_verdict(self, monkeypatch):
         cfg = matrix_config(n=4, replicates=4, step_check=True)
-        real = experiments._hermitian_rank
-        monkeypatch.setattr(experiments, "_hermitian_rank",
-                            lambda d: np.where(np.arange(len(d)) % 2, 5, real(d)))
+        real = experiments._certified_rank
+        monkeypatch.setattr(experiments, "_certified_rank",
+                            lambda d, u: np.where(np.arange(len(d)) % 2, 5, real(d, u)))
         report = run_experiment(cfg)
         rank, gap = report.verdicts[-2:]
         assert rank == {"name": "step_rank_le_3", "status": "fail", "observed": 5.0,
@@ -371,6 +371,15 @@ class TestReflectionStepExperiment:
                        "first_violation": {"replicate": 1}}
         assert rank["status"] == "pass" and "first_violation" not in rank
         assert report.has_failure()
+
+    def test_reflection_checked_unitary_from_its_parameters(self, monkeypatch):
+        # A reflection whose c is 1.001 times its own misses unitarity by
+        # about 1e-3 |c|^2 max|u_i|^2, and the run stops on the check.
+        real = groups.reflector_defects
+        monkeypatch.setattr(groups, "reflector_defects", lambda u, c: real(u, 1.001 * c))
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+        with pytest.raises(ValueError, match=r"matrix is not unitary \(slice 0\): defect"):
+            run_experiment(matrix_config(n=8, replicates=3, step_check=True))
 
     def test_merged_into_matrix_report(self):
         cfg = matrix_config(n=4, replicates=60, step_check=True)
@@ -503,7 +512,8 @@ class TestChunkedEngine:
 
     def test_step_check_reuses_the_replicate_draws(self, monkeypatch):
         # One generator per replicate and one Haar stack per factor and
-        # chunk, step check included; the rank comes from eigvalsh, not SVD.
+        # chunk, step check included; the rank comes from eigvalsh, not SVD,
+        # and the reflection is never built as a dense matrix.
         # The counters live in this process, so the run takes one worker.
         n, reps = 16, 50
         chunks = -(-reps // experiments.chunk_size(n))
@@ -520,24 +530,29 @@ class TestChunkedEngine:
         def no_svd(*args, **kwargs):
             raise AssertionError("the step check ran an SVD")
 
+        def no_dense_step(*args, **kwargs):
+            raise AssertionError("the step check built Y as a matrix")
+
         for name in calls:
             monkeypatch.setattr(experiments, name, counted(name))
         monkeypatch.setattr(np.linalg, "svd", no_svd)
+        monkeypatch.setattr(groups, "reflection_matrices", no_dense_step)
         monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
         report = run_experiment(matrix_config(n=n, replicates=reps, step_check=True))
         assert report.estimates["step_check"]["replicates"] == reps
         assert calls == {"child_rng": reps, "haar_unitaries": 3 * chunks}
 
     def test_step_ranks_equal_the_rehermitised_path(self, monkeypatch):
-        # H and H' are exactly hermitian, so ranking H - H' as it is gives
-        # the ranks of hermitising both again first.
+        # The dense path: Y built by reflection_matrices, Y W Y* from two
+        # products, H and H' hermitised again and H - H' ranked by eigvalsh.
+        # The reflector path's certified ranks must equal its ranks.
         real = experiments._check_steps
         expected = []
 
-        def check_both_paths(h_red, eig_red, w, y, diag_n):
-            h_prime = conjugate_stack(y, w) + diag_n
+        def check_both_paths(h_red, eig_red, w, u, phi, diag_n):
+            h_prime = conjugate_stack(reflection_matrices(u, phi), w) + diag_n
             expected.append(_hermitian_rank(hermitian_parts(h_red) - hermitian_parts(h_prime)))
-            return real(h_red, eig_red, w, y, diag_n)
+            return real(h_red, eig_red, w, u, phi, diag_n)
 
         monkeypatch.setattr(experiments, "_check_steps", check_both_paths)
         monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
@@ -549,8 +564,8 @@ class TestChunkedEngine:
             assert np.array_equal(ranks, np.concatenate(expected))
 
     def test_step_check_hermitises_each_product_once(self, monkeypatch):
-        # U M U*, V N V*, X M X* and Y W Y*: four per chunk, none for the
-        # rank of H - H'.
+        # U M U*, V N V*, X M X* and Y W Y* (reflect_stack): four per chunk,
+        # none for the rank of H - H'.
         n, reps = 16, 50
         chunks = -(-reps // experiments.chunk_size(n))
         real = hermitian.hermitian_parts
@@ -581,21 +596,23 @@ def on_each_item(monkeypatch, before) -> None:
 
 
 def plant_step_defects(monkeypatch, targets) -> None:
-    """Give each target replicate a step by a Haar unitary in place of its
-    reflection, so H - H' has full rank.  The plant replaces the reflections
-    that a chunk draws, keyed on the chunk's replicates, so it fires in
-    whichever worker process runs the replicate."""
-    held, real = [], experiments.reflection_matrices
+    """Give each target replicate a step by a Haar unitary V in place of its
+    reflection, so H' = V W V* + N and H - H' has full rank, which the rank
+    certificate cannot certify.  The plant replaces the reflected stack of
+    a chunk, keyed on the chunk's replicates, so it fires in whichever
+    worker process runs the replicate."""
+    held, real = [], experiments.reflect_stack
 
-    def planted(u, phi):
-        y = real(u, phi)
+    def planted(u, c, w):
+        h = real(u, c, w)
         for i, r in enumerate(held[-1]):
             if r in targets:
-                y[i] = sample_haar_unitary(u.shape[-1], np.random.default_rng(r))
-        return y
+                v = sample_haar_unitary(u.shape[-1], np.random.default_rng(r))
+                h[i] = conjugate_stack(v, w[i])
+        return h
 
     on_each_item(monkeypatch, held.append)
-    monkeypatch.setattr(experiments, "reflection_matrices", planted)
+    monkeypatch.setattr(experiments, "reflect_stack", planted)
 
 
 class Unrebuildable(Exception):

@@ -19,7 +19,9 @@ from haarconc.groups import (
     compose,
     haar_unitaries,
     invert,
+    reflection_coefficients,
     reflection_matrices,
+    reflector_defects,
     require_unitary,
     sample_haar_permutation,
     sample_haar_unitary,
@@ -285,6 +287,37 @@ class TestReflectionStep:
             order = np.argsort(np.angle(eigs))
             expected = expected[np.argsort(np.angle(expected))]
             assert np.max(np.abs(eigs[order] - expected)) <= 1e-10
+
+    def test_reflector_defects_equal_the_dense_gram(self):
+        # Y* Y - I = gamma u u*: the defect from (u, c) alone is the dense
+        # Gram matrix's to rounding, for a unit u and for c scaled by 1.001.
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 7, 64):
+            u, phi = _sample_reflection_batch(n, 4, rng)
+            c = 1.0 - np.exp(1j * phi)
+            for scale in (1.0, 1.001):
+                dense = np.eye(n) - (scale * c)[:, None, None] * np.einsum("ki,kj->kij",
+                                                                         u, u.conj())
+                want, got = unitarity_defects(dense), reflector_defects(u, scale * c)
+                assert got.shape == (4,)
+                if scale == 1.0:
+                    assert np.all(got <= 1e-15) and np.all(want <= 1e-12)
+                else:
+                    assert np.all(got > 1e-12)
+                    np.testing.assert_allclose(got, want, rtol=1e-9)
+
+    def test_coefficients_checked_without_the_matrix(self):
+        rng = np.random.default_rng(19)
+        u, phi = _sample_reflection_batch(8, 3, rng)
+        assert np.array_equal(reflection_coefficients(u, phi), 1.0 - np.exp(1j * phi))
+        assert reflection_coefficients(u[0], phi[0]).shape == ()
+        # A vector off the unit sphere, or a NaN angle, misses unitarity.
+        with pytest.raises(ValueError, match=r"not unitary \(slice 1\): defect"):
+            reflection_coefficients(u * np.array([1.0, 1.001, 1.0])[:, None], phi)
+        with pytest.raises(ValueError, match=r"not unitary \(slice 2\): defect nan"):
+            reflection_coefficients(u, np.array([phi[0], phi[1], np.nan]))
+        with pytest.raises(ValueError, match=r"not unitary: defect"):
+            reflection_coefficients(np.array([1.0, 1.0], dtype=complex), np.float64(0.5))
 
     def test_determinant_is_phase(self):
         rng = np.random.default_rng(8)

@@ -1,6 +1,7 @@
 """Tests for hermitian spectral statistics on arrays: hermitisation,
-eigenvalues, CDF counts, the sup-CDF distance, the rank of a difference,
-and the rank perturbation inequality for CDF gaps."""
+conjugation by a unitary and by a reflector, eigenvalues, CDF counts, the
+sup-CDF distance, the rank of a difference and its certificate, and the
+rank perturbation inequality for CDF gaps."""
 
 import math
 
@@ -9,12 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haarconc.groups import reflection_matrices, sample_haar_unitary, sample_reflection_step
+from haarconc import hermitian
+from haarconc.groups import (
+    _sample_reflection_batch,
+    reflection_coefficients,
+    reflection_matrices,
+    sample_haar_unitary,
+    sample_reflection_step,
+)
 from haarconc.hermitian import (
+    _certified_rank,
     _hermitian_rank,
     cdf_counts,
     conjugate_stack,
     hermitian_parts,
+    reflect_stack,
     sup_cdf_distance,
 )
 
@@ -39,6 +49,39 @@ def brute_force_sup_gap(e1: np.ndarray, e2: np.ndarray) -> float:
         d = abs(int(np.sum(e1 <= x)) - int(np.sum(e2 <= x))) / n
         best = max(best, d)
     return best
+
+
+def step_differences(n: int, count: int, rng: np.random.Generator):
+    """count reflection-step differences D = H - H' as the matrix runner
+    forms them, W = X M X*, H = W + N and H' = Y W Y* + N, with the u of
+    each Y and the stack W."""
+    spectrum = rng.standard_normal(n)
+    w = np.stack([conjugate_stack(sample_haar_unitary(n, rng), spectrum) for _ in range(count)])
+    diag_n = np.diag(np.linspace(-1.0, 1.0, n))
+    u, phi = _sample_reflection_batch(n, count, rng)
+    h_prime = reflect_stack(u, reflection_coefficients(u, phi), w) + diag_n
+    return (w + diag_n) - h_prime, u, w
+
+
+def outcome(rank, *args):
+    """The ranks as a list, or the type of the LinAlgError raised instead."""
+    try:
+        return rank(*args).tolist()
+    except np.linalg.LinAlgError as error:
+        return type(error)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The stacks that _certified_rank hands on to _hermitian_rank."""
+    calls, real = [], hermitian._hermitian_rank
+
+    def counted(d, tol=1e-8):
+        calls.append(d.copy())
+        return real(d, tol)
+
+    monkeypatch.setattr(hermitian, "_hermitian_rank", counted)
+    return calls
 
 
 class TestHermitianMatrix:
@@ -156,6 +199,20 @@ class TestSupCdfDistance:
         got = sup_cdf_distance(e1, e2)
         assert got == pytest.approx(brute_force_sup_gap(e1, e2), abs=1e-12)
 
+    @given(st.integers(1, 12), st.integers(1, 4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_merge_equals_counts_on_the_merged_grid(self, n, rows, data):
+        # Integer spectra from seven values tie within each spectrum and
+        # across the two; the rows are not sorted.
+        spectrum = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        e1, e2 = (np.array([data.draw(spectrum) for _ in range(rows)], dtype=float)
+                  for _ in range(2))
+        want = [brute_force_sup_gap(a, b) for a, b in zip(e1, e2)]
+        gaps = sup_cdf_distance(e1, e2)
+        assert isinstance(gaps, np.ndarray) and gaps.tolist() == want
+        one = sup_cdf_distance(e1[0], e2[0])
+        assert type(one) is float and one == want[0]
+
     def test_ties_and_duplicates(self):
         e1 = np.array([0.0, 0.0, 1.0, 1.0])
         e2 = np.array([0.0, 1.0, 1.0, 1.0])
@@ -230,6 +287,73 @@ class TestRankDistance:
         assert ranks.tolist() == svd_ranks.tolist() == want
 
 
+class TestCertifiedRank:
+    """_certified_rank: the eigvalsh rank of a reflection step's difference,
+    certified from its compression to span{u, D u}."""
+
+    @pytest.mark.parametrize("n", [2, 7, 16, 64])
+    def test_equals_the_eigvalsh_rank(self, n, fallbacks):
+        rng = np.random.default_rng(n)
+        d, u, _ = step_differences(n, 12, rng)
+        want = _hermitian_rank(d)
+        assert _certified_rank(d, u).tolist() == want.tolist() == [2] * 12
+        # Leading axes and one matrix come back shaped as _hermitian_rank's.
+        stacked = _certified_rank(d.reshape(3, 4, n, n), u.reshape(3, 4, n))
+        assert stacked.tolist() == want.reshape(3, 4).tolist()
+        one = _certified_rank(d[0], u[0])
+        assert one.shape == _hermitian_rank(d[0]).shape == () and one == 2
+        # Every slice was certified: none went to eigvalsh.
+        assert fallbacks == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_step_falls_back(self, fallbacks):
+        # The zero spectrum makes W = 0, so D u = 0 spans nothing beyond u.
+        n, rng = 7, np.random.default_rng(1)
+        w = np.zeros((3, n, n), dtype=complex)
+        diag_n = np.diag(np.linspace(-1.0, 1.0, n))
+        u, phi = _sample_reflection_batch(n, 3, rng)
+        d = (w + diag_n) - (reflect_stack(u, reflection_coefficients(u, phi), w) + diag_n)
+        assert _certified_rank(d, u).tolist() == _hermitian_rank(d).tolist() == [0, 0, 0]
+        assert [len(stack) for stack in fallbacks] == [3]
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_slice_falls_back(self, fallbacks):
+        d, u, _ = step_differences(7, 3, np.random.default_rng(2))
+        d[1, 2, 3] = d[1, 3, 2] = np.nan
+        assert outcome(_certified_rank, d, u) == outcome(_hermitian_rank, d)
+        assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], d[1:2], equal_nan=True)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("factor, rank, handed_on", [(10.0, 3, 1), (0.1, 2, 0)])
+    def test_planted_range_outside_the_span(self, factor, rank, handed_on, fallbacks):
+        # epsilon v v* with v orthogonal to u and W u leaves D u as it was.
+        # At ten times the threshold delta = 2 epsilon covers it, so the
+        # slice goes to eigvalsh, which counts it; at a tenth delta stays
+        # below the threshold, and the certificate leaves it uncounted.
+        n, rng = 16, np.random.default_rng(3)
+        d, u, w = step_differences(n, 1, rng)
+        threshold = 1e-8 * max(float(np.max(np.abs(np.linalg.eigvalsh(d[0])))), 1.0)
+        span = np.linalg.qr(np.stack([u[0], w[0] @ u[0]], axis=-1))[0]
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for _ in range(2):
+            v -= span @ (span.conj().T @ v)
+        v /= np.linalg.norm(v)
+        planted = hermitian_parts(d + factor * threshold * np.outer(v, v.conj()))
+        assert _certified_rank(planted, u).tolist() == _hermitian_rank(planted).tolist() == [rank]
+        assert len(fallbacks) == handed_on
+
+    def test_only_the_uncertified_slices_fall_back(self, fallbacks):
+        # Full-rank steps V W V* - W at slices 1 and 3 of five.
+        n, rng = 8, np.random.default_rng(4)
+        d, u, w = step_differences(n, 5, rng)
+        for i in (1, 3):
+            d[i] = w[i] - conjugate_stack(sample_haar_unitary(n, rng), w[i])
+        want = _hermitian_rank(d)
+        assert _certified_rank(d, u).tolist() == want.tolist()
+        assert want[[0, 2, 4]].tolist() == [2, 2, 2] and min(want[[1, 3]]) > 3
+        assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], d[[1, 3]])
+
+
 class TestStackedDistances:
     def test_stack_results_equal_per_matrix_results(self):
         rng = np.random.default_rng(12)
@@ -276,6 +400,32 @@ class TestConjugate:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             conjugate_stack(np.eye(3, dtype=complex), np.zeros((2, 2), dtype=complex))
+
+
+class TestReflectStack:
+    """reflect_stack: Y M Y*, hermitised, with Y applied as a reflector."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_equals_the_dense_conjugation(self, n):
+        rng = np.random.default_rng(n)
+        m = np.stack([random_hermitian(n, rng) for _ in range(3)])
+        u, phi = _sample_reflection_batch(n, 3, rng)
+        got = reflect_stack(u, reflection_coefficients(u, phi), m)
+        want = conjugate_stack(reflection_matrices(u, phi), m)
+        assert np.array_equal(got, np.conj(np.swapaxes(got, -1, -2)))
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(m))))
+        one = reflect_stack(u[0], reflection_coefficients(u[0], phi[0]), m[0])
+        assert np.array_equal(one, got[0])
+
+    def test_spectrum_preserved_and_broadcast_m(self):
+        # One matrix M broadcast against a stack of reflectors, as the
+        # zero and trailing-run spectra hand it over.
+        n, rng = 16, np.random.default_rng(20)
+        m = random_hermitian(n, rng)
+        u, phi = _sample_reflection_batch(n, 4, rng)
+        out = reflect_stack(u, reflection_coefficients(u, phi), np.broadcast_to(m, (4, n, n)))
+        assert out.shape == (4, n, n)
+        assert np.max(np.abs(np.linalg.eigvalsh(out) - np.linalg.eigvalsh(m))) <= 1e-12
 
 
 class TestRankPerturbationInequality:
