@@ -23,9 +23,7 @@ def hermitian_parts(a: np.ndarray) -> np.ndarray:
     Raises ValueError if any A has hermiticity defect max|A - A*| above
     ``HERMITICITY_TOL * max(1, max|A|)``, or a NaN defect.
     """
-    # A*, written out in A's row order, so that both sums below run over
-    # contiguous rows.
-    ah = np.conj(np.swapaxes(a, -1, -2), order="C")
+    ah = np.conj(np.swapaxes(a, -1, -2))
     defects = np.reshape(np.max(np.abs(a - ah), axis=(-2, -1), initial=0.0), -1)
     scales = np.reshape(np.max(np.abs(a), axis=(-2, -1), initial=1.0), -1)
     bad = np.flatnonzero(~(defects <= HERMITICITY_TOL * scales))
@@ -34,9 +32,7 @@ def hermitian_parts(a: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"matrix is not hermitian{where}: defect {defects[bad[0]]:.3e} exceeds tolerance"
         )
-    h = np.add(a, ah, out=ah)
-    h /= 2.0
-    return h
+    return (a + ah) / 2.0
 
 
 def conjugate_stack(u: np.ndarray, m: np.ndarray) -> np.ndarray:
