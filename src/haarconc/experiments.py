@@ -12,9 +12,9 @@ spectrum that ends in a run of r >= 2 equal values needs only the first
 n - r columns of its Haar factor, so only those Gaussian columns are
 factored (_haar_conjugates).  The reflection step perturbs the replicate's
 sampled reduced form, so the step check needs no Haar draw of its own; it
-applies the reflection as a reflector and certifies the step's rank from a
-2 x 2 compression (_check_steps), so a step costs O(n^2) work plus the one
-eigvalsh of the moved matrix that its CDF gap needs.  The chunks go to the
+applies the reflection as a reflector in O(n^2) (_check_steps), so a step
+costs two eigvalsh calls: one of H - H' for its rank and one of the moved
+matrix H' for its CDF gap.  The chunks go to the
 forked workers of haarconc.workers (two threads ran these small LAPACK
 calls no faster than one), one per CPU that one BLAS call may use, so a
 BLAS left to use every CPU runs the chunks inline, under the _matrix_plan
@@ -52,7 +52,7 @@ from .groups import (
     sample_reflection_step,
 )
 from .hermitian import (
-    _certified_rank,
+    _hermitian_rank,
     cdf_counts,
     conjugate_stack,
     reflect_stack,
@@ -410,15 +410,13 @@ def _check_steps(h_red, eig_red, w, u, phi, diag_n) -> tuple[np.ndarray, np.ndar
     Y is checked unitary from (u, c) and applied as a reflector
     (reflect_stack), in O(n^2) per replicate.  H and H' are hermitised
     conjugates plus a real diagonal, so they are exactly hermitian and their
-    difference needs no second hermitisation.  H - H' has its range in
-    span{u, W u}, so _certified_rank ranks it from a 2 x 2 compression and
-    runs eigvalsh only on a slice it cannot certify; the one eigvalsh per
-    replicate is that of H', for the CDF gap.
+    difference needs no second hermitisation: _hermitian_rank takes the
+    eigvalsh of H - H' as it is.  The CDF gap takes the eigvalsh of H'.
     """
     h_prime = reflect_stack(u, reflection_coefficients(u, phi), w)
     h_prime += diag_n
     return np.broadcast_arrays(
-        _certified_rank(h_red - h_prime, u),
+        _hermitian_rank(h_red - h_prime),
         sup_cdf_distance(eig_red, np.linalg.eigvalsh(h_prime)),
     )
 

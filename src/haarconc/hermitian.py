@@ -5,9 +5,8 @@ F(x) = #{eigenvalues <= x} / n, so this module works on (..., n, n) stacks
 of matrices and (..., n) arrays of eigenvalues from np.linalg.eigvalsh:
 hermitisation, conjugation by a unitary or by a reflector in O(n^2), CDF
 counts, the exact sup-distance between two CDFs from one merge of their
-spectra, and the rank of a difference (which controls how far two CDFs can
-be apart: sup |F_M - F_N| <= rank(M - N) / n), certified from a 2 x 2
-compression where it can be and from eigvalsh where it cannot.
+spectra, and the rank of a difference from its eigvalsh (which controls how
+far two CDFs can be apart: sup |F_M - F_N| <= rank(M - N) / n).
 """
 
 from __future__ import annotations
@@ -107,75 +106,3 @@ def _hermitian_rank(d: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     threshold = tol * np.maximum(np.max(sing, axis=-1, keepdims=True, initial=0.0), 1.0)
     return np.count_nonzero(sing > threshold, axis=-1)
 
-
-# Rounding allowance of _certified_rank per unit of n |D|_F: it covers the
-# products that form C and R, the 2 x 2 eigenvalues, and the backward error
-# of the eigvalsh that _hermitian_rank would run.
-_CERTIFICATE_ROUNDING = 16 * np.finfo(np.float64).eps
-
-
-def _certified_rank(d: np.ndarray, u: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """_hermitian_rank(d, tol) of each D of an (..., n, n) stack that is
-    already exactly hermitian, where u, the matching (..., n) vectors, and
-    D u span (nearly) all of D's range, as for the difference of a matrix
-    and its image under the reflector I - c u u*: then most slices need no
-    eigvalsh of D.
-
-    With Q an orthonormal basis of span{u, D u}, C = Q* D Q and
-    R = D - Q (Q* D), D - Q C Q* = R + Q Q* D (I - Q Q*) has norm at most
-    delta = 2 |R|_F (plus a rounding allowance), so by Weyl's inequality each
-    eigenvalue of D lies within delta of its partner among eig(C) and n - 2
-    zeros, and its largest modulus within delta of max |eig(C)|.  A slice is
-    certified when delta and every |eig(C)| lie more than delta away from
-    the band that this pins _hermitian_rank's threshold to; its rank is the
-    count of |eig(C)| above the band.  Every other slice, where D u is
-    parallel to u (D = 0 among them), a value is NaN, or D has range
-    outside the span, goes to _hermitian_rank, so the result always equals
-    _hermitian_rank(d, tol).
-    """
-    n = d.shape[-1]
-    shape = d.shape[:-2]
-    d = d.reshape(-1, n, n)
-    u = u.reshape(-1, n)
-    q1 = u / _nonzero(_norms(u))[:, None]
-    p = (d @ q1[:, :, None])[:, :, 0]
-    v = p - q1 * np.einsum("ij,ij->i", np.conj(q1), p)[:, None]
-    v -= q1 * np.einsum("ij,ij->i", np.conj(q1), v)[:, None]
-    v_norm = _norms(v)
-    # Q is orthonormal to rounding once v keeps more than sqrt(eps) of D u.
-    spans = v_norm > np.sqrt(np.finfo(np.float64).eps) * _norms(p)
-    q_h = np.empty((len(d), 2, n), dtype=np.complex128)
-    q_h[:, 0] = np.conj(q1)
-    q_h[:, 1] = np.conj(v) / _nonzero(np.where(spans, v_norm, 0.0))[:, None]
-    q = np.conj(np.swapaxes(q_h, -1, -2))
-    qd = q_h @ d
-    r = q @ qd
-    r = _norms(np.subtract(d, r, out=r))
-    c = qd @ q
-    mid = (c[:, 0, 0].real + c[:, 1, 1].real) / 2.0
-    off = (c[:, 0, 1] + np.conj(c[:, 1, 0])) / 2.0
-    radius = np.hypot(np.hypot((c[:, 0, 0].real - c[:, 1, 1].real) / 2.0, off.real), off.imag)
-    moduli = np.abs(mid[:, None] + radius[:, None] * np.array([-1.0, 1.0]))
-    delta = 2.0 * r + _CERTIFICATE_ROUNDING * n * np.hypot(_norms(qd), r)
-    top = np.abs(mid) + radius
-    low = tol * np.maximum(top - delta, 1.0)
-    high = tol * np.maximum(top + delta, 1.0)
-    above = moduli - delta[:, None] > high[:, None]
-    below = moduli + delta[:, None] < low[:, None]
-    certified = spans & (delta < low) & np.all(above | below, axis=-1)
-    ranks = np.count_nonzero(above, axis=-1)
-    if not np.all(certified):
-        ranks[~certified] = _hermitian_rank(d[~certified], tol)
-    return ranks.reshape(shape)
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each x[i] of a complex stack, over all its other
-    axes."""
-    flat = np.ascontiguousarray(x).reshape(len(x), -1).view(np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
-
-
-def _nonzero(x: np.ndarray) -> np.ndarray:
-    """x with its zeros (and NaNs) replaced by 1, a divisor that cannot warn."""
-    return np.where(x > 0, x, 1.0)

@@ -514,7 +514,7 @@ class TestExperimentCommands:
 
     def test_hard_violation_exits_two(self, tmp_path, capsys, monkeypatch):
         # The step of replicate 2 of 5 (one chunk) has rank 7.
-        plant_at(monkeypatch, "_certified_rank", 0,
+        plant_at(monkeypatch, "_hermitian_rank", 0,
                  lambda ranks: np.where(np.arange(len(ranks)) == 2, 7, ranks))
         verdict = failed_exact_verdict(tmp_path, capsys, ["matrix"],
                                        {**MATRIX_CFG, "replicates": 5, "step_check": True},

@@ -348,9 +348,9 @@ class TestReflectionStepExperiment:
 
     def test_rank_violation_fails_the_verdict(self, monkeypatch):
         cfg = matrix_config(n=4, replicates=4, step_check=True)
-        real = experiments._certified_rank
-        monkeypatch.setattr(experiments, "_certified_rank",
-                            lambda d, u: np.where(np.arange(len(d)) % 2, 5, real(d, u)))
+        real = experiments._hermitian_rank
+        monkeypatch.setattr(experiments, "_hermitian_rank",
+                            lambda d: np.where(np.arange(len(d)) % 2, 5, real(d)))
         report = run_experiment(cfg)
         rank, gap = report.verdicts[-2:]
         assert rank == {"name": "step_rank_le_3", "status": "fail", "observed": 5.0,
@@ -545,7 +545,7 @@ class TestChunkedEngine:
     def test_step_ranks_equal_the_rehermitised_path(self, monkeypatch):
         # The dense path: Y built by reflection_matrices, Y W Y* from two
         # products, H and H' hermitised again and H - H' ranked by eigvalsh.
-        # The reflector path's certified ranks must equal its ranks.
+        # The reflector path's ranks must equal its ranks.
         real = experiments._check_steps
         expected = []
 
@@ -597,10 +597,10 @@ def on_each_item(monkeypatch, before) -> None:
 
 def plant_step_defects(monkeypatch, targets) -> None:
     """Give each target replicate a step by a Haar unitary V in place of its
-    reflection, so H' = V W V* + N and H - H' has full rank, which the rank
-    certificate cannot certify.  The plant replaces the reflected stack of
-    a chunk, keyed on the chunk's replicates, so it fires in whichever
-    worker process runs the replicate."""
+    reflection, so H' = V W V* + N and H - H' has full rank.  The plant
+    replaces the reflected stack of a chunk, keyed on the chunk's
+    replicates, so it fires in whichever worker process runs the
+    replicate."""
     held, real = [], experiments.reflect_stack
 
     def planted(u, c, w):

@@ -1,7 +1,7 @@
 """Tests for hermitian spectral statistics on arrays: hermitisation,
 conjugation by a unitary and by a reflector, eigenvalues, CDF counts, the
-sup-CDF distance, the rank of a difference and its certificate, and the
-rank perturbation inequality for CDF gaps."""
+sup-CDF distance, the rank of a difference, and the rank perturbation
+inequality for CDF gaps."""
 
 import math
 
@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haarconc import hermitian
 from haarconc.groups import (
     _sample_reflection_batch,
     reflection_coefficients,
@@ -19,7 +18,6 @@ from haarconc.groups import (
     sample_reflection_step,
 )
 from haarconc.hermitian import (
-    _certified_rank,
     _hermitian_rank,
     cdf_counts,
     conjugate_stack,
@@ -49,39 +47,6 @@ def brute_force_sup_gap(e1: np.ndarray, e2: np.ndarray) -> float:
         d = abs(int(np.sum(e1 <= x)) - int(np.sum(e2 <= x))) / n
         best = max(best, d)
     return best
-
-
-def step_differences(n: int, count: int, rng: np.random.Generator):
-    """count reflection-step differences D = H - H' as the matrix runner
-    forms them, W = X M X*, H = W + N and H' = Y W Y* + N, with the u of
-    each Y and the stack W."""
-    spectrum = rng.standard_normal(n)
-    w = np.stack([conjugate_stack(sample_haar_unitary(n, rng), spectrum) for _ in range(count)])
-    diag_n = np.diag(np.linspace(-1.0, 1.0, n))
-    u, phi = _sample_reflection_batch(n, count, rng)
-    h_prime = reflect_stack(u, reflection_coefficients(u, phi), w) + diag_n
-    return (w + diag_n) - h_prime, u, w
-
-
-def outcome(rank, *args):
-    """The ranks as a list, or the type of the LinAlgError raised instead."""
-    try:
-        return rank(*args).tolist()
-    except np.linalg.LinAlgError as error:
-        return type(error)
-
-
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """The stacks that _certified_rank hands on to _hermitian_rank."""
-    calls, real = [], hermitian._hermitian_rank
-
-    def counted(d, tol=1e-8):
-        calls.append(d.copy())
-        return real(d, tol)
-
-    monkeypatch.setattr(hermitian, "_hermitian_rank", counted)
-    return calls
 
 
 class TestHermitianMatrix:
@@ -287,73 +252,6 @@ class TestRankDistance:
         assert ranks.tolist() == svd_ranks.tolist() == want
 
 
-class TestCertifiedRank:
-    """_certified_rank: the eigvalsh rank of a reflection step's difference,
-    certified from its compression to span{u, D u}."""
-
-    @pytest.mark.parametrize("n", [2, 7, 16, 64])
-    def test_equals_the_eigvalsh_rank(self, n, fallbacks):
-        rng = np.random.default_rng(n)
-        d, u, _ = step_differences(n, 12, rng)
-        want = _hermitian_rank(d)
-        assert _certified_rank(d, u).tolist() == want.tolist() == [2] * 12
-        # Leading axes and one matrix come back shaped as _hermitian_rank's.
-        stacked = _certified_rank(d.reshape(3, 4, n, n), u.reshape(3, 4, n))
-        assert stacked.tolist() == want.reshape(3, 4).tolist()
-        one = _certified_rank(d[0], u[0])
-        assert one.shape == _hermitian_rank(d[0]).shape == () and one == 2
-        # Every slice was certified: none went to eigvalsh.
-        assert fallbacks == []
-
-    @pytest.mark.filterwarnings("error")
-    def test_zero_step_falls_back(self, fallbacks):
-        # The zero spectrum makes W = 0, so D u = 0 spans nothing beyond u.
-        n, rng = 7, np.random.default_rng(1)
-        w = np.zeros((3, n, n), dtype=complex)
-        diag_n = np.diag(np.linspace(-1.0, 1.0, n))
-        u, phi = _sample_reflection_batch(n, 3, rng)
-        d = (w + diag_n) - (reflect_stack(u, reflection_coefficients(u, phi), w) + diag_n)
-        assert _certified_rank(d, u).tolist() == _hermitian_rank(d).tolist() == [0, 0, 0]
-        assert [len(stack) for stack in fallbacks] == [3]
-
-    @pytest.mark.filterwarnings("error")
-    def test_nan_slice_falls_back(self, fallbacks):
-        d, u, _ = step_differences(7, 3, np.random.default_rng(2))
-        d[1, 2, 3] = d[1, 3, 2] = np.nan
-        assert outcome(_certified_rank, d, u) == outcome(_hermitian_rank, d)
-        assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], d[1:2], equal_nan=True)
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("factor, rank, handed_on", [(10.0, 3, 1), (0.1, 2, 0)])
-    def test_planted_range_outside_the_span(self, factor, rank, handed_on, fallbacks):
-        # epsilon v v* with v orthogonal to u and W u leaves D u as it was.
-        # At ten times the threshold delta = 2 epsilon covers it, so the
-        # slice goes to eigvalsh, which counts it; at a tenth delta stays
-        # below the threshold, and the certificate leaves it uncounted.
-        n, rng = 16, np.random.default_rng(3)
-        d, u, w = step_differences(n, 1, rng)
-        threshold = 1e-8 * max(float(np.max(np.abs(np.linalg.eigvalsh(d[0])))), 1.0)
-        span = np.linalg.qr(np.stack([u[0], w[0] @ u[0]], axis=-1))[0]
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for _ in range(2):
-            v -= span @ (span.conj().T @ v)
-        v /= np.linalg.norm(v)
-        planted = hermitian_parts(d + factor * threshold * np.outer(v, v.conj()))
-        assert _certified_rank(planted, u).tolist() == _hermitian_rank(planted).tolist() == [rank]
-        assert len(fallbacks) == handed_on
-
-    def test_only_the_uncertified_slices_fall_back(self, fallbacks):
-        # Full-rank steps V W V* - W at slices 1 and 3 of five.
-        n, rng = 8, np.random.default_rng(4)
-        d, u, w = step_differences(n, 5, rng)
-        for i in (1, 3):
-            d[i] = w[i] - conjugate_stack(sample_haar_unitary(n, rng), w[i])
-        want = _hermitian_rank(d)
-        assert _certified_rank(d, u).tolist() == want.tolist()
-        assert want[[0, 2, 4]].tolist() == [2, 2, 2] and min(want[[1, 3]]) > 3
-        assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], d[[1, 3]])
-
-
 class TestStackedDistances:
     def test_stack_results_equal_per_matrix_results(self):
         rng = np.random.default_rng(12)
@@ -447,3 +345,26 @@ class TestRankPerturbationInequality:
                     assert gap <= r / n + 1e-12
                     instances += 1
         assert instances >= 200
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 33))
+    @settings(max_examples=100, deadline=None)
+    def test_reflection_step_of_the_reduced_form(self, seed, n):
+        # H = W + N and H' = Y W Y* + N, W = X M X*, as the matrix runner's
+        # step check forms them, with Gaussian spectra M and N (no atoms).
+        # D = H - H' = W - Y W Y* is a trace-zero rank-2 matrix: at most one
+        # of its eigenvalues lies above _hermitian_rank's threshold and at
+        # most one below minus it, so the CDF moves by at most 1/n.
+        rng = np.random.default_rng(seed)
+        w = conjugate_stack(sample_haar_unitary(n, rng), rng.standard_normal(n))
+        diag_n = np.diag(rng.standard_normal(n))
+        u, phi = sample_reflection_step(n, rng)
+        h = w + diag_n
+        h_prime = reflect_stack(u, reflection_coefficients(u, phi), w) + diag_n
+        d = h - h_prime
+        eigs = np.linalg.eigvalsh(d)
+        threshold = 1e-8 * max(float(np.max(np.abs(eigs))), 1.0)
+        assert np.count_nonzero(eigs > threshold) <= 1
+        assert np.count_nonzero(eigs < -threshold) <= 1
+        assert _hermitian_rank(d) <= 2
+        gap = sup_cdf_distance(np.linalg.eigvalsh(h), np.linalg.eigvalsh(h_prime))
+        assert gap <= 1.0 / n + 1e-12
